@@ -216,7 +216,6 @@ void validate_flags(const std::string& cmd, const Args& args) {
         "--sample-interval", "--sample-out", "--slo", "--slo-window",
         "--pool-workers"}},
       {"trace-report", {"--trace", "--journal", "--top"}},
-      {"leaks", {"--seed", "--trials", "--json", "--output"}},
   };
   const auto it = kAllowed.find(cmd);
   if (it == kAllowed.end()) return;  // unknown command: usage() handles it
@@ -335,12 +334,6 @@ const char* usage_text() {
       "      in a --trace-out JSON; --journal ingests the flight recorder\n"
       "      and adds a per-tenant leak forensics section, cross-checked\n"
       "      against the CSV leak counts (exit 1 on mismatch)\n"
-      "  leaks [--seed N] [--trials N] [--json] [-o report.json]\n"
-      "      leak-observability gate: drive the over-reading leaky server\n"
-      "      under taint tracking across layouts x seeds; VCFR must detect\n"
-      "      the planted exfiltration with provenance while the native\n"
-      "      layout stays silent (no randomized secrets to steal), and\n"
-      "      --rerand-on-leak must re-key the victim within one round\n"
       "  prof <img.vxe> [--seed N] [--drc N] [--max-instr N] [--top N]\n"
       "      [--profile-out PATH] [--flame-out PATH]\n"
       "      guest-level cycle-attribution profile (docs/OBSERVABILITY.md);\n"

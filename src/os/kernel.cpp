@@ -257,10 +257,6 @@ void Kernel::setup_telemetry() {
   pool.counter_fn("rounds", [this] { return pool_rounds(); });
   pool.counter_fn("workers",
                   [this] { return static_cast<uint64_t>(pool_workers()); });
-  // Steal totals depend on host thread scheduling: real, useful for
-  // tuning, but NEVER part of a simulated (CI-diffed) section.
-  pool.counter_fn("steals",
-                  [this] { return pool_ == nullptr ? 0 : pool_->steals(); });
   kernel.counter("restarts", &restarts_);
   kernel.counter("watchdog_kills", &watchdog_kills_);
   kernel.scope("rerand").counter("forced", &rerand_forced_);
@@ -734,11 +730,11 @@ FleetReport Kernel::run() {
       if (running[c] >= 0) active.push_back(c);
     }
     if (active.size() > 1) {
-      // First multi-core round: bring up the persistent workers. Tasks are
-      // pushed to per-participant deques (kernel thread = participant 0)
-      // and idle participants steal, so a stalled host thread no longer
-      // serializes the round; result order stays deterministic because
-      // every simulated core's state is private until commit.
+      // First multi-core round: bring up the persistent workers. The kernel
+      // thread and the workers claim active cores from one shared index, so
+      // a stalled host thread no longer serializes the round; result order
+      // stays deterministic because every simulated core's state is private
+      // until commit.
       if (pool_ == nullptr) {
         pool_ = std::make_unique<WorkerPool>(
             config_.pool_workers != 0 ? config_.pool_workers : cores - 1);

@@ -287,8 +287,8 @@ class Kernel {
   /// application. Replaces per-round thread spawn/join; see
   /// os/worker_pool.hpp for the determinism argument.
   std::unique_ptr<WorkerPool> pool_;
-  /// Execute-phase pool dispatches (the pool's own rounds() also counts
-  /// commit-phase shard fan-outs).
+  /// Execute-phase pool dispatches (commit-phase shard fan-outs are not
+  /// counted).
   uint64_t pool_rounds_ = 0;
 
   // Checkpoint / restore (see set_checkpoint).

@@ -3,13 +3,9 @@
 namespace vcfr::os {
 
 WorkerPool::WorkerPool(uint32_t workers) {
-  deques_.reserve(workers + 1);
-  for (uint32_t p = 0; p <= workers; ++p) {
-    deques_.push_back(std::make_unique<Deque>());
-  }
   threads_.reserve(workers);
   for (uint32_t id = 0; id < workers; ++id) {
-    threads_.emplace_back([this, id] { worker_loop(id); });
+    threads_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -29,96 +25,47 @@ void WorkerPool::run(uint32_t tasks, const std::function<void(uint32_t)>& fn) {
     for (uint32_t i = 0; i < tasks; ++i) fn(i);
     return;
   }
-  const auto participants = static_cast<uint32_t>(deques_.size());
   {
     std::lock_guard<std::mutex> lock(mutex_);
     fn_ = &fn;
-    // Distribute round-robin across participant deques *after* fn_ is
-    // set: a task is only reachable once its deque mutex is released, and
-    // any participant that pops it re-reads fn_ under mutex_ afterwards,
-    // so a stale scanner from a previous epoch that grabs a fresh task
-    // still runs the fresh dispatch's function.
-    for (uint32_t i = 0; i < tasks; ++i) {
-      Deque& d = *deques_[i % participants];
-      std::lock_guard<std::mutex> dlock(d.m);
-      d.q.push_back(i);
-    }
-    pending_ = tasks;
+    tasks_ = tasks;
+    next_.store(0);
     ++epoch_;
   }
   work_cv_.notify_all();
-  drain(0);
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [this] { return pending_ == 0; });
-    fn_ = nullptr;
-  }
-  ++rounds_;
+  drain(tasks, fn);
+  // Every index is claimed now. A worker joins (busy_++) before it claims,
+  // so any worker still running a task is counted in busy_.
+  std::unique_lock<std::mutex> lock(mutex_);
+  done_cv_.wait(lock, [this] { return busy_ == 0; });
+  fn_ = nullptr;
 }
 
-void WorkerPool::drain(uint32_t p) {
-  const auto participants = static_cast<uint32_t>(deques_.size());
-  while (true) {
-    int64_t task = -1;
-    {
-      Deque& own = *deques_[p];
-      std::lock_guard<std::mutex> lock(own.m);
-      if (!own.q.empty()) {
-        task = own.q.front();
-        own.q.pop_front();
-      }
-    }
-    if (task < 0) {
-      for (uint32_t k = 1; k < participants && task < 0; ++k) {
-        Deque& victim = *deques_[(p + k) % participants];
-        std::lock_guard<std::mutex> lock(victim.m);
-        if (!victim.q.empty()) {
-          task = victim.q.back();
-          victim.q.pop_back();
-          ++victim.stolen_from;
-        }
-      }
-    }
-    if (task < 0) return;
-    const std::function<void(uint32_t)>* fn = nullptr;
-    {
-      // Re-read under mutex_: holding a popped task pins pending_ > 0,
-      // which pins fn_ to the dispatch this task belongs to.
-      std::lock_guard<std::mutex> lock(mutex_);
-      fn = fn_;
-    }
-    (*fn)(static_cast<uint32_t>(task));
-    bool last = false;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      last = (--pending_ == 0);
-    }
-    if (last) done_cv_.notify_all();
+void WorkerPool::drain(uint32_t tasks,
+                       const std::function<void(uint32_t)>& fn) {
+  for (uint32_t i = next_.fetch_add(1); i < tasks; i = next_.fetch_add(1)) {
+    fn(i);
   }
 }
 
-void WorkerPool::worker_loop(uint32_t id) {
+void WorkerPool::worker_loop() {
   uint64_t seen_epoch = 0;
+  std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [&] { return stop_ || epoch_ != seen_epoch; });
-      if (stop_) return;
-      seen_epoch = epoch_;
-    }
-    // A re-wake for an epoch another participant already drained just
-    // finds every deque empty and goes back to sleep.
-    drain(id + 1);
+    work_cv_.wait(lock, [&] { return stop_ || epoch_ != seen_epoch; });
+    if (stop_) return;
+    seen_epoch = epoch_;
+    // A wake-up after the dispatch closed finds fn_ null and goes back
+    // to sleep.
+    if (fn_ == nullptr) continue;
+    const std::function<void(uint32_t)>* fn = fn_;
+    const uint32_t tasks = tasks_;
+    ++busy_;
+    lock.unlock();
+    drain(tasks, *fn);
+    lock.lock();
+    if (--busy_ == 0) done_cv_.notify_all();
   }
-}
-
-uint64_t WorkerPool::steals() const {
-  uint64_t total = 0;
-  for (const auto& d : deques_) {
-    std::lock_guard<std::mutex> lock(d->m);
-    total += d->stolen_from;
-  }
-  return total;
 }
 
 }  // namespace vcfr::os

@@ -1,35 +1,30 @@
-// Persistent work-stealing worker pool for the fleet kernel's execute
-// phase (and the sharded round commit's parallel tag application).
+// Persistent worker pool for the fleet kernel's execute phase (and the
+// sharded round commit's parallel tag application).
 //
 // The kernel used to spawn and join a fresh std::thread per active core
 // every scheduler round — at smoke-scale slice lengths the spawn/join cost
 // rivals the simulation work itself. This pool creates the host threads
 // once and dispatches rounds through a condition variable.
 //
-// Task assignment is work-stealing: each of the workers()+1 participants
-// (the caller is participant 0) owns a deque; a dispatch of `tasks` tasks
-// distributes task i to deque i % participants. Participants drain their
-// own deque from the front, then steal from other deques' backs in ring
-// order. This means a slow task (deep re-rand, DRC-cold tenant) no longer
-// stalls the whole round behind one host thread, and `tasks` may exceed
-// the participant count — the old static pool silently required
-// tasks <= workers()+1.
+// Task assignment is one shared atomic next-task index: every participant
+// (the workers()+1 of them, the caller included) claims next_.fetch_add(1)
+// until the index reaches `tasks`. An idle participant simply claims the
+// next task, so a slow task (deep re-rand, DRC-cold tenant) does not stall
+// the rest of the round behind one host thread, and `tasks` may exceed the
+// participant count.
 //
 // Determinism: which host thread runs a task is scheduling-dependent, but
-// every task runs exactly once per dispatch and run() returns only after
-// all of them complete, so any simulated state the tasks produce is
-// collected by the caller in deterministic (task-index) order. Within a
-// round each task is popped exactly once, so each simulated core is still
-// driven by exactly one host thread and the per-lane tracing contract
-// (one writer per ring) is preserved. Steal counts are host-scheduling
-// noise and must never feed a CI-diffed/simulated section.
+// every task index is claimed exactly once per dispatch and run() returns
+// only after all of them complete, so any simulated state the tasks
+// produce is collected by the caller in deterministic (task-index) order.
+// Each simulated core is therefore driven by exactly one host thread per
+// round and the per-lane tracing contract (one writer per ring) holds.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -45,48 +40,32 @@ class WorkerPool {
   WorkerPool& operator=(const WorkerPool&) = delete;
 
   /// Runs fn(0) .. fn(tasks-1), each exactly once, and returns when every
-  /// task has completed. The calling thread participates in the drain.
-  /// A single task (or an empty pool) runs inline without waking anyone.
+  /// task has completed and every worker that joined the dispatch has left
+  /// it. The calling thread participates in the drain. A single task (or
+  /// an empty pool) runs inline without waking anyone.
   void run(uint32_t tasks, const std::function<void(uint32_t)>& fn);
 
   [[nodiscard]] uint32_t workers() const {
     return static_cast<uint32_t>(threads_.size());
   }
 
-  /// Dispatches that actually woke workers (tasks > 1) — exported as the
-  /// kernel.pool.rounds counter.
-  [[nodiscard]] uint64_t rounds() const { return rounds_; }
-
-  /// Total tasks popped from a deque by a non-owning participant across
-  /// all dispatches. Host-scheduling-dependent — observability only,
-  /// never part of a deterministic report section.
-  [[nodiscard]] uint64_t steals() const;
-
  private:
-  // One per participant. The mutex protects q and stolen_from; it is
-  // mutable so steals() can stay const.
-  struct Deque {
-    mutable std::mutex m;
-    std::deque<uint32_t> q;
-    uint64_t stolen_from = 0;
-  };
-
-  void worker_loop(uint32_t id);
-  /// Drains tasks as participant `p`: own deque front-first, then steal
-  /// from the other deques' backs in ring order.
-  void drain(uint32_t p);
+  void worker_loop();
+  /// Claims and runs task indices until the dispatch is exhausted.
+  void drain(uint32_t tasks, const std::function<void(uint32_t)>& fn);
 
   std::mutex mutex_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
-  // Dispatch state, all guarded by mutex_.
+  // Dispatch state, all guarded by mutex_. fn_ is null between dispatches,
+  // so a worker that wakes after run() returned joins nothing.
   const std::function<void(uint32_t)>* fn_ = nullptr;
-  uint32_t pending_ = 0;  // tasks of the current dispatch not yet completed
+  uint32_t tasks_ = 0;
+  uint32_t busy_ = 0;  // workers inside the current dispatch
   uint64_t epoch_ = 0;
   bool stop_ = false;
 
-  uint64_t rounds_ = 0;
-  std::vector<std::unique_ptr<Deque>> deques_;  // [0] = caller's
+  std::atomic<uint32_t> next_{0};
   std::vector<std::thread> threads_;
 };
 

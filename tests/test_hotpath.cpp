@@ -296,10 +296,10 @@ TEST(WorkerPoolTest, PersistentThreadsRunEveryTask) {
   os::WorkerPool pool(3);
   EXPECT_EQ(pool.workers(), 3u);
 
-  // Work-stealing pool: WHICH host thread runs a task varies with host
-  // scheduling (that's the point — an idle participant takes a stalled
-  // one's work), but every task runs exactly once per round and run()
-  // does not return before all of them completed.
+  // WHICH host thread runs a task varies with host scheduling (an idle
+  // participant claims the next index while another is still busy), but
+  // every task runs exactly once per round and run() does not return
+  // before all of them completed.
   std::atomic<uint64_t> runs{0};
   for (int round = 0; round < 200; ++round) {
     std::array<std::atomic<uint32_t>, 4> per_task{};
@@ -312,15 +312,16 @@ TEST(WorkerPoolTest, PersistentThreadsRunEveryTask) {
     }
   }
   EXPECT_EQ(runs.load(), 4u * 200u);
-  EXPECT_EQ(pool.rounds(), 200u);
 
-  // Single-task dispatches run inline on the caller and are not pool
-  // rounds.
+  // Single-task dispatches run inline on the caller without waking anyone.
+  const std::thread::id caller = std::this_thread::get_id();
+  bool ran = false;
   pool.run(1, [&](uint32_t task) {
     EXPECT_EQ(task, 0u);
-    EXPECT_EQ(std::this_thread::get_id(), std::this_thread::get_id());
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ran = true;
   });
-  EXPECT_EQ(pool.rounds(), 200u);
+  EXPECT_TRUE(ran);
 }
 
 TEST(WorkerPoolTest, FewerTasksThanWorkers) {
@@ -334,7 +335,8 @@ TEST(WorkerPoolTest, FewerTasksThanWorkers) {
 
 TEST(WorkerPoolTest, MoreTasksThanParticipants) {
   // The old static-assignment pool silently required tasks <= workers + 1;
-  // the deque-based pool queues any excess and drains it.
+  // with a shared next-task index a participant that finishes early just
+  // claims the next one, so any excess drains.
   os::WorkerPool pool(2);
   std::array<std::atomic<uint32_t>, 17> per_task{};
   std::atomic<uint64_t> runs{0};
@@ -346,19 +348,6 @@ TEST(WorkerPoolTest, MoreTasksThanParticipants) {
   }
   EXPECT_EQ(runs.load(), 17u * 20u);
   for (uint32_t t = 0; t < 17; ++t) EXPECT_EQ(per_task[t].load(), 20u);
-  EXPECT_EQ(pool.rounds(), 20u);
-}
-
-TEST(WorkerPoolTest, StealCounterIsMonotonic) {
-  os::WorkerPool pool(3);
-  EXPECT_EQ(pool.steals(), 0u);
-  uint64_t last = 0;
-  for (int round = 0; round < 50; ++round) {
-    pool.run(8, [&](uint32_t) {});
-    const uint64_t s = pool.steals();
-    EXPECT_GE(s, last);
-    last = s;
-  }
 }
 
 TEST(WorkerPoolTest, KernelUsesPoolOnlyWhenMultiCore) {

@@ -1,5 +1,5 @@
 // Scale-out invariants (ARCHITECTURE.md §14): the sharded round commit
-// and the work-stealing worker pool are host-side reorganizations of the
+// and the shared-index worker pool are host-side reorganizations of the
 // same simulated machine, so every observable report must be
 // byte-identical to the legacy single-barrier, caller-runs paths. Also
 // covers checkpoint/restore: a run resumed from a mid-campaign

@@ -437,54 +437,6 @@ struct FleetTelemetry {
   std::string samples;
 };
 
-// kernel.pool.steals is the one documented host-nondeterministic export
-// (ARCHITECTURE.md §14): steal counts depend on host thread timing, are
-// telemetry-only, and never enter a CI-diffed surface. Scrub it before
-// comparing bytes — everything else must still match exactly.
-std::string scrub_steals_counter(const std::string& stats) {
-  std::string out;
-  std::istringstream in(stats);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find("kernel.pool.steals") != std::string::npos) continue;
-    out += line;
-    out += '\n';
-  }
-  return out;
-}
-
-std::string scrub_steals_column(const std::string& csv) {
-  std::istringstream in(csv);
-  std::string header;
-  if (!std::getline(in, header)) return csv;
-  size_t column = 0;
-  bool found = false;
-  {
-    std::istringstream cols(header);
-    std::string name;
-    for (size_t i = 0; std::getline(cols, name, ','); ++i) {
-      if (name.find("kernel.pool.steals") != std::string::npos) {
-        column = i;
-        found = true;
-      }
-    }
-  }
-  if (!found) return csv;
-  std::string out;
-  std::string line = header;
-  do {
-    std::istringstream cols(line);
-    std::string cell;
-    for (size_t i = 0; std::getline(cols, cell, ','); ++i) {
-      if (i == column) continue;
-      if (!out.empty() && out.back() != '\n') out += ',';
-      out += cell;
-    }
-    out += '\n';
-  } while (std::getline(in, line));
-  return out;
-}
-
 FleetTelemetry run_fleet_with_telemetry(uint64_t seed) {
   TelemetryConfig tc;
   tc.trace = true;
@@ -502,9 +454,8 @@ FleetTelemetry run_fleet_with_telemetry(uint64_t seed) {
     kernel.spawn(pc);
   }
   (void)kernel.run();
-  return {scrub_steals_counter(tel.registry().to_json()),
-          tel.tracer()->to_chrome_json(),
-          scrub_steals_column(tel.sampler().to_csv())};
+  return {tel.registry().to_json(), tel.tracer()->to_chrome_json(),
+          tel.sampler().to_csv()};
 }
 
 TEST(TelemetryDeterminismTest, SameSeedFleetsExportIdenticalBytes) {

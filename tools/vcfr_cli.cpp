@@ -42,7 +42,6 @@
 #include "telemetry/json_writer.hpp"
 #include "telemetry/telemetry.hpp"
 #include "workloads/suite.hpp"
-#include "workloads/wl_server.hpp"
 
 namespace {
 
@@ -1114,159 +1113,6 @@ int cmd_trace_report(const Args& args) {
   return 0;
 }
 
-// ---- leaks: the leak-observability gate ----
-
-int cmd_leaks(const Args& args) {
-  // Three arms, all with taint tracking on and the same over-reading
-  // request (resp_len = 68 echoes the 64-byte stack buffer plus the 4
-  // saved-return bytes above it):
-  //   native — the original layout; no randomized secret ever enters the
-  //            handler's frame, so the sink must stay silent,
-  //   vcfr   — seed-randomized siblings; the sink must fire with full
-  //            provenance (randomized return address, out sink),
-  //   serve  — leaky tenants under --rerand-on-leak; the leaking tenant
-  //            must be re-keyed at its next request boundary.
-  constexpr uint32_t kRespLen = 68;
-  const binary::Image original = workloads::make_leaky_server();
-
-  struct Arm {
-    bool halted = false;
-    uint64_t sources = 0;
-    uint64_t leaks = 0;
-    uint64_t max_depth = 0;
-    std::vector<emu::LeakRecord> records;
-  };
-  const auto run_arm = [&](const binary::Image& image) {
-    binary::Memory mem;
-    binary::load(image, mem);
-    const std::vector<uint8_t> req = workloads::build_leak_request(kRespLen);
-    for (size_t i = 0; i < req.size(); ++i) {
-      mem.write8(workloads::kServerRequestBase + static_cast<uint32_t>(i),
-                 req[i]);
-    }
-    emu::Emulator emulator(image, mem);
-    emulator.set_taint_tracking(true);
-    uint64_t steps = 0;
-    while (steps < 2'000'000 && emulator.step()) {
-      ++steps;
-      if (emulator.halted()) break;
-    }
-    Arm a;
-    a.halted = emulator.halted();
-    a.sources = emulator.taint_stats().sources;
-    a.leaks = emulator.taint_stats().leaks;
-    a.max_depth = emulator.taint_stats().max_depth;
-    a.records = emulator.leaks();
-    return a;
-  };
-
-  const Arm native = run_arm(original);
-  bool pass = native.halted && native.leaks == 0;
-
-  struct Trial {
-    uint64_t seed = 0;
-    Arm arm;
-  };
-  std::vector<Trial> trials;
-  for (uint32_t t = 0; t < args.trials; ++t) {
-    rewriter::RandomizeOptions opts;
-    opts.seed = args.seed + t;
-    const auto rr = rewriter::randomize(original, opts);
-    Trial tr;
-    tr.seed = opts.seed;
-    tr.arm = run_arm(rr.vcfr);
-    bool ok = tr.arm.halted && tr.arm.leaks > 0 && !tr.arm.records.empty();
-    for (const emu::LeakRecord& l : tr.arm.records) {
-      // Every planted leak discloses the pushed (randomized) return
-      // address through the echo loop's `out`.
-      if (l.origin != emu::TaintOrigin::kRetPush) ok = false;
-      if (l.sink != emu::LeakSink::kOut) ok = false;
-    }
-    pass = pass && ok;
-    trials.push_back(std::move(tr));
-  }
-
-  // Serve arm: open-loop leaky tenants; ~3 of 4 generated bodies request
-  // an over-read, so leaks arrive quickly and --rerand-on-leak must have
-  // re-keyed at least one victim.
-  serve::ServeConfig sc;
-  sc.tenants = 2;
-  sc.cores = 1;
-  sc.duration = 60'000;
-  sc.model = serve::ArrivalModel::kOpen;
-  sc.dist = serve::Distribution::kFixed;
-  sc.mean_interarrival = 4'000;
-  sc.workloads = {"leaky"};
-  sc.seed = args.seed;
-  sc.taint = true;
-  sc.rerandomize.on_leak = true;
-  const serve::ServeReport sr = serve::run_serve(sc);
-  const bool serve_ok =
-      sr.leaks > 0 && sr.leak_rerands > 0 && sr.tenants_down == 0;
-  pass = pass && serve_ok;
-
-  telemetry::JsonWriter w;
-  w.begin_object(telemetry::JsonWriter::Style::kPretty);
-  w.key("request_resp_len").value(kRespLen);
-  w.key("native").begin_object();
-  w.key("halted").value(native.halted);
-  w.key("taint_sources").value(native.sources);
-  w.key("leaks").value(native.leaks);
-  w.key("silent").value(native.leaks == 0);
-  w.end_object();
-  w.key("vcfr").begin_array(telemetry::JsonWriter::Style::kPretty);
-  for (const Trial& tr : trials) {
-    const Arm& a = tr.arm;
-    w.begin_object(telemetry::JsonWriter::Style::kCompact);
-    w.key("seed").value(tr.seed);
-    w.key("halted").value(a.halted);
-    w.key("taint_sources").value(a.sources);
-    w.key("leaks").value(a.leaks);
-    w.key("max_depth").value(a.max_depth);
-    if (!a.records.empty()) {
-      w.key("origin")
-          .value(std::string(emu::taint_origin_name(a.records[0].origin)));
-      w.key("sink")
-          .value(std::string(emu::leak_sink_name(a.records[0].sink)));
-      w.key("origin_rpc").value(a.records[0].origin_rpc);
-    }
-    w.end_object();
-  }
-  w.end_array();
-  w.key("rerand_on_leak").begin_object();
-  w.key("leaks").value(sr.leaks);
-  w.key("leak_rerands").value(sr.leak_rerands);
-  w.key("rekeyed").value(sr.leak_rerands > 0);
-  w.end_object();
-  w.key("pass").value(pass);
-  w.end_object();
-  const std::string json = w.str() + "\n";
-
-  uint64_t detected = 0;
-  for (const Trial& tr : trials) detected += tr.arm.leaks > 0 ? 1 : 0;
-  const std::string s =
-      "leaks: native " +
-      std::string(native.leaks == 0 ? "silent" : "LEAKED") +
-      ", vcfr detected " + std::to_string(detected) + "/" +
-      std::to_string(trials.size()) + " trial(s), rerand-on-leak " +
-      (sr.leak_rerands > 0 ? "re-keyed" : "DID NOT re-key") + " (" +
-      std::to_string(sr.leaks) + " serve leak(s), " +
-      std::to_string(sr.leak_rerands) + " re-rand(s)) -> " +
-      (pass ? "PASS" : "FAIL") + "\n";
-
-  if (!args.output.empty()) {
-    write_file(args.output, json);
-    std::fputs(s.c_str(), g_report);
-    std::fprintf(stderr, "report: %s\n", args.output.c_str());
-  } else if (args.json) {
-    std::fputs(json.c_str(), stdout);
-  } else {
-    std::fputs(s.c_str(), g_report);
-    std::fputs(json.c_str(), g_report);
-  }
-  return pass ? 0 : 1;
-}
-
 int cmd_prof(const Args& args) {
   const auto image = binary::load_file(require_input(args));
   if (image.layout == binary::Layout::kNaiveIlr) {
@@ -1513,7 +1359,6 @@ int main(int argc, char** argv) {
     if (cmd == "fleet") return cmd_fleet(args);
     if (cmd == "serve") return cmd_serve(args);
     if (cmd == "trace-report") return cmd_trace_report(args);
-    if (cmd == "leaks") return cmd_leaks(args);
     if (cmd == "prof") return cmd_prof(args);
     if (cmd == "faultcamp") return cmd_faultcamp(args);
     usage();
