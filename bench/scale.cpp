@@ -11,8 +11,9 @@
 //
 // Two sections, same discipline as BENCH_hotpath.json:
 //   * "simulated" — deterministic; CI strips "host" and diffs the rest;
-//   * "host" — wall-clock per sweep point plus the host CPU count.
-//     Informational only (build type, machine, and core count all move
+//   * "host" — per sweep point, wall-clock of set-up (spawn_ms: kernel
+//     construction plus the 256 spawns) and of Kernel::run() (wall_ms),
+//     plus the host CPU count. Informational only (build type, machine, and core count all move
 //     it); no derived "speedup" is reported because a 1-CPU CI host
 //     cannot honestly show one.
 //
@@ -51,8 +52,14 @@ struct SweepPoint {
   uint64_t fleet_cycles = 0;
   uint64_t fleet_instructions = 0;
   double fleet_ipc = 0.0;
+  double spawn_ms = 0.0;
   double wall_ms = 0.0;
 };
+
+double ms_since(Clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - start)
+      .count();
+}
 
 SweepPoint run_point(uint32_t workers) {
   os::KernelConfig kc;
@@ -60,6 +67,7 @@ SweepPoint run_point(uint32_t workers) {
   kc.sched.slice_instructions = kSlice;
   kc.measure_isolated = false;  // 256 isolated re-runs would dwarf the fleet
   kc.pool_workers = workers;
+  const auto spawn_start = Clock::now();
   os::Kernel kernel(kc);
   const char* mix[] = {"bzip2", "gcc", "mcf", "hmmer"};
   for (uint32_t i = 0; i < kTenants; ++i) {
@@ -70,6 +78,7 @@ SweepPoint run_point(uint32_t workers) {
     pc.max_instructions = kMaxInstr;
     kernel.spawn(pc);
   }
+  const double spawn_ms = ms_since(spawn_start);
   const auto start = Clock::now();
   const os::FleetReport r = kernel.run();
   SweepPoint pt;
@@ -80,8 +89,8 @@ SweepPoint run_point(uint32_t workers) {
   pt.fleet_cycles = r.fleet_cycles;
   pt.fleet_instructions = r.fleet_instructions;
   pt.fleet_ipc = r.fleet_ipc;
-  pt.wall_ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - start).count();
+  pt.spawn_ms = spawn_ms;
+  pt.wall_ms = ms_since(start);
   return pt;
 }
 
@@ -93,10 +102,12 @@ int main(int argc, char** argv) {
   std::vector<SweepPoint> sweep;
   for (const uint32_t workers : {1u, 2u, 4u, 8u}) {
     sweep.push_back(run_point(workers));
-    std::printf("scale: %3u workers -> %llu rounds, %llu cycles, %.0f ms\n",
-                workers, static_cast<unsigned long long>(sweep.back().rounds),
-                static_cast<unsigned long long>(sweep.back().fleet_cycles),
-                sweep.back().wall_ms);
+    std::printf(
+        "scale: %3u workers -> %llu rounds, %llu cycles, spawn %.0f ms, "
+        "run %.0f ms\n",
+        workers, static_cast<unsigned long long>(sweep.back().rounds),
+        static_cast<unsigned long long>(sweep.back().fleet_cycles),
+        sweep.back().spawn_ms, sweep.back().wall_ms);
   }
 
   for (const SweepPoint& pt : sweep) {
@@ -148,6 +159,7 @@ int main(int argc, char** argv) {
   for (const SweepPoint& pt : sweep) {
     w.begin_object();
     w.key("workers_requested").value(uint64_t{pt.workers_requested});
+    w.key("spawn_ms").raw_value(telemetry::json_double(pt.spawn_ms));
     w.key("wall_ms").raw_value(telemetry::json_double(pt.wall_ms));
     w.end_object();
   }

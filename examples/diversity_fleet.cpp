@@ -40,7 +40,7 @@ int main() {
     kernel.spawn(pc);
   }
   // The kernel's per-process randomization state, without running anyone.
-  std::vector<const rewriter::RandomizeResult*> fleet;
+  std::vector<const rewriter::PlacedImage*> fleet;
   fleet.reserve(kVariants);
   for (int v = 0; v < kVariants; ++v) {
     fleet.push_back(&kernel.randomization(v));
@@ -66,11 +66,11 @@ int main() {
 
   // --- per-instruction location entropy --------------------------------------
   const auto& first = *fleet.front();
-  const double slots = first.naive.rand_size / 64.0;  // one per 64B slot
+  const double slots = first.vcfr.rand_size / 64.0;  // one per 64B slot
   const double entropy_bits = std::log2(slots * 59.0);  // slot * jitter
   std::printf("randomized-space entropy per instruction: ~%.1f bits "
               "(region 0x%x bytes)\n",
-              entropy_bits, first.naive.rand_size);
+              entropy_bits, first.vcfr.rand_size);
 
   // --- cross-variant address knowledge ----------------------------------------
   // The attacker learns variant 0's layout (say, by a leak), then the fleet

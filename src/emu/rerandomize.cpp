@@ -10,8 +10,8 @@ namespace vcfr::emu {
 
 std::unique_ptr<Emulator> rerandomize_live(
     const Emulator& running, binary::Memory& mem,
-    const rewriter::RandomizeResult& old_rr,
-    const rewriter::RandomizeResult& new_rr, LiveRerandomizeStats* stats) {
+    const rewriter::PlacedImage& old_rr, const rewriter::PlacedImage& new_rr,
+    LiveRerandomizeStats* stats) {
   const binary::Image& old_img = old_rr.vcfr;
   const binary::Image& new_img = new_rr.vcfr;
   if (old_img.layout != binary::Layout::kVcfr ||
@@ -63,8 +63,8 @@ std::unique_ptr<Emulator> rerandomize_live(
   return fresh;
 }
 
-bool rerandomize_incremental(const rewriter::Cfg& cfg,
-                             rewriter::RandomizeResult& rr,
+bool rerandomize_incremental(const rewriter::Program& program,
+                             rewriter::PlacedImage& rr,
                              binary::Memory& mem, Emulator& running,
                              const IncrementalRerandOptions& options,
                              IncrementalRerandStats* stats) {
@@ -92,10 +92,11 @@ bool rerandomize_incremental(const rewriter::Cfg& cfg,
   IncrementalRerandStats local;
   IncrementalRerandStats& st = stats ? *stats : local;
   st = IncrementalRerandStats{};
+  const rewriter::Cfg& cfg = program.cfg;
 
   // --- candidate pages: original 4 KiB pages holding movable instrs -------
   constexpr uint32_t kPage = 4096;
-  const auto& unrandomized = rr.analysis.unrandomized;
+  const auto& unrandomized = program.analysis.unrandomized;
   std::vector<size_t> movable;
   movable.reserve(cfg.instrs.size());
   std::vector<uint32_t> pages;
@@ -227,7 +228,7 @@ bool rerandomize_incremental(const rewriter::Cfg& cfg,
 
   // Referring sites: direct transfers, software-rewrite return pushes,
   // and proven code-pointer movs whose (original-space) target moved.
-  const auto& code_imm_sites = rr.analysis.code_imm_sites;
+  const auto& code_imm_sites = program.analysis.code_imm_sites;
   for (const auto& e : cfg.instrs) {
     const bool qualifies =
         e.instr.is_direct_transfer() || e.instr.op == isa::Op::kPushI ||

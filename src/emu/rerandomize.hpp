@@ -42,20 +42,19 @@ struct LiveRerandomizeStats {
 };
 
 /// Swaps `running` (executing old_rr.vcfr over `mem`) onto new_rr.vcfr.
-/// Both RandomizeResults must come from the same original binary; the
-/// returned emulator resumes where `running` stopped. `new_rr.vcfr` must
-/// outlive the returned emulator.
+/// Both placements must come from the same original binary; the returned
+/// emulator resumes where `running` stopped. `new_rr.vcfr` must outlive the
+/// returned emulator.
 [[nodiscard]] std::unique_ptr<Emulator> rerandomize_live(
     const Emulator& running, binary::Memory& mem,
-    const rewriter::RandomizeResult& old_rr,
-    const rewriter::RandomizeResult& new_rr,
+    const rewriter::PlacedImage& old_rr, const rewriter::PlacedImage& new_rr,
     LiveRerandomizeStats* stats = nullptr);
 
 // ---- incremental re-randomization (continuous re-rand, MARDU-style) ----
 //
 // Instead of rebuilding the whole placement and flushing every cache, the
 // incremental path re-places only a deterministic selection of original
-// 4 KiB code pages and patches the live RandomizeResult *in place*: the
+// 4 KiB code pages and patches the live placement *in place*: the
 // TranslationTables object keeps its identity (walkers stay bound), only
 // the moved instructions' derand/rand entries change, and only the code
 // bytes of referring sites are re-encoded. The caller keeps the same
@@ -109,12 +108,13 @@ struct IncrementalRerandStats {
 
 /// Re-places a deterministic subset of `rr`'s movable code pages in
 /// place, patching tables, code bytes, data slots, marked stack slots,
-/// and the PC of `running`. `cfg` must be the control-flow graph of the
-/// *original* (pre-randomization) image `rr` came from. Returns false —
-/// with `rr`, `mem`, and `running` untouched — when the slot pool cannot
-/// host the re-placement (caller defers); true on success.
-[[nodiscard]] bool rerandomize_incremental(const rewriter::Cfg& cfg,
-                                           rewriter::RandomizeResult& rr,
+/// and the PC of `running`. `program` must be the prepared original binary
+/// `rr` was placed from: its CFG and analysis say which instructions move
+/// and which sites refer to them. Returns false — with `rr`, `mem`, and
+/// `running` untouched — when the slot pool cannot host the re-placement
+/// (caller defers); true on success.
+[[nodiscard]] bool rerandomize_incremental(const rewriter::Program& program,
+                                           rewriter::PlacedImage& rr,
                                            binary::Memory& mem,
                                            Emulator& running,
                                            const IncrementalRerandOptions& options,

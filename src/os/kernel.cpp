@@ -10,6 +10,7 @@
 #include "emu/emulator.hpp"
 #include "emu/taint.hpp"
 #include "rewriter/randomizer.hpp"
+#include "workloads/suite.hpp"
 
 namespace vcfr::os {
 
@@ -71,7 +72,12 @@ Kernel::Kernel(const KernelConfig& config)
 
 uint32_t Kernel::spawn(const ProcessConfig& config) {
   const uint32_t pid = static_cast<uint32_t>(procs_.size());
-  procs_.push_back(std::make_unique<Process>(pid, config));
+  auto& program = programs_[{config.workload, config.scale}];
+  if (program == nullptr) {
+    program = std::make_shared<const rewriter::Program>(rewriter::prepare(
+        workloads::make(config.workload, config.scale)));
+  }
+  procs_.push_back(std::make_unique<Process>(pid, config, program));
   const uint32_t core = sched_.admit(pid);
   procs_[pid]->bind(core, cores_[core]->mem());
   return pid;
@@ -1007,8 +1013,7 @@ void Kernel::measure_isolated(ProcessReport& report,
   // process may have re-randomized past it.
   rewriter::RandomizeOptions options;
   options.seed = proc.config().seed;
-  const rewriter::RandomizeResult rr =
-      rewriter::randomize(proc.original(), options);
+  const rewriter::PlacedImage rr = rewriter::place(proc.program(), options);
 
   emu::RunLimits limits;
   limits.max_instructions = proc.config().max_instructions;

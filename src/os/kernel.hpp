@@ -24,8 +24,10 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/shared_l2.hpp"
@@ -184,9 +186,10 @@ class Kernel {
   [[nodiscard]] const Process& process(uint32_t pid) const {
     return *procs_[pid];
   }
-  /// The pid's current randomization (tables, placement, images) — lets
-  /// diversity studies inspect the fleet without running it.
-  [[nodiscard]] const rewriter::RandomizeResult& randomization(
+  /// The pid's current randomization (its VCFR image with tables, and the
+  /// placement map) — lets diversity studies inspect the fleet without
+  /// running it.
+  [[nodiscard]] const rewriter::PlacedImage& randomization(
       uint32_t pid) const {
     return procs_[pid]->randomization();
   }
@@ -255,6 +258,11 @@ class Kernel {
   /// (pid, epoch) currently installed in each core's pipeline, or -1.
   std::vector<std::pair<int64_t, int64_t>> installed_;
   std::vector<std::unique_ptr<Process>> procs_;
+  /// One prepared program per (workload, scale) spawned: every process of
+  /// it shares the image and its analysis and only places it per seed.
+  std::map<std::pair<std::string, int>,
+           std::shared_ptr<const rewriter::Program>>
+      programs_;
   uint64_t rounds_ = 0;
   uint64_t restarts_ = 0;
   uint64_t watchdog_kills_ = 0;

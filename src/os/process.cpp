@@ -6,7 +6,6 @@
 #include "binary/serialize.hpp"
 #include "binary/state_io.hpp"
 #include "emu/rerandomize.hpp"
-#include "workloads/suite.hpp"
 
 namespace vcfr::os {
 
@@ -16,14 +15,13 @@ namespace {
 constexpr uint64_t kSeedMix = 0x9e3779b97f4a7c15ull;
 }  // namespace
 
-Process::Process(uint32_t pid, const ProcessConfig& config)
-    : pid_(pid),
-      config_(config),
-      base_(workloads::make(config.workload, config.scale)) {
-  rr_ = std::make_unique<rewriter::RandomizeResult>(
-      rewriter::randomize(base_, options_for_epoch(0)));
-  binary::load(rr_->vcfr, mem_);
-  emu_ = std::make_unique<emu::Emulator>(rr_->vcfr, mem_);
+Process::Process(uint32_t pid, const ProcessConfig& config,
+                 std::shared_ptr<const rewriter::Program> program)
+    : pid_(pid), config_(config), program_(std::move(program)) {
+  placed_ = std::make_unique<rewriter::PlacedImage>(
+      rewriter::place(*program_, options_for_epoch(0)));
+  binary::load(placed_->vcfr, mem_);
+  emu_ = std::make_unique<emu::Emulator>(placed_->vcfr, mem_);
   emu_->set_enforce_tags(config_.enforce_tags);
   apply_taint_config();
   if (config_.inject_enabled) {
@@ -46,14 +44,15 @@ rewriter::RandomizeOptions Process::options_for_epoch(uint64_t epoch) const {
 void Process::bind(uint32_t core, cache::MemHier& mem) {
   core_ = static_cast<int>(core);
   bound_mem_ = &mem;
-  walker_ = std::make_unique<core::TranslationWalker>(rr_->vcfr.tables, mem);
+  walker_ =
+      std::make_unique<core::TranslationWalker>(placed_->vcfr.tables, mem);
 }
 
 core::ProcessContext Process::context() const {
   core::ProcessContext ctx;
   ctx.pid = pid_;
   ctx.name = config_.workload;
-  ctx.tables = &rr_->vcfr.tables;
+  ctx.tables = &placed_->vcfr.tables;
   ctx.epoch = epoch_;
   return ctx;
 }
@@ -77,7 +76,7 @@ bool Process::try_rerandomize() {
   // pinned as derand aliases and the swap proceeds (forced quiescence).
   std::vector<uint32_t> pinned;
   for (const uint32_t reg : emu_->state().regs) {
-    if (rr_->vcfr.tables.is_randomized_addr(reg)) pinned.push_back(reg);
+    if (placed_->vcfr.tables.is_randomized_addr(reg)) pinned.push_back(reg);
   }
   bool force = false;
   if (!pinned.empty()) {
@@ -114,15 +113,15 @@ bool Process::try_rerandomize() {
 
 bool Process::rerandomize_full(const std::vector<uint32_t>& pinned,
                                bool force) {
-  auto next = std::make_unique<rewriter::RandomizeResult>(
-      rewriter::randomize(base_, options_for_epoch(epoch_ + 1)));
+  auto next = std::make_unique<rewriter::PlacedImage>(
+      rewriter::place(*program_, options_for_epoch(epoch_ + 1)));
   if (force) {
     // Forced quiescence: every register-held randomized address keeps a
     // derand alias to its instruction's original address in the fresh
     // tables, so an indirect transfer through the stale register still
     // lands correctly after the swap.
     for (const uint32_t v : pinned) {
-      const uint32_t orig = rr_->vcfr.tables.to_original(v);
+      const uint32_t orig = placed_->vcfr.tables.to_original(v);
       const uint32_t* existing = next->vcfr.tables.derand.lookup(v);
       if (existing != nullptr && *existing != orig) {
         // The fresh placement put a different instruction exactly at the
@@ -135,18 +134,18 @@ bool Process::rerandomize_full(const std::vector<uint32_t>& pinned,
     }
   }
   emu::LiveRerandomizeStats st;
-  emu_ = emu::rerandomize_live(*emu_, mem_, *rr_, *next, &st);
+  emu_ = emu::rerandomize_live(*emu_, mem_, *placed_, *next, &st);
   emu_->set_enforce_tags(config_.enforce_tags);
   apply_taint_config();
-  rr_ = std::move(next);
+  placed_ = std::move(next);
   // The tables object was replaced — rebuild the walker over it.
-  walker_ = std::make_unique<core::TranslationWalker>(rr_->vcfr.tables,
+  walker_ = std::make_unique<core::TranslationWalker>(placed_->vcfr.tables,
                                                       *bound_mem_);
   // Full-rebuild work: every table entry rewritten plus the patched data/
   // stack/PC slots; regions = all code pages.
-  const auto& tables = rr_->vcfr.tables;
+  const auto& tables = placed_->vcfr.tables;
   last_work_.regions = static_cast<uint32_t>(
-      (rr_->vcfr.code.size() + 4095) / 4096);
+      (placed_->vcfr.code.size() + 4095) / 4096);
   last_work_.entries = tables.derand.size() + tables.rand.size() +
                        st.reloc_slots_patched + st.stack_slots_translated +
                        (st.pc_translated ? 1 : 0);
@@ -164,10 +163,7 @@ bool Process::rerandomize_full(const std::vector<uint32_t>& pinned,
 
 bool Process::rerandomize_incremental_step(
     const std::vector<uint32_t>& pinned, bool /*force*/) {
-  if (cfg_ == nullptr) {
-    cfg_ = std::make_unique<rewriter::Cfg>(rewriter::build_cfg(base_));
-  }
-  auto& tables = rr_->vcfr.tables;
+  auto& tables = placed_->vcfr.tables;
   // Retire aliases from earlier forced swaps that no register holds any
   // more. (Reaching here with an alias still register-held implies it is
   // in `pinned` — a held alias fails the quiescence check.)
@@ -191,7 +187,8 @@ bool Process::rerandomize_incremental_step(
   opt.pinned = pinned;
   emu::IncrementalRerandStats st;
   const uint64_t prev_gen = mem_.code_version();
-  if (!emu::rerandomize_incremental(*cfg_, *rr_, mem_, *emu_, opt, &st)) {
+  if (!emu::rerandomize_incremental(*program_, *placed_, mem_, *emu_, opt,
+                                    &st)) {
     // Slot pool exhausted — defer; the next epoch draws different slots.
     ++stats_.rerandomizations_deferred;
     return false;
@@ -223,15 +220,15 @@ void Process::restart() {
   // into), so a layout leak from the old life says nothing about the new.
   reseed_ = kSeedMix * (0xbadc0ffeull + restarts_);
   ++epoch_;
-  rr_ = std::make_unique<rewriter::RandomizeResult>(
-      rewriter::randomize(base_, options_for_epoch(epoch_)));
+  placed_ = std::make_unique<rewriter::PlacedImage>(
+      rewriter::place(*program_, options_for_epoch(epoch_)));
   mem_ = binary::Memory();
-  binary::load(rr_->vcfr, mem_);
-  emu_ = std::make_unique<emu::Emulator>(rr_->vcfr, mem_);
+  binary::load(placed_->vcfr, mem_);
+  emu_ = std::make_unique<emu::Emulator>(placed_->vcfr, mem_);
   emu_->set_enforce_tags(config_.enforce_tags);
   apply_taint_config();
   if (bound_mem_ != nullptr) {
-    walker_ = std::make_unique<core::TranslationWalker>(rr_->vcfr.tables,
+    walker_ = std::make_unique<core::TranslationWalker>(placed_->vcfr.tables,
                                                         *bound_mem_);
   }
   finished_ = false;
@@ -249,11 +246,11 @@ void Process::restart() {
 void Process::rearm(const std::vector<uint8_t>& payload,
                     uint32_t payload_base) {
   mem_ = binary::Memory();
-  binary::load(rr_->vcfr, mem_);
+  binary::load(placed_->vcfr, mem_);
   for (size_t i = 0; i < payload.size(); ++i) {
     mem_.write8(payload_base + static_cast<uint32_t>(i), payload[i]);
   }
-  emu_ = std::make_unique<emu::Emulator>(rr_->vcfr, mem_);
+  emu_ = std::make_unique<emu::Emulator>(placed_->vcfr, mem_);
   emu_->set_enforce_tags(config_.enforce_tags);
   apply_taint_config();
   finished_ = false;
@@ -270,7 +267,7 @@ uint64_t Process::injection_gap() const {
 
 bool Process::apply_injection() {
   if (injector_ == nullptr) return false;
-  return injector_->apply(rr_->vcfr, mem_, *emu_, &base_);
+  return injector_->apply(placed_->vcfr, mem_, *emu_, &program_->image);
 }
 
 void Process::save_state(binary::StateWriter& w) const {
@@ -282,7 +279,7 @@ void Process::save_state(binary::StateWriter& w) const {
   // injection may have rewritten either — the checkpoint must carry the
   // corruption, not the pristine re-derivation.
   std::ostringstream blob;
-  binary::save(rr_->vcfr, blob);
+  binary::save(placed_->vcfr, blob);
   const std::string bytes = blob.str();
   w.u32(static_cast<uint32_t>(bytes.size()));
   w.bytes(bytes.data(), bytes.size());
@@ -332,18 +329,16 @@ void Process::load_state(binary::StateReader& r) {
   epoch_ = r.u64();
   reseed_ = r.u64();
   restarts_ = r.u32();
-  // Re-derive the full randomization for this epoch (placement map,
-  // analysis, naive image), then swap in the serialized live image so any
-  // injected corruption of code bytes or tables survives.
-  rr_ = std::make_unique<rewriter::RandomizeResult>(
-      rewriter::randomize(base_, options_for_epoch(epoch_)));
+  // The serialized live image is the ground truth, so any injected
+  // corruption of code bytes or tables survives.
   const uint32_t blob_size = r.count(1u << 28);
   std::string bytes(blob_size, '\0');
   r.bytes(bytes.data(), bytes.size());
   std::istringstream blob(bytes);
-  rr_->vcfr = binary::load_file(blob);
+  placed_ = std::make_unique<rewriter::PlacedImage>();
+  placed_->vcfr = binary::load_file(blob);
   mem_.load_state(r);
-  emu_ = std::make_unique<emu::Emulator>(rr_->vcfr, mem_);
+  emu_ = std::make_unique<emu::Emulator>(placed_->vcfr, mem_);
   emu_->set_enforce_tags(config_.enforce_tags);
   emu_->load_state(r);
   const bool has_injector = r.b();
@@ -380,17 +375,14 @@ void Process::load_state(binary::StateReader& r) {
   for (uint32_t i = 0; i < aliases; ++i) aliases_.push_back(r.u32());
   req_leaks_ = r.u64();
   req_leak_depth_ = r.u32();
-  // Incremental epochs diverge from what randomize(epoch seed) would
-  // produce, so the re-derived placement is wrong whenever incremental
-  // re-randomization ran. The serialized tables are the ground truth —
-  // rebuild the placement from them (a no-op for full-rebuild lineages).
-  rr_->placement.clear();
-  for (const auto& [orig, ra] : rr_->vcfr.tables.rand) {
-    rr_->placement[orig] = ra;
+  // Incremental epochs diverge from what place(epoch seed) would produce,
+  // so the placement map is rebuilt from the serialized tables.
+  for (const auto& [orig, ra] : placed_->vcfr.tables.rand) {
+    placed_->placement[orig] = ra;
   }
   // The tables object changed — rebuild the walker over it.
   if (bound_mem_ != nullptr) {
-    walker_ = std::make_unique<core::TranslationWalker>(rr_->vcfr.tables,
+    walker_ = std::make_unique<core::TranslationWalker>(placed_->vcfr.tables,
                                                         *bound_mem_);
   }
 }

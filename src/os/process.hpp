@@ -4,7 +4,10 @@
 // its own placement seed, translation tables, loaded memory, and
 // architectural state — exactly the per-process context the paper says the
 // kernel must carry ("the main impact is to extend application context to
-// include the de-randomization/randomization tables"). The scheduler
+// include the de-randomization/randomization tables"). The original binary
+// and its seed-independent analysis are not per-process: every process of
+// one (workload, scale) shares its kernel's immutable rewriter::Program and
+// only places it under its own seeds. The scheduler
 // time-slices processes onto cores; on every slice boundary the kernel
 // decides whether the DRC/bitmap flush of a context switch is due and
 // whether the process's re-randomization policy fires.
@@ -157,13 +160,16 @@ struct ProcessStats {
   uint64_t finish_cycles = 0;
 };
 
-/// One spawned workload: image, tables, memory, and architectural state.
-/// The kernel owns Process objects; a process is bound to one core for its
-/// whole life (static shard) and `bind()` builds its table walker over
-/// that core's memory hierarchy.
+/// One spawned workload: placement, tables, memory, and architectural
+/// state over a shared analyzed program. The kernel owns Process objects; a
+/// process is bound to one core for its whole life (static shard) and
+/// `bind()` builds its table walker over that core's memory hierarchy.
 class Process {
  public:
-  Process(uint32_t pid, const ProcessConfig& config);
+  /// `program` must be config.workload at config.scale, prepared under the
+  /// default return policy; every placement of this process draws from it.
+  Process(uint32_t pid, const ProcessConfig& config,
+          std::shared_ptr<const rewriter::Program> program);
 
   /// (Re)creates the translation walker against the bound core's memory
   /// hierarchy. Must be called before the first slice and is re-issued
@@ -302,21 +308,25 @@ class Process {
 
   /// Checkpoint support. save_state serializes the *current* randomized
   /// image verbatim (not just the epoch seed) so injection-corrupted code
-  /// bytes and table entries survive the round trip; load_state re-derives
-  /// the rest of the randomization deterministically from (seed, epoch,
-  /// reseed), swaps in the serialized image, restores memory, builds a
-  /// fresh emulator over them and loads its architectural state, then
-  /// rebuilds the walker over the restored tables. The caller must have
-  /// bind()-ed the process first (spawn order reproduces that).
+  /// bytes and table entries survive the round trip; load_state swaps in
+  /// the serialized image, rebuilds the placement map from its tables,
+  /// restores memory, builds a fresh emulator over them and loads its
+  /// architectural state, then rebuilds the walker over the restored
+  /// tables. The caller must have bind()-ed the process first (spawn order
+  /// reproduces that).
   void save_state(binary::StateWriter& w) const;
   void load_state(binary::StateReader& r);
 
   [[nodiscard]] emu::Emulator& emulator() { return *emu_; }
   [[nodiscard]] const emu::Emulator& emulator() const { return *emu_; }
   [[nodiscard]] core::TranslationWalker* walker() { return walker_.get(); }
-  [[nodiscard]] const binary::Image& original() const { return base_; }
-  [[nodiscard]] const rewriter::RandomizeResult& randomization() const {
-    return *rr_;
+  /// The shared original-layout image every epoch places.
+  [[nodiscard]] const binary::Image& original() const {
+    return program_->image;
+  }
+  [[nodiscard]] const rewriter::Program& program() const { return *program_; }
+  [[nodiscard]] const rewriter::PlacedImage& randomization() const {
+    return *placed_;
   }
   [[nodiscard]] const binary::Memory& memory() const { return mem_; }
   [[nodiscard]] ProcessStats& stats() { return stats_; }
@@ -335,8 +345,10 @@ class Process {
 
   uint32_t pid_;
   ProcessConfig config_;
-  binary::Image base_;  // original layout; every epoch randomizes this
-  std::unique_ptr<rewriter::RandomizeResult> rr_;
+  /// Original image + CFG + analysis, shared with every process of the same
+  /// (workload, scale); every epoch places this.
+  std::shared_ptr<const rewriter::Program> program_;
+  std::unique_ptr<rewriter::PlacedImage> placed_;
   binary::Memory mem_;
   std::unique_ptr<emu::Emulator> emu_;
   std::unique_ptr<core::TranslationWalker> walker_;
@@ -368,9 +380,6 @@ class Process {
   /// swaps; retired at later successful re-randomizations.
   std::vector<uint32_t> aliases_;
   RerandWork last_work_;
-  /// CFG of base_, built lazily the first time the incremental path runs
-  /// (deterministic, so never serialized).
-  std::unique_ptr<rewriter::Cfg> cfg_;
 };
 
 }  // namespace vcfr::os

@@ -14,22 +14,35 @@ using isa::Op;
 
 namespace {
 
-/// Re-encodes one instruction with its control-flow-relevant immediate
-/// mapped through `remap` (identity for everything else). PushI immediates
-/// are return addresses produced by the software call rewrite and are
-/// always code pointers.
-std::vector<uint8_t> rewrite_instr(
-    const isa::DisasmEntry& entry,
-    const std::unordered_map<uint32_t, uint32_t>& placement,
-    const std::unordered_set<uint32_t>& code_imm_sites) {
+using PlacementMap = std::unordered_map<uint32_t, uint32_t>;
+
+uint32_t remap(const PlacementMap& placement, uint32_t addr) {
+  auto it = placement.find(addr);
+  return it == placement.end() ? addr : it->second;
+}
+
+/// One instruction with its control-flow-relevant immediate mapped through
+/// `placement` (identity for everything else). PushI immediates are return
+/// addresses produced by the software call rewrite and are always code
+/// pointers.
+isa::Instr remap_targets(const isa::DisasmEntry& entry,
+                         const PlacementMap& placement,
+                         const std::unordered_set<uint32_t>& code_imm_sites) {
   isa::Instr instr = entry.instr;
   const bool is_code_imm =
       instr.op == Op::kMovRI && code_imm_sites.contains(entry.addr);
   if (instr.is_direct_transfer() || is_code_imm || instr.op == Op::kPushI) {
-    auto it = placement.find(instr.imm);
-    if (it != placement.end()) instr.imm = it->second;
+    instr.imm = remap(placement, instr.imm);
   }
-  return isa::encode(instr);
+  return instr;
+}
+
+/// Jump tables and stored code pointers.
+void patch_data(binary::Image& img, const PlacementMap& placement) {
+  for (const auto& r : img.relocs) {
+    img.write_data32(r.data_addr,
+                     remap(placement, img.read_data32(r.data_addr)));
+  }
 }
 
 uint32_t next_pow2(uint32_t v) {
@@ -123,35 +136,38 @@ binary::Image rewrite_calls_software(const binary::Image& image,
   return result;
 }
 
-RandomizeResult randomize(const binary::Image& image,
-                          const RandomizeOptions& options) {
+Program prepare(binary::Image image, ReturnPolicy return_policy) {
   if (image.layout != binary::Layout::kOriginal) {
-    throw std::invalid_argument("randomize: image is already randomized");
+    throw std::invalid_argument("prepare: image is already randomized");
   }
-  if (options.return_option == ReturnOption::kSoftwareRewrite) {
-    SoftwareRewriteStats sw_stats;
-    const binary::Image transformed =
-        rewrite_calls_software(image, &sw_stats);
-    RandomizeOptions inner = options;
-    inner.return_option = ReturnOption::kArchitectural;
-    // The remaining (un-rewritten) calls must push original addresses:
-    // no architectural return randomization exists in this configuration.
-    inner.return_policy = ReturnPolicy::kNone;
-    RandomizeResult result = randomize(transformed, inner);
-    result.sw_stats = sw_stats;
-    return result;
+  Program program;
+  program.cfg = build_cfg(image);
+  program.analysis = analyze(image, program.cfg, return_policy);
+  program.image = std::move(image);
+  program.return_policy = return_policy;
+  return program;
+}
+
+PlacedImage place(const Program& program, const RandomizeOptions& options) {
+  if (options.return_option != ReturnOption::kArchitectural) {
+    throw std::invalid_argument(
+        "place: the software call rewrite needs its own prepared program");
+  }
+  if (options.return_policy != program.return_policy) {
+    throw std::invalid_argument(
+        "place: program was prepared under another return policy");
   }
   if (options.slot_bytes < isa::kMaxInstrLength + 1) {
-    throw std::invalid_argument("randomize: slot_bytes too small");
+    throw std::invalid_argument("place: slot_bytes too small");
   }
   if (options.spread < 1.0) {
-    throw std::invalid_argument("randomize: spread must be >= 1.0");
+    throw std::invalid_argument("place: spread must be >= 1.0");
   }
 
-  RandomizeResult result;
-  const Cfg cfg = build_cfg(image);
-  result.analysis = analyze(image, cfg, options.return_policy);
-  const auto& unrandomized = result.analysis.unrandomized;
+  const binary::Image& image = program.image;
+  const Cfg& cfg = program.cfg;
+  const auto& unrandomized = program.analysis.unrandomized;
+  PlacedImage result;
 
   // --- assign randomized addresses ----------------------------------------
   std::mt19937_64 rng(options.seed);
@@ -216,12 +232,8 @@ RandomizeResult randomize(const binary::Image& image,
     region_size = (max_page + 1) * kStride;
   }
   const auto& placement = result.placement;
-  auto remap = [&](uint32_t addr) {
-    auto it = placement.find(addr);
-    return it == placement.end() ? addr : it->second;
-  };
 
-  // --- shared translation tables -------------------------------------------
+  // --- translation tables ----------------------------------------------------
   binary::TranslationTables tables;
   tables.derand.reserve(placement.size());
   tables.rand.reserve(placement.size());
@@ -237,14 +249,6 @@ RandomizeResult randomize(const binary::Image& image,
   tables.table_bytes =
       next_pow2(static_cast<uint32_t>(placement.size()) * 2) * 8;
 
-  // --- data patching (jump tables / stored code pointers) ------------------
-  auto patch_data = [&](binary::Image& img) {
-    for (const auto& r : img.relocs) {
-      const uint32_t v = img.read_data32(r.data_addr);
-      img.write_data32(r.data_addr, remap(v));
-    }
-  };
-
   // --- VCFR image ------------------------------------------------------------
   binary::Image& vcfr = result.vcfr;
   vcfr = image;
@@ -253,37 +257,64 @@ RandomizeResult randomize(const binary::Image& image,
   vcfr.code.clear();
   vcfr.code.reserve(image.code.size());
   for (const auto& e : cfg.instrs) {
-    const auto bytes =
-        rewrite_instr(e, placement, result.analysis.code_imm_sites);
-    vcfr.code.insert(vcfr.code.end(), bytes.begin(), bytes.end());
+    isa::encode(remap_targets(e, placement, program.analysis.code_imm_sites),
+                vcfr.code);
   }
-  patch_data(vcfr);
-  vcfr.tables = tables;
+  patch_data(vcfr, placement);
+  vcfr.tables = std::move(tables);
   vcfr.rand_base = options.rand_base;
   vcfr.rand_size = region_size;
+  return result;
+}
+
+RandomizeResult randomize(const binary::Image& image,
+                          const RandomizeOptions& options) {
+  if (options.return_option == ReturnOption::kSoftwareRewrite) {
+    SoftwareRewriteStats sw_stats;
+    const binary::Image transformed =
+        rewrite_calls_software(image, &sw_stats);
+    RandomizeOptions inner = options;
+    inner.return_option = ReturnOption::kArchitectural;
+    // The remaining (un-rewritten) calls must push original addresses:
+    // no architectural return randomization exists in this configuration.
+    inner.return_policy = ReturnPolicy::kNone;
+    RandomizeResult result = randomize(transformed, inner);
+    result.sw_stats = sw_stats;
+    return result;
+  }
+
+  Program program = prepare(image, options.return_policy);
+  RandomizeResult result;
+  static_cast<PlacedImage&>(result) = place(program, options);
+  const Cfg& cfg = program.cfg;
+  const auto& placement = result.placement;
 
   // --- naive-ILR image -------------------------------------------------------
   binary::Image& naive = result.naive;
-  naive = image;
+  naive = program.image;
   naive.layout = binary::Layout::kNaiveIlr;
   naive.seed = options.seed;
   naive.code.clear();  // all instructions live in sparse_code
   naive.rand_base = options.rand_base;
-  naive.rand_size = region_size;
+  naive.rand_size = result.vcfr.rand_size;
   naive.sparse_code.reserve(cfg.instrs.size());
   for (size_t i = 0; i < cfg.instrs.size(); ++i) {
     const auto& e = cfg.instrs[i];
     naive.sparse_code.emplace(
-        remap(e.addr),
-        rewrite_instr(e, placement, result.analysis.code_imm_sites));
+        remap(placement, e.addr),
+        isa::encode(remap_targets(e, placement,
+                                  program.analysis.code_imm_sites)));
     if (i + 1 < cfg.instrs.size()) {
-      naive.fallthrough.emplace(remap(e.addr), remap(cfg.instrs[i + 1].addr));
+      naive.fallthrough.emplace(remap(placement, e.addr),
+                                remap(placement, cfg.instrs[i + 1].addr));
     }
   }
-  patch_data(naive);
-  naive.tables = tables;  // the mapping exists on the naive hardware too
-  naive.entry = remap(image.entry);
+  patch_data(naive, placement);
+  naive.tables = result.vcfr.tables;  // the mapping exists on the naive
+                                      // hardware too
+  naive.entry = remap(placement, program.image.entry);
 
+  result.analysis = std::move(program.analysis);
   return result;
 }
 

@@ -13,6 +13,12 @@
 //
 // Both images are semantically equivalent to the original program; the
 // equivalence property tests exercise this across seeds.
+//
+// The work splits at the seed: prepare() recovers the CFG and runs the
+// analyses once per binary (nothing there depends on the seed), and
+// place() draws one seed's placement and emits only the VCFR image. A
+// kernel running many processes of one binary prepares it once and places
+// it per process; randomize() is prepare + place + the naive image.
 #pragma once
 
 #include <cstdint>
@@ -84,13 +90,28 @@ struct SoftwareRewriteStats {
   }
 };
 
-struct RandomizeResult {
-  binary::Image naive;
-  binary::Image vcfr;
+/// The seed-independent half of a randomization: an original-layout image
+/// with its recovered CFG and analyses under one return policy. Immutable
+/// once built, so any number of placements — on any number of threads —
+/// can share one.
+struct Program {
+  binary::Image image;
+  Cfg cfg;
   AnalysisResult analysis;
+  ReturnPolicy return_policy = ReturnPolicy::kArchitectural;
+};
+
+/// The per-seed half: what a VCFR process executes.
+struct PlacedImage {
+  binary::Image vcfr;
   /// original instruction address -> randomized address (identity entries
   /// are omitted; un-randomized instructions keep their addresses).
   std::unordered_map<uint32_t, uint32_t> placement;
+};
+
+struct RandomizeResult : PlacedImage {
+  binary::Image naive;
+  AnalysisResult analysis;
   /// Populated when return_option == kSoftwareRewrite.
   SoftwareRewriteStats sw_stats;
 };
@@ -104,8 +125,26 @@ struct RandomizeResult {
 [[nodiscard]] binary::Image rewrite_calls_software(
     const binary::Image& image, SoftwareRewriteStats* stats = nullptr);
 
-/// Randomizes an original-layout image. Throws std::invalid_argument when
-/// `image` is already randomized or options are inconsistent.
+/// Recovers the CFG of an original-layout image and analyzes it under
+/// `return_policy`. Throws std::invalid_argument when `image` is already
+/// randomized.
+[[nodiscard]] Program prepare(
+    binary::Image image,
+    ReturnPolicy return_policy = ReturnPolicy::kArchitectural);
+
+/// Draws the placement for `options.seed` and emits the VCFR image; the
+/// result is byte-identical to randomize(program.image, options).vcfr.
+/// `options.return_policy` must be the policy `program` was prepared with,
+/// and `options.return_option` must be kArchitectural (the software rewrite
+/// changes the binary itself: prepare its rewrite_calls_software() output
+/// under ReturnPolicy::kNone instead). Throws std::invalid_argument
+/// otherwise or when the options are inconsistent.
+[[nodiscard]] PlacedImage place(const Program& program,
+                                const RandomizeOptions& options = {});
+
+/// Randomizes an original-layout image: prepare + place + the naive-ILR
+/// image. Throws std::invalid_argument when `image` is already randomized
+/// or options are inconsistent.
 [[nodiscard]] RandomizeResult randomize(const binary::Image& image,
                                         const RandomizeOptions& options = {});
 

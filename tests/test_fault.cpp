@@ -3,6 +3,7 @@
 // the dependability campaign.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
@@ -155,7 +156,9 @@ TEST(ProcessTest, RerandomizeBeforeBindIsTypedFaultNotThrow) {
   os::ProcessConfig config;
   config.workload = "bzip2";
   config.scale = 0;
-  os::Process proc(0, config);
+  os::Process proc(0, config,
+                   std::make_shared<const rewriter::Program>(
+                       rewriter::prepare(workloads::make("bzip2", 0))));
   bool ok = true;
   EXPECT_NO_THROW(ok = proc.try_rerandomize());
   EXPECT_FALSE(ok);

@@ -2,10 +2,15 @@
 // ILR/VCFR randomization preserves program semantics for arbitrary seeds.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "binary/serialize.hpp"
 #include "emu/emulator.hpp"
 #include "isa/assembler.hpp"
 #include "rewriter/cfg.hpp"
 #include "rewriter/randomizer.hpp"
+#include "workloads/suite.hpp"
 
 namespace vcfr::rewriter {
 namespace {
@@ -413,6 +418,52 @@ TEST(RandomizerTest, RejectsAlreadyRandomizedImages) {
   bad = {};
   bad.spread = 0.5;
   EXPECT_THROW((void)randomize(original, bad), std::invalid_argument);
+}
+
+std::string saved(const Image& image) {
+  std::ostringstream out;
+  binary::save(image, out);
+  return out.str();
+}
+
+// prepare() once + place() per seed is randomize() minus the naive image.
+TEST(RandomizerTest, PlaceOfPreparedProgramMatchesRandomize) {
+  for (const std::string& app : workloads::spec_names()) {
+    for (const int scale : {0, 1}) {
+      const Image original = workloads::make(app, scale);
+      const Program program = prepare(original);
+      for (const uint64_t seed : {1ull, 7ull, 1009ull}) {
+        for (const PlacementPolicy policy :
+             {PlacementPolicy::kFullSpread, PlacementPolicy::kPageConfined}) {
+          RandomizeOptions opts;
+          opts.seed = seed;
+          opts.placement = policy;
+          const PlacedImage placed = place(program, opts);
+          const RandomizeResult rr = randomize(original, opts);
+          EXPECT_EQ(saved(placed.vcfr), saved(rr.vcfr))
+              << app << " scale " << scale << " seed " << seed;
+          EXPECT_EQ(placed.placement, rr.placement)
+              << app << " scale " << scale << " seed " << seed;
+        }
+      }
+    }
+  }
+}
+
+TEST(RandomizerTest, PlaceRejectsOptionsItsProgramWasNotPreparedFor) {
+  const Image original = isa::assemble(kRichProgram);
+  EXPECT_THROW((void)prepare(randomize(original, {}).vcfr),
+               std::invalid_argument);
+  const Program program = prepare(original);
+  RandomizeOptions bad;
+  bad.return_policy = ReturnPolicy::kConservative;
+  EXPECT_THROW((void)place(program, bad), std::invalid_argument);
+  bad = {};
+  bad.return_option = ReturnOption::kSoftwareRewrite;
+  EXPECT_THROW((void)place(program, bad), std::invalid_argument);
+  bad = {};
+  bad.slot_bytes = 4;
+  EXPECT_THROW((void)place(program, bad), std::invalid_argument);
 }
 
 }  // namespace

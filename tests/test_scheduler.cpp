@@ -1,12 +1,15 @@
 // Tests for the OS/fleet runtime (src/os/): round-robin scheduling,
 // context-switch flush semantics, architectural equivalence of
 // time-sliced execution with isolated runs, mid-run re-randomization,
-// and determinism of the multi-core fleet.
+// determinism of the multi-core fleet, and tenants sharing one prepared
+// program per (workload, scale).
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "binary/serialize.hpp"
 #include "core/ret_bitmap.hpp"
 #include "emu/emulator.hpp"
 #include "os/kernel.hpp"
@@ -157,6 +160,65 @@ TEST(SchedulerTest, MidRunRerandomizationBumpsEpochAndStaysCorrect) {
   // Placements differ across epochs, so the translation tables must too.
   EXPECT_NE(kernel.randomization(0).placement,
             control.randomization(0).placement);
+}
+
+std::string saved(const binary::Image& image) {
+  std::ostringstream out;
+  binary::save(image, out);
+  return out.str();
+}
+
+// The tenant's live VCFR image is exactly what a standalone randomize() of
+// its workload produces under the seed the image records.
+void expect_matches_randomize(const Process& p) {
+  rewriter::RandomizeOptions opts;
+  opts.seed = p.randomization().vcfr.seed;
+  const rewriter::RandomizeResult rr = rewriter::randomize(
+      workloads::make(p.config().workload, p.config().scale), opts);
+  EXPECT_EQ(saved(p.randomization().vcfr), saved(rr.vcfr))
+      << "pid " << p.pid() << " epoch " << p.epoch();
+  EXPECT_EQ(p.randomization().placement, rr.placement) << "pid " << p.pid();
+}
+
+// The kernel prepares each (workload, scale) once; its tenants share that
+// program and place it per seed, with images byte-identical to a full
+// randomize() at every epoch.
+TEST(SharedProgramTest, TenantsShareOneProgramAndPlaceLikeRandomize) {
+  KernelConfig kc;
+  kc.cores = 2;
+  kc.measure_isolated = false;
+  Kernel kernel(kc);
+  const char* mix[] = {"bzip2", "libquantum"};
+  for (uint32_t i = 0; i < 8; ++i) kernel.spawn(tiny(mix[i % 2], 40 + i));
+
+  for (uint32_t pid = 0; pid < 8; ++pid) {
+    const Process& p = kernel.process(pid);
+    const Process& first = kernel.process(pid % 2);
+    EXPECT_EQ(&p.original(), &first.original()) << "pid " << pid;
+    EXPECT_NE(&p.original(), &kernel.process(1 - pid % 2).original());
+    EXPECT_EQ(p.randomization().vcfr.seed, p.config().seed);
+    expect_matches_randomize(p);
+  }
+
+  // Full re-randomization (every tenant is quiescent before its first
+  // slice) and restart both draw fresh seeds from the shared program.
+  for (uint32_t pid = 0; pid < 8; ++pid) {
+    Process& p = kernel.process_mut(pid);
+    if (pid < 4) {
+      ASSERT_TRUE(p.try_rerandomize()) << "pid " << pid;
+    } else {
+      p.restart();
+    }
+    EXPECT_EQ(p.epoch(), 1u);
+    EXPECT_NE(p.randomization().vcfr.seed, p.config().seed);
+    expect_matches_randomize(p);
+  }
+
+  // The re-placed tenants still run to completion.
+  const FleetReport r = kernel.run();
+  for (const ProcessReport& pr : r.processes) {
+    EXPECT_EQ(pr.exit, "halted") << "pid " << pr.pid;
+  }
 }
 
 // The flushed return-bitmap cache refuses stale entries outright.
