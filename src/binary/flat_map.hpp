@@ -11,13 +11,15 @@
 // keys — deterministic across platforms and standard libraries, unlike
 // unordered_map. store_tables() and the VXE serializer rely on this.
 //
-// FlatMap32 supports erase (backward-shift deletion, no tombstones) so
-// the incremental re-randomizer can retire individual derand entries in
-// place; FlatSet32 remains insert/lookup only.
+// Both share one slot-array core (detail::FlatTable: probe, growth and
+// backward-shift erase with no tombstones): the incremental re-randomizer
+// retires individual derand entries in place, and the emulator's §IV-C
+// return bitmap clears a slot's mark on every store, pop and return.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -34,8 +36,112 @@ inline uint32_t mix32(uint32_t x) {
   return x;
 }
 
+namespace detail {
+
+/// The uint32 key a slot holds: a map slot's `first`, or a set slot itself.
+inline uint32_t slot_key(const std::pair<uint32_t, uint32_t>& slot) {
+  return slot.first;
+}
+inline uint32_t slot_key(uint32_t slot) { return slot; }
+
+/// Linear-probing slot storage shared by FlatMap32 and FlatSet32: the
+/// probe, the growth policy and backward-shift erase exist once here.
+template <typename Slot>
+class FlatTable {
+ public:
+  [[nodiscard]] size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+
+  /// Backward-shift deletion: no tombstones, so probe chains stay exactly
+  /// as a fresh insert-only build would lay them out — iteration order
+  /// after an erase is still a pure function of the surviving keys'
+  /// insertion history, keeping serialized table renderings deterministic.
+  /// Returns true when the key was present.
+  bool erase(uint32_t key) {
+    size_t hole = find_slot(key);
+    if (hole == kAbsent) return false;
+    size_t next = (hole + 1) & mask_;
+    while (used_[next] != 0) {
+      const size_t home = mix32(slot_key(slots_[next])) & mask_;
+      if (((next - home) & mask_) >= ((next - hole) & mask_)) {
+        slots_[hole] = slots_[next];
+        hole = next;
+      }
+      next = (next + 1) & mask_;
+    }
+    used_[hole] = 0;
+    slots_[hole] = {};
+    --size_;
+    return true;
+  }
+
+  void reserve(size_t n) { grow_for(n); }
+
+  void clear() {
+    slots_.clear();
+    used_.clear();
+    mask_ = 0;
+    size_ = 0;
+  }
+
+ protected:
+  static constexpr size_t kAbsent = ~size_t{0};
+
+  /// The hot-path probe: index of `key`'s slot, or kAbsent.
+  [[nodiscard]] size_t find_slot(uint32_t key) const {
+    if (size_ == 0) return kAbsent;
+    size_t idx = mix32(key) & mask_;
+    while (used_[idx] != 0) {
+      if (slot_key(slots_[idx]) == key) return idx;
+      idx = (idx + 1) & mask_;
+    }
+    return kAbsent;
+  }
+
+  /// Index of `key`'s slot, claiming it with `fresh` when absent (never
+  /// overwrites). The bool is true when a new slot was claimed.
+  std::pair<size_t, bool> claim(uint32_t key, const Slot& fresh) {
+    grow_for(size_ + 1);
+    size_t idx = mix32(key) & mask_;
+    while (used_[idx] != 0) {
+      if (slot_key(slots_[idx]) == key) return {idx, false};
+      idx = (idx + 1) & mask_;
+    }
+    used_[idx] = 1;
+    slots_[idx] = fresh;
+    ++size_;
+    return {idx, true};
+  }
+
+  void grow_for(size_t n) {
+    // Rehash at 3/4 occupancy so linear probes stay short.
+    if (n * 4 <= slots_.size() * 3) return;
+    size_t cap = slots_.size() == 0 ? 16 : slots_.size() * 2;
+    while (n * 4 > cap * 3) cap *= 2;
+    std::vector<Slot> old_slots = std::move(slots_);
+    std::vector<uint8_t> old_used = std::move(used_);
+    slots_.assign(cap, {});
+    used_.assign(cap, 0);
+    mask_ = cap - 1;
+    for (size_t i = 0; i < old_used.size(); ++i) {
+      if (old_used[i] == 0) continue;
+      size_t idx = mix32(slot_key(old_slots[i])) & mask_;
+      while (used_[idx] != 0) idx = (idx + 1) & mask_;
+      used_[idx] = 1;
+      slots_[idx] = old_slots[i];
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::vector<uint8_t> used_;
+  size_t mask_ = 0;
+  size_t size_ = 0;
+};
+
+}  // namespace detail
+
 /// Open-addressing uint32 -> uint32 map with backward-shift erase.
-class FlatMap32 {
+class FlatMap32 : public detail::FlatTable<std::pair<uint32_t, uint32_t>> {
  public:
   using value_type = std::pair<uint32_t, uint32_t>;
 
@@ -65,21 +171,13 @@ class FlatMap32 {
     size_t idx_ = 0;
   };
 
-  [[nodiscard]] size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-
   [[nodiscard]] const_iterator begin() const { return {this, 0}; }
   [[nodiscard]] const_iterator end() const { return {this, used_.size()}; }
 
   /// The hot-path probe: a pointer to the value, or nullptr when absent.
   [[nodiscard]] const uint32_t* lookup(uint32_t key) const {
-    if (size_ == 0) return nullptr;
-    size_t idx = mix32(key) & mask_;
-    while (used_[idx] != 0) {
-      if (slots_[idx].first == key) return &slots_[idx].second;
-      idx = (idx + 1) & mask_;
-    }
-    return nullptr;
+    const size_t idx = find_slot(key);
+    return idx == kAbsent ? nullptr : &slots_[idx].second;
   }
 
   [[nodiscard]] bool contains(uint32_t key) const {
@@ -87,77 +185,18 @@ class FlatMap32 {
   }
 
   [[nodiscard]] const_iterator find(uint32_t key) const {
-    if (size_ == 0) return end();
-    size_t idx = mix32(key) & mask_;
-    while (used_[idx] != 0) {
-      if (slots_[idx].first == key) return {this, idx};
-      idx = (idx + 1) & mask_;
-    }
-    return end();
+    const size_t idx = find_slot(key);
+    return idx == kAbsent ? end() : const_iterator{this, idx};
   }
 
   /// Inserts when absent (like unordered_map::emplace — never overwrites).
   /// Returns true when a new entry was created.
   bool emplace(uint32_t key, uint32_t value) {
-    grow_for(size_ + 1);
-    size_t idx = mix32(key) & mask_;
-    while (used_[idx] != 0) {
-      if (slots_[idx].first == key) return false;
-      idx = (idx + 1) & mask_;
-    }
-    used_[idx] = 1;
-    slots_[idx] = {key, value};
-    ++size_;
-    return true;
+    return claim(key, {key, value}).second;
   }
 
   uint32_t& operator[](uint32_t key) {
-    grow_for(size_ + 1);
-    size_t idx = mix32(key) & mask_;
-    while (used_[idx] != 0) {
-      if (slots_[idx].first == key) return slots_[idx].second;
-      idx = (idx + 1) & mask_;
-    }
-    used_[idx] = 1;
-    slots_[idx] = {key, 0};
-    ++size_;
-    return slots_[idx].second;
-  }
-
-  /// Backward-shift deletion: no tombstones, so probe chains stay exactly
-  /// as a fresh insert-only build would lay them out — iteration order
-  /// after an erase is still a pure function of the surviving keys'
-  /// insertion history, keeping serialized table renderings deterministic.
-  bool erase(uint32_t key) {
-    if (size_ == 0) return false;
-    size_t idx = mix32(key) & mask_;
-    while (used_[idx] != 0 && slots_[idx].first != key) {
-      idx = (idx + 1) & mask_;
-    }
-    if (used_[idx] == 0) return false;
-    size_t hole = idx;
-    size_t next = (hole + 1) & mask_;
-    while (used_[next] != 0) {
-      const size_t home = mix32(slots_[next].first) & mask_;
-      if (((next - home) & mask_) >= ((next - hole) & mask_)) {
-        slots_[hole] = slots_[next];
-        hole = next;
-      }
-      next = (next + 1) & mask_;
-    }
-    used_[hole] = 0;
-    slots_[hole] = {};
-    --size_;
-    return true;
-  }
-
-  void reserve(size_t n) { grow_for(n); }
-
-  void clear() {
-    slots_.clear();
-    used_.clear();
-    mask_ = 0;
-    size_ = 0;
+    return slots_[claim(key, {key, 0}).first].second;
   }
 
   /// Set equality (iteration order does not matter).
@@ -169,38 +208,19 @@ class FlatMap32 {
     }
     return true;
   }
-
- private:
-  void grow_for(size_t n) {
-    // Rehash at 3/4 occupancy so linear probes stay short.
-    if (n * 4 <= slots_.size() * 3) return;
-    size_t cap = slots_.size() == 0 ? 16 : slots_.size() * 2;
-    while (n * 4 > cap * 3) cap *= 2;
-    std::vector<value_type> old_slots = std::move(slots_);
-    std::vector<uint8_t> old_used = std::move(used_);
-    slots_.assign(cap, {});
-    used_.assign(cap, 0);
-    mask_ = cap - 1;
-    for (size_t i = 0; i < old_used.size(); ++i) {
-      if (old_used[i] == 0) continue;
-      size_t idx = mix32(old_slots[i].first) & mask_;
-      while (used_[idx] != 0) idx = (idx + 1) & mask_;
-      used_[idx] = 1;
-      slots_[idx] = old_slots[i];
-    }
-  }
-
-  std::vector<value_type> slots_;
-  std::vector<uint8_t> used_;
-  size_t mask_ = 0;
-  size_t size_ = 0;
 };
 
-/// Open-addressing set of uint32 keys (insert/lookup only, no erase).
-class FlatSet32 {
+/// Open-addressing set of uint32 keys with backward-shift erase.
+class FlatSet32 : public detail::FlatTable<uint32_t> {
  public:
   class const_iterator {
    public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = uint32_t;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const uint32_t*;
+    using reference = uint32_t;
+
     const_iterator() = default;
 
     uint32_t operator*() const { return set_->slots_[idx_]; }
@@ -224,44 +244,15 @@ class FlatSet32 {
     size_t idx_ = 0;
   };
 
-  [[nodiscard]] size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-
   [[nodiscard]] const_iterator begin() const { return {this, 0}; }
   [[nodiscard]] const_iterator end() const { return {this, used_.size()}; }
 
   [[nodiscard]] bool contains(uint32_t key) const {
-    if (size_ == 0) return false;
-    size_t idx = mix32(key) & mask_;
-    while (used_[idx] != 0) {
-      if (slots_[idx] == key) return true;
-      idx = (idx + 1) & mask_;
-    }
-    return false;
+    return find_slot(key) != kAbsent;
   }
 
   /// Returns true when a new element was inserted.
-  bool insert(uint32_t key) {
-    grow_for(size_ + 1);
-    size_t idx = mix32(key) & mask_;
-    while (used_[idx] != 0) {
-      if (slots_[idx] == key) return false;
-      idx = (idx + 1) & mask_;
-    }
-    used_[idx] = 1;
-    slots_[idx] = key;
-    ++size_;
-    return true;
-  }
-
-  void reserve(size_t n) { grow_for(n); }
-
-  void clear() {
-    slots_.clear();
-    used_.clear();
-    mask_ = 0;
-    size_ = 0;
-  }
+  bool insert(uint32_t key) { return claim(key, key).second; }
 
   bool operator==(const FlatSet32& o) const {
     if (size_ != o.size_) return false;
@@ -270,30 +261,6 @@ class FlatSet32 {
     }
     return true;
   }
-
- private:
-  void grow_for(size_t n) {
-    if (n * 4 <= slots_.size() * 3) return;
-    size_t cap = slots_.size() == 0 ? 16 : slots_.size() * 2;
-    while (n * 4 > cap * 3) cap *= 2;
-    std::vector<uint32_t> old_slots = std::move(slots_);
-    std::vector<uint8_t> old_used = std::move(used_);
-    slots_.assign(cap, 0);
-    used_.assign(cap, 0);
-    mask_ = cap - 1;
-    for (size_t i = 0; i < old_used.size(); ++i) {
-      if (old_used[i] == 0) continue;
-      size_t idx = mix32(old_slots[i]) & mask_;
-      while (used_[idx] != 0) idx = (idx + 1) & mask_;
-      used_[idx] = 1;
-      slots_[idx] = old_slots[i];
-    }
-  }
-
-  std::vector<uint32_t> slots_;
-  std::vector<uint8_t> used_;
-  size_t mask_ = 0;
-  size_t size_ = 0;
 };
 
 }  // namespace vcfr::binary

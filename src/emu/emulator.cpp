@@ -273,48 +273,42 @@ bool Emulator::step(StepInfo* info) {
   if (halted_ || !trap_.ok()) return false;
 
   const uint32_t rpc = state_.pc;
-  uint32_t upc;
-  Instr in;
-  uint32_t next;
 
   // Decoded-instruction cache: the fetch/decode/translate front half of a
   // step is a pure function of (rpc, code bytes, tables). The image and
   // its tables are immutable for this emulator's lifetime, so a cached
   // entry is valid exactly while the memory's code generation is
-  // unchanged since fill.
-  DecodedEntry* slot = nullptr;
+  // unchanged since fill. A hit binds the entry in place: no copy of the
+  // decoded instruction, no translation probe on the sequential path.
+  DecodedEntry* entry = &uncached_;
+  bool hit = false;
   const uint64_t gen = mem_.code_version();
   if (dcache_on_) {
-    const uint32_t idx =
-        (rpc * 0x9e3779b9u) >> (32 - kDecodeCacheBits);
-    slot = &dcache_[idx];
-    bool hit = slot->rpc == rpc && slot->gen == gen && rpc != 0xffffffffu;
-    if (!hit && rerand_note_ && slot->rpc == rpc && rpc != 0xffffffffu &&
-        slot->gen == rerand_prev_gen_ && gen == rerand_new_gen_ &&
+    entry = &dcache_[(rpc * 0x9e3779b9u) >> (32 - kDecodeCacheBits)];
+    hit = entry->rpc == rpc && entry->gen == gen && rpc != 0xffffffffu;
+    if (!hit && rerand_note_ && entry->rpc == rpc && rpc != 0xffffffffu &&
+        entry->gen == rerand_prev_gen_ && gen == rerand_new_gen_ &&
         !rerand_dirty_.contains(rpc)) {
       // Epoch promotion: the incremental re-randomization left this rpc's
       // translation, bytes, and sequential successor untouched.
-      slot->gen = gen;
+      entry->gen = gen;
       ++dcache_stats_.rerand_promotions;
       hit = true;
     }
     if (hit) {
       ++dcache_stats_.hits;
     } else {
-      if (slot->rpc != 0xffffffffu && slot->gen != gen) {
+      if (entry->rpc != 0xffffffffu && entry->gen != gen) {
         ++dcache_stats_.invalidations;
       }
       ++dcache_stats_.misses;
-      slot->rpc = 0xffffffffu;  // re-filled below on a clean decode
+      entry->rpc = 0xffffffffu;  // re-tagged below on a clean decode
     }
   }
 
-  if (slot != nullptr && slot->rpc == rpc) {
-    upc = slot->upc;
-    in = slot->instr;
-    next = slot->seq_next;
-  } else {
-    upc = to_upc(rpc);
+  if (!hit) {
+    // Fill in place: the cache slot, or uncached_ with the cache off.
+    const uint32_t upc = to_upc(rpc);
     uint8_t buf[isa::kMaxInstrLength];
     mem_.read_block(upc, buf, sizeof buf);
     const auto decoded =
@@ -323,19 +317,35 @@ bool Emulator::step(StepInfo* info) {
       raise(fault::FaultKind::kBadOpcode, buf[0]);
       return false;
     }
-    in = *decoded;
-    next = sequential_next(rpc, upc, in.length);
-    if (slot != nullptr && rpc != 0xffffffffu) {
-      *slot = DecodedEntry{rpc, upc, next, gen, in};
+    entry->upc = upc;
+    entry->seq_next = sequential_next(rpc, upc, decoded->length);
+    entry->gen = gen;
+    entry->instr = *decoded;
+    if (dcache_on_) {
+      entry->seq_upc = to_upc(entry->seq_next);
+      if (rpc != 0xffffffffu) entry->rpc = rpc;
     }
   }
 
+  const Instr& in = entry->instr;
+  const uint32_t upc = entry->upc;
+  uint32_t next = entry->seq_next;
+
   StepInfo local;
   StepInfo& si = info ? *info : local;
-  si = StepInfo{};
   si.rpc = rpc;
   si.upc = upc;
   si.instr = in;
+  si.is_taken_transfer = false;
+  si.has_mem = false;
+  si.mem_addr = 0;
+  si.mem_is_store = false;
+  si.call_push_value = 0;
+  si.needs_derand = false;
+  si.derand_key = 0;
+  si.needs_rand = false;
+  si.rand_key = 0;
+  si.bitmap_load = false;
 
   const bool vcfr = image_.layout == Layout::kVcfr;
   auto& tables = image_.tables;
@@ -591,7 +601,10 @@ bool Emulator::step(StepInfo* info) {
     state_.pc = next;
   }
   si.next_rpc = next;
-  si.next_upc = to_upc(next);
+  // Off a transfer the successor's UPC is cached; with the cache off it
+  // is probed every step, which keeps the uncached path the reference.
+  si.next_upc = dcache_on_ && next == entry->seq_next ? entry->seq_upc
+                                                      : to_upc(next);
   if (prof_ != nullptr) {
     profile::RetireCosts costs;
     costs.delta = 1;

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "binary/flat_map.hpp"
@@ -135,10 +134,11 @@ class Emulator {
   void set_enforce_tags(bool on) { enforce_tags_ = on; }
 
   /// Toggles the host-side decoded-instruction cache (on by default).
-  /// Steady-state step() then skips fetch, decode, and both translation-
-  /// map probes for instructions whose (rpc, code-generation) pair is
-  /// cached. Architectural results are bit-identical either way — the
-  /// differential tests in tests/test_hotpath.cpp pin this.
+  /// Steady-state step() then skips fetch, decode, and every translation-
+  /// map probe on the sequential path for instructions whose (rpc,
+  /// code-generation) pair is cached. Architectural results and every
+  /// StepInfo record are bit-identical either way — the differential
+  /// tests in tests/test_hotpath.cpp pin this.
   void set_decode_cache(bool on) { dcache_on_ = on; }
   [[nodiscard]] const DecodeCacheStats& decode_cache_stats() const {
     return dcache_stats_;
@@ -202,13 +202,13 @@ class Emulator {
   /// Stack slots currently holding randomized return addresses — the
   /// architectural bitmap (§IV-C). Live re-randomization uses this to
   /// locate exactly the words that must be re-translated.
-  [[nodiscard]] const std::unordered_set<uint32_t>& ret_bitmap() const {
+  [[nodiscard]] const binary::FlatSet32& ret_bitmap() const {
     return ret_bitmap_;
   }
 
   /// Restores mid-run state into a fresh emulator (live re-randomization:
   /// the new emulator wraps the new image over the same memory).
-  void restore(const ArchState& state, std::unordered_set<uint32_t> bitmap,
+  void restore(const ArchState& state, binary::FlatSet32 bitmap,
                std::vector<uint32_t> output) {
     state_ = state;
     ret_bitmap_ = std::move(bitmap);
@@ -245,7 +245,7 @@ class Emulator {
   /// the slot was marked before the flip. This models a bit flip in the
   /// hardware bitmap storage and is only meaningful for kVcfr images.
   bool corrupt_ret_bitmap(uint32_t addr) {
-    if (ret_bitmap_.erase(addr) != 0) return true;
+    if (ret_bitmap_.erase(addr)) return true;
     ret_bitmap_.insert(addr);
     return false;
   }
@@ -264,9 +264,12 @@ class Emulator {
     uint32_t rpc = 0xffffffffu;  // tag; 0xffffffff = empty
     uint32_t upc = 0;
     uint32_t seq_next = 0;  // sequential_next() result for this rpc
+    uint32_t seq_upc = 0;   // to_upc(seq_next): next_upc off a transfer
     uint64_t gen = 0;       // Memory::code_version() at fill time
     isa::Instr instr{};
   };
+  // Every tenant value-initializes a full cache: keep the line at 40 bytes.
+  static_assert(sizeof(DecodedEntry) == 40);
   static constexpr uint32_t kDecodeCacheBits = 12;  // 4096 entries
 
   /// Leak-record ring bound: stats keep exact counts past the cap, only
@@ -296,7 +299,7 @@ class Emulator {
   std::vector<uint32_t> output_;
   /// Stack slots currently holding randomized return addresses (§IV-C
   /// bitmap). Keyed by address; only meaningful for kVcfr.
-  std::unordered_set<uint32_t> ret_bitmap_;
+  binary::FlatSet32 ret_bitmap_;
   bool halted_ = false;
   bool enforce_tags_ = false;
   /// Typed fault state; error_ caches trap_.describe() so error() can
@@ -306,6 +309,8 @@ class Emulator {
   size_t max_output_ = 1u << 20;
 
   std::vector<DecodedEntry> dcache_;
+  /// Decode target when the cache is off (never tagged, never hit).
+  DecodedEntry uncached_;
   bool dcache_on_ = true;
   DecodeCacheStats dcache_stats_;
   // One-shot incremental-rerand revalidation note (see note_rerand).

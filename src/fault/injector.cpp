@@ -32,8 +32,9 @@ struct Rng {
   uint64_t below(uint64_t n) { return n == 0 ? 0 : next() % n; }
 };
 
-/// The emulator's bitmap is an unordered_set whose iteration order is not
-/// portable; seeded selection must run over a sorted copy.
+/// The emulator's bitmap is a FlatSet32 whose iteration order is slot
+/// order, which depends on its insert/erase history; seeded selection runs
+/// over a sorted copy so it depends only on the marked slots.
 std::vector<uint32_t> sorted_bitmap_slots(const emu::Emulator& emu) {
   std::vector<uint32_t> slots(emu.ret_bitmap().begin(),
                               emu.ret_bitmap().end());

@@ -4,9 +4,14 @@
 // bit-identical with them exercised or bypassed. These tests pin that.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <memory>
+#include <random>
+#include <set>
 #include <thread>
+#include <utility>
 
 #include "binary/flat_map.hpp"
 #include "emu/emulator.hpp"
@@ -19,17 +24,6 @@
 
 namespace vcfr {
 namespace {
-
-emu::RunResult run_with_cache(const binary::Image& image, bool cache_on,
-                              emu::DecodeCacheStats* stats = nullptr) {
-  binary::Memory mem;
-  binary::load(image, mem);
-  emu::Emulator emulator(image, mem);
-  emulator.set_decode_cache(cache_on);
-  emu::RunResult r = emulator.run();
-  if (stats != nullptr) *stats = emulator.decode_cache_stats();
-  return r;
-}
 
 void expect_identical(const emu::RunResult& on, const emu::RunResult& off,
                       const std::string& what) {
@@ -48,8 +42,78 @@ void expect_identical(const emu::RunResult& on, const emu::RunResult& off,
   EXPECT_EQ(on.final_state.vf, off.final_state.vf) << what;
 }
 
-// Every suite workload, all three layouts: cached and uncached runs must
-// produce the same outputs, final register file, and memory image.
+// Fills every StepInfo field with a marker: `on` and `off` records get
+// different markers, so a field step() leaves unwritten shows up as a
+// difference.
+emu::StepInfo poisoned(bool on) {
+  const uint32_t v = on ? 0xa5a5a5a5u : 0x5a5a5a5au;
+  emu::StepInfo si;
+  si.rpc = si.upc = si.next_rpc = si.next_upc = v;
+  si.instr.op = on ? isa::Op::kHalt : isa::Op::kRet;
+  si.instr.cond = on ? isa::Cond::kAe : isa::Cond::kB;
+  si.instr.rd = si.instr.rs = si.instr.length = static_cast<uint8_t>(v);
+  si.instr.imm = v;
+  si.instr.disp = static_cast<int32_t>(v);
+  si.mem_addr = si.call_push_value = si.derand_key = si.rand_key = v;
+  si.is_taken_transfer = si.has_mem = si.mem_is_store = on;
+  si.needs_derand = si.needs_rand = si.bitmap_load = on;
+  return si;
+}
+
+/// Name of the first StepInfo field that differs, or "" when all agree.
+std::string step_diff(const emu::StepInfo& a, const emu::StepInfo& b) {
+  const std::pair<const char*, bool> fields[] = {
+      {"rpc", a.rpc == b.rpc},
+      {"upc", a.upc == b.upc},
+      {"instr.op", a.instr.op == b.instr.op},
+      {"instr.cond", a.instr.cond == b.instr.cond},
+      {"instr.rd", a.instr.rd == b.instr.rd},
+      {"instr.rs", a.instr.rs == b.instr.rs},
+      {"instr.imm", a.instr.imm == b.instr.imm},
+      {"instr.disp", a.instr.disp == b.instr.disp},
+      {"instr.length", a.instr.length == b.instr.length},
+      {"next_rpc", a.next_rpc == b.next_rpc},
+      {"next_upc", a.next_upc == b.next_upc},
+      {"is_taken_transfer", a.is_taken_transfer == b.is_taken_transfer},
+      {"has_mem", a.has_mem == b.has_mem},
+      {"mem_addr", a.mem_addr == b.mem_addr},
+      {"mem_is_store", a.mem_is_store == b.mem_is_store},
+      {"call_push_value", a.call_push_value == b.call_push_value},
+      {"needs_derand", a.needs_derand == b.needs_derand},
+      {"derand_key", a.derand_key == b.derand_key},
+      {"needs_rand", a.needs_rand == b.needs_rand},
+      {"rand_key", a.rand_key == b.rand_key},
+      {"bitmap_load", a.bitmap_load == b.bitmap_load},
+  };
+  for (const auto& [name, same] : fields) {
+    if (!same) return name;
+  }
+  return "";
+}
+
+/// Steps a cached and an uncached emulator in lockstep for up to `steps`
+/// instructions, requiring identical StepInfo records.
+void expect_same_stream(emu::Emulator& on, emu::Emulator& off,
+                        uint64_t steps, const std::string& what) {
+  for (uint64_t done = 0; done < steps; ++done) {
+    emu::StepInfo a = poisoned(true);
+    emu::StepInfo b = poisoned(false);
+    const bool ran_on = on.step(&a);
+    const bool ran_off = off.step(&b);
+    EXPECT_EQ(ran_on, ran_off) << what << " step " << done;
+    if (!ran_on || !ran_off) break;
+    const std::string field = step_diff(a, b);
+    EXPECT_EQ(field, "") << what << " step " << done << " rpc 0x"
+                         << std::hex << a.rpc;
+    if (!field.empty()) break;
+  }
+}
+
+// Every suite workload, all three layouts: cached and uncached emulators
+// stepped in lockstep must emit the same StepInfo record at every step —
+// the timing model consumes each one, and a hit takes next_upc from the
+// cached successor — and end with the same outputs, final register file,
+// and memory image.
 TEST(DecodeCacheTest, DifferentialAcrossSuiteAndLayouts) {
   for (const std::string& name : workloads::spec_names()) {
     const binary::Image original = workloads::make(name, 0);
@@ -58,18 +122,93 @@ TEST(DecodeCacheTest, DifferentialAcrossSuiteAndLayouts) {
     const rewriter::RandomizeResult rr = rewriter::randomize(original, opts);
 
     for (const binary::Image* image : {&original, &rr.naive, &rr.vcfr}) {
-      emu::DecodeCacheStats stats;
-      const emu::RunResult on = run_with_cache(*image, true, &stats);
-      const emu::RunResult off = run_with_cache(*image, false);
+      binary::Memory mem_on, mem_off;
+      binary::load(*image, mem_on);
+      binary::load(*image, mem_off);
+      emu::Emulator on(*image, mem_on);
+      emu::Emulator off(*image, mem_off);
+      off.set_decode_cache(false);
       const std::string what =
           name + " layout " + std::to_string(static_cast<int>(image->layout));
-      expect_identical(on, off, what);
-      ASSERT_TRUE(on.halted) << what << ": " << on.error;
+      expect_same_stream(on, off, 200'000'000, what);
+      const emu::RunResult r_on = on.run();
+      expect_identical(r_on, off.run(), what);
+      ASSERT_TRUE(r_on.halted) << what << ": " << r_on.error;
       // A real run hits the cache almost always (loops), and hits + misses
       // must account for every instruction executed.
-      EXPECT_EQ(stats.hits + stats.misses, on.stats.instructions) << what;
+      const emu::DecodeCacheStats& stats = on.decode_cache_stats();
+      EXPECT_EQ(stats.hits + stats.misses, r_on.stats.instructions) << what;
       EXPECT_GT(stats.hits, stats.misses) << what;
     }
+  }
+}
+
+// One VCFR process of a prepared program, re-randomized incrementally in
+// place the way os::Process does it (registers pinned, decode revalidation
+// armed through note_rerand).
+struct IncrementalSession {
+  IncrementalSession(const rewriter::Program& program, uint64_t seed,
+                     bool cache_on)
+      : placed(rewriter::place(program, {.seed = seed})) {
+    binary::load(placed.vcfr, mem);
+    emu = std::make_unique<emu::Emulator>(placed.vcfr, mem);
+    emu->set_decode_cache(cache_on);
+  }
+
+  bool fire(const rewriter::Program& program, uint64_t seed) {
+    std::vector<uint32_t> pinned;
+    for (const uint32_t reg : emu->state().regs) {
+      if (placed.vcfr.tables.is_randomized_addr(reg)) pinned.push_back(reg);
+    }
+    std::sort(pinned.begin(), pinned.end());
+    pinned.erase(std::unique(pinned.begin(), pinned.end()), pinned.end());
+    emu::IncrementalRerandOptions opt;
+    opt.seed = seed;
+    opt.pinned = std::move(pinned);
+    emu::IncrementalRerandStats st;
+    const uint64_t prev_gen = mem.code_version();
+    if (!emu::rerandomize_incremental(program, placed, mem, *emu, opt, &st)) {
+      return false;
+    }
+    if (st.instrs_moved != 0) {
+      emu->note_rerand(prev_gen, mem.code_version(),
+                       std::move(st.decode_dirty));
+    }
+    return true;
+  }
+
+  rewriter::PlacedImage placed;
+  binary::Memory mem;
+  std::unique_ptr<emu::Emulator> emu;
+};
+
+// Epoch promotion revalidates cached entries across an incremental
+// re-randomization; a promoted entry's cached seq_upc must still be the
+// successor's UPC under the patched tables. The workloads span several
+// code pages, so each firing leaves most of the cache promotable.
+TEST(DecodeCacheTest, StepInfoStreamAcrossIncrementalRerand) {
+  for (const char* name : {"gcc", "hmmer", "xalan", "namd"}) {
+    const rewriter::Program program =
+        rewriter::prepare(workloads::make(name, 0));
+    IncrementalSession on(program, 21, true);
+    IncrementalSession off(program, 21, false);
+    int fired = 0;
+    for (int epoch = 0; epoch < 12 && !on.emu->halted(); ++epoch) {
+      const std::string what =
+          std::string(name) + " epoch " + std::to_string(epoch);
+      expect_same_stream(*on.emu, *off.emu, 1000, what);
+      if (HasFailure() || on.emu->halted()) break;
+      const bool ok_on = on.fire(program, 0x5100 + epoch);
+      const bool ok_off = off.fire(program, 0x5100 + epoch);
+      ASSERT_EQ(ok_on, ok_off) << what;
+      fired += ok_on ? 1 : 0;
+    }
+    expect_same_stream(*on.emu, *off.emu, 200'000'000, std::string(name));
+    const emu::RunResult r_on = on.emu->run();
+    expect_identical(r_on, off.emu->run(), name);
+    EXPECT_TRUE(r_on.halted) << name << ": " << r_on.error;
+    EXPECT_GT(fired, 0) << name;
+    EXPECT_GT(on.emu->decode_cache_stats().rerand_promotions, 0u) << name;
   }
 }
 
@@ -290,6 +429,66 @@ TEST(FlatSetTest, InsertContains) {
   EXPECT_EQ(s.size(), 500u);
   for (uint32_t i = 0; i < 500; ++i) EXPECT_TRUE(s.contains(i * 31 + 7));
   EXPECT_FALSE(s.contains(8));
+}
+
+// Backward-shift erase against a std::set model. The first phase keeps
+// the set at its initial 16 slots and draws keys whose home slots sit at
+// the end of the array, so probe chains wrap past the last slot; the
+// second phase grows through several rehashes.
+TEST(FlatSetTest, EraseMatchesStdSetModel) {
+  std::vector<uint32_t> wrap_keys;
+  for (uint32_t k = 1; wrap_keys.size() < 8; ++k) {
+    if ((binary::mix32(k) & 15u) >= 13u) wrap_keys.push_back(k);
+  }
+  for (uint32_t k = 1; wrap_keys.size() < 12; ++k) {
+    if ((binary::mix32(k) & 15u) <= 1u) wrap_keys.push_back(k);
+  }
+
+  const auto check = [](const binary::FlatSet32& s,
+                        const std::set<uint32_t>& model, int op) {
+    ASSERT_EQ(s.size(), model.size()) << "op " << op;
+    std::set<uint32_t> seen;
+    size_t visited = 0;
+    for (const uint32_t k : s) {
+      ++visited;
+      seen.insert(k);
+    }
+    EXPECT_EQ(visited, model.size()) << "op " << op;
+    EXPECT_EQ(seen, model) << "op " << op;
+    for (const uint32_t k : model) {
+      EXPECT_TRUE(s.contains(k)) << "op " << op << " key " << k;
+    }
+  };
+
+  std::mt19937 rng(1234);
+  for (const bool grow : {false, true}) {
+    binary::FlatSet32 s;
+    std::set<uint32_t> model;
+    const int ops = grow ? 20000 : 4000;
+    for (int op = 0; op < ops; ++op) {
+      const uint32_t key = grow ? rng() % 600
+                                : wrap_keys[rng() % wrap_keys.size()];
+      switch (rng() % 3) {
+        case 0:
+          EXPECT_EQ(s.insert(key), model.insert(key).second) << "op " << op;
+          break;
+        case 1:
+          EXPECT_EQ(s.erase(key), model.erase(key) == 1) << "op " << op;
+          break;
+        default:
+          EXPECT_EQ(s.contains(key), model.contains(key)) << "op " << op;
+          break;
+      }
+      if (!grow || op % 97 == 0) check(s, model, op);
+    }
+    check(s, model, ops);
+    while (!model.empty()) {
+      EXPECT_TRUE(s.erase(*model.begin()));
+      model.erase(model.begin());
+    }
+    EXPECT_TRUE(s.empty());
+    EXPECT_FALSE(s.erase(wrap_keys[0]));
+  }
 }
 
 TEST(WorkerPoolTest, PersistentThreadsRunEveryTask) {
