@@ -1,31 +1,19 @@
-// Cycle-attribution benchmark snapshot: profiles the reference workload
-// (gcc at bench scale, seed 7) natively and as its VCFR sibling, writing
-// BENCH_attrib.json for CI to diff across commits.
-//
-// Usage: attrib [attrib.json]   (default BENCH_attrib.json)
-//
-// Two sections, matching the BENCH_hotpath.json pattern:
-//   * "simulated" — deterministic: per-layout instruction/cycle counts,
-//     the full cause-bucket breakdown, the conservation flag (buckets sum
-//     exactly to the core's cycles), fold-back resolution, and the
-//     VCFR/native overhead ratio. CI diffs this byte-for-byte.
-//   * "host" — wall-clock of the two profiled runs. Informational only.
-#include <chrono>
-#include <cstdio>
-#include <fstream>
-
+// BENCH_attrib.json: the reference workload (gcc at bench scale, seed 7)
+// profiled natively and as its VCFR sibling — per-layout
+// instruction/cycle counts, the full cause-bucket breakdown, the
+// conservation flag (buckets sum exactly to the core's cycles), fold-back
+// resolution, and the VCFR/native overhead ratio.
 #include "profile/profiler.hpp"
 #include "rewriter/randomizer.hpp"
 #include "sim/cpu.hpp"
+#include "snapshot.hpp"
 #include "telemetry/json_writer.hpp"
 #include "workloads/suite.hpp"
 
+namespace vcfr::bench {
 namespace {
 
-using namespace vcfr;
-using Clock = std::chrono::steady_clock;
-
-/// One profiled layout's deterministic section.
+/// One profiled layout's section.
 void emit_layout(telemetry::JsonWriter& w, const char* key,
                  const profile::Profiler& prof, const sim::SimResult& r) {
   w.key(key).begin_object(telemetry::JsonWriter::Style::kPretty);
@@ -46,25 +34,19 @@ void emit_layout(telemetry::JsonWriter& w, const char* key,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const char* path = argc > 1 ? argv[1] : "BENCH_attrib.json";
-
+std::string attrib_snapshot() {
   const binary::Image original = workloads::make("gcc", 1);
   rewriter::RandomizeOptions ro;
   ro.seed = 7;
   const auto rr = rewriter::randomize(original, ro);
 
   sim::CpuConfig config;
-
-  const auto start = Clock::now();
   profile::Profiler native_prof(original);
   const auto native =
       sim::simulate(original, 200'000'000, config, nullptr, &native_prof);
   profile::Profiler vcfr_prof(rr.vcfr);
   const auto vcfr =
       sim::simulate(rr.vcfr, 200'000'000, config, nullptr, &vcfr_prof);
-  const double wall_ms =
-      std::chrono::duration<double>(Clock::now() - start).count() * 1e3;
 
   const double overhead =
       native.cycles == 0 ? 0.0
@@ -84,19 +66,8 @@ int main(int argc, char** argv) {
   emit_layout(w, "vcfr", vcfr_prof, vcfr);
   w.key("overhead").raw_value(telemetry::json_double(overhead));
   w.end_object();
-  w.key("host").begin_object();
-  w.key("wall_ms").raw_value(telemetry::json_double(wall_ms));
   w.end_object();
-  w.end_object();
-
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
-  }
-  out << w.str() << "\n";
-  std::printf("attrib: native %llu cycles, vcfr %llu cycles (%.3fx) -> %s\n",
-              static_cast<unsigned long long>(native.cycles),
-              static_cast<unsigned long long>(vcfr.cycles), overhead, path);
-  return 0;
+  return w.str() + "\n";
 }
+
+}  // namespace vcfr::bench

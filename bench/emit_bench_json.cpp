@@ -1,43 +1,33 @@
-// Machine-readable benchmark emitter: runs the reference fleet
-// configuration and the hot-path microbenchmark, writing the BENCH_*.json
-// family that CI and regression tooling diff across commits.
+// BENCH_fleet.json and BENCH_hotpath.json: the reference fleet and the
+// emulator hot path.
 //
-// Usage: emit_bench_json [fleet.json [hotpath.json]]
-//        (defaults BENCH_fleet.json and BENCH_hotpath.json)
-//
-// BENCH_fleet.json is fully deterministic and diffed byte-for-byte.
-// BENCH_hotpath.json has two sections:
-//   * "simulated" — deterministic (instruction counts, decode-cache
-//     hit/miss/invalidation counters, cache-on/off equivalence, pool
-//     dispatch counts); CI diffs it with the host section stripped;
-//   * "host" — wall-clock throughput (MIPS, ns/instr, cache-off speedup).
-//     Informational only: it depends on the machine and build type.
+// BENCH_fleet.json is the CI smoke fleet (4 workloads on 2 cores, short
+// slices, smoke scale, seed 7). BENCH_hotpath.json pins the hot path's
+// deterministic side: the instruction count and decode-cache
+// hit/miss/invalidation counters of the VCFR image of gcc, cache-on/off
+// equivalence, and pool dispatch counts of the reference fleet and of a
+// 4-core fleet under 1/2/4 pool workers. The sweep is a gate: simulated
+// results must not depend on host parallelism.
 //
 // The configurations are pinned (not bench_util env knobs): the files are
 // committed at the repo root and must mean the same thing on every
 // machine.
-#include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <vector>
 
 #include "emu/emulator.hpp"
 #include "os/kernel.hpp"
 #include "rewriter/randomizer.hpp"
+#include "snapshot.hpp"
 #include "telemetry/json_writer.hpp"
 #include "workloads/suite.hpp"
 
+namespace vcfr::bench {
 namespace {
 
-using namespace vcfr;
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+const char* kMix[] = {"bzip2", "gcc", "mcf", "hmmer"};
 
 /// One emulator run of `image` with the decode cache toggled; returns the
-/// result and (out-params) the cache counters of this run.
+/// result and (out-param) the cache counters of this run.
 emu::RunResult run_once(const binary::Image& image, bool cache_on,
                         emu::DecodeCacheStats* cache_stats = nullptr) {
   binary::Memory mem;
@@ -57,40 +47,35 @@ bool results_match(const emu::RunResult& a, const emu::RunResult& b) {
          a.final_state.regs == b.final_state.regs;
 }
 
-/// Wall-clock of `reps` fresh load+run passes; returns MIPS.
-double measure_mips(const binary::Image& image, bool cache_on, int reps,
-                    uint64_t instr_per_run) {
-  const auto start = Clock::now();
-  for (int i = 0; i < reps; ++i) run_once(image, cache_on);
-  const double secs = seconds_since(start);
-  return secs <= 0.0 ? 0.0
-                     : static_cast<double>(instr_per_run) * reps / secs / 1e6;
-}
+struct ReferenceFleet {
+  os::FleetReport report;
+  uint64_t pool_rounds = 0;
+  uint32_t pool_workers = 0;
+};
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const char* fleet_path = argc > 1 ? argv[1] : "BENCH_fleet.json";
-  const char* hotpath_path = argc > 2 ? argv[2] : "BENCH_hotpath.json";
-
-  // ---- reference fleet: the CI smoke configuration (4 workloads on 2
-  // cores, short slices, smoke scale, seed 7) ------------------------------
+ReferenceFleet run_reference_fleet() {
   os::KernelConfig kc;
   kc.cores = 2;
   kc.sched.slice_instructions = 2000;
   os::Kernel kernel(kc);
-  const char* mix[] = {"bzip2", "gcc", "mcf", "hmmer"};
   for (uint32_t i = 0; i < 4; ++i) {
     os::ProcessConfig pc;
-    pc.workload = mix[i];
+    pc.workload = kMix[i];
     pc.scale = 0;
     pc.seed = 7ull ^ (0x9e3779b97f4a7c15ull * (i + 1));
     kernel.spawn(pc);
   }
-  const auto fleet_start = Clock::now();
-  const os::FleetReport r = kernel.run();
-  const double fleet_wall_ms = seconds_since(fleet_start) * 1e3;
+  ReferenceFleet f;
+  f.report = kernel.run();
+  f.pool_rounds = kernel.pool_rounds();
+  f.pool_workers = kernel.pool_workers();
+  return f;
+}
 
+}  // namespace
+
+std::string fleet_snapshot() {
+  const os::FleetReport r = run_reference_fleet().report;
   uint64_t drc_lookups = 0, drc_misses = 0;
   for (const auto& c : r.cores) {
     drc_lookups += c.drc.lookups;
@@ -118,21 +103,14 @@ int main(int argc, char** argv) {
   w.key("drc_lookups").value(drc_lookups);
   w.key("drc_misses").value(drc_misses);
   w.end_object();
+  return w.str() + "\n";
+}
 
-  {
-    std::ofstream out(fleet_path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", fleet_path);
-      return 1;
-    }
-    out << w.str() << "\n";
-  }
-  std::printf("fleet ipc %.6g, DRC miss rate %.6g -> %s\n", r.fleet_ipc,
-              drc_miss_rate, fleet_path);
+std::string hotpath_snapshot() {
+  const ReferenceFleet fleet = run_reference_fleet();
 
-  // ---- hot-path microbenchmark: the VCFR image of gcc at bench scale
-  // (the suite's largest code footprint — the decode cache's steady state
-  // dominates and per-run load cost is amortized over ~500k instructions) --
+  // The VCFR image of gcc at bench scale: the suite's largest code
+  // footprint, so the decode cache's steady state dominates.
   const binary::Image original = workloads::make("gcc", 1);
   rewriter::RandomizeOptions ro;
   ro.seed = 7;
@@ -142,19 +120,8 @@ int main(int argc, char** argv) {
   const emu::RunResult on = run_once(vcfr_image, true, &cache_stats);
   const emu::RunResult off = run_once(vcfr_image, false);
   const bool match = results_match(on, off);
-  const uint64_t instr = on.stats.instructions;
 
-  // Size the timing loops to ~40M instructions per variant.
-  const int reps =
-      instr == 0 ? 1 : static_cast<int>(40'000'000 / instr) + 1;
-  const double mips_on = measure_mips(vcfr_image, true, reps, instr);
-  const double mips_off = measure_mips(vcfr_image, false, reps, instr);
-
-  // ---- worker-pool sweep: the same 4-core fleet under 1/2/4 pool workers.
-  // The simulated results MUST be bit-identical across the sweep (worker
-  // count is host parallelism only) — checked here, and the per-point
-  // rounds/cycles land in the deterministic section so CI re-checks the
-  // diff. Wall clocks go under "host".
+  // Worker-pool sweep: the same 4-core fleet under 1/2/4 pool workers.
   struct SweepPoint {
     uint32_t workers_requested = 0;
     uint32_t pool_workers = 0;
@@ -162,7 +129,6 @@ int main(int argc, char** argv) {
     uint64_t rounds = 0;
     uint64_t fleet_cycles = 0;
     uint64_t fleet_instructions = 0;
-    double wall_ms = 0.0;
   };
   std::vector<SweepPoint> sweep;
   for (const uint32_t workers : {1u, 2u, 4u}) {
@@ -174,32 +140,23 @@ int main(int argc, char** argv) {
     os::Kernel sk(sc);
     for (uint32_t i = 0; i < 8; ++i) {
       os::ProcessConfig pc;
-      pc.workload = mix[i % 4];
+      pc.workload = kMix[i % 4];
       pc.scale = 0;
       pc.seed = 7ull ^ (0x9e3779b97f4a7c15ull * (i + 1));
       sk.spawn(pc);
     }
-    const auto start = Clock::now();
     const os::FleetReport sr = sk.run();
-    SweepPoint pt;
-    pt.workers_requested = workers;
-    pt.pool_workers = sk.pool_workers();
-    pt.pool_rounds = sk.pool_rounds();
-    pt.rounds = sr.rounds;
-    pt.fleet_cycles = sr.fleet_cycles;
-    pt.fleet_instructions = sr.fleet_instructions;
-    pt.wall_ms = seconds_since(start) * 1e3;
-    sweep.push_back(pt);
+    sweep.push_back({workers, sk.pool_workers(), sk.pool_rounds(), sr.rounds,
+                     sr.fleet_cycles, sr.fleet_instructions});
   }
   for (const SweepPoint& pt : sweep) {
     if (pt.fleet_cycles != sweep[0].fleet_cycles ||
         pt.fleet_instructions != sweep[0].fleet_instructions ||
         pt.rounds != sweep[0].rounds) {
-      std::fprintf(stderr,
-                   "pool sweep diverged at %u workers: simulated results "
-                   "must not depend on host parallelism\n",
-                   pt.workers_requested);
-      return 1;
+      gate_failed(
+          "pool sweep diverged at %u workers: simulated results must not "
+          "depend on host parallelism",
+          pt.workers_requested);
     }
   }
 
@@ -212,16 +169,16 @@ int main(int argc, char** argv) {
   h.key("scale").value(uint64_t{1});
   h.key("layout").value("vcfr");
   h.key("seed").value(uint64_t{7});
-  h.key("instructions").value(instr);
+  h.key("instructions").value(on.stats.instructions);
   h.key("decode_cache_hits").value(cache_stats.hits);
   h.key("decode_cache_misses").value(cache_stats.misses);
   h.key("decode_cache_invalidations").value(cache_stats.invalidations);
   h.key("cache_off_match").value(match);
   h.end_object();
   h.key("fleet").begin_object();
-  h.key("rounds").value(r.rounds);
-  h.key("pool_rounds").value(kernel.pool_rounds());
-  h.key("pool_workers").value(uint64_t{kernel.pool_workers()});
+  h.key("rounds").value(fleet.report.rounds);
+  h.key("pool_rounds").value(fleet.pool_rounds);
+  h.key("pool_workers").value(uint64_t{fleet.pool_workers});
   h.end_object();
   h.end_object();
   h.key("pool_sweep").begin_object();
@@ -246,42 +203,8 @@ int main(int argc, char** argv) {
   h.end_array();
   h.key("identical_across_workers").value(true);
   h.end_object();
-  h.key("host").begin_object();
-  h.key("emu").begin_object();
-  h.key("reps").value(static_cast<uint64_t>(reps));
-  h.key("mips_cache_on").raw_value(telemetry::json_double(mips_on));
-  h.key("mips_cache_off").raw_value(telemetry::json_double(mips_off));
-  h.key("ns_per_instr_cache_on")
-      .raw_value(telemetry::json_double(mips_on <= 0 ? 0 : 1e3 / mips_on));
-  h.key("ns_per_instr_cache_off")
-      .raw_value(telemetry::json_double(mips_off <= 0 ? 0 : 1e3 / mips_off));
-  h.key("speedup").raw_value(
-      telemetry::json_double(mips_off <= 0 ? 0 : mips_on / mips_off));
   h.end_object();
-  h.key("fleet").begin_object();
-  h.key("wall_ms").raw_value(telemetry::json_double(fleet_wall_ms));
-  h.end_object();
-  h.key("pool_sweep").begin_array();
-  for (const SweepPoint& pt : sweep) {
-    h.begin_object();
-    h.key("workers_requested").value(uint64_t{pt.workers_requested});
-    h.key("wall_ms").raw_value(telemetry::json_double(pt.wall_ms));
-    h.end_object();
-  }
-  h.end_array();
-  h.end_object();
-  h.end_object();
-
-  std::ofstream out(hotpath_path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", hotpath_path);
-    return 1;
-  }
-  out << h.str() << "\n";
-  std::printf(
-      "hotpath: %.1f MIPS cached / %.1f MIPS uncached (%.2fx), match=%d -> "
-      "%s\n",
-      mips_on, mips_off, mips_off <= 0 ? 0.0 : mips_on / mips_off, match,
-      hotpath_path);
-  return 0;
+  return h.str() + "\n";
 }
+
+}  // namespace vcfr::bench

@@ -1,49 +1,35 @@
-// Dependability-campaign snapshot emitter: runs the pinned reference
-// campaign (2 workloads x 3 layouts x 5 sites x 2 trials, seed 7) and
-// writes BENCH_faultcamp.json, which CI diffs byte-for-byte against the
-// committed copy.
-//
-// Usage: faultcamp [out.json]     (default BENCH_faultcamp.json)
+// BENCH_faultcamp.json: the pinned reference dependability campaign
+// (2 workloads x 3 layouts x 5 sites x 2 trials, seed 7).
 //
 // The configuration is pinned, not flag-driven: the committed file must
 // mean the same thing on every machine, and any change to the injector's
 // selection streams, the trap model, or the campaign classifier shows up
 // as a diff here.
-#include <cstdio>
-#include <fstream>
-
 #include "fault/campaign.hpp"
+#include "snapshot.hpp"
 
-int main(int argc, char** argv) {
-  const char* path = argc > 1 ? argv[1] : "BENCH_faultcamp.json";
+namespace vcfr::bench {
 
-  vcfr::fault::CampaignConfig config;
+std::string faultcamp_snapshot() {
+  fault::CampaignConfig config;
   config.workloads = {"bzip2", "libquantum"};
   config.scale = 0;
   config.trials = 2;
   config.seed = 7;
   config.max_instructions = 2'000'000;
 
-  const vcfr::fault::CampaignReport report = vcfr::fault::run_campaign(config);
+  const fault::CampaignReport report = fault::run_campaign(config);
 
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
-  }
-  out << report.to_json();
-  std::fputs(report.summary().c_str(), stdout);
-  std::printf("-> %s\n", path);
-
-  // The committed snapshot doubles as the acceptance gate for the paper's
+  // The snapshot doubles as the acceptance gate for the paper's
   // dependability claim: VCFR must detect strictly more of the applied
   // corruptions than the native layout.
   const auto* native = report.layout_counts("native");
   const auto* vcfr = report.layout_counts("vcfr");
   if (native == nullptr || vcfr == nullptr ||
       vcfr->detection_rate() <= native->detection_rate()) {
-    std::fprintf(stderr, "FAIL: vcfr detection rate not above native\n");
-    return 1;
+    gate_failed("vcfr detection rate not above native");
   }
-  return 0;
+  return report.to_json();
 }
+
+}  // namespace vcfr::bench

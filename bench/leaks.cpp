@@ -1,12 +1,10 @@
-// Leak-observability snapshot (BENCH_leaks.json; simulated section
-// diffed by CI): the address-taint tracker against a planted
+// BENCH_leaks.json: the address-taint tracker against a planted
 // Heartbleed-style over-read, three arms in one committed file
 // (docs/OBSERVABILITY.md, docs/DEPENDABILITY.md).
 //
 //   * "native"         — the leaky handler on the original layout. No
 //     randomized secret ever enters the handler's frame, so the tracker
-//     must stay silent by construction (0 sources, 0 leaks). The binary
-//     exits non-zero otherwise.
+//     must stay silent by construction (0 sources, 0 leaks).
 //   * "vcfr"           — seed-randomized siblings of the same image. The
 //     over-reading request echoes the saved (randomized) return address,
 //     so every trial must fire the sink with full provenance: origin
@@ -16,18 +14,10 @@
 //     re-key the leaking tenant at its next request boundary (at least
 //     one fresh placement scheduled and fired, no tenant down).
 //
-// Two sections, same discipline as BENCH_rerand.json: "simulated" is
-// deterministic (CI strips "host" and byte-diffs the rest); "host" is
-// wall-clock, informational only. The configuration is pinned — the
-// file is committed at the repo root and must mean the same thing
-// everywhere.
-//
-// Usage: leaks [leaks.json]   (default BENCH_leaks.json)
-#include <chrono>
-#include <cstdio>
-#include <fstream>
+// Each arm is a gate: the snapshot fails if any of the three does. The
+// configuration is pinned — the file is committed at the repo root and
+// must mean the same thing everywhere.
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "binary/image.hpp"
@@ -36,13 +26,12 @@
 #include "emu/taint.hpp"
 #include "rewriter/randomizer.hpp"
 #include "serve/server.hpp"
+#include "snapshot.hpp"
 #include "telemetry/json_writer.hpp"
 #include "workloads/wl_server.hpp"
 
+namespace vcfr::bench {
 namespace {
-
-using namespace vcfr;
-using Clock = std::chrono::steady_clock;
 
 constexpr uint64_t kSeed = 5;
 constexpr uint32_t kTrials = 4;
@@ -85,19 +74,13 @@ Arm run_arm(const binary::Image& image) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const char* path = argc > 1 ? argv[1] : "BENCH_leaks.json";
-  const auto start = Clock::now();
+std::string leaks_snapshot() {
   const binary::Image original = workloads::make_leaky_server();
 
   // -- arm A: native layout must stay silent -------------------------------
   const Arm native = run_arm(original);
-  std::printf("leaks: native  %llu source(s), %llu leak(s)\n",
-              static_cast<unsigned long long>(native.sources),
-              static_cast<unsigned long long>(native.leaks));
   if (!native.halted || native.leaks != 0) {
-    std::fprintf(stderr, "leaks: tracker fired on the native layout\n");
-    return 1;
+    gate_failed("tracker fired on the native layout");
   }
 
   // -- arm B: randomized siblings must detect with provenance --------------
@@ -113,21 +96,16 @@ int main(int argc, char** argv) {
     Trial tr;
     tr.seed = opts.seed;
     tr.arm = run_arm(rr.vcfr);
-    std::printf("leaks: vcfr seed %llu: %llu leak(s), max depth %llu\n",
-                static_cast<unsigned long long>(tr.seed),
-                static_cast<unsigned long long>(tr.arm.leaks),
-                static_cast<unsigned long long>(tr.arm.max_depth));
     bool ok = tr.arm.halted && tr.arm.leaks > 0 && !tr.arm.records.empty();
     for (const emu::LeakRecord& l : tr.arm.records) {
       if (l.origin != emu::TaintOrigin::kRetPush) ok = false;
       if (l.sink != emu::LeakSink::kOut) ok = false;
     }
     if (!ok) {
-      std::fprintf(stderr,
-                   "leaks: seed %llu did not detect the planted leak with "
-                   "ret_push/out provenance\n",
-                   static_cast<unsigned long long>(tr.seed));
-      return 1;
+      gate_failed(
+          "seed %llu did not detect the planted leak with ret_push/out "
+          "provenance",
+          static_cast<unsigned long long>(tr.seed));
     }
     trials.push_back(std::move(tr));
   }
@@ -145,19 +123,9 @@ int main(int argc, char** argv) {
   sc.taint = true;
   sc.rerandomize.on_leak = true;
   const serve::ServeReport sr = serve::run_serve(sc);
-  std::printf("leaks: serve   %llu leak(s), %llu re-rand(s), %u down\n",
-              static_cast<unsigned long long>(sr.leaks),
-              static_cast<unsigned long long>(sr.leak_rerands),
-              sr.tenants_down);
   if (sr.leaks == 0 || sr.leak_rerands == 0 || sr.tenants_down != 0) {
-    std::fprintf(stderr,
-                 "leaks: --rerand-on-leak did not re-key the leaking tenant "
-                 "cleanly\n");
-    return 1;
+    gate_failed("--rerand-on-leak did not re-key the leaking tenant cleanly");
   }
-
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 
   telemetry::JsonWriter w;
   w.begin_object(telemetry::JsonWriter::Style::kPretty);
@@ -198,20 +166,8 @@ int main(int argc, char** argv) {
   w.end_object();
   w.key("pass").value(true);
   w.end_object();
-  w.key("host").begin_object();
-  w.key("cpus").value(
-      static_cast<uint64_t>(std::thread::hardware_concurrency()));
-  w.key("wall_ms").raw_value(telemetry::json_double(wall_ms));
   w.end_object();
-  w.end_object();
-
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
-  }
-  out << w.str() << "\n";
-  std::printf("leaks: native-silent + vcfr-detect + re-key snapshot -> %s\n",
-              path);
-  return 0;
+  return w.str() + "\n";
 }
+
+}  // namespace vcfr::bench

@@ -1,6 +1,5 @@
-// Moving-target snapshot (BENCH_rerand.json; simulated section diffed
-// by CI): continuous re-randomization under load, three experiments in
-// one committed file (docs/DEPENDABILITY.md).
+// BENCH_rerand.json: continuous re-randomization under load, three
+// experiments in one committed file (docs/DEPENDABILITY.md).
 //
 //   * "sweep"   — a 4-tenant fleet re-randomized every {64, 16, 4}
 //     slices under both rebuild modes. Legacy full rebuild patches every
@@ -8,8 +7,7 @@
 //     incremental re-places 25% of the code pages per firing with
 //     epoch-tagged (lazy) invalidation. With a per-entry rewrite cost the
 //     IPC degradation at the densest period MUST be measurably smaller
-//     for incremental — the binary checks that and exits non-zero
-//     otherwise, and the committed numbers let CI re-check it by diff.
+//     for incremental — the snapshot gates on that.
 //   * "on_trap" — seeded corruptions against tenants whose restart
 //     policy is `never`: under --rerand-on-trap every attack-signal trap
 //     buys the victim a fresh placement (recovered), under a purely
@@ -19,28 +17,18 @@
 //     full / incremental while serving (the moving target keeps moving
 //     under traffic).
 //
-// Two sections, same discipline as BENCH_scale.json: "simulated" is
-// deterministic (CI strips "host" and byte-diffs the rest); "host" is
-// wall-clock, informational only. The configuration is pinned — the
-// file is committed at the repo root and must mean the same thing
-// everywhere.
-//
-// Usage: rerand [rerand.json]   (default BENCH_rerand.json)
-#include <chrono>
-#include <cstdio>
-#include <fstream>
+// The configuration is pinned — the file is committed at the repo root
+// and must mean the same thing everywhere.
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "os/kernel.hpp"
 #include "serve/server.hpp"
+#include "snapshot.hpp"
 #include "telemetry/json_writer.hpp"
 
+namespace vcfr::bench {
 namespace {
-
-using namespace vcfr;
-using Clock = std::chrono::steady_clock;
 
 constexpr uint32_t kCores = 4;
 constexpr uint32_t kTenants = 4;
@@ -205,25 +193,14 @@ double degradation(const FleetPoint& baseline, const FleetPoint& pt) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const char* path = argc > 1 ? argv[1] : "BENCH_rerand.json";
-  const auto start = Clock::now();
-
+std::string rerand_snapshot() {
   // -- experiment A: period x rebuild-mode sweep ---------------------------
   const FleetPoint baseline = run_fleet_point(0, false);
   std::vector<FleetPoint> sweep;
   for (const uint32_t period : {64u, 16u, 4u}) {
     for (const bool incremental : {false, true}) {
       sweep.push_back(run_fleet_point(period, incremental));
-      FleetPoint& pt = sweep.back();
-      pt.ipc_degradation = degradation(baseline, pt);
-      std::printf(
-          "rerand: period %2u %-11s ipc %.4f (%.2f%% degr) %llu firings, "
-          "%llu entries\n",
-          pt.period, pt.mode.c_str(), pt.fleet_ipc,
-          100.0 * pt.ipc_degradation,
-          static_cast<unsigned long long>(pt.rerandomizations),
-          static_cast<unsigned long long>(pt.entries_patched));
+      sweep.back().ipc_degradation = degradation(baseline, sweep.back());
     }
   }
   // The whole point: at the densest period the incremental+epoch-tagged
@@ -231,12 +208,11 @@ int main(int argc, char** argv) {
   const FleetPoint& densest_full = sweep[sweep.size() - 2];
   const FleetPoint& densest_inc = sweep[sweep.size() - 1];
   if (densest_inc.ipc_degradation >= densest_full.ipc_degradation) {
-    std::fprintf(stderr,
-                 "rerand: incremental degradation (%.4f) not below legacy "
-                 "full rebuild (%.4f) at period %u\n",
-                 densest_inc.ipc_degradation, densest_full.ipc_degradation,
-                 densest_full.period);
-    return 1;
+    gate_failed(
+        "incremental degradation (%.4f) not below legacy full rebuild "
+        "(%.4f) at period %u",
+        densest_inc.ipc_degradation, densest_full.ipc_degradation,
+        densest_full.period);
   }
 
   // -- experiment B: on-trap vs periodic containment -----------------------
@@ -251,38 +227,24 @@ int main(int argc, char** argv) {
     for (const uint64_t inject_seed : {1u, 2u, 3u}) {
       for (const bool on_trap : {false, true}) {
         trials.push_back(run_trap_trial(name, site, inject_seed, on_trap));
-        const TrapTrial& t = trials.back();
-        (on_trap ? recovered_on_trap : recovered_periodic) += t.recovered;
-        std::printf("rerand: %-17s seed %llu %-8s victim %s (restarts %u)\n",
-                    t.site.c_str(),
-                    static_cast<unsigned long long>(inject_seed),
-                    t.policy.c_str(), t.victim_exit.c_str(),
-                    t.victim_restarts);
+        (on_trap ? recovered_on_trap : recovered_periodic) +=
+            trials.back().recovered;
       }
     }
   }
   if (recovered_on_trap < recovered_periodic) {
-    std::fprintf(stderr,
-                 "rerand: on-trap recovered fewer victims (%llu) than the "
-                 "periodic baseline (%llu)\n",
-                 static_cast<unsigned long long>(recovered_on_trap),
-                 static_cast<unsigned long long>(recovered_periodic));
-    return 1;
+    gate_failed(
+        "on-trap recovered fewer victims (%llu) than the periodic baseline "
+        "(%llu)",
+        static_cast<unsigned long long>(recovered_on_trap),
+        static_cast<unsigned long long>(recovered_periodic));
   }
 
   // -- experiment C: p99 while serving -------------------------------------
   std::vector<ServePoint> serve_points;
   for (const char* mode : {"off", "full", "incremental"}) {
     serve_points.push_back(run_serve_point(mode));
-    const ServePoint& pt = serve_points.back();
-    std::printf("rerand: serve %-11s completed %llu, p99 %llu cycles\n",
-                pt.mode.c_str(),
-                static_cast<unsigned long long>(pt.completed),
-                static_cast<unsigned long long>(pt.p99_max));
   }
-
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 
   telemetry::JsonWriter w;
   w.begin_object(telemetry::JsonWriter::Style::kPretty);
@@ -352,19 +314,8 @@ int main(int argc, char** argv) {
   }
   w.end_array();
   w.end_object();
-  w.key("host").begin_object();
-  w.key("cpus").value(
-      static_cast<uint64_t>(std::thread::hardware_concurrency()));
-  w.key("wall_ms").raw_value(telemetry::json_double(wall_ms));
   w.end_object();
-  w.end_object();
-
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
-  }
-  out << w.str() << "\n";
-  std::printf("rerand: sweep + on-trap + serve snapshot -> %s\n", path);
-  return 0;
+  return w.str() + "\n";
 }
+
+}  // namespace vcfr::bench

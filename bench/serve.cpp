@@ -1,59 +1,51 @@
-// Request-serving latency snapshot: drives a pinned 8-tenant mix (the
-// §V-A server handler interleaved with four SPEC-like programs) through
-// the event-driven serve subsystem, writing BENCH_serve.json for CI to
-// diff across commits.
+// BENCH_serve.json and BENCH_trace.json: a pinned 8-tenant mix (the §V-A
+// server handler interleaved with four SPEC-like programs) driven
+// through the event-driven serve subsystem.
 //
-// Usage: serve [serve.json [trace.json]]
-//        (defaults BENCH_serve.json, BENCH_trace.json)
+// BENCH_serve.json's "simulated" section is the full deterministic
+// report: rounds, fleet cycles, request accounting, throughput, and
+// per-tenant latency percentiles in fleet-clock cycles.
 //
-// Two sections, matching the BENCH_hotpath.json pattern:
-//   * "simulated" — deterministic: rounds, fleet cycles, request
-//     accounting, throughput, and per-tenant latency percentiles in
-//     fleet-clock cycles. CI diffs this byte-for-byte.
-//   * "host" — wall-clock of the run. Informational only.
-//
-// A second, fully-traced run of the same config then writes the
-// observability snapshot (trace.json): per-label trace event counts,
-// flow matching, and journal entry counts by kind — also deterministic,
-// also diffed by CI. The first run stays untraced so the BENCH_serve
+// BENCH_trace.json comes from a second, fully-traced run of the same
+// config: per-label trace event counts, flow matching, and journal entry
+// counts by kind. The serve run stays untraced so the BENCH_serve
 // numbers keep proving the serve path is observer-neutral.
-#include <chrono>
-#include <cstdio>
-#include <fstream>
-
 #include "serve/server.hpp"
+#include "snapshot.hpp"
 #include "telemetry/json_writer.hpp"
 #include "telemetry/telemetry.hpp"
 
+namespace vcfr::bench {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  const char* path = argc > 1 ? argv[1] : "BENCH_serve.json";
-  const char* trace_path = argc > 2 ? argv[2] : "BENCH_trace.json";
-
-  vcfr::serve::ServeConfig sc;
+serve::ServeConfig reference_config() {
+  serve::ServeConfig sc;
   sc.tenants = 8;
   sc.cores = 4;
   sc.duration = 300'000;
-  sc.model = vcfr::serve::ArrivalModel::kOpen;
-  sc.dist = vcfr::serve::Distribution::kExponential;
+  sc.model = serve::ArrivalModel::kOpen;
+  sc.dist = serve::Distribution::kExponential;
   sc.mean_interarrival = 15'000;
   sc.workloads = {"server", "bzip2", "server", "mcf",
                   "server", "hmmer", "server", "libquantum"};
   sc.scale = 0;
   sc.seed = 7;
   sc.slice_instructions = 2'000;
+  return sc;
+}
 
-  const auto start = Clock::now();
-  const vcfr::serve::ServeReport report = vcfr::serve::run_serve(sc);
-  const double wall_ms =
-      std::chrono::duration<double>(Clock::now() - start).count() * 1e3;
+}  // namespace
 
-  using vcfr::telemetry::JsonWriter;
+std::string serve_snapshot() {
+  const serve::ServeConfig sc = reference_config();
+  const serve::ServeReport report = serve::run_serve(sc);
+
+  // to_json already renders the full deterministic report (pretty,
+  // trailing newline stripped to nest cleanly).
+  std::string simulated = report.to_json();
+  while (!simulated.empty() && simulated.back() == '\n') simulated.pop_back();
+
+  using telemetry::JsonWriter;
   JsonWriter w;
   w.begin_object(JsonWriter::Style::kPretty);
   w.key("bench").value("serve");
@@ -68,36 +60,22 @@ int main(int argc, char** argv) {
   w.key("seed").value(sc.seed);
   w.key("slice").value(sc.slice_instructions);
   w.end_object();
-  w.key("simulated").raw_value(
-      // to_json already renders the full deterministic report (pretty,
-      // trailing newline stripped to nest cleanly).
-      [&] {
-        std::string j = report.to_json();
-        while (!j.empty() && j.back() == '\n') j.pop_back();
-        return j;
-      }());
-  w.key("host").begin_object();
-  w.key("wall_ms").raw_value(vcfr::telemetry::json_double(wall_ms));
+  w.key("simulated").raw_value(simulated);
   w.end_object();
-  w.end_object();
+  return w.str() + "\n";
+}
 
-  std::ofstream out(path);
-  out << w.str() << "\n";
-  out.close();
-  std::printf("serve bench: %llu/%llu requests in %llu cycles -> %s\n",
-              static_cast<unsigned long long>(report.completed),
-              static_cast<unsigned long long>(report.generated),
-              static_cast<unsigned long long>(report.fleet_cycles), path);
-
-  // Second run, same config, flight recorder + tracer on: the counts
-  // below pin the observability surface (event mix, flow matching,
-  // journal kinds) the same way "simulated" pins the latency numbers.
-  vcfr::telemetry::TelemetryConfig tc;
+std::string trace_snapshot() {
+  // Flight recorder + tracer on: the counts below pin the observability
+  // surface (event mix, flow matching, journal kinds) the same way
+  // BENCH_serve pins the latency numbers.
+  telemetry::TelemetryConfig tc;
   tc.trace = true;
   tc.journal = true;
-  vcfr::telemetry::Telemetry tel(tc);
-  const vcfr::serve::ServeReport traced = vcfr::serve::run_serve(sc, &tel);
+  telemetry::Telemetry tel(tc);
+  const serve::ServeReport traced = serve::run_serve(reference_config(), &tel);
 
+  using telemetry::JsonWriter;
   JsonWriter tw;
   tw.begin_object(JsonWriter::Style::kPretty);
   tw.key("bench").value("serve-trace");
@@ -123,11 +101,7 @@ int main(int argc, char** argv) {
   tw.end_object();
   tw.end_object();
   tw.end_object();
-
-  std::ofstream tout(trace_path);
-  tout << tw.str() << "\n";
-  tout.close();
-  std::printf("serve trace bench: %llu traced requests -> %s\n",
-              static_cast<unsigned long long>(traced.completed), trace_path);
-  return 0;
+  return tw.str() + "\n";
 }
+
+}  // namespace vcfr::bench
