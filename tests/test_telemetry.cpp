@@ -1,16 +1,21 @@
 // Tests for the telemetry subsystem (src/telemetry/): JSON writer
 // escaping and layout, registry scoping and duplicate detection,
 // histogram bucket edges, tracer ring wraparound and deterministic
-// export, sampler interval semantics, and byte-identical telemetry
-// across two same-seed fleet runs.
+// export, sampler interval semantics, byte-identical telemetry across
+// two same-seed fleet runs, and pinned digests of every kernel event
+// export.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "fault/injector.hpp"
 #include "os/kernel.hpp"
+#include "serve/server.hpp"
 #include "telemetry/json_writer.hpp"
 #include "telemetry/sampler.hpp"
 #include "telemetry/stat_registry.hpp"
@@ -499,6 +504,161 @@ TEST(TelemetryTest, JournalCapacityBoundsRingAndCountsDrops) {
   EXPECT_NE(tel.registry().to_json().find(
                 "\"telemetry.journal.dropped\": 6"),
             std::string::npos);
+}
+
+// ---- kernel event outputs (pinned) ----
+//
+// Every per-process kernel event (fault, restart, watchdog, budget,
+// re-rand epoch, forced re-rand, leak, checkpoint, restore) lands in the
+// trace, the journal, the stat registry and — for tenant-charged stalls —
+// the profiles and the request records. These digests pin all of those
+// exports for three event-heavy runs, so any reshuffle of the kernel's
+// event path that changes a byte fails here.
+
+uint64_t fnv1a(const std::string& s) {
+  uint64_t h = 1469598103934665603ull;
+  for (const char c : s) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Digest of every export one run produced, in a fixed order.
+uint64_t digest(const std::vector<std::string>& docs) {
+  std::string all;
+  for (const std::string& d : docs) all += std::to_string(fnv1a(d)) + ";";
+  return fnv1a(all);
+}
+
+TelemetryConfig event_telemetry() {
+  TelemetryConfig tc;
+  tc.trace = true;
+  tc.journal = true;
+  return tc;
+}
+
+os::KernelConfig event_fleet_config() {
+  os::KernelConfig kc;
+  kc.cores = 3;
+  kc.sched.slice_instructions = 1'500;
+  kc.measure_isolated = false;
+  kc.rerand_cost_per_entry = 2;
+  return kc;
+}
+
+/// Six tenants on three cores: an injected code byte under on-fault
+/// restart, fleet-scope re-rand on trap, incremental periodic re-rand
+/// with a deferral cap of one, a watchdog victim and budget exits.
+void spawn_event_fleet(os::Kernel& kernel) {
+  const char* mix[] = {"bzip2", "gcc", "mcf", "hmmer", "sjeng", "libquantum"};
+  for (uint32_t i = 0; i < 6; ++i) {
+    os::ProcessConfig pc;
+    pc.workload = mix[i];
+    pc.scale = 0;
+    pc.seed = 1 ^ (0x9e3779b97f4a7c15ull * (i + 1));
+    pc.max_instructions = 40'000;
+    pc.rerandomize.every_slices = 2;
+    pc.rerandomize.rebuild = os::RerandomizePolicy::Rebuild::kIncremental;
+    pc.rerandomize.epoch_tags = true;
+    pc.rerandomize.on_trap = true;
+    pc.rerandomize.scope = os::RerandomizePolicy::Scope::kFleet;
+    pc.rerandomize.max_defer = 1;
+    pc.restart.mode = os::RestartPolicy::Mode::kOnFault;
+    pc.restart.backoff_rounds = 1;
+    if (i == 1) {
+      pc.inject.site = fault::FaultSite::kCodeByte;
+      pc.inject.at_instruction = 3'000;
+      pc.inject.seed = 1;
+      pc.inject_enabled = true;
+    }
+    if (i == 0) pc.watchdog_instructions = 15'000;
+    kernel.spawn(pc);
+  }
+}
+
+std::vector<std::string> kernel_exports(Telemetry& tel,
+                                        const os::FleetReport& report) {
+  return {tel.tracer()->to_chrome_json(), tel.journal()->to_jsonl(),
+          tel.registry().to_json(), report.to_json()};
+}
+
+TEST(KernelEvents, OutputsPinned) {
+  // (1) The event-heavy fleet, profiled.
+  {
+    Telemetry tel(event_telemetry());
+    os::Kernel kernel(event_fleet_config());
+    kernel.attach_telemetry(&tel);
+    kernel.enable_profiling();
+    spawn_event_fleet(kernel);
+    const os::FleetReport report = kernel.run();
+    std::vector<std::string> docs = kernel_exports(tel, report);
+    for (uint32_t pid = 0; pid < kernel.process_count(); ++pid) {
+      profile::ProfileMeta meta;
+      meta.app = kernel.process(pid).config().workload;
+      meta.layout = "vcfr";
+      meta.seed = kernel.process(pid).config().seed;
+      meta.expected_cycles = kernel.profiler(pid)->attributed_cycles();
+      docs.push_back(kernel.profiler(pid)->to_json(meta));
+    }
+    const auto kinds = tel.journal()->counts();
+    for (const char* kind : {"spawn", "fault", "watchdog", "budget", "restart",
+                             "rerand_epoch", "rerand_forced"}) {
+      EXPECT_GT(kinds.count(kind), 0u) << "fleet run never journals " << kind;
+    }
+    EXPECT_EQ(digest(docs), 7488693775601560915ull) << "fleet";
+  }
+  // (2) The same fleet checkpointed at round 8, then resumed in a fresh
+  // kernel. The path is relative and fixed: it is the checkpoint entry's
+  // journal detail.
+  const std::string path = "kernel_events_ckpt.bin";
+  {
+    Telemetry tel(event_telemetry());
+    os::Kernel kernel(event_fleet_config());
+    kernel.attach_telemetry(&tel);
+    spawn_event_fleet(kernel);
+    kernel.set_checkpoint(8, path);
+    const os::FleetReport report = kernel.run();
+    ASSERT_EQ(kernel.checkpoint_writes(), 1u);
+    EXPECT_EQ(digest(kernel_exports(tel, report)), 3960465767734229649ull)
+        << "checkpoint";
+  }
+  {
+    Telemetry tel(event_telemetry());
+    os::Kernel kernel(event_fleet_config());
+    kernel.attach_telemetry(&tel);
+    spawn_event_fleet(kernel);
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in.good());
+    kernel.restore(in);
+    const os::FleetReport report = kernel.run();
+    EXPECT_EQ(tel.journal()->counts().count("restore"), 1u);
+    EXPECT_EQ(digest(kernel_exports(tel, report)), 3509244528655115119ull)
+        << "restore";
+  }
+  std::remove(path.c_str());
+  // (3) Serving leaky tenants under taint with re-key on leak.
+  {
+    serve::ServeConfig sc;
+    sc.tenants = 4;
+    sc.cores = 2;
+    sc.seed = 7;
+    sc.duration = 80'000;
+    sc.workloads = {"leaky", "server"};
+    sc.taint = true;
+    sc.rerandomize.on_leak = true;
+    sc.rerand_cost_per_entry = 1;
+    Telemetry tel(event_telemetry());
+    const serve::ServeReport report = serve::run_serve(sc, &tel);
+    const auto kinds = tel.journal()->counts();
+    EXPECT_GT(kinds.count("leak"), 0u);
+    EXPECT_GT(kinds.count("rerand_epoch"), 0u);
+    EXPECT_EQ(digest({tel.tracer()->to_chrome_json(),
+                      tel.journal()->to_jsonl(), tel.registry().to_json(),
+                      report.to_json(), report.latency_csv()}),
+              2838203037774611569ull)
+        << "serve";
+  }
 }
 
 }  // namespace
