@@ -5,6 +5,7 @@
 #include <fstream>
 #include <functional>
 #include <istream>
+#include <stdexcept>
 
 #include "binary/state_io.hpp"
 #include "emu/emulator.hpp"
@@ -99,23 +100,12 @@ void Kernel::dispatch(uint32_t core, Process& proc) {
         ctx.stats().entries_flushed - drc_before;
     proc.stats().bitmap_entries_flushed +=
         ctx.stats().bitmap_entries_flushed - bmp_before;
-    if (!lanes_.empty() && lanes_[core] != nullptr) {
-      lanes_[core]->span(telemetry::TraceEventType::kContextSwitch,
-                         proc.pid(), cores_[core]->now(),
-                         config_.context_switch_cycles,
-                         ctx.stats().entries_flushed - drc_before);
+    if (telemetry::TraceLane* l = lane(core)) {
+      l->span(telemetry::TraceEventType::kContextSwitch, proc.pid(),
+              cores_[core]->now(), config_.context_switch_cycles,
+              ctx.stats().entries_flushed - drc_before);
     }
-    cores_[core]->stall(config_.context_switch_cycles);
-    if (profiling_) {
-      profilers_[proc.pid()]->add_external(profile::Cause::kContextSwitch,
-                                           config_.context_switch_cycles);
-    }
-    // Dispatch overhead spent bringing a request's tenant back onto the
-    // core counts as part of *running* the request (not queueing — the
-    // scheduler had already picked it).
-    if (service_ != nullptr && proc.request_active()) {
-      proc.add_request_run(config_.context_switch_cycles);
-    }
+    charge(core, proc, config_.context_switch_cycles);
   }
   const auto want = std::make_pair(static_cast<int64_t>(proc.pid()),
                                    static_cast<int64_t>(proc.epoch()));
@@ -183,16 +173,9 @@ void Kernel::service_restarts() {
     Process& p = *procs_[it->pid];
     p.restart();
     ++restarts_;
-    sched_.requeue(static_cast<uint32_t>(p.core()), p.pid());
     const uint32_t core = static_cast<uint32_t>(p.core());
-    if (!lanes_.empty() && lanes_[core] != nullptr) {
-      lanes_[core]->instant(telemetry::TraceEventType::kRestart, p.pid(),
-                            cores_[core]->cycles(), p.restarts());
-    }
-    if (journal_ != nullptr) {
-      journal_->log({cores_[core]->cycles(), telemetry::JournalKind::kRestart,
-                     p.pid(), journal_req(p), p.restarts(), {}});
-    }
+    sched_.requeue(core, p.pid());
+    note(core, telemetry::JournalKind::kRestart, p, p.restarts());
     it = pending_restarts_.erase(it);
   }
 }
@@ -567,9 +550,13 @@ void Kernel::restore(std::istream& in) {
 }
 
 FleetReport Kernel::run() {
-  const uint32_t cores = shared_.cores();
-  const uint64_t slice = sched_.config().slice_instructions;
-  std::vector<int> running(cores, -1);
+  // Profilers and the serving hook hold host-side state the checkpoint
+  // does not carry, so a resumed run would silently diverge.
+  if ((checkpoint_round_ != 0 || restored_) &&
+      (profiling_ || service_ != nullptr)) {
+    throw std::logic_error(
+        "checkpoint/restore is unsupported with profiling or a serving hook");
+  }
   setup_telemetry();
   if (restored_ && journal_ != nullptr) {
     journal_->log({fleet_now(), telemetry::JournalKind::kRestore, 0, -1,
@@ -585,119 +572,10 @@ FleetReport Kernel::run() {
           std::make_unique<profile::Profiler>(proc->original()));
     }
   }
-  std::vector<std::map<uint32_t, uint64_t>> blame;
-
-  // Per-round state, hoisted: the round loop runs tens of thousands of
+  // Per-round state, sized once: the round loop runs tens of thousands of
   // times at smoke scale and must not allocate on its steady path.
-  auto run_slice = [&](uint32_t c) {
-    Process& p = *procs_[running[c]];
-    // The slice stops exactly on an armed injection's instruction boundary
-    // (the corruption itself lands in serial bookkeeping — race-free).
-    const uint64_t budget =
-        std::min(std::min(slice, p.remaining()), p.injection_gap());
-    const uint64_t start = cores_[c]->now();
-    const uint64_t ran = cores_[c]->run(p.emulator(), budget);
-    p.stats().instructions += ran;
-    p.stats().slices += 1;
-    // Slice cycles executed on behalf of an in-flight request are its
-    // "run" component (Process-private field — worker-thread safe).
-    if (service_ != nullptr && p.request_active()) {
-      p.add_request_run(cores_[c]->now() - start);
-    }
-    // The lane is this core's own ring, so recording from the worker
-    // thread is race-free.
-    if (!lanes_.empty() && lanes_[c] != nullptr) {
-      lanes_[c]->span(telemetry::TraceEventType::kSlice, p.pid(), start,
-                      cores_[c]->now() - start, ran);
-      if (service_ != nullptr && p.request_active()) {
-        // Flow step: this slice belongs to the request's chain.
-        lanes_[c]->instant(telemetry::TraceEventType::kReqFlowStep, p.pid(),
-                           start,
-                           telemetry::request_flow_id(p.pid(),
-                                                      p.request_id()));
-      }
-    }
-  };
-  std::vector<uint32_t> active;
-  active.reserve(cores);
-  const std::function<void(uint32_t)> run_active = [&](uint32_t i) {
-    run_slice(active[i]);
-  };
-  // The shared L2 splits commit phase B across set-index shards; with a
-  // live pool the shards run on the workers (bit-identical either way —
-  // the shard order is fixed and shards touch disjoint sets).
-  const cache::ShardExecutor shard_exec =
-      [this](uint32_t n, const std::function<void(uint32_t)>& fn) {
-        pool_->run(n, fn);
-      };
-  // Applies an already-performed re-randomization (p.try_rerandomize()
-  // returned true) to core `c`: cache invalidation, rewrite-cost stall,
-  // counters/histograms, and the epoch journal/trace events. Shared by
-  // the slice-boundary path below and the leak-triggered firing at a
-  // serving tenant's halt boundary.
-  const auto fire_rerand = [this](uint32_t c, Process& p) {
-    const RerandomizePolicy& rp = p.config().rerandomize;
-    const RerandWork& work = p.last_rerand_work();
-    if (rp.epoch_tags) {
-      // Epoch-tagged invalidation: warm DRC/bitmap state survives the
-      // swap; stale lines revalidate lazily against the patched
-      // tables on their next lookup, and the decode cache promotes
-      // clean entries across the generation bump.
-      ctx_[c]->rerandomize_current(p.randomization().vcfr.tables, true);
-    } else {
-      // Epoch bump: every cached translation of the old placement is
-      // dead (§V-C). ContextManager records the flush; the pipeline
-      // re-installs over the fresh walker at the next dispatch (the
-      // installed (pid, epoch) pair no longer matches).
-      const uint64_t drc_before = ctx_[c]->stats().entries_flushed;
-      const uint64_t bmp_before =
-          ctx_[c]->stats().bitmap_entries_flushed;
-      ctx_[c]->rerandomize_current(p.randomization().vcfr.tables);
-      p.stats().drc_entries_flushed +=
-          ctx_[c]->stats().entries_flushed - drc_before;
-      p.stats().bitmap_entries_flushed +=
-          ctx_[c]->stats().bitmap_entries_flushed - bmp_before;
-    }
-    // The rewrite itself stalls the victim core in proportion to the
-    // entries it patched — the lever that makes an incremental
-    // rebuild cheaper than a full one. 0 (default) keeps the legacy
-    // free-rerand timing bit-exactly.
-    const uint64_t cost = config_.rerand_cost_per_entry * work.entries;
-    if (cost != 0) {
-      cores_[c]->stall(cost);
-      if (profiling_) {
-        profilers_[p.pid()]->add_external(profile::Cause::kContextSwitch,
-                                          cost);
-      }
-      if (service_ != nullptr && p.request_active()) {
-        p.add_request_run(cost);
-      }
-    }
-    rerand_regions_total_ += work.regions;
-    rerand_entries_total_ += work.entries;
-    if (rerand_latency_hist_ != nullptr) {
-      rerand_latency_hist_->record(cost);
-      rerand_regions_hist_->record(work.regions);
-      rerand_entries_hist_->record(work.entries);
-    }
-    if (work.forced) {
-      ++rerand_forced_;
-      if (journal_ != nullptr) {
-        journal_->log({cores_[c]->cycles(),
-                       telemetry::JournalKind::kRerandForced, p.pid(),
-                       journal_req(p), rp.max_defer, {}});
-      }
-    }
-    if (!lanes_.empty() && lanes_[c] != nullptr) {
-      lanes_[c]->instant(telemetry::TraceEventType::kRerandEpoch,
-                         p.pid(), cores_[c]->cycles(), work.regions);
-    }
-    if (journal_ != nullptr) {
-      journal_->log({cores_[c]->cycles(),
-                     telemetry::JournalKind::kRerandEpoch, p.pid(),
-                     journal_req(p), work.regions, {}});
-    }
-  };
+  running_.assign(shared_.cores(), -1);
+  active_.reserve(shared_.cores());
 
   while (sched_.any_runnable() || !pending_restarts_.empty() ||
          (service_ != nullptr && service_->active())) {
@@ -708,228 +586,317 @@ FleetReport Kernel::run() {
     // only point where every core is parked, so delivery stays
     // bit-deterministic regardless of host thread scheduling.
     if (service_ != nullptr) service_->on_round(rounds_);
-
-    // -- dispatch (serial: touches per-core context + clocks only) -------
-    for (uint32_t c = 0; c < cores; ++c) {
-      running[c] = sched_.pick(c);
-      if (running[c] < 0) continue;
-      Process& p = *procs_[running[c]];
-      if (p.remaining() == 0 && !p.injection_due()) {
-        // Budget exhausted exactly at a slice boundary.
-        p.finish(cores_[c]->cycles(),
-                 fault::ExitStatus{fault::ExitCode::kBudget, {}});
-        if (journal_ != nullptr) {
-          journal_->log({cores_[c]->cycles(),
-                         telemetry::JournalKind::kBudget, p.pid(),
-                         journal_req(p), p.stats().instructions, {}});
-        }
-        running[c] = -1;
-        continue;
-      }
-      dispatch(c, p);
-    }
-
-    // -- execute (parallel: cores only touch private state + the frozen
-    //    shared-L2 tags, logging requests per-port) ----------------------
-    active.clear();
-    for (uint32_t c = 0; c < cores; ++c) {
-      if (running[c] >= 0) active.push_back(c);
-    }
-    if (active.size() > 1) {
-      // First multi-core round: bring up the persistent workers. The kernel
-      // thread and the workers claim active cores from one shared index, so
-      // a stalled host thread no longer serializes the round; result order
-      // stays deterministic because every simulated core's state is private
-      // until commit.
-      if (pool_ == nullptr) {
-        pool_ = std::make_unique<WorkerPool>(
-            config_.pool_workers != 0 ? config_.pool_workers : cores - 1);
-      }
-      pool_->run(static_cast<uint32_t>(active.size()), run_active);
-      ++pool_rounds_;
-    } else if (active.size() == 1) {
-      run_slice(active[0]);
-    }
-
-    // -- commit (serial decision, sharded tag application) ---------------
-    const std::vector<uint64_t> penalties = shared_.commit_round(
-        profiling_ ? &blame : nullptr, pool_ != nullptr ? &shard_exec : nullptr);
-    for (uint32_t c = 0; c < cores; ++c) cores_[c]->stall(penalties[c]);
-    if (service_ != nullptr) {
-      // A commit penalty stalls the core while its tenant's request sits
-      // finished-but-uncommitted: the request's "commit stall" component.
-      for (const uint32_t c : active) {
-        Process& p = *procs_[running[c]];
-        if (p.request_active()) p.add_request_commit(penalties[c]);
-      }
-    }
-    if (profiling_) {
-      // The penalty stalls the core; charge it to the tenant whose slice
-      // logged the requests, broken down by the interfering address space.
-      for (const uint32_t c : active) {
-        for (const auto& [asid, cyc] : blame[c]) {
-          profilers_[running[c]]->add_l2_contention(asid, cyc);
-        }
-      }
-    }
-    if (kernel_lane_ != nullptr) {
-      kernel_lane_->instant(telemetry::TraceEventType::kRoundCommit, 0,
-                            fleet_now(), rounds_);
-    }
-    if (telemetry_ != nullptr) telemetry_->sampler().poll(fleet_now());
-
-    // -- bookkeeping -----------------------------------------------------
-    for (const uint32_t c : active) {
-      Process& p = *procs_[running[c]];
-      // Armed corruption fires here: serial phase, process-private state,
-      // and the slice budget already stopped the victim on the boundary.
-      if (p.injection_due() && p.apply_injection()) {
-        ++injected_faults_;
-        if (!lanes_.empty() && lanes_[c] != nullptr) {
-          lanes_[c]->instant(telemetry::TraceEventType::kFaultInject,
-                             p.pid(), cores_[c]->cycles(),
-                             p.injector()->record().address);
-        }
-      }
-      // Taint sinks that fired during the slice surface here, in the
-      // serial phase: attribute each leak to the in-flight request,
-      // stamp the lane and journal with full provenance, and (under
-      // --rerand-on-leak) treat the exfiltration as an attack signal
-      // for the moving-target path — same scope semantics as on_trap.
-      if (p.config().taint) {
-        for (const emu::LeakRecord& leak : p.emulator().drain_leaks()) {
-          ++leaks_detected_;
-          if (leak_depth_hist_ != nullptr) {
-            leak_depth_hist_->record(leak.depth);
-          }
-          if (p.request_active()) p.note_request_leak(leak.depth);
-          if (!lanes_.empty() && lanes_[c] != nullptr) {
-            lanes_[c]->instant(telemetry::TraceEventType::kLeak, p.pid(),
-                               cores_[c]->cycles(), leak.depth);
-          }
-          if (journal_ != nullptr) {
-            journal_->log({cores_[c]->cycles(),
-                           telemetry::JournalKind::kLeak, p.pid(),
-                           journal_req(p), leak.depth,
-                           leak_detail(leak)});
-          }
-          const RerandomizePolicy& leak_rp = p.config().rerandomize;
-          if (leak_rp.on_leak && !p.rerand_pending()) {
-            ++leak_rerands_;
-            p.schedule_rerand(true);
-            if (leak_rp.scope == RerandomizePolicy::Scope::kFleet) {
-              for (const auto& other : procs_) {
-                if (other->pid() != p.pid() && !other->finished()) {
-                  other->schedule_rerand(false);
-                }
-              }
-            }
-          }
-        }
-      }
-      const auto& emu = p.emulator();
-      fault::ExitStatus exit;
-      if (emu.faulted()) {
-        // Typed trap: contain — the process leaves, the fleet keeps going.
-        exit.code = fault::ExitCode::kFaulted;
-        exit.trap = emu.trap();
-        if (journal_ != nullptr) {
-          journal_->log({cores_[c]->cycles(), telemetry::JournalKind::kFault,
-                         p.pid(), journal_req(p), exit.trap.pc,
-                         std::string(fault::kind_name(exit.trap.kind))});
-        }
-        const fault::FaultInjector* inj = p.injector();
-        if (detect_latency_hist_ != nullptr && inj != nullptr &&
-            inj->applied() &&
-            exit.trap.instruction >= inj->record().at_instruction) {
-          detect_latency_hist_->record(exit.trap.instruction -
-                                       inj->record().at_instruction);
-        }
-        // Moving-target trigger: an attack-signal trap schedules a fresh
-        // placement. The victim's restart (consider_restart below,
-        // expedited) IS its re-randomization; fleet scope additionally
-        // marks every live co-tenant, whose pending re-rand fires at its
-        // next slice boundary.
-        const RerandomizePolicy& trap_rp = p.config().rerandomize;
-        if (trap_rp.on_trap && attack_signal(exit.trap.kind)) {
-          p.schedule_rerand(true);
-          if (trap_rp.scope == RerandomizePolicy::Scope::kFleet) {
-            for (const auto& other : procs_) {
-              if (other->pid() != p.pid() && !other->finished()) {
-                other->schedule_rerand(false);
-              }
-            }
-          }
-        }
-      } else if (emu.halted()) {
-        if (service_ != nullptr) {
-          // Leak-triggered re-randomization fires at the victim's halt
-          // boundary — the request just finished, so the fresh placement
-          // lands before the tenant rearms for its next request ("re-key
-          // within one round") and the swap cannot invalidate an
-          // in-flight rearm payload. Gated on on_leak so the on_trap /
-          // periodic paths keep their existing slice-boundary timing.
-          if (p.config().rerandomize.on_leak && p.rerand_pending() &&
-              p.try_rerandomize()) {
-            fire_rerand(c, p);
-          }
-          // A serving tenant's halt is a request boundary, not an exit:
-          // the hook records the completion and either delivers the next
-          // queued request (rearm happened inside on_halt) or parks the
-          // tenant until traffic arrives.
-          const ServiceHook::HaltAction act =
-              service_->on_halt(p.pid(), cores_[c]->cycles());
-          if (act == ServiceHook::HaltAction::kRunnable) {
-            sched_.requeue(c, p.pid());
-            continue;
-          }
-          if (act == ServiceHook::HaltAction::kBlocked) {
-            sched_.block(p.pid());
-            continue;
-          }
-        }
-        exit.code = fault::ExitCode::kHalted;
-      } else if (p.config().watchdog_instructions != 0 &&
-                 p.life_instructions() >= p.config().watchdog_instructions) {
-        // Livelocked / runaway (e.g. a looping ROP chain): kill it.
-        p.emulator().raise_external(fault::FaultKind::kWatchdog);
-        exit.code = fault::ExitCode::kWatchdogKill;
-        exit.trap = p.emulator().trap();
-        ++watchdog_kills_;
-        if (journal_ != nullptr) {
-          journal_->log({cores_[c]->cycles(),
-                         telemetry::JournalKind::kWatchdog, p.pid(),
-                         journal_req(p), p.life_instructions(), {}});
-        }
-      } else if (p.remaining() == 0) {
-        exit.code = fault::ExitCode::kBudget;
-        if (journal_ != nullptr) {
-          journal_->log({cores_[c]->cycles(), telemetry::JournalKind::kBudget,
-                         p.pid(), journal_req(p), p.stats().instructions,
-                         {}});
-        }
-      }
-      if (exit.code != fault::ExitCode::kRunning) {
-        p.finish(cores_[c]->cycles(), exit);
-        consider_restart(p);
-        continue;
-      }
-      const RerandomizePolicy& rp = p.config().rerandomize;
-      const bool rerand_due =
-          (rp.every_slices != 0 && p.stats().slices % rp.every_slices == 0) ||
-          p.rerand_pending();
-      if (rerand_due && p.try_rerandomize()) fire_rerand(c, p);
-      sched_.requeue(c, p.pid());
-    }
-
-    // -- checkpoint (end of round: port logs empty, all state is member
-    //    state, every core parked — the one consistent cut) ---------------
+    dispatch_round();
+    execute_round();
+    commit_round();
+    for (const uint32_t c : active_) bookkeep(c);
+    // End of round: port logs empty, all state is member state, every
+    // core parked — the one consistent cut.
     if (checkpoint_round_ != 0 && rounds_ == checkpoint_round_) {
       write_checkpoint();
     }
   }
 
-  // -- report -------------------------------------------------------------
+  FleetReport report = make_report();
+  // run() is single-shot: freeze the registry so exports stay valid even
+  // if the caller destroys the kernel before writing files.
+  if (telemetry_ != nullptr) telemetry_->registry().freeze();
+  return report;
+}
+
+void Kernel::dispatch_round() {
+  active_.clear();
+  for (uint32_t c = 0; c < shared_.cores(); ++c) {
+    running_[c] = sched_.pick(c);
+    if (running_[c] < 0) continue;
+    Process& p = *procs_[running_[c]];
+    if (p.remaining() == 0 && !p.injection_due()) {
+      // Budget exhausted exactly at a slice boundary.
+      p.finish(cores_[c]->cycles(),
+               fault::ExitStatus{fault::ExitCode::kBudget, {}});
+      note(c, telemetry::JournalKind::kBudget, p, p.stats().instructions);
+      running_[c] = -1;
+      continue;
+    }
+    dispatch(c, p);
+    active_.push_back(c);
+  }
+}
+
+void Kernel::execute_round() {
+  if (active_.size() > 1) {
+    // First multi-core round: bring up the persistent workers. The kernel
+    // thread and the workers claim active cores from one shared index, so
+    // a stalled host thread no longer serializes the round; result order
+    // stays deterministic because every simulated core's state is private
+    // until commit.
+    if (pool_ == nullptr) {
+      pool_ = std::make_unique<WorkerPool>(config_.pool_workers != 0
+                                               ? config_.pool_workers
+                                               : shared_.cores() - 1);
+    }
+    pool_->run(static_cast<uint32_t>(active_.size()),
+               [this](uint32_t i) { run_slice(active_[i]); });
+    ++pool_rounds_;
+  } else if (active_.size() == 1) {
+    run_slice(active_[0]);
+  }
+}
+
+void Kernel::run_slice(uint32_t c) {
+  Process& p = *procs_[running_[c]];
+  // The slice stops exactly on an armed injection's instruction boundary
+  // (the corruption itself lands in serial bookkeeping — race-free).
+  const uint64_t budget =
+      std::min({sched_.config().slice_instructions, p.remaining(),
+                p.injection_gap()});
+  const uint64_t start = cores_[c]->now();
+  const uint64_t ran = cores_[c]->run(p.emulator(), budget);
+  p.stats().instructions += ran;
+  p.stats().slices += 1;
+  // Slice cycles executed on behalf of an in-flight request are its
+  // "run" component (Process-private field — worker-thread safe).
+  if (p.request_active()) p.add_request_run(cores_[c]->now() - start);
+  // The lane is this core's own ring, so recording from the worker
+  // thread is race-free.
+  if (telemetry::TraceLane* l = lane(c)) {
+    l->span(telemetry::TraceEventType::kSlice, p.pid(), start,
+            cores_[c]->now() - start, ran);
+    if (p.request_active()) {
+      // Flow step: this slice belongs to the request's chain.
+      l->instant(telemetry::TraceEventType::kReqFlowStep, p.pid(), start,
+                 telemetry::request_flow_id(p.pid(), p.request_id()));
+    }
+  }
+}
+
+void Kernel::commit_round() {
+  // The shared L2 splits commit phase B across set-index shards; with a
+  // live pool the shards run on the workers (bit-identical either way —
+  // the shard order is fixed and shards touch disjoint sets).
+  const cache::ShardExecutor shard_exec =
+      [this](uint32_t n, const std::function<void(uint32_t)>& fn) {
+        pool_->run(n, fn);
+      };
+  const std::vector<uint64_t> penalties = shared_.commit_round(
+      profiling_ ? &blame_ : nullptr, pool_ != nullptr ? &shard_exec : nullptr);
+  for (uint32_t c = 0; c < shared_.cores(); ++c) {
+    cores_[c]->stall(penalties[c]);
+  }
+  for (const uint32_t c : active_) {
+    Process& p = *procs_[running_[c]];
+    // A commit penalty stalls the core while its tenant's request sits
+    // finished-but-uncommitted: the request's "commit stall" component.
+    if (p.request_active()) p.add_request_commit(penalties[c]);
+    if (profiling_) {
+      // Charge the penalty to the tenant whose slice logged the requests,
+      // broken down by the interfering address space.
+      for (const auto& [asid, cyc] : blame_[c]) {
+        profilers_[p.pid()]->add_l2_contention(asid, cyc);
+      }
+    }
+  }
+  if (kernel_lane_ != nullptr) {
+    kernel_lane_->instant(telemetry::TraceEventType::kRoundCommit, 0,
+                          fleet_now(), rounds_);
+  }
+  if (telemetry_ != nullptr) telemetry_->sampler().poll(fleet_now());
+}
+
+void Kernel::bookkeep(uint32_t c) {
+  Process& p = *procs_[running_[c]];
+  // Armed corruption fires here: serial phase, process-private state,
+  // and the slice budget already stopped the victim on the boundary.
+  if (p.injection_due() && p.apply_injection()) {
+    ++injected_faults_;
+    if (telemetry::TraceLane* l = lane(c)) {
+      l->instant(telemetry::TraceEventType::kFaultInject, p.pid(),
+                 cores_[c]->cycles(), p.injector()->record().address);
+    }
+  }
+  // Taint sinks that fired during the slice surface here: attribute each
+  // leak to the in-flight request, note it with full provenance, and
+  // (under --rerand-on-leak) treat the exfiltration as an attack signal
+  // for the moving-target path — same scope semantics as on_trap.
+  if (p.config().taint) {
+    for (const emu::LeakRecord& leak : p.emulator().drain_leaks()) {
+      ++leaks_detected_;
+      if (leak_depth_hist_ != nullptr) leak_depth_hist_->record(leak.depth);
+      if (p.request_active()) p.note_request_leak(leak.depth);
+      note(c, telemetry::JournalKind::kLeak, p, leak.depth,
+           leak_detail(leak));
+      if (p.config().rerandomize.on_leak && !p.rerand_pending()) {
+        ++leak_rerands_;
+        schedule_rerand(p);
+      }
+    }
+  }
+  const auto& emu = p.emulator();
+  fault::ExitStatus exit;
+  if (emu.faulted()) {
+    // Typed trap: contain — the process leaves, the fleet keeps going.
+    exit.code = fault::ExitCode::kFaulted;
+    exit.trap = emu.trap();
+    note(c, telemetry::JournalKind::kFault, p, exit.trap.pc,
+         std::string(fault::kind_name(exit.trap.kind)));
+    const fault::FaultInjector* inj = p.injector();
+    if (detect_latency_hist_ != nullptr && inj != nullptr &&
+        inj->applied() &&
+        exit.trap.instruction >= inj->record().at_instruction) {
+      detect_latency_hist_->record(exit.trap.instruction -
+                                   inj->record().at_instruction);
+    }
+    // Moving-target trigger: an attack-signal trap schedules a fresh
+    // placement. The victim's restart (consider_restart below, expedited)
+    // IS its re-randomization.
+    if (p.config().rerandomize.on_trap && attack_signal(exit.trap.kind)) {
+      schedule_rerand(p);
+    }
+  } else if (emu.halted()) {
+    if (service_ != nullptr) {
+      // Leak-triggered re-randomization fires at the victim's halt
+      // boundary — the request just finished, so the fresh placement
+      // lands before the tenant rearms for its next request ("re-key
+      // within one round") and the swap cannot invalidate an in-flight
+      // rearm payload. Gated on on_leak so the on_trap / periodic paths
+      // keep their existing slice-boundary timing.
+      if (p.config().rerandomize.on_leak && p.rerand_pending() &&
+          p.try_rerandomize()) {
+        fire_rerand(c, p);
+      }
+      // A serving tenant's halt is a request boundary, not an exit: the
+      // hook records the completion and either delivers the next queued
+      // request (rearm happened inside on_halt) or parks the tenant until
+      // traffic arrives.
+      switch (service_->on_halt(p.pid(), cores_[c]->cycles())) {
+        case ServiceHook::HaltAction::kRunnable:
+          sched_.requeue(c, p.pid());
+          return;
+        case ServiceHook::HaltAction::kBlocked:
+          sched_.block(p.pid());
+          return;
+        case ServiceHook::HaltAction::kFinish:
+          break;
+      }
+    }
+    exit.code = fault::ExitCode::kHalted;
+  } else if (p.config().watchdog_instructions != 0 &&
+             p.life_instructions() >= p.config().watchdog_instructions) {
+    // Livelocked / runaway (e.g. a looping ROP chain): kill it.
+    p.emulator().raise_external(fault::FaultKind::kWatchdog);
+    exit.code = fault::ExitCode::kWatchdogKill;
+    exit.trap = p.emulator().trap();
+    ++watchdog_kills_;
+    note(c, telemetry::JournalKind::kWatchdog, p, p.life_instructions());
+  } else if (p.remaining() == 0) {
+    exit.code = fault::ExitCode::kBudget;
+    note(c, telemetry::JournalKind::kBudget, p, p.stats().instructions);
+  }
+  if (exit.code != fault::ExitCode::kRunning) {
+    p.finish(cores_[c]->cycles(), exit);
+    consider_restart(p);
+    return;
+  }
+  const RerandomizePolicy& rp = p.config().rerandomize;
+  const bool rerand_due =
+      (rp.every_slices != 0 && p.stats().slices % rp.every_slices == 0) ||
+      p.rerand_pending();
+  if (rerand_due && p.try_rerandomize()) fire_rerand(c, p);
+  sched_.requeue(c, p.pid());
+}
+
+void Kernel::fire_rerand(uint32_t c, Process& p) {
+  const RerandomizePolicy& rp = p.config().rerandomize;
+  const RerandWork& work = p.last_rerand_work();
+  if (rp.epoch_tags) {
+    // Epoch-tagged invalidation: warm DRC/bitmap state survives the swap;
+    // stale lines revalidate lazily against the patched tables on their
+    // next lookup, and the decode cache promotes clean entries across the
+    // generation bump.
+    ctx_[c]->rerandomize_current(p.randomization().vcfr.tables, true);
+  } else {
+    // Epoch bump: every cached translation of the old placement is dead
+    // (§V-C). ContextManager records the flush; the pipeline re-installs
+    // over the fresh walker at the next dispatch (the installed
+    // (pid, epoch) pair no longer matches).
+    const uint64_t drc_before = ctx_[c]->stats().entries_flushed;
+    const uint64_t bmp_before = ctx_[c]->stats().bitmap_entries_flushed;
+    ctx_[c]->rerandomize_current(p.randomization().vcfr.tables);
+    p.stats().drc_entries_flushed +=
+        ctx_[c]->stats().entries_flushed - drc_before;
+    p.stats().bitmap_entries_flushed +=
+        ctx_[c]->stats().bitmap_entries_flushed - bmp_before;
+  }
+  // The rewrite itself stalls the victim core in proportion to the entries
+  // it patched — the lever that makes an incremental rebuild cheaper than
+  // a full one. 0 (default) keeps the legacy free-rerand timing bit-exactly.
+  const uint64_t cost = config_.rerand_cost_per_entry * work.entries;
+  if (cost != 0) charge(c, p, cost);
+  rerand_regions_total_ += work.regions;
+  rerand_entries_total_ += work.entries;
+  if (rerand_latency_hist_ != nullptr) {
+    rerand_latency_hist_->record(cost);
+    rerand_regions_hist_->record(work.regions);
+    rerand_entries_hist_->record(work.entries);
+  }
+  if (work.forced) {
+    ++rerand_forced_;
+    note(c, telemetry::JournalKind::kRerandForced, p, rp.max_defer);
+  }
+  note(c, telemetry::JournalKind::kRerandEpoch, p, work.regions);
+}
+
+void Kernel::schedule_rerand(Process& p) {
+  p.schedule_rerand(true);
+  // Fleet scope also marks every live co-tenant, whose pending re-rand
+  // fires at its next slice boundary.
+  if (p.config().rerandomize.scope != RerandomizePolicy::Scope::kFleet) {
+    return;
+  }
+  for (const auto& other : procs_) {
+    if (other->pid() != p.pid() && !other->finished()) {
+      other->schedule_rerand(false);
+    }
+  }
+}
+
+void Kernel::note(uint32_t core, telemetry::JournalKind kind,
+                  const Process& p, uint64_t arg, std::string detail) {
+  const uint64_t cycle = cores_[core]->cycles();
+  if (journal_ != nullptr) {
+    journal_->log({cycle, kind, p.pid(), journal_req(p), arg,
+                   std::move(detail)});
+  }
+  telemetry::TraceLane* l = lane(core);
+  if (l == nullptr) return;
+  switch (kind) {
+    case telemetry::JournalKind::kRestart:
+      l->instant(telemetry::TraceEventType::kRestart, p.pid(), cycle, arg);
+      break;
+    case telemetry::JournalKind::kRerandEpoch:
+      l->instant(telemetry::TraceEventType::kRerandEpoch, p.pid(), cycle,
+                 arg);
+      break;
+    case telemetry::JournalKind::kLeak:
+      l->instant(telemetry::TraceEventType::kLeak, p.pid(), cycle, arg);
+      break;
+    default:
+      break;
+  }
+}
+
+void Kernel::charge(uint32_t core, Process& p, uint64_t cycles) {
+  cores_[core]->stall(cycles);
+  if (profiling_) {
+    profilers_[p.pid()]->add_external(profile::Cause::kContextSwitch, cycles);
+  }
+  // Kernel work spent on an in-flight request's tenant counts as part of
+  // *running* the request (not queueing — the scheduler had already
+  // picked it).
+  if (p.request_active()) p.add_request_run(cycles);
+}
+
+FleetReport Kernel::make_report() const {
   FleetReport report;
   report.rounds = rounds_;
   report.preemptions = sched_.preemptions();
@@ -939,7 +906,7 @@ FleetReport Kernel::run() {
   report.rerand_forced = rerand_forced_;
   report.rerand_regions_patched = rerand_regions_total_;
   report.rerand_entries_patched = rerand_entries_total_;
-  for (uint32_t c = 0; c < cores; ++c) {
+  for (uint32_t c = 0; c < shared_.cores(); ++c) {
     const auto& cs = ctx_[c]->stats();
     report.context_switches += cs.switches;
     report.drc_entries_flushed += cs.entries_flushed;
@@ -1001,9 +968,6 @@ FleetReport Kernel::run() {
     }
     report.processes.push_back(pr);
   }
-  // run() is single-shot: freeze the registry so exports stay valid even
-  // if the caller destroys the kernel before writing files.
-  if (telemetry_ != nullptr) telemetry_->registry().freeze();
   return report;
 }
 

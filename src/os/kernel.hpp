@@ -2,24 +2,23 @@
 //
 // Owns the process table, the per-core pipelines (sim::CpuCore) with their
 // private IL1/DL1/DRC/bitmap caches, the shared L2 + DRAM they contend on
-// (cache::SharedL2), and the round-robin scheduler. Each scheduler round:
+// (cache::SharedL2), and the round-robin scheduler. `run()` loops over
+// scheduler rounds, one private method per phase:
 //
-//   1. dispatch: every core picks its queue head; if the address space
-//      changed (different pid or epoch), core::ContextManager flushes the
-//      DRC and return-bitmap cache and the core pays the context-switch
-//      overhead — the paper's per-process-secret invariant;
-//   2. execute (parallel across host threads when cores > 1): each active
-//      core runs one time slice, probing the frozen shared-L2 state;
-//   3. commit (serial): the shared L2 replays all logged requests in
-//      deterministic order and each core's clock absorbs its contention
-//      penalty;
-//   4. bookkeeping: finished processes leave the table, re-randomization
-//      policies fire (deferring at non-quiescent points), survivors are
-//      requeued.
+//   1. dispatch_round: each core picks its queue head; an address-space
+//      change (pid or epoch) flushes the DRC and return-bitmap cache via
+//      core::ContextManager and charges the switch overhead;
+//   2. execute_round: each active core runs one slice (run_slice), in
+//      parallel across host threads, probing the frozen shared-L2 state;
+//   3. commit_round: the shared L2 replays the logged requests in
+//      deterministic order; each core's clock absorbs its penalty;
+//   4. bookkeep (per active core): exits, restarts, re-randomization
+//      firings (deferred at non-quiescent points), requeues.
 //
-// After the fleet drains, each process is optionally re-run in isolation
-// (same seed, fresh solo core) to verify the time-sliced architectural
-// results bit-match and to compute the multiprogramming slowdown.
+// Per-process events go through note() (journal entry, plus the trace
+// instant for restart / rerand_epoch / leak) and tenant-charged kernel
+// stalls through charge(). make_report() optionally re-runs each process
+// in isolation to verify arch results and compute its slowdown.
 #pragma once
 
 #include <cstdint>
@@ -161,7 +160,9 @@ class Kernel {
   /// boundaries are the only consistent cut — every port log is empty,
   /// every core is parked, all state is member state. 0 disarms.
   /// Unsupported in combination with profiling or a serving hook (both
-  /// hold host-side state outside the checkpoint's closure).
+  /// hold host-side state outside the checkpoint's closure): run() throws
+  /// std::logic_error when either is combined with a checkpoint or a
+  /// restore.
   void set_checkpoint(uint64_t round, std::string path) {
     checkpoint_round_ = round;
     checkpoint_path_ = std::move(path);
@@ -227,9 +228,34 @@ class Kernel {
     uint64_t due_round = 0;
   };
 
+  // One scheduler round, phase by phase (see the file comment).
+  void dispatch_round();
+  void execute_round();
+  /// Worker-thread safe: touches only `core`, its process and its lane.
+  void run_slice(uint32_t core);
+  void commit_round();
+  void bookkeep(uint32_t core);
+  [[nodiscard]] FleetReport make_report() const;
+
   /// Dispatches `pid` on `core`: context switch (flush + overhead) when
   /// the address space changed, then pipeline install.
   void dispatch(uint32_t core, Process& proc);
+  /// Applies a re-randomization `p.try_rerandomize()` just performed.
+  void fire_rerand(uint32_t core, Process& p);
+  /// Marks `p` for a fresh placement; fleet scope also marks every live
+  /// co-tenant.
+  void schedule_rerand(Process& p);
+  /// Journals a per-process event at `core`'s cycle; restart,
+  /// rerand_epoch and leak also land as an instant on `core`'s lane.
+  void note(uint32_t core, telemetry::JournalKind kind, const Process& p,
+            uint64_t arg, std::string detail = {});
+  /// A tenant-charged kernel stall (context switch, re-rand rewrite):
+  /// the core stall, the profiler external and the request's run time.
+  void charge(uint32_t core, Process& p, uint64_t cycles);
+  /// `core`'s trace lane, or null when tracing is off.
+  [[nodiscard]] telemetry::TraceLane* lane(uint32_t core) const {
+    return lanes_.empty() ? nullptr : lanes_[core];
+  }
   /// Containment decision for a finished process: queue a restart when its
   /// policy says so and the cap allows (backoff doubles per restart).
   void consider_restart(const Process& proc);
@@ -278,6 +304,11 @@ class Kernel {
   /// Injections that took effect (fault.injected.* counts by site).
   uint64_t injected_faults_ = 0;
   std::vector<PendingRestart> pending_restarts_;
+  /// Per-round state: each core's dispatched pid (-1 = idle), the cores
+  /// running a slice, and (profiling only) commit penalty by asid.
+  std::vector<int> running_;
+  std::vector<uint32_t> active_;
+  std::vector<std::map<uint32_t, uint64_t>> blame_;
   /// fault.detect_latency (injection → trap, in instructions); null when
   /// telemetry is not attached.
   telemetry::Histogram* detect_latency_hist_ = nullptr;

@@ -3,11 +3,13 @@
 // same simulated machine, so every observable report must be
 // byte-identical to the legacy single-barrier, caller-runs paths. Also
 // covers checkpoint/restore: a run resumed from a mid-campaign
-// checkpoint must finish with the exact bytes of the uninterrupted run.
+// checkpoint must finish with the exact bytes of the uninterrupted run,
+// and the kernel refuses checkpoints it cannot resume faithfully.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -252,6 +254,55 @@ TEST(CheckpointRestoreTest, RestoreRejectsTruncatedStream) {
   os::Kernel kernel(fleet_config(4, 8));
   spawn_mix(kernel, 8, 7);
   EXPECT_THROW(kernel.restore(cut), binary::FormatError);
+}
+
+/// A serving hook that never injects work: enough to mark the kernel as
+/// serving.
+class IdleService : public os::ServiceHook {
+ public:
+  void on_round(uint64_t) override {}
+  HaltAction on_halt(uint32_t, uint64_t) override {
+    return HaltAction::kFinish;
+  }
+  [[nodiscard]] bool active() const override { return false; }
+};
+
+// Profilers and a serving hook hold host-side state outside the
+// checkpoint, so the kernel refuses to write or resume one with either,
+// before the first round runs.
+TEST(CheckpointRestoreTest, RunRejectsCheckpointWithProfilingOrService) {
+  const std::string path = testing::TempDir() + "vcfr_ckpt_unsupported.bin";
+  {
+    os::Kernel kernel(fleet_config(2, 8));
+    spawn_mix(kernel, 2, 7);
+    kernel.set_checkpoint(8, path);
+    (void)kernel.run();
+    ASSERT_EQ(kernel.checkpoint_writes(), 1u);
+  }
+  IdleService service;
+  for (const bool restore : {false, true}) {
+    for (const bool profile : {true, false}) {
+      os::Kernel kernel(fleet_config(2, 8));
+      spawn_mix(kernel, 2, 7);
+      if (profile) {
+        kernel.enable_profiling();
+      } else {
+        kernel.set_service(&service);
+      }
+      if (restore) {
+        std::ifstream in(path, std::ios::binary);
+        kernel.restore(in);
+      } else {
+        kernel.set_checkpoint(4, testing::TempDir() + "vcfr_ckpt_never.bin");
+      }
+      const uint64_t before = kernel.process(0).stats().instructions;
+      EXPECT_THROW((void)kernel.run(), std::logic_error)
+          << "restore=" << restore << " profile=" << profile;
+      EXPECT_EQ(kernel.checkpoint_writes(), 0u);
+      EXPECT_EQ(kernel.process(0).stats().instructions, before)
+          << "rejected before the first round";
+    }
+  }
 }
 
 }  // namespace

@@ -17,10 +17,13 @@ conservation invariant from `vcfr serve --latency-out`:
 
 Leak instants (--taint runs) are validated wherever they appear: every
 "leak" event must be an instant on a core lane with a positive depth.
-With --journal JOURNAL.JSONL, the trace's leak instants are also
-cross-referenced against the flight recorder's "leak" entries — same
-count, same depth multiset — so a firing can't be traced but not
-journaled (or vice versa).
+With --journal JOURNAL.JSONL, every journal kind the kernel pairs with a
+trace instant (restart, rerand_epoch, leak) is cross-referenced: the
+multiset of journal (kind, pid, cycle, arg) must equal the multiset of
+trace instants (name, tid, ts, args.v), so an event can't be traced but
+not journaled (or vice versa). The comparison is skipped, with a
+message, when the trace dropped events or the journal ring evicted
+entries (a complete journal opens with pid 0's spawn entry).
 
 Usage: validate_trace.py TRACE.JSON [--csv LATENCY.CSV]
                                     [--journal JOURNAL.JSONL]
@@ -29,6 +32,10 @@ Usage: validate_trace.py TRACE.JSON [--csv LATENCY.CSV]
 import csv
 import json
 import sys
+from collections import Counter
+
+# Journal kinds the kernel also records as a trace instant of that name.
+PAIRED_KINDS = ("restart", "rerand_epoch", "leak")
 
 
 def fail(errors, msg):
@@ -43,16 +50,16 @@ def validate_trace(path, errors):
             doc = json.load(f)
         except json.JSONDecodeError as e:
             fail(errors, f"{path}: not valid JSON: {e}")
-            return
+            return None, 0
     events = doc.get("traceEvents")
     if not isinstance(events, list):
         fail(errors, f"{path}: no traceEvents array")
-        return
+        return None, 0
 
     last_ts = {}  # pid -> last seen ts
     flows = {}  # flow id -> {"s": n, "t": n, "f": n, "s_ts": ts, "f_ts": ts}
     lane_names = {}  # pid -> process_name metadata
-    leak_depths = []  # args.v of every "leak" instant, in order
+    paired = Counter()  # (name, tid, ts, args.v) of PAIRED_KINDS instants
     n_real = 0
     for i, e in enumerate(events):
         ph = e.get("ph")
@@ -85,7 +92,9 @@ def validate_trace(path, errors):
             if lane and not lane.startswith("core"):
                 fail(errors, f"{path}: leak event {i} sits on lane "
                              f"{lane!r} (want a core lane)")
-            leak_depths.append(depth)
+        if ph == "i" and e.get("name") in PAIRED_KINDS:
+            paired[(e["name"], e.get("tid"), ts,
+                    e.get("args", {}).get("v"))] += 1
         if ph in ("s", "t", "f"):
             fid = e.get("id")
             if fid is None:
@@ -114,14 +123,16 @@ def validate_trace(path, errors):
 
     print(
         f"{path}: {n_real} events across {len(last_ts)} lanes, "
-        f"{len(flows)} request flows, {len(leak_depths)} leak instants"
+        f"{len(flows)} request flows, "
+        f"{sum(n for k, n in paired.items() if k[0] == 'leak')} leak instants"
     )
-    return leak_depths
+    return paired, doc.get("meta_dropped_events", 0)
 
 
-def validate_journal(path, trace_leak_depths, errors):
-    """Cross-references flight-recorder "leak" entries with the trace."""
-    journal_depths = []
+def validate_journal(path, trace_paired, trace_dropped, errors):
+    """Cross-references the journal's PAIRED_KINDS entries with the trace."""
+    paired = Counter()
+    first = None
     with open(path, "r", encoding="utf-8") as f:
         for n, line in enumerate(f):
             line = line.strip()
@@ -132,7 +143,13 @@ def validate_journal(path, trace_leak_depths, errors):
             except json.JSONDecodeError as e:
                 fail(errors, f"{path}: line {n + 1} is not JSON: {e}")
                 continue
-            if entry.get("kind") != "leak":
+            if first is None:
+                first = entry
+            kind = entry.get("kind")
+            if kind in PAIRED_KINDS:
+                paired[(kind, entry.get("pid"), entry.get("cycle"),
+                        entry.get("arg"))] += 1
+            if kind != "leak":
                 continue
             depth = entry.get("arg")
             if not isinstance(depth, int) or depth < 1:
@@ -142,17 +159,27 @@ def validate_journal(path, trace_leak_depths, errors):
             if "origin=" not in detail or "sink=" not in detail:
                 fail(errors, f"{path}: leak entry line {n + 1} lacks "
                              f"provenance detail: {detail!r}")
-            journal_depths.append(depth)
-    if trace_leak_depths is not None:
-        if len(journal_depths) != len(trace_leak_depths):
-            fail(errors,
-                 f"{path}: {len(journal_depths)} journaled leaks vs "
-                 f"{len(trace_leak_depths)} trace leak instants")
-        elif sorted(journal_depths) != sorted(trace_leak_depths):
-            fail(errors, f"{path}: journaled leak depths disagree with the "
-                         f"trace's leak instants")
-    print(f"{path}: {len(journal_depths)} journaled leaks, trace agrees"
-          if not errors else f"{path}: {len(journal_depths)} journaled leaks")
+    counts = ", ".join(
+        f"{sum(n for k, n in paired.items() if k[0] == kind)} {kind}"
+        for kind in PAIRED_KINDS)
+    journal_complete = first is None or (first.get("kind") == "spawn" and
+                                         first.get("pid") == 0)
+    if trace_paired is None:
+        return
+    if trace_dropped or not journal_complete:
+        print(f"{path}: {counts}; cross-check skipped: "
+              + ("the trace dropped events" if trace_dropped else
+                 "the journal ring evicted entries"))
+        return
+    if paired != trace_paired:
+        only_journal = sorted(paired - trace_paired)
+        only_trace = sorted(trace_paired - paired)
+        fail(errors,
+             f"{path}: {len(only_journal)} (kind, pid, cycle, arg) entries "
+             f"have no trace instant, {len(only_trace)} trace instants have "
+             f"no entry; first: {(only_journal + only_trace)[0]}")
+    print(f"{path}: {counts}, trace agrees" if not errors else
+          f"{path}: {counts}")
 
 
 def validate_csv(path, errors):
@@ -198,11 +225,11 @@ def main(argv):
         journal_path = argv[i + 1]
 
     errors = []
-    leak_depths = validate_trace(trace_path, errors)
+    paired, dropped = validate_trace(trace_path, errors)
     if csv_path:
         validate_csv(csv_path, errors)
     if journal_path:
-        validate_journal(journal_path, leak_depths, errors)
+        validate_journal(journal_path, paired, dropped, errors)
     if errors:
         print(f"{len(errors)} validation failures", file=sys.stderr)
         return 1

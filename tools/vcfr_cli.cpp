@@ -611,13 +611,6 @@ int cmd_fleet(const Args& args) {
     throw std::runtime_error(
         "--checkpoint-out and --checkpoint-round go together");
   }
-  if (!args.checkpoint_out.empty() && !args.profile_out.empty()) {
-    throw std::runtime_error("--checkpoint-out is incompatible with "
-                             "--profile-out");
-  }
-  if (!args.restore_in.empty() && !args.profile_out.empty()) {
-    throw std::runtime_error("--restore is incompatible with --profile-out");
-  }
 
   // Workloads: explicit comma-separated list, or cycle the SPEC-like
   // suite in the paper's order.
