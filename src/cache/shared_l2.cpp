@@ -9,7 +9,6 @@ namespace vcfr::cache {
 namespace {
 
 constexpr uint32_t kAsidHash = 2654435761u;  // Knuth multiplicative hash
-constexpr uint32_t kMaxShards = 64;          // touched bitmap is a uint64_t
 
 [[nodiscard]] bool is_demand_read(const L2Request& r) {
   return !r.write && r.source != L2Source::kIl1Prefetch;
@@ -30,9 +29,6 @@ AccessResult SharedL2Port::read(uint32_t line, uint32_t asid, uint64_t now,
                   .source = source,
                   .write = false,
                   .est_latency = result.latency});
-  if (owner_->shards() > 0) {
-    touched_ |= 1ull << owner_->shard_of(owner_->set_index(asid, line));
-  }
   return result;
 }
 
@@ -43,9 +39,6 @@ void SharedL2Port::writeback(uint32_t line, uint32_t asid, uint64_t now) {
                   .source = L2Source::kDl1,
                   .write = true,
                   .est_latency = 0});
-  if (owner_->shards() > 0) {
-    touched_ |= 1ull << owner_->shard_of(owner_->set_index(asid, line));
-  }
 }
 
 SharedL2::SharedL2(const SharedL2Config& config, uint32_t cores)
@@ -54,10 +47,6 @@ SharedL2::SharedL2(const SharedL2Config& config, uint32_t cores)
   for (line_shift_ = 0; (1u << line_shift_) < config_.l2.line_bytes;
        ++line_shift_) {
   }
-  shards_ = std::min({config_.commit_shards, kMaxShards, num_sets_});
-  sets_per_shard_ =
-      shards_ == 0 ? num_sets_ : (num_sets_ + shards_ - 1) / shards_;
-  if (sets_per_shard_ == 0) sets_per_shard_ = 1;
   lines_.resize(static_cast<size_t>(num_sets_) * config_.l2.assoc);
   ports_.resize(cores);
   for (uint32_t c = 0; c < cores; ++c) {
@@ -136,43 +125,8 @@ uint32_t SharedL2::apply(const L2Request& request, uint64_t start) {
   return config_.l2.hit_latency + dram_latency;
 }
 
-void SharedL2::apply_tags(PendingOp& op, ShardDelta& delta) {
-  const L2Request& request = *op.req;
-  const uint64_t key = key_of(request.asid, request.line);
-  Line* base = &lines_[static_cast<size_t>(op.set) * config_.l2.assoc];
-
-  for (uint32_t w = 0; w < config_.l2.assoc; ++w) {
-    if (base[w].valid && base[w].key == key) {
-      ++delta.hits;
-      base[w].lru = op.lru_tick;
-      if (request.write) base[w].dirty = true;
-      op.hit = true;
-      return;
-    }
-  }
-
-  ++delta.misses;
-  Line* victim = base;
-  for (uint32_t w = 1; w < config_.l2.assoc; ++w) {
-    if (!base[w].valid) {
-      victim = &base[w];
-      break;
-    }
-    if (base[w].lru < victim->lru) victim = &base[w];
-  }
-  op.hit = false;
-  op.victim_dirty = victim->valid && victim->dirty;
-  op.victim_key = victim->key;
-  if (op.victim_dirty) ++delta.writebacks;
-  victim->valid = true;
-  victim->dirty = request.write;
-  victim->key = key;
-  victim->lru = op.lru_tick;
-}
-
 std::vector<uint64_t> SharedL2::commit_round(
-    std::vector<std::map<uint32_t, uint64_t>>* blame,
-    const ShardExecutor* executor) {
+    std::vector<std::map<uint32_t, uint64_t>>* blame) {
   std::vector<uint64_t> penalty(ports_.size(), 0);
   if (blame != nullptr) {
     blame->clear();
@@ -199,151 +153,38 @@ std::vector<uint64_t> SharedL2::commit_round(
     return a.seq < b.seq;
   });
 
-  if (shards_ == 0) {
-    // Legacy single-barrier replay: one serial pass interleaving port
-    // queueing, tag updates, and DRAM. Kept verbatim as the differential
-    // reference for the sharded path below.
-    uint64_t port_free = 0;
-    uint32_t port_owner_asid = 0;
-    for (const Ref& ref : order) {
-      const L2Request& request = ports_[ref.core].log_[ref.seq];
-      const uint64_t start = std::max(request.now, port_free);
-      const uint64_t queued = start - request.now;
-      const uint32_t blocker_asid = port_owner_asid;
-      port_free = start + config_.service_cycles;
-      port_owner_asid = request.asid;
-      // The DRAM model tracks absolute bank-busy horizons, so it must see
-      // a monotonic clock even though core clocks drift between rounds;
-      // the clamp never reaches the penalty arithmetic.
-      serve_now_ = std::max(serve_now_, start);
-      const uint32_t actual = apply(request, serve_now_);
-      ++stats_.commits;
-      if (is_demand_read(request)) {
-        stats_.queue_delay_cycles += queued;
-        penalty[ref.core] += queued;
-        if (blame != nullptr && queued > 0) {
-          (*blame)[ref.core][blocker_asid] += queued;
-        }
-        if (actual > request.est_latency) {
-          penalty[ref.core] += actual - request.est_latency;
-          if (blame != nullptr) {
-            (*blame)[ref.core][request.asid] += actual - request.est_latency;
-          }
-        }
-      }
-    }
-    for (auto& port : ports_) port.log_.clear();
-    return penalty;
-  }
-
-  // Sharded commit. Phase A (serial): the port-queueing model and every
-  // tag-independent statistic, identical arithmetic to the legacy pass,
-  // plus each request's LRU tick precomputed from the global order (the
-  // legacy pass increments tick_ exactly once per request) and the
-  // per-shard buckets for phase B.
-  std::vector<PendingOp> ops(order.size());
-  uint64_t touched_bits = 0;
-  for (const auto& port : ports_) touched_bits |= port.touched_;
-  std::vector<uint32_t> touched;
-  std::vector<std::vector<uint32_t>> buckets(shards_);
-  for (uint32_t s = 0; s < shards_; ++s) {
-    if ((touched_bits >> s) & 1) touched.push_back(s);
-  }
-  shards_touched_ += touched.size();
-
+  // One serial pass in the merged order, interleaving port queueing, tag
+  // updates and DRAM.
   uint64_t port_free = 0;
   uint32_t port_owner_asid = 0;
-  for (uint32_t i = 0; i < order.size(); ++i) {
-    const Ref& ref = order[i];
+  for (const Ref& ref : order) {
     const L2Request& request = ports_[ref.core].log_[ref.seq];
     const uint64_t start = std::max(request.now, port_free);
     const uint64_t queued = start - request.now;
     const uint32_t blocker_asid = port_owner_asid;
     port_free = start + config_.service_cycles;
     port_owner_asid = request.asid;
+    // The DRAM model tracks absolute bank-busy horizons, so it must see
+    // a monotonic clock even though core clocks drift between rounds;
+    // the clamp never reaches the penalty arithmetic.
     serve_now_ = std::max(serve_now_, start);
-
-    PendingOp& op = ops[i];
-    op.req = &request;
-    op.serve_at = serve_now_;
-    op.lru_tick = tick_ + i + 1;
-    op.set = set_index(request.asid, request.line);
-    op.core = ref.core;
-    buckets[shard_of(op.set)].push_back(i);
-
+    const uint32_t actual = apply(request, serve_now_);
     ++stats_.commits;
-    ++stats_.l2.accesses;
-    switch (request.source) {
-      case L2Source::kIl1: ++stats_.pressure.reads_from_il1; break;
-      case L2Source::kDl1: ++stats_.pressure.reads_from_dl1; break;
-      case L2Source::kIl1Prefetch:
-        ++stats_.pressure.reads_from_il1_prefetch;
-        break;
-      case L2Source::kDrc: ++stats_.pressure.reads_from_drc; break;
-    }
     if (is_demand_read(request)) {
-      ++reads_by_asid_[request.asid];
       stats_.queue_delay_cycles += queued;
       penalty[ref.core] += queued;
       if (blame != nullptr && queued > 0) {
         (*blame)[ref.core][blocker_asid] += queued;
       }
-    }
-  }
-  tick_ += order.size();
-
-  // Phase B (parallel): tag application per touched shard. A set never
-  // spans shards, so tasks share no lines; within a shard the bucket
-  // preserves global order, and the precomputed ticks make the lru fields
-  // bit-identical to the serial replay. Stat deltas are task-private and
-  // merged below in shard order.
-  std::vector<ShardDelta> deltas(touched.size());
-  const std::function<void(uint32_t)> run_shard = [&](uint32_t t) {
-    ShardDelta& delta = deltas[t];
-    for (const uint32_t i : buckets[touched[t]]) {
-      apply_tags(ops[i], delta);
-    }
-  };
-  if (executor != nullptr) {
-    (*executor)(static_cast<uint32_t>(touched.size()), run_shard);
-  } else {
-    for (uint32_t t = 0; t < touched.size(); ++t) run_shard(t);
-  }
-  for (const ShardDelta& delta : deltas) {
-    stats_.l2.hits += delta.hits;
-    stats_.l2.misses += delta.misses;
-    stats_.l2.writebacks += delta.writebacks;
-  }
-
-  // Phase C (serial): DRAM replay in the merged global order — the bank
-  // model is order-dependent — and latency reconciliation against the
-  // execute-phase estimates.
-  for (const PendingOp& op : ops) {
-    const L2Request& request = *op.req;
-    uint32_t actual = config_.l2.hit_latency;
-    if (!op.hit) {
-      const uint32_t dram_latency =
-          dram_.read(fold_phys(request.asid, request.line),
-                     op.serve_at + config_.l2.hit_latency);
-      if (op.victim_dirty) {
-        dram_.write(fold_phys(static_cast<uint32_t>(op.victim_key >> 32),
-                              static_cast<uint32_t>(op.victim_key)),
-                    op.serve_at + config_.l2.hit_latency + dram_latency);
-      }
-      actual += dram_latency;
-    }
-    if (is_demand_read(request) && actual > request.est_latency) {
-      penalty[op.core] += actual - request.est_latency;
-      if (blame != nullptr) {
-        (*blame)[op.core][request.asid] += actual - request.est_latency;
+      if (actual > request.est_latency) {
+        penalty[ref.core] += actual - request.est_latency;
+        if (blame != nullptr) {
+          (*blame)[ref.core][request.asid] += actual - request.est_latency;
+        }
       }
     }
   }
-
-  for (auto& port : ports_) {
-    port.log_.clear();
-    port.touched_ = 0;
-  }
+  for (auto& port : ports_) port.log_.clear();
   return penalty;
 }
 
@@ -354,7 +195,6 @@ void SharedL2::register_stats(const telemetry::Scope& scope) const {
   scope.counter("writebacks", &stats_.l2.writebacks);
   scope.counter("queue_delay_cycles", &stats_.queue_delay_cycles);
   scope.counter("commits", &stats_.commits);
-  scope.counter("shards_touched", &shards_touched_);
   scope.gauge("miss_rate", [this] { return stats_.l2.miss_rate(); });
   const telemetry::Scope pressure = scope.scope("pressure");
   pressure.counter("il1", &stats_.pressure.reads_from_il1);
@@ -367,7 +207,6 @@ void SharedL2::register_stats(const telemetry::Scope& scope) const {
 void SharedL2::save_state(binary::StateWriter& w) const {
   w.u64(tick_);
   w.u64(serve_now_);
-  w.u64(shards_touched_);
   w.u32(static_cast<uint32_t>(lines_.size()));
   for (const Line& line : lines_) {
     w.b(line.valid);
@@ -399,7 +238,6 @@ void SharedL2::save_state(binary::StateWriter& w) const {
 void SharedL2::load_state(binary::StateReader& r) {
   tick_ = r.u64();
   serve_now_ = r.u64();
-  shards_touched_ = r.u64();
   const uint32_t n = r.count(1u << 28);
   if (n != lines_.size()) {
     throw binary::FormatError(binary::FormatFault::kImplausible,

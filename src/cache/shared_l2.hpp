@@ -22,25 +22,6 @@
 //     under-charged — which the kernel adds to the core's clock before the
 //     next round.
 //
-// At fleet scale the commit replay itself becomes the barrier, so it is
-// *sharded by set index*: the tag array is split into up to 64 contiguous
-// set-range shards, each port records a touched-shard bitmap during the
-// execute phase, and the commit splits into three sub-phases —
-//
-//   A (serial)   port-queueing model, per-request serve times and LRU
-//                ticks, per-shard request buckets (tag-independent);
-//   B (parallel) per-shard tag application — hit/miss, victim choice,
-//                LRU update. Sets never span shards, so shards share no
-//                state; per-shard {hits,misses,writebacks} deltas are
-//                merged once, in shard order, after the barrier;
-//   C (serial)   DRAM replay + latency reconciliation in the merged
-//                global order (the DRAM bank model is order-dependent).
-//
-// Phase A precomputes each request's LRU tick from the global order, so
-// the tag array (lru fields included) evolves bit-identically to the
-// legacy single-barrier replay; commit_shards = 0 keeps the legacy path
-// for differential testing.
-//
 // Lines are tagged with the owning process's address-space id, so two
 // processes loaded at identical virtual addresses never alias (their
 // backing physical pages are distinct); the asid also perturbs the set
@@ -48,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -75,9 +55,7 @@ struct SharedL2Config {
   uint32_t est_miss_latency = 40;
   /// L2 port occupancy per request (queueing-model service time).
   uint32_t service_cycles = 1;
-  /// Set-index shards for the parallel commit sub-phase; clamped to
-  /// min(64, num_sets). 0 = legacy single-barrier serial replay (results
-  /// are bit-identical either way — the differential tests pin this).
+  /// Ignored: perfbench/ still assigns it; the next benchmark change drops it.
   uint32_t commit_shards = 8;
 };
 
@@ -101,12 +79,6 @@ struct L2Request {
 
 class SharedL2;
 
-/// Runs fn(0) .. fn(tasks-1) concurrently (or inline) and returns once
-/// all complete — how the kernel lends its worker pool to the commit's
-/// parallel shard phase without cache/ depending on os/.
-using ShardExecutor =
-    std::function<void(uint32_t, const std::function<void(uint32_t)>&)>;
-
 /// Per-core adapter handed to that core's MemHier. During the execute
 /// phase it probes the frozen shared state and logs the request; only the
 /// owning core touches it, so no locking is needed.
@@ -121,7 +93,6 @@ class SharedL2Port {
   SharedL2* owner_ = nullptr;
   uint32_t core_ = 0;
   std::vector<L2Request> log_;
-  uint64_t touched_ = 0;  // shard bitmap for this round's requests
 };
 
 class SharedL2 {
@@ -143,13 +114,8 @@ class SharedL2 {
   /// under-estimated miss latency on the requester itself (its own miss
   /// cost, merely discovered late). Each map's values sum exactly to the
   /// core's penalty — the fleet profiler's contention attribution.
-  ///
-  /// With `executor` non-null and commit_shards > 0 the tag-application
-  /// sub-phase runs one task per touched shard through it; null runs the
-  /// shards inline. Either way the result is bit-identical.
   std::vector<uint64_t> commit_round(
-      std::vector<std::map<uint32_t, uint64_t>>* blame = nullptr,
-      const ShardExecutor* executor = nullptr);
+      std::vector<std::map<uint32_t, uint64_t>>* blame = nullptr);
 
   /// Read-only probe against the committed state (execute phase).
   [[nodiscard]] bool probe(uint32_t asid, uint32_t line) const;
@@ -161,11 +127,6 @@ class SharedL2 {
   [[nodiscard]] const std::map<uint32_t, uint64_t>& reads_by_asid() const {
     return reads_by_asid_;
   }
-  /// Effective shard count after clamping (0 = legacy serial replay).
-  [[nodiscard]] uint32_t shards() const { return shards_; }
-  /// Cumulative touched-shard count across commits (observability; lives
-  /// outside SharedL2Stats so fleet report JSON stays unchanged).
-  [[nodiscard]] uint64_t shards_touched() const { return shards_touched_; }
 
   /// Binds the shared cache + its DRAM channel into `scope`.
   void register_stats(const telemetry::Scope& scope) const;
@@ -176,8 +137,6 @@ class SharedL2 {
   void load_state(binary::StateReader& r);
 
  private:
-  friend class SharedL2Port;
-
   struct Line {
     bool valid = false;
     bool dirty = false;
@@ -185,28 +144,7 @@ class SharedL2 {
     uint64_t lru = 0;
   };
 
-  /// Carries one request through the commit sub-phases.
-  struct PendingOp {
-    const L2Request* req = nullptr;
-    uint64_t serve_at = 0;   // phase A: monotonic replay clock at service
-    uint64_t lru_tick = 0;   // phase A: precomputed global LRU tick
-    uint32_t set = 0;
-    uint32_t core = 0;
-    bool hit = false;        // phase B results
-    bool victim_dirty = false;
-    uint64_t victim_key = 0;
-  };
-
-  struct ShardDelta {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t writebacks = 0;
-  };
-
   [[nodiscard]] uint32_t set_index(uint32_t asid, uint32_t line) const;
-  [[nodiscard]] uint32_t shard_of(uint32_t set) const {
-    return set / sets_per_shard_;
-  }
   [[nodiscard]] static uint64_t key_of(uint32_t asid, uint32_t line) {
     return (static_cast<uint64_t>(asid) << 32) | line;
   }
@@ -215,25 +153,17 @@ class SharedL2 {
   [[nodiscard]] uint32_t fold_phys(uint32_t asid, uint32_t line) const;
 
   /// Replays one request; returns its authoritative latency (reads only).
-  /// Legacy (commit_shards = 0) single-barrier path.
   uint32_t apply(const L2Request& request, uint64_t start);
-
-  /// Phase B: applies one request's tag-array effects (hit/victim/LRU)
-  /// using the phase-A-precomputed tick; fills op's result fields.
-  void apply_tags(PendingOp& op, ShardDelta& delta);
 
   SharedL2Config config_;
   uint32_t num_sets_ = 0;
   uint32_t line_shift_ = 0;
-  uint32_t shards_ = 0;          // effective (clamped) shard count
-  uint32_t sets_per_shard_ = 1;
   std::vector<Line> lines_;
   uint64_t tick_ = 0;
   /// Monotonic commit-replay clock: the DRAM model's bank-busy horizons
   /// are absolute, so replays must never step time backwards even when a
   /// lagging core's requests carry older cycle numbers.
   uint64_t serve_now_ = 0;
-  uint64_t shards_touched_ = 0;
   dram::Dram dram_;
   SharedL2Stats stats_;
   std::map<uint32_t, uint64_t> reads_by_asid_;

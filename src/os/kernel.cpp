@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <istream>
 #include <stdexcept>
 
@@ -53,7 +52,7 @@ struct Fnv {
 };
 
 constexpr char kCheckpointMagic[4] = {'V', 'C', 'K', 'P'};
-constexpr uint32_t kCheckpointVersion = 1;
+constexpr uint32_t kCheckpointVersion = 2;
 
 }  // namespace
 
@@ -377,9 +376,8 @@ void Kernel::setup_telemetry() {
 }
 
 uint64_t Kernel::config_digest() const {
-  // Everything that shapes simulated state belongs here; host-parallelism
-  // knobs (pool_workers, and commit_shards — the sharded commit is
-  // bit-identical to the legacy path) deliberately do not.
+  // Everything that shapes simulated state belongs here; the
+  // host-parallelism knob pool_workers deliberately does not.
   Fnv d;
   d.mix(shared_.cores());
   d.mix(config_.sched.slice_instructions);
@@ -671,15 +669,8 @@ void Kernel::run_slice(uint32_t c) {
 }
 
 void Kernel::commit_round() {
-  // The shared L2 splits commit phase B across set-index shards; with a
-  // live pool the shards run on the workers (bit-identical either way —
-  // the shard order is fixed and shards touch disjoint sets).
-  const cache::ShardExecutor shard_exec =
-      [this](uint32_t n, const std::function<void(uint32_t)>& fn) {
-        pool_->run(n, fn);
-      };
-  const std::vector<uint64_t> penalties = shared_.commit_round(
-      profiling_ ? &blame_ : nullptr, pool_ != nullptr ? &shard_exec : nullptr);
+  const std::vector<uint64_t> penalties =
+      shared_.commit_round(profiling_ ? &blame_ : nullptr);
   for (uint32_t c = 0; c < shared_.cores(); ++c) {
     cores_[c]->stall(penalties[c]);
   }

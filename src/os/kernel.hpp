@@ -199,8 +199,7 @@ class Kernel {
 
   /// Execute-phase rounds dispatched through the persistent worker pool
   /// (0 when the run never had more than one active core — everything ran
-  /// inline). Commit-phase shard fan-outs reuse the same pool but are not
-  /// execute rounds and are not counted here.
+  /// inline).
   [[nodiscard]] uint64_t pool_rounds() const { return pool_rounds_; }
   /// Host threads the pool owns (0 until run() first needs it).
   [[nodiscard]] uint32_t pool_workers() const {
@@ -321,13 +320,11 @@ class Kernel {
   /// fleet.leak.depth — propagation depth of each drained leak (null
   /// unless telemetry is attached and some process has taint armed).
   telemetry::Histogram* leak_depth_hist_ = nullptr;
-  /// Persistent workers, created lazily on the first round that has two
-  /// or more active cores; also drives the commit phase's per-shard tag
-  /// application. Replaces per-round thread spawn/join; see
-  /// os/worker_pool.hpp for the determinism argument.
+  /// Persistent execute-phase workers, created lazily on the first round
+  /// that has two or more active cores. Replaces per-round thread
+  /// spawn/join; see os/worker_pool.hpp for the determinism argument.
   std::unique_ptr<WorkerPool> pool_;
-  /// Execute-phase pool dispatches (commit-phase shard fan-outs are not
-  /// counted).
+  /// Execute-phase pool dispatches.
   uint64_t pool_rounds_ = 0;
 
   // Checkpoint / restore (see set_checkpoint).

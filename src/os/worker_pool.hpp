@@ -1,5 +1,4 @@
-// Persistent worker pool for the fleet kernel's execute phase (and the
-// sharded round commit's parallel tag application).
+// Persistent worker pool for the fleet kernel's execute phase.
 //
 // The kernel used to spawn and join a fresh std::thread per active core
 // every scheduler round — at smoke-scale slice lengths the spawn/join cost

@@ -511,7 +511,6 @@ ServeReport run_serve(const ServeConfig& config,
   kc.cpu.drc.entries = config.drc_entries;
   kc.measure_isolated = false;
   kc.pool_workers = config.pool_workers;
-  kc.shared_l2.commit_shards = config.commit_shards;
   kc.rerand_cost_per_entry = config.rerand_cost_per_entry;
   os::Kernel kernel(kc);
   if (telemetry != nullptr) kernel.attach_telemetry(telemetry);

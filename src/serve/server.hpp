@@ -71,8 +71,7 @@ struct ServeConfig {
   /// Execute-phase worker-pool size; 0 = auto (cores - 1). Host
   /// parallelism only — simulated results are bit-identical.
   uint32_t pool_workers = 0;
-  /// Shared-L2 commit shards (0 = legacy single-barrier replay; results
-  /// are bit-identical either way).
+  /// Ignored: perfbench/ still assigns it; the next benchmark change drops it.
   uint32_t commit_shards = 8;
 };
 

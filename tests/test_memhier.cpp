@@ -1,8 +1,13 @@
 // Memory-hierarchy composition tests: latency stacking, prefetcher flow,
-// L2 pressure attribution, and the DRC table-walk path.
+// L2 pressure attribution, the fleet's shared-L2 round commit, and the DRC
+// table-walk path.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "cache/memhier.hpp"
+#include "cache/shared_l2.hpp"
 #include "core/drc.hpp"
 #include "core/ret_bitmap.hpp"
 #include "core/translation.hpp"
@@ -93,6 +98,121 @@ TEST(MemHierTest, DirtyL1EvictionsReachL2) {
   const auto r = m.dread(0x0000, 100);
   EXPECT_FALSE(r.l1_hit);
   EXPECT_TRUE(r.l2_hit);
+}
+
+// ------------------------------------------------ shared-L2 round commit --
+
+using Blame = std::vector<std::map<uint32_t, uint64_t>>;
+
+/// Two sets of two ways. Lines of one asid whose line indices share a
+/// parity land in the same set whatever the asid hash is. The execute-phase
+/// miss estimate is high enough that no test under-charges by accident.
+SharedL2Config tiny_shared_l2() {
+  SharedL2Config c;
+  c.l2 = {.name = "SL2", .size_bytes = 2 * 2 * 64, .assoc = 2,
+          .line_bytes = 64, .hit_latency = 10};
+  c.dram.t_refi = 0;
+  c.est_miss_latency = 1'000;
+  c.service_cycles = 4;
+  return c;
+}
+
+uint64_t sum(const std::map<uint32_t, uint64_t>& blame) {
+  uint64_t total = 0;
+  for (const auto& [asid, cycles] : blame) total += cycles;
+  return total;
+}
+
+// Requests replay in (cycle, core, log position) order through one port
+// that is busy service_cycles per request; each request queued behind the
+// port is blamed on the asid of the request holding it.
+TEST(SharedL2CommitTest, MergedOrderQueuesAndBlamesTheBlocker) {
+  SharedL2 l2(tiny_shared_l2(), 2);
+  (void)l2.port(1).read(0x0000, 2, 50, L2Source::kIl1);   // D
+  (void)l2.port(1).read(0x1000, 2, 100, L2Source::kIl1);  // A
+  (void)l2.port(0).read(0x2000, 1, 100, L2Source::kDl1);  // B
+  (void)l2.port(0).read(0x3000, 3, 100, L2Source::kDrc);  // C, after B
+  Blame blame;
+  const std::vector<uint64_t> penalty = l2.commit_round(&blame);
+  // D at 50 is alone; then B at 100, C at 104 behind B (asid 1), and A at
+  // 108 behind C (asid 3).
+  EXPECT_EQ(penalty, (std::vector<uint64_t>{4, 8}));
+  ASSERT_EQ(blame.size(), 2u);
+  EXPECT_EQ(blame[0], (std::map<uint32_t, uint64_t>{{1, 4}}));
+  EXPECT_EQ(blame[1], (std::map<uint32_t, uint64_t>{{3, 8}}));
+  EXPECT_EQ(l2.stats().queue_delay_cycles, 12u);
+  EXPECT_EQ(l2.stats().commits, 4u);
+  EXPECT_EQ(l2.stats().l2.accesses, 4u);
+  EXPECT_EQ(l2.stats().pressure.reads_from_il1, 2u);
+  EXPECT_EQ(l2.stats().pressure.reads_from_dl1, 1u);
+  EXPECT_EQ(l2.stats().pressure.reads_from_drc, 1u);
+}
+
+// A miss whose real latency exceeds the execute-phase estimate adds the
+// difference to the requester's penalty, blamed on its own asid; queueing
+// is still blamed on the blocker, and every blame map sums to its penalty.
+TEST(SharedL2CommitTest, UnderEstimatedMissLatencyIsCharged) {
+  SharedL2Config c = tiny_shared_l2();
+  c.est_miss_latency = 0;
+  SharedL2 l2(c, 2);
+  const AccessResult est = l2.port(0).read(0x0000, 0, 10, L2Source::kIl1);
+  EXPECT_FALSE(est.l2_hit);
+  EXPECT_EQ(est.latency, c.l2.hit_latency);
+  (void)l2.port(1).read(0x4000, 5, 10, L2Source::kDl1);
+  Blame blame;
+  const std::vector<uint64_t> penalty = l2.commit_round(&blame);
+
+  // Asid 0's lines map to themselves in DRAM, so a fresh channel read at
+  // the same time gives core 0's exact miss latency.
+  dram::Dram reference(c.dram);
+  const uint32_t dram_latency = reference.read(0x0000, 10 + c.l2.hit_latency);
+  EXPECT_EQ(penalty[0], dram_latency);
+  EXPECT_EQ(blame[0], (std::map<uint32_t, uint64_t>{{0, dram_latency}}));
+
+  // Core 1 waited one service slot behind asid 0, then missed as well.
+  EXPECT_EQ(blame[1].at(0), c.service_cycles);
+  EXPECT_GT(blame[1].at(5), 0u);
+  for (uint32_t core = 0; core < 2; ++core) {
+    EXPECT_EQ(sum(blame[core]), penalty[core]) << "core " << core;
+  }
+}
+
+// A miss evicts the set's least recently used way; a dirty victim is
+// written back to DRAM. Writebacks never charge a penalty or count as
+// demand reads.
+TEST(SharedL2CommitTest, EvictsLruWayAndWritesBackDirtyVictim) {
+  SharedL2 l2(tiny_shared_l2(), 2);
+  l2.port(0).writeback(0x0000, 0, 0);  // P: allocated dirty
+  (void)l2.port(0).read(0x0080, 0, 10, L2Source::kDl1);  // Q, same set
+  EXPECT_EQ(l2.commit_round(), (std::vector<uint64_t>{0, 0}));
+  EXPECT_TRUE(l2.probe(0, 0x0000));
+  EXPECT_TRUE(l2.probe(0, 0x0080));
+
+  EXPECT_TRUE(l2.port(0).read(0x0080, 0, 20, L2Source::kDl1).l2_hit);
+  (void)l2.port(0).read(0x0100, 0, 30, L2Source::kDl1);  // R, same set
+  (void)l2.commit_round();
+  EXPECT_FALSE(l2.probe(0, 0x0000)) << "P was least recently used";
+  EXPECT_TRUE(l2.probe(0, 0x0080));
+  EXPECT_TRUE(l2.probe(0, 0x0100));
+  EXPECT_EQ(l2.stats().l2.hits, 1u);
+  EXPECT_EQ(l2.stats().l2.misses, 3u);
+  EXPECT_EQ(l2.stats().l2.writebacks, 1u);
+  EXPECT_EQ(l2.dram().stats().writes, 1u);
+  EXPECT_EQ(l2.reads_by_asid(), (std::map<uint32_t, uint64_t>{{0, 3}}));
+}
+
+// The commit consumes the logs: a second commit with no new requests
+// replays nothing.
+TEST(SharedL2CommitTest, CommitClearsTheLogs) {
+  SharedL2 l2(tiny_shared_l2(), 2);
+  (void)l2.port(0).read(0x0000, 0, 0, L2Source::kIl1);
+  (void)l2.port(1).read(0x0000, 0, 0, L2Source::kIl1);
+  EXPECT_EQ(l2.commit_round(), (std::vector<uint64_t>{0, 4}));
+  Blame blame;
+  EXPECT_EQ(l2.commit_round(&blame), (std::vector<uint64_t>{0, 0}));
+  EXPECT_EQ(blame, Blame(2));
+  EXPECT_EQ(l2.stats().commits, 2u);
+  EXPECT_EQ(l2.stats().l2.accesses, 2u);
 }
 
 }  // namespace

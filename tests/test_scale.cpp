@@ -1,10 +1,9 @@
-// Scale-out invariants (ARCHITECTURE.md §14): the sharded round commit
-// and the shared-index worker pool are host-side reorganizations of the
-// same simulated machine, so every observable report must be
-// byte-identical to the legacy single-barrier, caller-runs paths. Also
-// covers checkpoint/restore: a run resumed from a mid-campaign
-// checkpoint must finish with the exact bytes of the uninterrupted run,
-// and the kernel refuses checkpoints it cannot resume faithfully.
+// Scale-out invariants (ARCHITECTURE.md §14): the shared-index worker
+// pool is host parallelism only, so every observable report must be
+// byte-identical whatever the pool size. Also covers checkpoint/restore:
+// a run resumed from a mid-campaign checkpoint must finish with the exact
+// bytes of the uninterrupted run, and the kernel refuses checkpoints it
+// cannot resume faithfully.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -32,13 +31,11 @@ os::ProcessConfig tenant(const char* workload, uint64_t seed) {
   return pc;
 }
 
-os::KernelConfig fleet_config(uint32_t cores, uint32_t commit_shards,
-                              uint32_t pool_workers = 0) {
+os::KernelConfig fleet_config(uint32_t cores, uint32_t pool_workers = 0) {
   os::KernelConfig kc;
   kc.cores = cores;
   kc.sched.slice_instructions = 2'000;
   kc.measure_isolated = false;
-  kc.shared_l2.commit_shards = commit_shards;
   kc.pool_workers = pool_workers;
   return kc;
 }
@@ -65,67 +62,36 @@ void spawn_mix(os::Kernel& kernel, uint32_t procs, uint64_t seed,
 }
 
 std::string fleet_json(uint32_t cores, uint32_t procs, uint64_t seed,
-                       uint32_t commit_shards, uint32_t pool_workers = 0,
-                       bool inject_pid1 = false) {
-  os::Kernel kernel(fleet_config(cores, commit_shards, pool_workers));
-  spawn_mix(kernel, procs, seed, inject_pid1);
+                       uint32_t pool_workers) {
+  os::Kernel kernel(fleet_config(cores, pool_workers));
+  spawn_mix(kernel, procs, seed);
   return kernel.run().to_json();
 }
 
-// ----------------------------------------- sharded-commit differentials --
-
-// The sharded commit (commit_shards > 0) must reproduce the legacy
-// single-barrier replay byte-for-byte across seeds, core counts, and
-// shard counts (including a non-power-of-two).
-TEST(ShardedCommitTest, FleetReportMatchesLegacyAcrossConfigs) {
-  for (const uint32_t cores : {2u, 4u}) {
-    for (const uint64_t seed : {7ull, 1234ull}) {
-      const std::string legacy = fleet_json(cores, 2 * cores, seed, 0);
-      for (const uint32_t shards : {1u, 3u, 8u}) {
-        EXPECT_EQ(legacy, fleet_json(cores, 2 * cores, seed, shards))
-            << "cores=" << cores << " seed=" << seed << " shards=" << shards;
-      }
-    }
-  }
-}
-
-// Fault injection + restart exercises the blame/penalty bookkeeping in
-// the serial phase; the sharded path must still match.
-TEST(ShardedCommitTest, FleetReportMatchesLegacyUnderInjection) {
-  const std::string legacy = fleet_json(4, 8, 7, 0, 0, true);
-  const std::string sharded = fleet_json(4, 8, 7, 8, 0, true);
-  EXPECT_EQ(legacy, sharded);
-}
-
-// The full scale-out shape: 64 cores, 128 tenants, sharded vs legacy.
-TEST(ShardedCommitTest, SixtyFourCoreFleetMatchesLegacy) {
-  EXPECT_EQ(fleet_json(64, 128, 7, 0), fleet_json(64, 128, 7, 8));
-}
+// ------------------------------------------------------ pool invariance --
 
 // Worker-pool sizing is pure host parallelism: any pool size must leave
 // the report bytes untouched.
-TEST(ShardedCommitTest, PoolWorkerCountDoesNotChangeReport) {
-  const std::string one = fleet_json(4, 8, 7, 8, 1);
+TEST(PoolInvarianceTest, PoolWorkerCountDoesNotChangeReport) {
+  const std::string one = fleet_json(4, 8, 7, 1);
   for (const uint32_t workers : {2u, 4u}) {
-    EXPECT_EQ(one, fleet_json(4, 8, 7, 8, workers)) << workers << " workers";
+    EXPECT_EQ(one, fleet_json(4, 8, 7, workers)) << workers << " workers";
   }
 }
 
 // The serve path drives the same kernel; its report must be equally
-// indifferent to commit sharding and pool sizing.
-TEST(ShardedCommitTest, ServeReportMatchesLegacy) {
+// indifferent to pool sizing.
+TEST(PoolInvarianceTest, ServeReportDoesNotDependOnPoolSize) {
   serve::ServeConfig sc;
   sc.tenants = 8;
   sc.cores = 4;
   sc.duration = 100'000;
   sc.mean_interarrival = 10'000;
   sc.seed = 7;
-  sc.commit_shards = 0;
   sc.pool_workers = 1;
-  const std::string legacy = serve::run_serve(sc).to_json();
-  sc.commit_shards = 8;
+  const std::string one = serve::run_serve(sc).to_json();
   sc.pool_workers = 3;
-  EXPECT_EQ(legacy, serve::run_serve(sc).to_json());
+  EXPECT_EQ(one, serve::run_serve(sc).to_json());
 }
 
 // ------------------------------------------------- checkpoint / restore --
@@ -144,19 +110,19 @@ CheckpointRun checkpoint_roundtrip(const std::string& path, bool inject_pid1,
                                        nullptr) {
   CheckpointRun out;
   {
-    os::Kernel kernel(fleet_config(4, 8));
+    os::Kernel kernel(fleet_config(4));
     spawn_mix(kernel, 8, 7, inject_pid1, rerand);
     out.baseline = kernel.run().to_json();
   }
   {
-    os::Kernel kernel(fleet_config(4, 8));
+    os::Kernel kernel(fleet_config(4));
     spawn_mix(kernel, 8, 7, inject_pid1, rerand);
     kernel.set_checkpoint(8, path);
     out.with_write = kernel.run().to_json();
     out.writes = kernel.checkpoint_writes();
   }
   {
-    os::Kernel kernel(fleet_config(4, 8, restore_pool_workers));
+    os::Kernel kernel(fleet_config(4, restore_pool_workers));
     spawn_mix(kernel, 8, 7, inject_pid1, rerand);
     std::ifstream in(path, std::ios::binary);
     kernel.restore(in);
@@ -222,38 +188,59 @@ TEST(CheckpointRestoreTest, RestoreWithDifferentPoolWorkersIsIdentical) {
 TEST(CheckpointRestoreTest, RestoreRejectsMismatchedConfig) {
   const std::string path = testing::TempDir() + "vcfr_ckpt_digest.bin";
   {
-    os::Kernel kernel(fleet_config(4, 8));
+    os::Kernel kernel(fleet_config(4));
     spawn_mix(kernel, 8, 7);
     kernel.set_checkpoint(8, path);
     (void)kernel.run();
     ASSERT_EQ(kernel.checkpoint_writes(), 1u);
   }
-  os::Kernel other(fleet_config(4, 8));
+  os::Kernel other(fleet_config(4));
   spawn_mix(other, 8, /*seed=*/99);  // different tenant seeds -> new digest
   std::ifstream in(path, std::ios::binary);
   EXPECT_THROW(other.restore(in), binary::FormatError);
 }
 
-// Truncated streams fail loudly with a typed fault, never a partial load.
-TEST(CheckpointRestoreTest, RestoreRejectsTruncatedStream) {
-  const std::string path = testing::TempDir() + "vcfr_ckpt_trunc.bin";
+/// The bytes of a checkpoint written at round 8 of the 4-core, 8-tenant
+/// mix.
+std::string checkpoint_bytes(const std::string& path) {
   {
-    os::Kernel kernel(fleet_config(4, 8));
+    os::Kernel kernel(fleet_config(4));
     spawn_mix(kernel, 8, 7);
     kernel.set_checkpoint(8, path);
     (void)kernel.run();
   }
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// Truncated streams fail loudly with a typed fault, never a partial load.
+TEST(CheckpointRestoreTest, RestoreRejectsTruncatedStream) {
+  const std::string bytes =
+      checkpoint_bytes(testing::TempDir() + "vcfr_ckpt_trunc.bin");
   ASSERT_GT(bytes.size(), 64u);
   std::istringstream cut(bytes.substr(0, bytes.size() / 2));
-  os::Kernel kernel(fleet_config(4, 8));
+  os::Kernel kernel(fleet_config(4));
   spawn_mix(kernel, 8, 7);
   EXPECT_THROW(kernel.restore(cut), binary::FormatError);
+}
+
+// A checkpoint of another format version (bytes 4-7, after the magic) is
+// refused with a typed fault instead of being misread field by field.
+TEST(CheckpointRestoreTest, RestoreRejectsOtherVersion) {
+  std::string bytes =
+      checkpoint_bytes(testing::TempDir() + "vcfr_ckpt_version.bin");
+  ASSERT_GT(bytes.size(), 64u);
+  bytes.replace(4, 4, std::string("\x01\x00\x00\x00", 4));
+  std::istringstream old(bytes);
+  os::Kernel kernel(fleet_config(4));
+  spawn_mix(kernel, 8, 7);
+  try {
+    kernel.restore(old);
+    FAIL() << "a version-1 checkpoint was accepted";
+  } catch (const binary::FormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
+  }
 }
 
 /// A serving hook that never injects work: enough to mark the kernel as
@@ -273,7 +260,7 @@ class IdleService : public os::ServiceHook {
 TEST(CheckpointRestoreTest, RunRejectsCheckpointWithProfilingOrService) {
   const std::string path = testing::TempDir() + "vcfr_ckpt_unsupported.bin";
   {
-    os::Kernel kernel(fleet_config(2, 8));
+    os::Kernel kernel(fleet_config(2));
     spawn_mix(kernel, 2, 7);
     kernel.set_checkpoint(8, path);
     (void)kernel.run();
@@ -282,7 +269,7 @@ TEST(CheckpointRestoreTest, RunRejectsCheckpointWithProfilingOrService) {
   IdleService service;
   for (const bool restore : {false, true}) {
     for (const bool profile : {true, false}) {
-      os::Kernel kernel(fleet_config(2, 8));
+      os::Kernel kernel(fleet_config(2));
       spawn_mix(kernel, 2, 7);
       if (profile) {
         kernel.enable_profiling();

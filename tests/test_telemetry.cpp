@@ -606,7 +606,7 @@ TEST(KernelEvents, OutputsPinned) {
                              "rerand_epoch", "rerand_forced"}) {
       EXPECT_GT(kinds.count(kind), 0u) << "fleet run never journals " << kind;
     }
-    EXPECT_EQ(digest(docs), 7488693775601560915ull) << "fleet";
+    EXPECT_EQ(digest(docs), 16728480523259202528ull) << "fleet";
   }
   // (2) The same fleet checkpointed at round 8, then resumed in a fresh
   // kernel. The path is relative and fixed: it is the checkpoint entry's
@@ -620,7 +620,7 @@ TEST(KernelEvents, OutputsPinned) {
     kernel.set_checkpoint(8, path);
     const os::FleetReport report = kernel.run();
     ASSERT_EQ(kernel.checkpoint_writes(), 1u);
-    EXPECT_EQ(digest(kernel_exports(tel, report)), 3960465767734229649ull)
+    EXPECT_EQ(digest(kernel_exports(tel, report)), 13736626797154444548ull)
         << "checkpoint";
   }
   {
@@ -633,7 +633,7 @@ TEST(KernelEvents, OutputsPinned) {
     kernel.restore(in);
     const os::FleetReport report = kernel.run();
     EXPECT_EQ(tel.journal()->counts().count("restore"), 1u);
-    EXPECT_EQ(digest(kernel_exports(tel, report)), 3509244528655115119ull)
+    EXPECT_EQ(digest(kernel_exports(tel, report)), 9054899664801188151ull)
         << "restore";
   }
   std::remove(path.c_str());
@@ -656,7 +656,7 @@ TEST(KernelEvents, OutputsPinned) {
     EXPECT_EQ(digest({tel.tracer()->to_chrome_json(),
                       tel.journal()->to_jsonl(), tel.registry().to_json(),
                       report.to_json(), report.latency_csv()}),
-              2838203037774611569ull)
+              1906001650067207094ull)
         << "serve";
   }
 }
