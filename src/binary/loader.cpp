@@ -124,47 +124,31 @@ uint64_t Memory::checksum() const {
   return sum;
 }
 
-void Memory::save_state(StateWriter& w) const {
+void Memory::state(StateIo& io) {
   std::vector<uint32_t> page_nos;
   page_nos.reserve(pages_.size());
   for (const auto& [page_no, page] : pages_) page_nos.push_back(page_no);
   std::sort(page_nos.begin(), page_nos.end());
-  w.u32(static_cast<uint32_t>(page_nos.size()));
-  for (const uint32_t page_no : page_nos) {
-    w.u32(page_no);
-    w.bytes(pages_.at(page_no)->data(), kPageSize);
+  if (io.loading()) {
+    pages_.clear();
+    data_memo_no_ = kNoPage;
+    data_memo_ = nullptr;
+    fetch_memo_no_ = kNoPage;
+    fetch_memo_ = nullptr;
+    write_memo_no_ = kNoPage;
+    write_memo_ = nullptr;
   }
-  w.u32(static_cast<uint32_t>(watched_.size()));
-  for (const auto& [base, end] : watched_) {
-    w.u32(base);
-    w.u32(end);
-  }
-  w.u64(code_version_);
-}
-
-void Memory::load_state(StateReader& r) {
-  pages_.clear();
-  data_memo_no_ = kNoPage;
-  data_memo_ = nullptr;
-  fetch_memo_no_ = kNoPage;
-  fetch_memo_ = nullptr;
-  write_memo_no_ = kNoPage;
-  write_memo_ = nullptr;
-  const uint32_t n = r.count(1u << 20);
-  for (uint32_t i = 0; i < n; ++i) {
-    const uint32_t page_no = r.u32();
-    auto page = std::make_unique<Page>();
-    r.bytes(page->data(), kPageSize);
-    pages_[page_no] = std::move(page);
-  }
-  watched_.clear();
-  const uint32_t ranges = r.count(1u << 12);
-  for (uint32_t i = 0; i < ranges; ++i) {
-    const uint32_t base = r.u32();
-    const uint32_t end = r.u32();
-    watched_.emplace_back(base, end);
-  }
-  code_version_ = r.u64();
+  io.vec(page_nos, 1u << 20, [&](uint32_t& page_no) {
+    io.u32(page_no);
+    std::unique_ptr<Page>& page = pages_[page_no];
+    if (page == nullptr) page = std::make_unique<Page>();
+    io.bytes(page->data(), kPageSize);
+  });
+  io.vec(watched_, 1u << 12, [&io](std::pair<uint32_t, uint32_t>& range) {
+    io.u32(range.first);
+    io.u32(range.second);
+  });
+  io.u64(code_version_);
 }
 
 void Memory::watch_code(uint32_t base, uint32_t size) {

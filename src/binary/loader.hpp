@@ -11,8 +11,7 @@
 
 namespace vcfr::binary {
 
-class StateWriter;
-class StateReader;
+class StateIo;
 
 /// Flat 32-bit byte-addressable memory, backed by 4 KiB pages allocated on
 /// first touch. Unwritten bytes read as zero.
@@ -64,8 +63,7 @@ class Memory {
   /// deterministic byte stream — checksum() hashes all of them, zero-filled
   /// included), the watched ranges, and the code version (so a restored
   /// decode cache can never serve pre-checkpoint decodings).
-  void save_state(StateWriter& w) const;
-  void load_state(StateReader& r);
+  void state(StateIo& io);
 
  private:
   using Page = std::array<uint8_t, kPageSize>;

@@ -1,118 +1,84 @@
 #include "binary/state_io.hpp"
 
-#include <cstring>
+#include <algorithm>
 #include <istream>
 #include <ostream>
 
 namespace vcfr::binary {
 
-namespace {
-constexpr uint32_t kMaxStateString = 1u << 20;
-}  // namespace
-
-void StateWriter::u8(uint8_t v) {
-  out_.put(static_cast<char>(v));
+void StateIo::raw(void* data, size_t size, const char* what) {
+  if (out_ != nullptr) {
+    out_->write(static_cast<const char*>(data),
+                static_cast<std::streamsize>(size));
+    return;
+  }
+  in_->read(static_cast<char*>(data), static_cast<std::streamsize>(size));
+  if (in_->gcount() != static_cast<std::streamsize>(size)) {
+    throw FormatError(FormatFault::kTruncated,
+                      std::string("checkpoint truncated mid-") + what);
+  }
 }
 
-void StateWriter::u32(uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out_.write(buf, 4);
+void StateIo::u8(uint8_t& v) { raw(&v, 1, "field"); }
+
+void StateIo::u32(uint32_t& v) {
+  uint8_t buf[4];
+  for (int i = 0; i < 4; ++i) buf[i] = static_cast<uint8_t>(v >> (8 * i));
+  raw(buf, 4, "field");
+  v = 0;
+  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(buf[i]) << (8 * i);
 }
 
-void StateWriter::u64(uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out_.write(buf, 8);
+void StateIo::u64(uint64_t& v) {
+  uint8_t buf[8];
+  for (int i = 0; i < 8; ++i) buf[i] = static_cast<uint8_t>(v >> (8 * i));
+  raw(buf, 8, "field");
+  v = 0;
+  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(buf[i]) << (8 * i);
 }
 
-void StateWriter::f64(double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
+void StateIo::i64(int64_t& v) {
+  auto bits = static_cast<uint64_t>(v);
   u64(bits);
+  v = static_cast<int64_t>(bits);
 }
 
-void StateWriter::str(const std::string& s) {
-  u32(static_cast<uint32_t>(s.size()));
-  out_.write(s.data(), static_cast<std::streamsize>(s.size()));
+void StateIo::b(bool& v) {
+  uint8_t byte = v ? 1 : 0;
+  u8(byte);
+  v = byte != 0;
 }
 
-void StateWriter::bytes(const void* data, size_t size) {
-  out_.write(static_cast<const char*>(data),
-             static_cast<std::streamsize>(size));
-}
-
-uint8_t StateReader::u8() {
-  const int c = in_.get();
-  if (c == std::istream::traits_type::eof()) {
-    throw FormatError(FormatFault::kTruncated,
-                      "checkpoint truncated mid-field");
+void StateIo::blob(std::string& s, uint32_t max) {
+  const uint32_t n = count(s.size(), max);
+  if (!loading()) {
+    raw(s.data(), n, "string");
+    return;
   }
-  return static_cast<uint8_t>(c);
+  constexpr uint32_t kChunk = 1u << 16;
+  s.clear();
+  while (s.size() < n) {
+    const size_t at = s.size();
+    s.resize(at + std::min<size_t>(kChunk, n - at));
+    raw(s.data() + at, s.size() - at, "string");
+  }
 }
 
-uint32_t StateReader::u32() {
-  char buf[4];
-  in_.read(buf, 4);
-  if (in_.gcount() != 4) {
-    throw FormatError(FormatFault::kTruncated,
-                      "checkpoint truncated mid-field");
-  }
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(buf[i])) << (8 * i);
-  }
+void StateIo::bytes(void* data, size_t size) { raw(data, size, "buffer"); }
+
+uint32_t StateIo::count(size_t n, uint32_t max) {
+  auto v = static_cast<uint32_t>(n);
+  u32(v);
+  require(v <= max, "checkpoint count beyond format bound");
   return v;
 }
 
-uint64_t StateReader::u64() {
-  char buf[8];
-  in_.read(buf, 8);
-  if (in_.gcount() != 8) {
-    throw FormatError(FormatFault::kTruncated,
-                      "checkpoint truncated mid-field");
-  }
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(buf[i])) << (8 * i);
-  }
-  return v;
+void StateIo::fixed(size_t live, uint32_t max, const std::string& what) {
+  require(count(live, max) == live, what);
 }
 
-double StateReader::f64() {
-  const uint64_t bits = u64();
-  double v = 0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-std::string StateReader::str() {
-  const uint32_t n = count(kMaxStateString);
-  std::string s(n, '\0');
-  in_.read(s.data(), n);
-  if (in_.gcount() != static_cast<std::streamsize>(n)) {
-    throw FormatError(FormatFault::kTruncated,
-                      "checkpoint truncated mid-string");
-  }
-  return s;
-}
-
-void StateReader::bytes(void* data, size_t size) {
-  in_.read(static_cast<char*>(data), static_cast<std::streamsize>(size));
-  if (in_.gcount() != static_cast<std::streamsize>(size)) {
-    throw FormatError(FormatFault::kTruncated,
-                      "checkpoint truncated mid-buffer");
-  }
-}
-
-uint32_t StateReader::count(uint32_t max) {
-  const uint32_t n = u32();
-  if (n > max) {
-    throw FormatError(FormatFault::kImplausible,
-                      "checkpoint count beyond format bound");
-  }
-  return n;
+void StateIo::require(bool ok, const std::string& what) {
+  if (!ok) throw FormatError(FormatFault::kImplausible, what);
 }
 
 }  // namespace vcfr::binary

@@ -4,65 +4,95 @@
 // program; checkpointing a running fleet additionally needs every piece
 // of *runtime* state — pipeline clocks, cache tag arrays, DRAM bank
 // horizons, scheduler queues — written in a versioned, deterministic,
-// little-endian layout. StateWriter/StateReader are the shared primitive
-// layer: each stateful class implements
+// little-endian layout. StateIo is the shared primitive layer, built over
+// either an ostream (saving) or an istream (loading). Each stateful class
+// lists its checkpoint fields once:
 //
-//   void save_state(binary::StateWriter& w) const;
-//   void load_state(binary::StateReader& r);
+//   void state(binary::StateIo& io);
 //
-// on top of these fixed-width accessors. Readers throw FormatError
-// (kTruncated on underrun, kImplausible on absurd counts) — the same
-// taxonomy as the image parser, so checkpoint corruption surfaces as a
-// structured error instead of UB.
+// Every primitive takes a reference: saving writes the value, loading
+// assigns it, so one field list serves both directions. The few steps
+// that really differ by direction (sorting hash-set contents before a
+// save, rebuilding derived state after a load) branch on loading().
+//
+// Loading throws FormatError — kTruncated on underrun, kImplausible on a
+// count beyond its bound, a geometry that does not match the live object
+// or an out-of-range index — the same taxonomy as the image parser, so
+// checkpoint corruption surfaces as a structured error instead of UB.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "binary/serialize.hpp"
 
 namespace vcfr::binary {
 
-class StateWriter {
+class StateIo {
  public:
-  explicit StateWriter(std::ostream& out) : out_(out) {}
+  explicit StateIo(std::ostream& out) : out_(&out) {}
+  explicit StateIo(std::istream& in) : in_(&in) {}
 
-  void u8(uint8_t v);
-  void u32(uint32_t v);
-  void u64(uint64_t v);
-  void i64(int64_t v) { u64(static_cast<uint64_t>(v)); }
-  void b(bool v) { u8(v ? 1 : 0); }
-  /// IEEE-754 bit pattern — exact round trip, no locale/precision issues.
-  void f64(double v);
+  [[nodiscard]] bool loading() const { return in_ != nullptr; }
+
+  void u8(uint8_t& v);
+  void u32(uint32_t& v);
+  void u64(uint64_t& v);
+  void i64(int64_t& v);
+  void b(bool& v);
+  /// An enum as one byte.
+  template <typename E>
+  void enum8(E& v) {
+    auto byte = static_cast<uint8_t>(v);
+    u8(byte);
+    v = static_cast<E>(byte);
+  }
   /// u32 length prefix + raw bytes.
-  void str(const std::string& s);
-  void bytes(const void* data, size_t size);
-
- private:
-  std::ostream& out_;
-};
-
-class StateReader {
- public:
-  explicit StateReader(std::istream& in) : in_(in) {}
-
-  [[nodiscard]] uint8_t u8();
-  [[nodiscard]] uint32_t u32();
-  [[nodiscard]] uint64_t u64();
-  [[nodiscard]] int64_t i64() { return static_cast<int64_t>(u64()); }
-  [[nodiscard]] bool b() { return u8() != 0; }
-  [[nodiscard]] double f64();
-  [[nodiscard]] std::string str();
+  void str(std::string& s) { blob(s, kMaxString); }
+  /// str() with its own length bound. Loading grows the string in bounded
+  /// chunks, so a corrupt length hits truncation before a large allocation.
+  void blob(std::string& s, uint32_t max);
   void bytes(void* data, size_t size);
 
-  /// Reads a u32 element count and rejects it if it exceeds `max`
-  /// (kImplausible) — every variable-length field goes through this so a
-  /// corrupt count can never drive an allocation.
-  [[nodiscard]] uint32_t count(uint32_t max);
+  /// A u32 element count: saving writes `n` and returns it; loading reads
+  /// one, rejects it above `max` (kImplausible) and returns it — every
+  /// variable-length field goes through this so a corrupt count can never
+  /// drive an allocation.
+  uint32_t count(size_t n, uint32_t max);
+  /// A fixed-geometry count: saving writes `live`; loading reads a
+  /// count(max) and requires it to equal `live`, else throws kImplausible
+  /// with `what`.
+  void fixed(size_t live, uint32_t max, const std::string& what);
+  /// Throws kImplausible with `what` unless `ok` (always true when saving a
+  /// consistent object).
+  static void require(bool ok, const std::string& what);
+
+  /// A bounded variable-length vector: its count(), then `field` on each
+  /// element. Loading replaces the contents one element at a time.
+  template <typename T, typename Field>
+  void vec(std::vector<T>& v, uint32_t max, Field field) {
+    const uint32_t n = count(v.size(), max);
+    if (loading()) v.clear();
+    for (uint32_t i = 0; i < n; ++i) {
+      if (loading()) v.emplace_back();
+      field(v[i]);
+    }
+  }
+  void u32s(std::vector<uint32_t>& v, uint32_t max) {
+    vec(v, max, [this](uint32_t& x) { u32(x); });
+  }
 
  private:
-  std::istream& in_;
+  static constexpr uint32_t kMaxString = 1u << 20;
+
+  /// Writes or reads `size` bytes; a short read throws kTruncated naming
+  /// `what`.
+  void raw(void* data, size_t size, const char* what);
+
+  std::ostream* out_ = nullptr;
+  std::istream* in_ = nullptr;
 };
 
 }  // namespace vcfr::binary

@@ -103,46 +103,24 @@ CacheOutcome Cache::install(uint32_t addr, bool dirty, bool prefetched) {
   return out;
 }
 
-void Cache::save_state(binary::StateWriter& w) const {
-  w.u64(tick_);
-  w.u32(static_cast<uint32_t>(lines_.size()));
-  for (const Line& line : lines_) {
-    w.b(line.valid);
-    w.b(line.dirty);
-    w.b(line.prefetched);
-    w.u32(line.tag);
-    w.u64(line.lru);
-  }
-  w.u64(stats_.accesses);
-  w.u64(stats_.hits);
-  w.u64(stats_.misses);
-  w.u64(stats_.writebacks);
-  w.u64(stats_.prefetch_fills);
-  w.u64(stats_.prefetch_hits);
-  w.u64(stats_.prefetch_evicted_unused);
-}
-
-void Cache::load_state(binary::StateReader& r) {
-  tick_ = r.u64();
-  const uint32_t n = r.count(1u << 28);
-  if (n != lines_.size()) {
-    throw binary::FormatError(binary::FormatFault::kImplausible,
-                              config_.name + ": checkpoint geometry mismatch");
-  }
+void Cache::state(binary::StateIo& io) {
+  io.u64(tick_);
+  io.fixed(lines_.size(), 1u << 28,
+           config_.name + ": checkpoint geometry mismatch");
   for (Line& line : lines_) {
-    line.valid = r.b();
-    line.dirty = r.b();
-    line.prefetched = r.b();
-    line.tag = r.u32();
-    line.lru = r.u64();
+    io.b(line.valid);
+    io.b(line.dirty);
+    io.b(line.prefetched);
+    io.u32(line.tag);
+    io.u64(line.lru);
   }
-  stats_.accesses = r.u64();
-  stats_.hits = r.u64();
-  stats_.misses = r.u64();
-  stats_.writebacks = r.u64();
-  stats_.prefetch_fills = r.u64();
-  stats_.prefetch_hits = r.u64();
-  stats_.prefetch_evicted_unused = r.u64();
+  io.u64(stats_.accesses);
+  io.u64(stats_.hits);
+  io.u64(stats_.misses);
+  io.u64(stats_.writebacks);
+  io.u64(stats_.prefetch_fills);
+  io.u64(stats_.prefetch_hits);
+  io.u64(stats_.prefetch_evicted_unused);
 }
 
 void Cache::register_stats(const telemetry::Scope& scope) const {

@@ -10,8 +10,7 @@
 #include "telemetry/stat_registry.hpp"
 
 namespace vcfr::binary {
-class StateWriter;
-class StateReader;
+class StateIo;
 }  // namespace vcfr::binary
 
 namespace vcfr::cache {
@@ -80,8 +79,7 @@ class Cache {
   void register_stats(const telemetry::Scope& scope) const;
 
   /// Checkpoint support: tag array (incl. LRU ticks) + statistics.
-  void save_state(binary::StateWriter& w) const;
-  void load_state(binary::StateReader& r);
+  void state(binary::StateIo& io);
 
  private:
   struct Line {

@@ -123,34 +123,19 @@ AccessResult MemHier::table_read(uint32_t addr, uint64_t now) {
   return l2_read(addr & ~(config_.l2.line_bytes - 1), now, L2Source::kDrc);
 }
 
-void MemHier::save_state(binary::StateWriter& w) const {
-  w.u32(asid_);
-  il1_.save_state(w);
-  dl1_.save_state(w);
-  l2_.save_state(w);
-  w.u64(iprefetch_.stats().issued);
-  itlb_.save_state(w);
-  dtlb_.save_state(w);
-  dram_.save_state(w);
-  w.u64(pressure_.reads_from_il1);
-  w.u64(pressure_.reads_from_dl1);
-  w.u64(pressure_.reads_from_il1_prefetch);
-  w.u64(pressure_.reads_from_drc);
-}
-
-void MemHier::load_state(binary::StateReader& r) {
-  asid_ = r.u32();
-  il1_.load_state(r);
-  dl1_.load_state(r);
-  l2_.load_state(r);
-  iprefetch_.restore_stats(PrefetcherStats{.issued = r.u64()});
-  itlb_.load_state(r);
-  dtlb_.load_state(r);
-  dram_.load_state(r);
-  pressure_.reads_from_il1 = r.u64();
-  pressure_.reads_from_dl1 = r.u64();
-  pressure_.reads_from_il1_prefetch = r.u64();
-  pressure_.reads_from_drc = r.u64();
+void MemHier::state(binary::StateIo& io) {
+  io.u32(asid_);
+  il1_.state(io);
+  dl1_.state(io);
+  l2_.state(io);
+  iprefetch_.state(io);
+  itlb_.state(io);
+  dtlb_.state(io);
+  dram_.state(io);
+  io.u64(pressure_.reads_from_il1);
+  io.u64(pressure_.reads_from_dl1);
+  io.u64(pressure_.reads_from_il1_prefetch);
+  io.u64(pressure_.reads_from_drc);
 }
 
 void MemHier::register_stats(const telemetry::Scope& scope) const {

@@ -15,8 +15,7 @@
 #include "dram/dram.hpp"
 
 namespace vcfr::binary {
-class StateWriter;
-class StateReader;
+class StateIo;
 }  // namespace vcfr::binary
 
 namespace vcfr::cache {
@@ -113,8 +112,7 @@ class MemHier {
   /// Checkpoint support: every cache/TLB/DRAM component plus the asid —
   /// the asid matters because a restored kernel skips the re-install that
   /// would otherwise call set_asid().
-  void save_state(binary::StateWriter& w) const;
-  void load_state(binary::StateReader& r);
+  void state(binary::StateIo& io);
 
  private:
   /// Read through L2 (filling it), returning latency beyond the L2 probe.

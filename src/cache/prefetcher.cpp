@@ -1,3 +1,9 @@
-// NextLinePrefetcher is header-only; this translation unit anchors the
-// module in the build.
 #include "cache/prefetcher.hpp"
+
+#include "binary/state_io.hpp"
+
+namespace vcfr::cache {
+
+void NextLinePrefetcher::state(binary::StateIo& io) { io.u64(stats_.issued); }
+
+}  // namespace vcfr::cache

@@ -5,6 +5,10 @@
 #include <cstdint>
 #include <optional>
 
+namespace vcfr::binary {
+class StateIo;
+}  // namespace vcfr::binary
+
 namespace vcfr::cache {
 
 struct PrefetcherConfig {
@@ -38,7 +42,7 @@ class NextLinePrefetcher {
 
   /// Checkpoint support: the issued counter is the prefetcher's only
   /// state (the policy itself is stateless).
-  void restore_stats(const PrefetcherStats& stats) { stats_ = stats; }
+  void state(binary::StateIo& io);
 
   [[nodiscard]] const PrefetcherConfig& config() const { return config_; }
   [[nodiscard]] const PrefetcherStats& stats() const { return stats_; }

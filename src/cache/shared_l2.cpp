@@ -204,70 +204,39 @@ void SharedL2::register_stats(const telemetry::Scope& scope) const {
   dram_.register_stats(scope.scope("dram"));
 }
 
-void SharedL2::save_state(binary::StateWriter& w) const {
-  w.u64(tick_);
-  w.u64(serve_now_);
-  w.u32(static_cast<uint32_t>(lines_.size()));
-  for (const Line& line : lines_) {
-    w.b(line.valid);
-    w.b(line.dirty);
-    w.u64(line.key);
-    w.u64(line.lru);
-  }
-  dram_.save_state(w);
-  w.u64(stats_.l2.accesses);
-  w.u64(stats_.l2.hits);
-  w.u64(stats_.l2.misses);
-  w.u64(stats_.l2.writebacks);
-  w.u64(stats_.l2.prefetch_fills);
-  w.u64(stats_.l2.prefetch_hits);
-  w.u64(stats_.l2.prefetch_evicted_unused);
-  w.u64(stats_.pressure.reads_from_il1);
-  w.u64(stats_.pressure.reads_from_dl1);
-  w.u64(stats_.pressure.reads_from_il1_prefetch);
-  w.u64(stats_.pressure.reads_from_drc);
-  w.u64(stats_.queue_delay_cycles);
-  w.u64(stats_.commits);
-  w.u32(static_cast<uint32_t>(reads_by_asid_.size()));
-  for (const auto& [asid, reads] : reads_by_asid_) {
-    w.u32(asid);
-    w.u64(reads);
-  }
-}
-
-void SharedL2::load_state(binary::StateReader& r) {
-  tick_ = r.u64();
-  serve_now_ = r.u64();
-  const uint32_t n = r.count(1u << 28);
-  if (n != lines_.size()) {
-    throw binary::FormatError(binary::FormatFault::kImplausible,
-                              "checkpoint L2 geometry mismatch");
-  }
+void SharedL2::state(binary::StateIo& io) {
+  io.u64(tick_);
+  io.u64(serve_now_);
+  io.fixed(lines_.size(), 1u << 28, "checkpoint L2 geometry mismatch");
   for (Line& line : lines_) {
-    line.valid = r.b();
-    line.dirty = r.b();
-    line.key = r.u64();
-    line.lru = r.u64();
+    io.b(line.valid);
+    io.b(line.dirty);
+    io.u64(line.key);
+    io.u64(line.lru);
   }
-  dram_.load_state(r);
-  stats_.l2.accesses = r.u64();
-  stats_.l2.hits = r.u64();
-  stats_.l2.misses = r.u64();
-  stats_.l2.writebacks = r.u64();
-  stats_.l2.prefetch_fills = r.u64();
-  stats_.l2.prefetch_hits = r.u64();
-  stats_.l2.prefetch_evicted_unused = r.u64();
-  stats_.pressure.reads_from_il1 = r.u64();
-  stats_.pressure.reads_from_dl1 = r.u64();
-  stats_.pressure.reads_from_il1_prefetch = r.u64();
-  stats_.pressure.reads_from_drc = r.u64();
-  stats_.queue_delay_cycles = r.u64();
-  stats_.commits = r.u64();
-  reads_by_asid_.clear();
-  const uint32_t asids = r.count(1u << 20);
-  for (uint32_t i = 0; i < asids; ++i) {
-    const uint32_t asid = r.u32();
-    reads_by_asid_[asid] = r.u64();
+  dram_.state(io);
+  io.u64(stats_.l2.accesses);
+  io.u64(stats_.l2.hits);
+  io.u64(stats_.l2.misses);
+  io.u64(stats_.l2.writebacks);
+  io.u64(stats_.l2.prefetch_fills);
+  io.u64(stats_.l2.prefetch_hits);
+  io.u64(stats_.l2.prefetch_evicted_unused);
+  io.u64(stats_.pressure.reads_from_il1);
+  io.u64(stats_.pressure.reads_from_dl1);
+  io.u64(stats_.pressure.reads_from_il1_prefetch);
+  io.u64(stats_.pressure.reads_from_drc);
+  io.u64(stats_.queue_delay_cycles);
+  io.u64(stats_.commits);
+  std::vector<std::pair<uint32_t, uint64_t>> reads(reads_by_asid_.begin(),
+                                                   reads_by_asid_.end());
+  io.vec(reads, 1u << 20, [&io](std::pair<uint32_t, uint64_t>& r) {
+    io.u32(r.first);
+    io.u64(r.second);
+  });
+  if (io.loading()) {
+    reads_by_asid_.clear();
+    for (const auto& [asid, n] : reads) reads_by_asid_[asid] = n;
   }
 }
 

@@ -37,8 +37,7 @@
 #include "dram/dram.hpp"
 
 namespace vcfr::binary {
-class StateWriter;
-class StateReader;
+class StateIo;
 }  // namespace vcfr::binary
 
 namespace vcfr::cache {
@@ -133,8 +132,7 @@ class SharedL2 {
 
   /// Checkpoint support. Port logs are empty between rounds (commit
   /// clears them), so only the committed tag/DRAM/stat state is written.
-  void save_state(binary::StateWriter& w) const;
-  void load_state(binary::StateReader& r);
+  void state(binary::StateIo& io);
 
  private:
   struct Line {

@@ -44,42 +44,25 @@ bool Tlb::check_user_access(uint32_t addr) {
   return false;
 }
 
-void Tlb::save_state(binary::StateWriter& w) const {
-  w.u64(tick_);
-  w.u32(static_cast<uint32_t>(entries_.size()));
-  for (const Entry& e : entries_) {
-    w.b(e.valid);
-    w.u32(e.page);
-    w.u64(e.lru);
+void Tlb::state(binary::StateIo& io) {
+  io.u64(tick_);
+  io.fixed(entries_.size(), 1u << 20, "checkpoint TLB geometry mismatch");
+  for (Entry& e : entries_) {
+    io.b(e.valid);
+    io.u32(e.page);
+    io.u64(e.lru);
   }
   std::vector<uint32_t> pages(invisible_pages_.begin(),
                               invisible_pages_.end());
   std::sort(pages.begin(), pages.end());
-  w.u32(static_cast<uint32_t>(pages.size()));
-  for (const uint32_t page : pages) w.u32(page);
-  w.u64(stats_.accesses);
-  w.u64(stats_.misses);
-  w.u64(stats_.visibility_faults);
-}
-
-void Tlb::load_state(binary::StateReader& r) {
-  tick_ = r.u64();
-  const uint32_t n = r.count(1u << 20);
-  if (n != entries_.size()) {
-    throw binary::FormatError(binary::FormatFault::kImplausible,
-                              "checkpoint TLB geometry mismatch");
+  io.u32s(pages, 1u << 20);
+  if (io.loading()) {
+    invisible_pages_.clear();
+    invisible_pages_.insert(pages.begin(), pages.end());
   }
-  for (Entry& e : entries_) {
-    e.valid = r.b();
-    e.page = r.u32();
-    e.lru = r.u64();
-  }
-  invisible_pages_.clear();
-  const uint32_t pages = r.count(1u << 20);
-  for (uint32_t i = 0; i < pages; ++i) invisible_pages_.insert(r.u32());
-  stats_.accesses = r.u64();
-  stats_.misses = r.u64();
-  stats_.visibility_faults = r.u64();
+  io.u64(stats_.accesses);
+  io.u64(stats_.misses);
+  io.u64(stats_.visibility_faults);
 }
 
 void Tlb::register_stats(const telemetry::Scope& scope) const {

@@ -12,8 +12,7 @@
 #include "telemetry/stat_registry.hpp"
 
 namespace vcfr::binary {
-class StateWriter;
-class StateReader;
+class StateIo;
 }  // namespace vcfr::binary
 
 namespace vcfr::cache {
@@ -65,8 +64,7 @@ class Tlb {
 
   /// Checkpoint support: entries, invisible-page set (written sorted for
   /// a deterministic byte stream), LRU tick, statistics.
-  void save_state(binary::StateWriter& w) const;
-  void load_state(binary::StateReader& r);
+  void state(binary::StateIo& io);
 
  private:
   struct Entry {

@@ -38,31 +38,21 @@ uint32_t ContextManager::rerandomize_current(
   return flushed;
 }
 
-void ContextManager::save_state(binary::StateWriter& w) const {
-  w.u64(stats_.switches);
-  w.u64(stats_.entries_flushed);
-  w.u64(stats_.bitmap_entries_flushed);
-  w.u64(stats_.rerandomizations);
-  w.u32(current_.pid);
-  w.str(current_.name);
-  w.u64(current_.epoch);
-  w.b(current_.tables != nullptr);
-}
-
-void ContextManager::load_state(binary::StateReader& r) {
-  stats_.switches = r.u64();
-  stats_.entries_flushed = r.u64();
-  stats_.bitmap_entries_flushed = r.u64();
-  stats_.rerandomizations = r.u64();
-  current_.pid = r.u32();
-  current_.name = r.str();
-  current_.epoch = r.u64();
+void ContextManager::state(binary::StateIo& io) {
+  io.u64(stats_.switches);
+  io.u64(stats_.entries_flushed);
+  io.u64(stats_.bitmap_entries_flushed);
+  io.u64(stats_.rerandomizations);
+  io.u32(current_.pid);
+  io.str(current_.name);
+  io.u64(current_.epoch);
   // The flag marks whether a context was installed; the actual pointer is
   // rebound by the kernel once the owning process exists again. Keeping
   // tables_ null until then makes a missed rebind fail the switch_to()
   // same-context test instead of dereferencing a stale pointer.
-  current_.tables = nullptr;
-  (void)r.b();
+  bool installed = current_.tables != nullptr;
+  io.b(installed);
+  if (io.loading()) current_.tables = nullptr;
 }
 
 }  // namespace vcfr::core

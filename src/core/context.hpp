@@ -22,8 +22,7 @@
 #include "core/drc.hpp"
 
 namespace vcfr::binary {
-class StateWriter;
-class StateReader;
+class StateIo;
 }  // namespace vcfr::binary
 
 namespace vcfr::core {
@@ -82,8 +81,7 @@ class ContextManager {
   /// rebound by the kernel after the owning process is restored — a
   /// restored context deliberately skips the flush a switch_to() would
   /// trigger (the DRC state was checkpointed warm).
-  void save_state(binary::StateWriter& w) const;
-  void load_state(binary::StateReader& r);
+  void state(binary::StateIo& io);
   void rebind_tables(const binary::TranslationTables* tables) {
     current_.tables = tables;
     // If epoch revalidation was armed at checkpoint time, the restored

@@ -125,57 +125,30 @@ bool Drc::contains(uint32_t key, bool derand) const {
   return false;
 }
 
-void Drc::save_state(binary::StateWriter& w) const {
-  w.u64(tick_);
-  w.u32(static_cast<uint32_t>(entries_.size()));
-  for (const Entry& e : entries_) {
-    w.b(e.valid);
-    w.b(e.is_derand);
-    w.b(e.randomized_tag);
-    w.u32(e.key);
-    w.u32(e.translation);
-    w.u64(e.lru);
-    w.u64(e.epoch);
+void Drc::state(binary::StateIo& io) {
+  io.u64(tick_);
+  io.fixed(entries_.size(), 1u << 24, "checkpoint DRC geometry mismatch");
+  for (Entry& e : entries_) {
+    io.b(e.valid);
+    io.b(e.is_derand);
+    io.b(e.randomized_tag);
+    io.u32(e.key);
+    io.u32(e.translation);
+    io.u64(e.lru);
+    io.u64(e.epoch);
   }
-  w.u64(stats_.lookups);
-  w.u64(stats_.hits);
-  w.u64(stats_.misses);
-  w.u64(stats_.derand_lookups);
-  w.u64(stats_.rand_lookups);
-  w.u64(stats_.epoch_promotions);
-  w.u64(stats_.epoch_invalidations);
-  w.u64(epoch_);
+  io.u64(stats_.lookups);
+  io.u64(stats_.hits);
+  io.u64(stats_.misses);
+  io.u64(stats_.derand_lookups);
+  io.u64(stats_.rand_lookups);
+  io.u64(stats_.epoch_promotions);
+  io.u64(stats_.epoch_invalidations);
+  io.u64(epoch_);
   // The reval tables pointer is process-owned; the kernel re-points it
   // through rebind_reval() once the owning process is restored.
-  w.b(reval_armed_);
-}
-
-void Drc::load_state(binary::StateReader& r) {
-  tick_ = r.u64();
-  const uint32_t n = r.count(1u << 24);
-  if (n != entries_.size()) {
-    throw binary::FormatError(binary::FormatFault::kImplausible,
-                              "checkpoint DRC geometry mismatch");
-  }
-  for (Entry& e : entries_) {
-    e.valid = r.b();
-    e.is_derand = r.b();
-    e.randomized_tag = r.b();
-    e.key = r.u32();
-    e.translation = r.u32();
-    e.lru = r.u64();
-    e.epoch = r.u64();
-  }
-  stats_.lookups = r.u64();
-  stats_.hits = r.u64();
-  stats_.misses = r.u64();
-  stats_.derand_lookups = r.u64();
-  stats_.rand_lookups = r.u64();
-  stats_.epoch_promotions = r.u64();
-  stats_.epoch_invalidations = r.u64();
-  epoch_ = r.u64();
-  reval_armed_ = r.b();
-  reval_ = nullptr;  // rebound via rebind_reval() after processes restore
+  io.b(reval_armed_);
+  if (io.loading()) reval_ = nullptr;
 }
 
 void Drc::register_stats(const telemetry::Scope& scope) const {

@@ -22,8 +22,7 @@
 #include "telemetry/stat_registry.hpp"
 
 namespace vcfr::binary {
-class StateWriter;
-class StateReader;
+class StateIo;
 struct TranslationTables;
 }  // namespace vcfr::binary
 
@@ -119,8 +118,7 @@ class Drc {
   void register_stats(const telemetry::Scope& scope) const;
 
   /// Checkpoint support: entry array (incl. LRU ticks) + statistics.
-  void save_state(binary::StateWriter& w) const;
-  void load_state(binary::StateReader& r);
+  void state(binary::StateIo& io);
 
  private:
   struct Entry {

@@ -45,34 +45,18 @@ uint32_t RetBitmapCache::flush() {
   return lost;
 }
 
-void RetBitmapCache::save_state(binary::StateWriter& w) const {
-  w.u64(tick_);
-  w.u32(static_cast<uint32_t>(entries_.size()));
-  for (const Entry& e : entries_) {
-    w.b(e.valid);
-    w.u32(e.region);
-    w.u64(e.lru);
-  }
-  w.u64(stats_.accesses);
-  w.u64(stats_.misses);
-  w.u64(stats_.rerand_retained);
-}
-
-void RetBitmapCache::load_state(binary::StateReader& r) {
-  tick_ = r.u64();
-  const uint32_t n = r.count(1u << 20);
-  if (n != entries_.size()) {
-    throw binary::FormatError(binary::FormatFault::kImplausible,
-                              "checkpoint bitmap-cache geometry mismatch");
-  }
+void RetBitmapCache::state(binary::StateIo& io) {
+  io.u64(tick_);
+  io.fixed(entries_.size(), 1u << 20,
+           "checkpoint bitmap-cache geometry mismatch");
   for (Entry& e : entries_) {
-    e.valid = r.b();
-    e.region = r.u32();
-    e.lru = r.u64();
+    io.b(e.valid);
+    io.u32(e.region);
+    io.u64(e.lru);
   }
-  stats_.accesses = r.u64();
-  stats_.misses = r.u64();
-  stats_.rerand_retained = r.u64();
+  io.u64(stats_.accesses);
+  io.u64(stats_.misses);
+  io.u64(stats_.rerand_retained);
 }
 
 void RetBitmapCache::register_stats(const telemetry::Scope& scope) const {

@@ -16,8 +16,7 @@
 #include "telemetry/stat_registry.hpp"
 
 namespace vcfr::binary {
-class StateWriter;
-class StateReader;
+class StateIo;
 }  // namespace vcfr::binary
 
 namespace vcfr::core {
@@ -75,8 +74,7 @@ class RetBitmapCache {
   void register_stats(const telemetry::Scope& scope) const;
 
   /// Checkpoint support (the MemHier reference is rebound by the owner).
-  void save_state(binary::StateWriter& w) const;
-  void load_state(binary::StateReader& r);
+  void state(binary::StateIo& io);
 
  private:
   struct Entry {

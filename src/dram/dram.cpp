@@ -55,36 +55,18 @@ void Dram::write(uint32_t addr, uint64_t now) {
   (void)service(addr, now);  // posted; occupies the bank but nobody waits
 }
 
-void Dram::save_state(binary::StateWriter& w) const {
-  w.u32(static_cast<uint32_t>(banks_.size()));
-  for (const Bank& bank : banks_) {
-    w.b(bank.open);
-    w.u32(bank.open_row);
-    w.u64(bank.busy_until);
-  }
-  w.u64(stats_.reads);
-  w.u64(stats_.writes);
-  w.u64(stats_.row_hits);
-  w.u64(stats_.row_misses);
-  w.u64(stats_.refresh_stalls);
-}
-
-void Dram::load_state(binary::StateReader& r) {
-  const uint32_t n = r.count(1u << 16);
-  if (n != banks_.size()) {
-    throw binary::FormatError(binary::FormatFault::kImplausible,
-                              "checkpoint DRAM bank count mismatch");
-  }
+void Dram::state(binary::StateIo& io) {
+  io.fixed(banks_.size(), 1u << 16, "checkpoint DRAM bank count mismatch");
   for (Bank& bank : banks_) {
-    bank.open = r.b();
-    bank.open_row = r.u32();
-    bank.busy_until = r.u64();
+    io.b(bank.open);
+    io.u32(bank.open_row);
+    io.u64(bank.busy_until);
   }
-  stats_.reads = r.u64();
-  stats_.writes = r.u64();
-  stats_.row_hits = r.u64();
-  stats_.row_misses = r.u64();
-  stats_.refresh_stalls = r.u64();
+  io.u64(stats_.reads);
+  io.u64(stats_.writes);
+  io.u64(stats_.row_hits);
+  io.u64(stats_.row_misses);
+  io.u64(stats_.refresh_stalls);
 }
 
 void Dram::register_stats(const telemetry::Scope& scope) const {

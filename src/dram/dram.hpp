@@ -10,8 +10,7 @@
 #include "telemetry/stat_registry.hpp"
 
 namespace vcfr::binary {
-class StateWriter;
-class StateReader;
+class StateIo;
 }  // namespace vcfr::binary
 
 namespace vcfr::dram {
@@ -65,8 +64,7 @@ class Dram {
   void register_stats(const telemetry::Scope& scope) const;
 
   /// Checkpoint support: bank row-buffer/busy state + statistics.
-  void save_state(binary::StateWriter& w) const;
-  void load_state(binary::StateReader& r);
+  void state(binary::StateIo& io);
 
  private:
   struct Bank {

@@ -613,132 +613,71 @@ bool Emulator::step(StepInfo* info) {
   return true;
 }
 
-void Emulator::save_state(binary::StateWriter& w) const {
-  for (const uint32_t reg : state_.regs) w.u32(reg);
-  w.b(state_.zf);
-  w.b(state_.nf);
-  w.b(state_.cf);
-  w.b(state_.vf);
-  w.u32(state_.pc);
-  w.u64(stats_.instructions);
-  w.u64(stats_.calls);
-  w.u64(stats_.returns);
-  w.u64(stats_.indirect_transfers);
-  w.u64(stats_.derand_events);
-  w.u64(stats_.rand_events);
-  w.u64(stats_.bitmap_autoderand_loads);
-  w.u64(stats_.tag_violations);
-  w.u32(static_cast<uint32_t>(output_.size()));
-  for (const uint32_t v : output_) w.u32(v);
-  std::vector<uint32_t> bitmap(ret_bitmap_.begin(), ret_bitmap_.end());
-  std::sort(bitmap.begin(), bitmap.end());
-  w.u32(static_cast<uint32_t>(bitmap.size()));
-  for (const uint32_t addr : bitmap) w.u32(addr);
-  w.b(halted_);
-  w.u8(static_cast<uint8_t>(trap_.kind));
-  w.u32(trap_.pc);
-  w.u32(trap_.detail);
-  w.u64(trap_.instruction);
-  w.str(error_);
-  w.u64(max_output_);
+void Emulator::state(binary::StateIo& io) {
+  for (uint32_t& reg : state_.regs) io.u32(reg);
+  io.b(state_.zf);
+  io.b(state_.nf);
+  io.b(state_.cf);
+  io.b(state_.vf);
+  io.u32(state_.pc);
+  io.u64(stats_.instructions);
+  io.u64(stats_.calls);
+  io.u64(stats_.returns);
+  io.u64(stats_.indirect_transfers);
+  io.u64(stats_.derand_events);
+  io.u64(stats_.rand_events);
+  io.u64(stats_.bitmap_autoderand_loads);
+  io.u64(stats_.tag_violations);
+  io.u32s(output_, 1u << 24);
+  std::vector<uint32_t> marks(ret_bitmap_.begin(), ret_bitmap_.end());
+  std::sort(marks.begin(), marks.end());
+  io.u32s(marks, 1u << 24);
+  if (io.loading()) {
+    ret_bitmap_.clear();
+    for (const uint32_t addr : marks) ret_bitmap_.insert(addr);
+  }
+  io.b(halted_);
+  io.enum8(trap_.kind);
+  io.u32(trap_.pc);
+  io.u32(trap_.detail);
+  io.u64(trap_.instruction);
+  io.str(error_);
+  io.u64(max_output_);
   // Taint shadow state (appended so pre-taint readers never existed for
   // this format version; the kernel's config digest guards compatibility).
-  const auto tag_out = [&w](const TaintTag& t) {
-    w.b(t.tainted);
-    w.u8(static_cast<uint8_t>(t.origin));
-    w.u32(t.origin_rpc);
-    w.u32(t.depth);
+  const auto tag = [&io](TaintTag& t) {
+    io.b(t.tainted);
+    io.enum8(t.origin);
+    io.u32(t.origin_rpc);
+    io.u32(t.depth);
   };
-  w.b(taint_on_);
-  w.u64(taint_epoch_);
-  w.u64(taint_stats_.sources);
-  w.u64(taint_stats_.propagations);
-  w.u64(taint_stats_.leaks);
-  w.u64(taint_stats_.max_depth);
-  for (const TaintTag& t : reg_taint_) tag_out(t);
+  io.b(taint_on_);
+  io.u64(taint_epoch_);
+  io.u64(taint_stats_.sources);
+  io.u64(taint_stats_.propagations);
+  io.u64(taint_stats_.leaks);
+  io.u64(taint_stats_.max_depth);
+  for (TaintTag& t : reg_taint_) tag(t);
   std::vector<std::pair<uint32_t, TaintTag>> words(mem_taint_.begin(),
                                                    mem_taint_.end());
   std::sort(words.begin(), words.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  w.u32(static_cast<uint32_t>(words.size()));
-  for (const auto& [addr, tag] : words) {
-    w.u32(addr);
-    tag_out(tag);
-  }
-  w.u32(static_cast<uint32_t>(leaks_.size()));
-  for (const LeakRecord& rec : leaks_) {
-    w.u8(static_cast<uint8_t>(rec.origin));
-    w.u32(rec.origin_rpc);
-    w.u64(rec.epoch);
-    w.u32(rec.depth);
-    w.u8(static_cast<uint8_t>(rec.sink));
-    w.u32(rec.sink_rpc);
-    w.u64(rec.instruction);
-  }
-}
-
-void Emulator::load_state(binary::StateReader& r) {
-  for (uint32_t& reg : state_.regs) reg = r.u32();
-  state_.zf = r.b();
-  state_.nf = r.b();
-  state_.cf = r.b();
-  state_.vf = r.b();
-  state_.pc = r.u32();
-  stats_.instructions = r.u64();
-  stats_.calls = r.u64();
-  stats_.returns = r.u64();
-  stats_.indirect_transfers = r.u64();
-  stats_.derand_events = r.u64();
-  stats_.rand_events = r.u64();
-  stats_.bitmap_autoderand_loads = r.u64();
-  stats_.tag_violations = r.u64();
-  output_.clear();
-  const uint32_t outputs = r.count(1u << 24);
-  for (uint32_t i = 0; i < outputs; ++i) output_.push_back(r.u32());
-  ret_bitmap_.clear();
-  const uint32_t marks = r.count(1u << 24);
-  for (uint32_t i = 0; i < marks; ++i) ret_bitmap_.insert(r.u32());
-  halted_ = r.b();
-  trap_.kind = static_cast<fault::FaultKind>(r.u8());
-  trap_.pc = r.u32();
-  trap_.detail = r.u32();
-  trap_.instruction = r.u64();
-  error_ = r.str();
-  max_output_ = r.u64();
-  const auto tag_in = [&r] {
-    TaintTag t;
-    t.tainted = r.b();
-    t.origin = static_cast<TaintOrigin>(r.u8());
-    t.origin_rpc = r.u32();
-    t.depth = r.u32();
-    return t;
-  };
-  taint_on_ = r.b();
-  taint_epoch_ = r.u64();
-  taint_stats_.sources = r.u64();
-  taint_stats_.propagations = r.u64();
-  taint_stats_.leaks = r.u64();
-  taint_stats_.max_depth = r.u64();
-  for (TaintTag& t : reg_taint_) t = tag_in();
+  io.vec(words, 1u << 24, [&](std::pair<uint32_t, TaintTag>& word) {
+    io.u32(word.first);
+    tag(word.second);
+  });
+  io.vec(leaks_, 1u << 24, [&io](LeakRecord& rec) {
+    io.enum8(rec.origin);
+    io.u32(rec.origin_rpc);
+    io.u64(rec.epoch);
+    io.u32(rec.depth);
+    io.enum8(rec.sink);
+    io.u32(rec.sink_rpc);
+    io.u64(rec.instruction);
+  });
+  if (!io.loading()) return;
   mem_taint_.clear();
-  const uint32_t words = r.count(1u << 24);
-  for (uint32_t i = 0; i < words; ++i) {
-    const uint32_t addr = r.u32();
-    mem_taint_[addr] = tag_in();
-  }
-  leaks_.clear();
-  const uint32_t leak_count = r.count(1u << 24);
-  for (uint32_t i = 0; i < leak_count; ++i) {
-    LeakRecord rec;
-    rec.origin = static_cast<TaintOrigin>(r.u8());
-    rec.origin_rpc = r.u32();
-    rec.epoch = r.u64();
-    rec.depth = r.u32();
-    rec.sink = static_cast<LeakSink>(r.u8());
-    rec.sink_rpc = r.u32();
-    rec.instruction = r.u64();
-    leaks_.push_back(rec);
-  }
+  for (const auto& [addr, t] : words) mem_taint_[addr] = t;
   // Host-only decode cache: drop every fill so nothing predating the
   // restored architectural state survives.
   std::fill(dcache_.begin(), dcache_.end(), DecodedEntry{});

@@ -222,7 +222,7 @@ class Emulator {
   /// patch provably left their (upc, bytes, seq_next) intact. `dirty`
   /// holds the stale RPCs (moved instructions' old/new addresses, their
   /// linear predecessors, re-encoded referring sites). A later note
-  /// replaces this one; load_state() clears it.
+  /// replaces this one; loading a checkpoint clears it.
   void note_rerand(uint64_t prev_gen, uint64_t new_gen,
                    binary::FlatSet32 dirty) {
     rerand_note_ = true;
@@ -233,10 +233,9 @@ class Emulator {
 
   /// Checkpoint support: full architectural state (registers, flags, PC,
   /// stats, output, ret bitmap, halt/trap state). The decoded-instruction
-  /// cache is host-only and never serialized; load_state() empties it so
+  /// cache is host-only and never serialized; loading empties it so
   /// a reused emulator cannot serve pre-restore decodings.
-  void save_state(binary::StateWriter& w) const;
-  void load_state(binary::StateReader& r);
+  void state(binary::StateIo& io);
 
   // ---- fault-injection hooks (src/fault/) --------------------------------
   /// Flips the architectural ret-bitmap state of `addr`: a marked slot
@@ -306,7 +305,7 @@ class Emulator {
   /// keep returning a reference.
   fault::Trap trap_;
   std::string error_;
-  size_t max_output_ = 1u << 20;
+  uint64_t max_output_ = 1u << 20;
 
   std::vector<DecodedEntry> dcache_;
   /// Decode target when the cache is off (never tagged, never hit).

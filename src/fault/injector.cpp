@@ -240,24 +240,14 @@ bool FaultInjector::apply(binary::Image& image, binary::Memory& mem,
   return false;
 }
 
-void FaultInjector::save_state(binary::StateWriter& w) const {
-  w.b(attempted_);
-  w.b(record_.applied);
-  w.u8(static_cast<uint8_t>(record_.site));
-  w.u64(record_.at_instruction);
-  w.u32(record_.address);
-  w.u32(record_.bit);
-  w.str(record_.note);
-}
-
-void FaultInjector::load_state(binary::StateReader& r) {
-  attempted_ = r.b();
-  record_.applied = r.b();
-  record_.site = static_cast<FaultSite>(r.u8());
-  record_.at_instruction = r.u64();
-  record_.address = r.u32();
-  record_.bit = r.u32();
-  record_.note = r.str();
+void FaultInjector::state(binary::StateIo& io) {
+  io.b(attempted_);
+  io.b(record_.applied);
+  io.enum8(record_.site);
+  io.u64(record_.at_instruction);
+  io.u32(record_.address);
+  io.u32(record_.bit);
+  io.str(record_.note);
 }
 
 }  // namespace vcfr::fault

@@ -21,8 +21,7 @@
 #include "fault/fault.hpp"
 
 namespace vcfr::binary {
-class StateWriter;
-class StateReader;
+class StateIo;
 }  // namespace vcfr::binary
 
 namespace vcfr::fault {
@@ -101,8 +100,7 @@ class FaultInjector {
 
   /// Checkpoint support: whether the plan already fired and what it did.
   /// The plan itself is configuration and is re-supplied at construction.
-  void save_state(binary::StateWriter& w) const;
-  void load_state(binary::StateReader& r);
+  void state(binary::StateIo& io);
 
  private:
   FaultPlan plan_;

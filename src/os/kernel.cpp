@@ -422,42 +422,60 @@ uint64_t Kernel::config_digest() const {
   return d.h;
 }
 
+void Kernel::state(binary::StateIo& io) {
+  for (const char c : kCheckpointMagic) {
+    auto byte = static_cast<uint8_t>(c);
+    io.u8(byte);
+    if (byte != static_cast<uint8_t>(c)) {
+      throw binary::FormatError(binary::FormatFault::kBadMagic,
+                                "not a fleet checkpoint");
+    }
+  }
+  uint32_t version = kCheckpointVersion;
+  io.u32(version);
+  io.require(version == kCheckpointVersion,
+             "unsupported checkpoint version " + std::to_string(version));
+  uint64_t digest = config_digest();
+  io.u64(digest);
+  io.require(digest == config_digest(),
+             "checkpoint configuration digest mismatch");
+  io.u64(rounds_);
+  io.u64(restarts_);
+  io.u64(watchdog_kills_);
+  io.u64(injected_faults_);
+  io.u64(rerand_forced_);
+  io.u64(rerand_regions_total_);
+  io.u64(rerand_entries_total_);
+  io.u64(leaks_detected_);
+  io.u64(leak_rerands_);
+  const auto pids = static_cast<uint32_t>(procs_.size());
+  io.vec(pending_restarts_, 1u << 20, [&](PendingRestart& pr) {
+    io.u32(pr.pid);
+    io.require(pr.pid < pids, "checkpoint pending-restart pid out of range");
+    io.u64(pr.due_round);
+  });
+  sched_.state(io, pids);
+  shared_.state(io);
+  const uint32_t cores = shared_.cores();
+  io.fixed(cores, 1u << 16, "checkpoint core count mismatch");
+  for (uint32_t c = 0; c < cores; ++c) {
+    cores_[c]->state(io);
+    ctx_[c]->state(io);
+    io.i64(installed_[c].first);
+    io.i64(installed_[c].second);
+  }
+  io.fixed(pids, 1u << 20, "checkpoint process count mismatch");
+  for (const auto& proc : procs_) proc->state(io);
+}
+
 void Kernel::write_checkpoint() {
   std::ofstream out(checkpoint_path_, std::ios::binary);
   if (!out) {
     throw binary::FormatError(binary::FormatFault::kIo,
                               "cannot open checkpoint " + checkpoint_path_);
   }
-  binary::StateWriter w(out);
-  for (const char c : kCheckpointMagic) w.u8(static_cast<uint8_t>(c));
-  w.u32(kCheckpointVersion);
-  w.u64(config_digest());
-  w.u64(rounds_);
-  w.u64(restarts_);
-  w.u64(watchdog_kills_);
-  w.u64(injected_faults_);
-  w.u64(rerand_forced_);
-  w.u64(rerand_regions_total_);
-  w.u64(rerand_entries_total_);
-  w.u64(leaks_detected_);
-  w.u64(leak_rerands_);
-  w.u32(static_cast<uint32_t>(pending_restarts_.size()));
-  for (const PendingRestart& pr : pending_restarts_) {
-    w.u32(pr.pid);
-    w.u64(pr.due_round);
-  }
-  sched_.save_state(w);
-  shared_.save_state(w);
-  const uint32_t cores = shared_.cores();
-  w.u32(cores);
-  for (uint32_t c = 0; c < cores; ++c) {
-    cores_[c]->save_state(w);
-    ctx_[c]->save_state(w);
-    w.i64(installed_[c].first);
-    w.i64(installed_[c].second);
-  }
-  w.u32(static_cast<uint32_t>(procs_.size()));
-  for (const auto& proc : procs_) proc->save_state(w);
+  binary::StateIo io(out);
+  state(io);
   out.flush();
   if (!out) {
     throw binary::FormatError(binary::FormatFault::kIo,
@@ -471,63 +489,11 @@ void Kernel::write_checkpoint() {
 }
 
 void Kernel::restore(std::istream& in) {
-  binary::StateReader r(in);
-  for (const char c : kCheckpointMagic) {
-    if (r.u8() != static_cast<uint8_t>(c)) {
-      throw binary::FormatError(binary::FormatFault::kBadMagic,
-                                "not a fleet checkpoint");
-    }
-  }
-  const uint32_t version = r.u32();
-  if (version != kCheckpointVersion) {
-    throw binary::FormatError(
-        binary::FormatFault::kImplausible,
-        "unsupported checkpoint version " + std::to_string(version));
-  }
-  const uint64_t digest = r.u64();
-  if (digest != config_digest()) {
-    throw binary::FormatError(binary::FormatFault::kImplausible,
-                              "checkpoint configuration digest mismatch");
-  }
-  rounds_ = r.u64();
-  restarts_ = r.u64();
-  watchdog_kills_ = r.u64();
-  injected_faults_ = r.u64();
-  rerand_forced_ = r.u64();
-  rerand_regions_total_ = r.u64();
-  rerand_entries_total_ = r.u64();
-  leaks_detected_ = r.u64();
-  leak_rerands_ = r.u64();
-  pending_restarts_.clear();
-  const uint32_t pending = r.count(1u << 20);
-  for (uint32_t i = 0; i < pending; ++i) {
-    PendingRestart pr;
-    pr.pid = r.u32();
-    pr.due_round = r.u64();
-    pending_restarts_.push_back(pr);
-  }
-  sched_.load_state(r);
-  shared_.load_state(r);
-  const uint32_t cores = r.count(1u << 16);
-  if (cores != shared_.cores()) {
-    throw binary::FormatError(binary::FormatFault::kImplausible,
-                              "checkpoint core count mismatch");
-  }
-  for (uint32_t c = 0; c < cores; ++c) {
-    cores_[c]->load_state(r);
-    ctx_[c]->load_state(r);
-    installed_[c].first = r.i64();
-    installed_[c].second = r.i64();
-  }
-  const uint32_t nprocs = r.count(1u << 20);
-  if (nprocs != procs_.size()) {
-    throw binary::FormatError(binary::FormatFault::kImplausible,
-                              "checkpoint process count mismatch");
-  }
-  for (const auto& proc : procs_) proc->load_state(r);
+  binary::StateIo io(in);
+  state(io);
   // Every process rebuilt its walker and tables over the restored image;
   // re-point the per-core references that used to alias the old objects.
-  for (uint32_t c = 0; c < cores; ++c) {
+  for (uint32_t c = 0; c < shared_.cores(); ++c) {
     const int64_t pid = installed_[c].first;
     if (pid >= 0 && static_cast<size_t>(pid) < procs_.size()) {
       cores_[c]->rebind_walker(procs_[static_cast<size_t>(pid)]->walker());

@@ -266,6 +266,11 @@ class Kernel {
   /// Registers every core/process/shared structure with the attached
   /// telemetry session and creates the trace lanes (run() entry).
   void setup_telemetry();
+  /// The checkpoint field list (format v2): magic, version, config
+  /// digest, kernel counters, pending restarts, scheduler queues, shared
+  /// L2, every core and its context, every process. Saving or loading
+  /// per the direction of `io`.
+  void state(binary::StateIo& io);
   /// Serializes the full fleet state to checkpoint_path_ (end of round).
   void write_checkpoint();
   /// FNV-1a over the simulation-relevant configuration (kernel + every

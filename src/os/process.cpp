@@ -270,111 +270,68 @@ bool Process::apply_injection() {
   return injector_->apply(placed_->vcfr, mem_, *emu_, &program_->image);
 }
 
-void Process::save_state(binary::StateWriter& w) const {
-  w.u32(pid_);
-  w.u64(epoch_);
-  w.u64(reseed_);
-  w.u32(restarts_);
+void Process::state(binary::StateIo& io) {
+  uint32_t pid = pid_;
+  io.u32(pid);
+  io.require(pid == pid_, "checkpoint pid mismatch");
+  io.u64(epoch_);
+  io.u64(reseed_);
+  io.u32(restarts_);
   // The live randomized image, bytes and tables included. An armed
   // injection may have rewritten either — the checkpoint must carry the
-  // corruption, not the pristine re-derivation.
-  std::ostringstream blob;
-  binary::save(placed_->vcfr, blob);
-  const std::string bytes = blob.str();
-  w.u32(static_cast<uint32_t>(bytes.size()));
-  w.bytes(bytes.data(), bytes.size());
-  mem_.save_state(w);
-  emu_->save_state(w);
-  w.b(injector_ != nullptr);
-  if (injector_) injector_->save_state(w);
-  w.b(finished_);
-  w.u8(static_cast<uint8_t>(exit_status_.code));
-  w.u8(static_cast<uint8_t>(exit_status_.trap.kind));
-  w.u32(exit_status_.trap.pc);
-  w.u32(exit_status_.trap.detail);
-  w.u64(exit_status_.trap.instruction);
-  w.u64(life_base_);
-  w.b(req_active_);
-  w.u64(req_id_);
-  w.u64(req_run_cycles_);
-  w.u64(req_commit_cycles_);
-  w.u64(stats_.slices);
-  w.u64(stats_.instructions);
-  w.u64(stats_.context_switches);
-  w.u64(stats_.drc_entries_flushed);
-  w.u64(stats_.bitmap_entries_flushed);
-  w.u64(stats_.rerandomizations);
-  w.u64(stats_.rerandomizations_deferred);
-  w.u64(stats_.finish_cycles);
+  // corruption, not the pristine re-derivation, so the serialized image
+  // is the ground truth on load.
+  std::ostringstream out;
+  if (!io.loading()) binary::save(placed_->vcfr, out);
+  std::string image = out.str();
+  io.blob(image, 1u << 28);
+  if (io.loading()) {
+    std::istringstream in(image);
+    placed_ = std::make_unique<rewriter::PlacedImage>();
+    placed_->vcfr = binary::load_file(in);
+  }
+  mem_.state(io);
+  if (io.loading()) {
+    emu_ = std::make_unique<emu::Emulator>(placed_->vcfr, mem_);
+    emu_->set_enforce_tags(config_.enforce_tags);
+  }
+  emu_->state(io);
+  bool has_injector = injector_ != nullptr;
+  io.b(has_injector);
+  io.require(has_injector == (injector_ != nullptr),
+             "checkpoint injector presence mismatch");
+  if (injector_) injector_->state(io);
+  io.b(finished_);
+  io.enum8(exit_status_.code);
+  io.enum8(exit_status_.trap.kind);
+  io.u32(exit_status_.trap.pc);
+  io.u32(exit_status_.trap.detail);
+  io.u64(exit_status_.trap.instruction);
+  io.u64(life_base_);
+  io.b(req_active_);
+  io.u64(req_id_);
+  io.u64(req_run_cycles_);
+  io.u64(req_commit_cycles_);
+  io.u64(stats_.slices);
+  io.u64(stats_.instructions);
+  io.u64(stats_.context_switches);
+  io.u64(stats_.drc_entries_flushed);
+  io.u64(stats_.bitmap_entries_flushed);
+  io.u64(stats_.rerandomizations);
+  io.u64(stats_.rerandomizations_deferred);
+  io.u64(stats_.finish_cycles);
   // Continuous re-rand state (appended; the checkpoint format is
   // internal-only and versioned by config digest).
-  w.u64(stats_.rerandomizations_forced);
-  w.u32(defer_streak_);
-  w.b(rerand_pending_);
-  w.u32(trap_rerands_);
-  w.u32(static_cast<uint32_t>(aliases_.size()));
-  for (const uint32_t a : aliases_) w.u32(a);
+  io.u64(stats_.rerandomizations_forced);
+  io.u32(defer_streak_);
+  io.b(rerand_pending_);
+  io.u32(trap_rerands_);
+  io.u32s(aliases_, 1u << 20);
   // Leak attribution for an in-flight request (appended; the emulator's
-  // own taint shadow state rides inside emu_->save_state above).
-  w.u64(req_leaks_);
-  w.u32(req_leak_depth_);
-}
-
-void Process::load_state(binary::StateReader& r) {
-  const uint32_t pid = r.u32();
-  if (pid != pid_) {
-    throw binary::FormatError(binary::FormatFault::kImplausible,
-                              "checkpoint pid mismatch");
-  }
-  epoch_ = r.u64();
-  reseed_ = r.u64();
-  restarts_ = r.u32();
-  // The serialized live image is the ground truth, so any injected
-  // corruption of code bytes or tables survives.
-  const uint32_t blob_size = r.count(1u << 28);
-  std::string bytes(blob_size, '\0');
-  r.bytes(bytes.data(), bytes.size());
-  std::istringstream blob(bytes);
-  placed_ = std::make_unique<rewriter::PlacedImage>();
-  placed_->vcfr = binary::load_file(blob);
-  mem_.load_state(r);
-  emu_ = std::make_unique<emu::Emulator>(placed_->vcfr, mem_);
-  emu_->set_enforce_tags(config_.enforce_tags);
-  emu_->load_state(r);
-  const bool has_injector = r.b();
-  if (has_injector != (injector_ != nullptr)) {
-    throw binary::FormatError(binary::FormatFault::kImplausible,
-                              "checkpoint injector presence mismatch");
-  }
-  if (injector_) injector_->load_state(r);
-  finished_ = r.b();
-  exit_status_.code = static_cast<fault::ExitCode>(r.u8());
-  exit_status_.trap.kind = static_cast<fault::FaultKind>(r.u8());
-  exit_status_.trap.pc = r.u32();
-  exit_status_.trap.detail = r.u32();
-  exit_status_.trap.instruction = r.u64();
-  life_base_ = r.u64();
-  req_active_ = r.b();
-  req_id_ = r.u64();
-  req_run_cycles_ = r.u64();
-  req_commit_cycles_ = r.u64();
-  stats_.slices = r.u64();
-  stats_.instructions = r.u64();
-  stats_.context_switches = r.u64();
-  stats_.drc_entries_flushed = r.u64();
-  stats_.bitmap_entries_flushed = r.u64();
-  stats_.rerandomizations = r.u64();
-  stats_.rerandomizations_deferred = r.u64();
-  stats_.finish_cycles = r.u64();
-  stats_.rerandomizations_forced = r.u64();
-  defer_streak_ = r.u32();
-  rerand_pending_ = r.b();
-  trap_rerands_ = r.u32();
-  aliases_.clear();
-  const uint32_t aliases = r.count(1u << 20);
-  for (uint32_t i = 0; i < aliases; ++i) aliases_.push_back(r.u32());
-  req_leaks_ = r.u64();
-  req_leak_depth_ = r.u32();
+  // own taint shadow state rides inside emu_->state above).
+  io.u64(req_leaks_);
+  io.u32(req_leak_depth_);
+  if (!io.loading()) return;
   // Incremental epochs diverge from what place(epoch seed) would produce,
   // so the placement map is rebuilt from the serialized tables.
   for (const auto& [orig, ra] : placed_->vcfr.tables.rand) {

@@ -27,8 +27,7 @@
 #include "rewriter/randomizer.hpp"
 
 namespace vcfr::binary {
-class StateWriter;
-class StateReader;
+class StateIo;
 }  // namespace vcfr::binary
 
 namespace vcfr::os {
@@ -306,16 +305,15 @@ class Process {
   /// Returns whether it took effect (idempotent).
   bool apply_injection();
 
-  /// Checkpoint support. save_state serializes the *current* randomized
+  /// Checkpoint support. Saving serializes the *current* randomized
   /// image verbatim (not just the epoch seed) so injection-corrupted code
-  /// bytes and table entries survive the round trip; load_state swaps in
+  /// bytes and table entries survive the round trip; loading swaps in
   /// the serialized image, rebuilds the placement map from its tables,
   /// restores memory, builds a fresh emulator over them and loads its
   /// architectural state, then rebuilds the walker over the restored
   /// tables. The caller must have bind()-ed the process first (spawn order
   /// reproduces that).
-  void save_state(binary::StateWriter& w) const;
-  void load_state(binary::StateReader& r);
+  void state(binary::StateIo& io);
 
   [[nodiscard]] emu::Emulator& emulator() { return *emu_; }
   [[nodiscard]] const emu::Emulator& emulator() const { return *emu_; }

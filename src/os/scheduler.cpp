@@ -62,43 +62,34 @@ void Scheduler::register_stats(const telemetry::Scope& scope) const {
               [this] { return static_cast<double>(blocked_); });
 }
 
-void Scheduler::save_state(binary::StateWriter& w) const {
-  w.u32(next_core_);
-  w.u64(preemptions_);
-  w.u64(wakeups_);
-  w.u64(blocked_);
-  w.u32(static_cast<uint32_t>(head_.size()));
+void Scheduler::state(binary::StateIo& io, uint32_t pids) {
+  io.u32(next_core_);
+  io.u64(preemptions_);
+  io.u64(wakeups_);
+  io.u64(blocked_);
+  io.fixed(head_.size(), 1u << 16, "checkpoint core count mismatch");
+  if (io.loading()) {
+    next_.clear();
+    head_.assign(head_.size(), -1);
+    tail_.assign(tail_.size(), -1);
+    runnable_ = 0;
+  }
+  std::vector<bool> queued(pids, false);
   for (uint32_t core = 0; core < head_.size(); ++core) {
-    uint32_t n = 0;
+    std::vector<uint32_t> queue;
     for (int32_t pid = head_[core]; pid >= 0;
          pid = next_[static_cast<uint32_t>(pid)]) {
-      ++n;
+      queue.push_back(static_cast<uint32_t>(pid));
     }
-    w.u32(n);
-    for (int32_t pid = head_[core]; pid >= 0;
-         pid = next_[static_cast<uint32_t>(pid)]) {
-      w.u32(static_cast<uint32_t>(pid));
+    io.vec(queue, 1u << 20, [&](uint32_t& pid) {
+      io.u32(pid);
+      io.require(pid < pids && !queued[pid],
+                 "checkpoint queued pid out of range or queued twice");
+      queued[pid] = true;
+    });
+    if (io.loading()) {
+      for (const uint32_t pid : queue) push(core, pid);
     }
-  }
-}
-
-void Scheduler::load_state(binary::StateReader& r) {
-  next_core_ = r.u32();
-  preemptions_ = r.u64();
-  wakeups_ = r.u64();
-  blocked_ = r.u64();
-  const uint32_t cores = r.count(1u << 16);
-  if (cores != head_.size()) {
-    throw binary::FormatError(binary::FormatFault::kImplausible,
-                              "checkpoint core count mismatch");
-  }
-  next_.clear();
-  head_.assign(cores, -1);
-  tail_.assign(cores, -1);
-  runnable_ = 0;
-  for (uint32_t core = 0; core < cores; ++core) {
-    const uint32_t n = r.count(1u << 20);
-    for (uint32_t i = 0; i < n; ++i) push(core, r.u32());
   }
 }
 

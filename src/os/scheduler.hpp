@@ -22,8 +22,7 @@
 #include "telemetry/stat_registry.hpp"
 
 namespace vcfr::binary {
-class StateWriter;
-class StateReader;
+class StateIo;
 }  // namespace vcfr::binary
 
 namespace vcfr::os {
@@ -72,9 +71,9 @@ class Scheduler {
 
   /// Checkpoint support: queue contents are written as explicit per-core
   /// pid lists in FIFO order, so the wire format is independent of the
-  /// intrusive-list representation.
-  void save_state(binary::StateWriter& w) const;
-  void load_state(binary::StateReader& r);
+  /// intrusive-list representation. Loading rejects a pid that is not
+  /// below `pids` or is queued twice.
+  void state(binary::StateIo& io, uint32_t pids);
 
  private:
   /// Appends `pid` to the back of `core`'s ready FIFO.

@@ -24,20 +24,10 @@ void Gshare::update(uint32_t pc, bool taken) {
   history_ = ((history_ << 1) | (taken ? 1u : 0u)) & history_mask_;
 }
 
-void Gshare::save_state(binary::StateWriter& w) const {
-  w.u32(history_);
-  w.u32(static_cast<uint32_t>(counters_.size()));
-  for (const uint8_t c : counters_) w.u8(c);
-}
-
-void Gshare::load_state(binary::StateReader& r) {
-  history_ = r.u32();
-  const uint32_t n = r.count(1u << 24);
-  if (n != counters_.size()) {
-    throw binary::FormatError(binary::FormatFault::kImplausible,
-                              "checkpoint gshare geometry mismatch");
-  }
-  for (uint8_t& c : counters_) c = r.u8();
+void Gshare::state(binary::StateIo& io) {
+  io.u32(history_);
+  io.fixed(counters_.size(), 1u << 24, "checkpoint gshare geometry mismatch");
+  for (uint8_t& c : counters_) io.u8(c);
 }
 
 Btb::Btb(const BpredConfig& config)
@@ -80,51 +70,23 @@ void Btb::update(uint32_t pc, AddrPair target) {
   victim->lru = ++tick_;
 }
 
-void Btb::save_state(binary::StateWriter& w) const {
-  w.u64(tick_);
-  w.u32(static_cast<uint32_t>(entries_.size()));
-  for (const Entry& e : entries_) {
-    w.b(e.valid);
-    w.u32(e.tag);
-    w.u32(e.target.rand);
-    w.u32(e.target.orig);
-    w.u64(e.lru);
-  }
-}
-
-void Btb::load_state(binary::StateReader& r) {
-  tick_ = r.u64();
-  const uint32_t n = r.count(1u << 24);
-  if (n != entries_.size()) {
-    throw binary::FormatError(binary::FormatFault::kImplausible,
-                              "checkpoint BTB geometry mismatch");
-  }
+void Btb::state(binary::StateIo& io) {
+  io.u64(tick_);
+  io.fixed(entries_.size(), 1u << 24, "checkpoint BTB geometry mismatch");
   for (Entry& e : entries_) {
-    e.valid = r.b();
-    e.tag = r.u32();
-    e.target.rand = r.u32();
-    e.target.orig = r.u32();
-    e.lru = r.u64();
+    io.b(e.valid);
+    io.u32(e.tag);
+    io.u32(e.target.rand);
+    io.u32(e.target.orig);
+    io.u64(e.lru);
   }
 }
 
-void Ras::save_state(binary::StateWriter& w) const {
-  w.u32(static_cast<uint32_t>(stack_.size()));
-  for (const AddrPair& p : stack_) {
-    w.u32(p.rand);
-    w.u32(p.orig);
-  }
-}
-
-void Ras::load_state(binary::StateReader& r) {
-  stack_.clear();
-  const uint32_t n = r.count(1u << 16);
-  for (uint32_t i = 0; i < n; ++i) {
-    AddrPair p;
-    p.rand = r.u32();
-    p.orig = r.u32();
-    stack_.push_back(p);
-  }
+void Ras::state(binary::StateIo& io) {
+  io.vec(stack_, 1u << 16, [&io](AddrPair& p) {
+    io.u32(p.rand);
+    io.u32(p.orig);
+  });
 }
 
 void Ras::push(AddrPair pair) {

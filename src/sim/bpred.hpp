@@ -15,8 +15,7 @@
 #include <vector>
 
 namespace vcfr::binary {
-class StateWriter;
-class StateReader;
+class StateIo;
 }  // namespace vcfr::binary
 
 namespace vcfr::sim {
@@ -57,8 +56,7 @@ class Gshare {
   [[nodiscard]] bool predict(uint32_t pc) const;
   void update(uint32_t pc, bool taken);
 
-  void save_state(binary::StateWriter& w) const;
-  void load_state(binary::StateReader& r);
+  void state(binary::StateIo& io);
 
  private:
   [[nodiscard]] uint32_t index(uint32_t pc) const;
@@ -74,8 +72,7 @@ class Btb {
   [[nodiscard]] std::optional<AddrPair> lookup(uint32_t pc);
   void update(uint32_t pc, AddrPair target);
 
-  void save_state(binary::StateWriter& w) const;
-  void load_state(binary::StateReader& r);
+  void state(binary::StateIo& io);
 
  private:
   struct Entry {
@@ -96,8 +93,7 @@ class Ras {
   void push(AddrPair pair);
   [[nodiscard]] std::optional<AddrPair> pop();
 
-  void save_state(binary::StateWriter& w) const;
-  void load_state(binary::StateReader& r);
+  void state(binary::StateIo& io);
 
  private:
   uint32_t capacity_;

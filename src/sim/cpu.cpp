@@ -379,96 +379,49 @@ void CpuCore::retire(const StepInfo& si) {
   }
 }
 
-void CpuCore::save_state(binary::StateWriter& w) const {
-  mem_.save_state(w);
-  drc_.save_state(w);
-  w.b(drc_l2_ != nullptr);
-  if (drc_l2_) drc_l2_->save_state(w);
-  bitmap_.save_state(w);
-  gshare_.save_state(w);
-  btb_.save_state(w);
-  ras_.save_state(w);
-  w.u64(bpstats_.cond_predictions);
-  w.u64(bpstats_.cond_mispredicts);
-  w.u64(bpstats_.btb_lookups);
-  w.u64(bpstats_.btb_hits);
-  w.u64(bpstats_.ras_pops);
-  w.u64(bpstats_.ras_mispredicts);
-  w.b(vcfr_);
-  w.b(naive_);
-  w.u32(asid_);
-  w.u64(fetch_ready_);
-  w.u64(last_issue_);
-  w.u32(issued_in_cycle_);
-  w.u64(block_until_);
-  w.u64(last_done_);
-  w.u32(cur_line_);
-  w.u32(static_cast<uint32_t>(issue_ring_.size()));
-  for (const uint64_t t : issue_ring_) w.u64(t);
-  w.u32(static_cast<uint32_t>(store_ring_.size()));
-  for (const uint64_t t : store_ring_) w.u64(t);
-  w.u64(store_head_);
-  w.u64(retired_);
-  w.u64(table_walks_);
-  w.u64(n_alu_);
-  w.u64(n_mul_);
-  w.u64(n_div_);
-  w.u64(n_mem_);
-  w.u64(n_branch_);
-  w.u64(n_ras_ops_);
-  w.u64(n_btb_ops_);
-}
-
-void CpuCore::load_state(binary::StateReader& r) {
-  mem_.load_state(r);
-  drc_.load_state(r);
-  const bool has_l2 = r.b();
-  if (has_l2 != (drc_l2_ != nullptr)) {
-    throw binary::FormatError(binary::FormatFault::kImplausible,
-                              "checkpoint DRC L2 presence mismatch");
-  }
-  if (drc_l2_) drc_l2_->load_state(r);
-  bitmap_.load_state(r);
-  gshare_.load_state(r);
-  btb_.load_state(r);
-  ras_.load_state(r);
-  bpstats_.cond_predictions = r.u64();
-  bpstats_.cond_mispredicts = r.u64();
-  bpstats_.btb_lookups = r.u64();
-  bpstats_.btb_hits = r.u64();
-  bpstats_.ras_pops = r.u64();
-  bpstats_.ras_mispredicts = r.u64();
-  vcfr_ = r.b();
-  naive_ = r.b();
-  asid_ = r.u32();
-  fetch_ready_ = r.u64();
-  last_issue_ = r.u64();
-  issued_in_cycle_ = r.u32();
-  block_until_ = r.u64();
-  last_done_ = r.u64();
-  cur_line_ = r.u32();
-  const uint32_t iq = r.count(1u << 16);
-  if (iq != issue_ring_.size()) {
-    throw binary::FormatError(binary::FormatFault::kImplausible,
-                              "checkpoint issue-ring size mismatch");
-  }
-  for (auto& t : issue_ring_) t = r.u64();
-  const uint32_t sb = r.count(1u << 16);
-  if (sb != store_ring_.size()) {
-    throw binary::FormatError(binary::FormatFault::kImplausible,
-                              "checkpoint store-ring size mismatch");
-  }
-  for (auto& t : store_ring_) t = r.u64();
-  store_head_ = static_cast<size_t>(r.u64());
-  retired_ = r.u64();
-  table_walks_ = r.u64();
-  n_alu_ = r.u64();
-  n_mul_ = r.u64();
-  n_div_ = r.u64();
-  n_mem_ = r.u64();
-  n_branch_ = r.u64();
-  n_ras_ops_ = r.u64();
-  n_btb_ops_ = r.u64();
+void CpuCore::state(binary::StateIo& io) {
+  mem_.state(io);
+  drc_.state(io);
+  bool has_l2 = drc_l2_ != nullptr;
+  io.b(has_l2);
+  io.require(has_l2 == (drc_l2_ != nullptr),
+             "checkpoint DRC L2 presence mismatch");
+  if (drc_l2_) drc_l2_->state(io);
+  bitmap_.state(io);
+  gshare_.state(io);
+  btb_.state(io);
+  ras_.state(io);
+  io.u64(bpstats_.cond_predictions);
+  io.u64(bpstats_.cond_mispredicts);
+  io.u64(bpstats_.btb_lookups);
+  io.u64(bpstats_.btb_hits);
+  io.u64(bpstats_.ras_pops);
+  io.u64(bpstats_.ras_mispredicts);
+  io.b(vcfr_);
+  io.b(naive_);
+  io.u32(asid_);
+  io.u64(fetch_ready_);
+  io.u64(last_issue_);
+  io.u32(issued_in_cycle_);
+  io.u64(block_until_);
+  io.u64(last_done_);
+  io.u32(cur_line_);
+  io.fixed(issue_ring_.size(), 1u << 16, "checkpoint issue-ring size mismatch");
+  for (uint64_t& t : issue_ring_) io.u64(t);
+  io.fixed(store_ring_.size(), 1u << 16, "checkpoint store-ring size mismatch");
+  for (uint64_t& t : store_ring_) io.u64(t);
+  io.u64(store_head_);
+  io.require(store_head_ < store_ring_.size(),
+             "checkpoint store-buffer head out of range");
+  io.u64(retired_);
+  io.u64(table_walks_);
+  io.u64(n_alu_);
+  io.u64(n_mul_);
+  io.u64(n_div_);
+  io.u64(n_mem_);
+  io.u64(n_branch_);
+  io.u64(n_ras_ops_);
+  io.u64(n_btb_ops_);
 }
 
 SimResult CpuCore::harvest() const {

@@ -154,11 +154,10 @@ class CpuCore {
   [[nodiscard]] SimResult harvest() const;
 
   /// Checkpoint support: the full structural + pipeline state. The walker
-  /// pointer is process-owned and is NOT serialized — after load_state the
+  /// pointer is process-owned and is NOT serialized — after a load the
   /// kernel rebinds it with rebind_walker() (install() would reset the
   /// transient pipeline and diverge timing).
-  void save_state(binary::StateWriter& w) const;
-  void load_state(binary::StateReader& r);
+  void state(binary::StateIo& io);
   /// Swaps the translation walker without touching pipeline state (the
   /// restored core resumes mid-stream against the restored process's
   /// rebuilt walker).
@@ -237,7 +236,7 @@ class CpuCore {
   uint32_t cur_line_;
   std::vector<uint64_t> issue_ring_;
   std::vector<uint64_t> store_ring_;
-  size_t store_head_ = 0;
+  uint64_t store_head_ = 0;
 
   uint64_t retired_ = 0;
   uint64_t table_walks_ = 0;
