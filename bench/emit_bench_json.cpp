@@ -9,9 +9,8 @@
 // 4-core fleet under 1/2/4 pool workers. The sweep is a gate: simulated
 // results must not depend on host parallelism.
 //
-// The configurations are pinned (not bench_util env knobs): the files are
-// committed at the repo root and must mean the same thing on every
-// machine.
+// The configurations are pinned: the files are committed at the repo
+// root and must mean the same thing on every machine.
 #include <vector>
 
 #include "emu/emulator.hpp"

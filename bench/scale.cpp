@@ -8,8 +8,8 @@
 // also land in the file so the committed copy re-checks the invariant.
 // Host time for this configuration is perfbench's fleet-64x256 workload.
 //
-// The configuration is pinned (not bench_util env knobs): the file is
-// committed at the repo root and must mean the same thing everywhere.
+// The configuration is pinned: the file is committed at the repo root and
+// must mean the same thing everywhere.
 // The per-tenant instruction budget is small (20k) to keep the
 // 4 x (64-core, 256-tenant) sweep tractable on unoptimized CI builds.
 #include <vector>

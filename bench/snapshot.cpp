@@ -35,6 +35,7 @@ constexpr Entry kManifest[] = {
     {"leaks", "BENCH_leaks.json", leaks_snapshot},
     {"attrib", "BENCH_attrib.json", attrib_snapshot},
     {"faultcamp", "BENCH_faultcamp.json", faultcamp_snapshot},
+    {"paper", "BENCH_paper.json", paper_snapshot},
 };
 
 const Entry* find(const std::string& name) {

@@ -26,6 +26,7 @@ std::string rerand_snapshot();     // rerand.cpp
 std::string leaks_snapshot();      // leaks.cpp
 std::string attrib_snapshot();     // attrib.cpp
 std::string faultcamp_snapshot();  // faultcamp.cpp
+std::string paper_snapshot();      // paper.cpp
 
 /// Fails a snapshot's gate: throws std::runtime_error with the
 /// printf-formatted message.

@@ -55,7 +55,8 @@ struct CpuConfig {
   uint32_t store_buffer = 32;     // load/store queue entries used by stores
   /// Instructions issued per cycle. 1 = the paper's machine; >1 models a
   /// W-wide *in-order* superscalar — a first step toward the out-of-order
-  /// design §IX names as future work (bench/future_superscalar).
+  /// design §IX names as future work (BENCH_paper.json's
+  /// future_superscalar section).
   uint32_t issue_width = 1;
   uint32_t decode_latency = 3;    // pre-decode + decode + alloc
   uint32_t redirect_penalty = 2;  // mispredict pipeline refill bubble
