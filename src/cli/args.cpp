@@ -35,13 +35,13 @@ Args parse_args(int argc, char** argv) {
     if (a == "-o" || a == "--output") {
       args.output = value();
     } else if (a == "--seed") {
-      args.seed = std::stoull(value());
+      args.seed = parse_number<uint64_t>(a, value());
     } else if (a == "--max-instr") {
-      args.max_instr = std::stoull(value());
+      args.max_instr = parse_number<uint64_t>(a, value());
     } else if (a == "--drc") {
-      args.drc = static_cast<uint32_t>(std::stoul(value()));
+      args.drc = parse_number<uint32_t>(a, value());
     } else if (a == "--scale") {
-      args.scale = std::stoi(value());
+      args.scale = parse_number<int>(a, value());
     } else if (a == "--naive") {
       args.naive = boolean();
     } else if (a == "--software-returns") {
@@ -53,13 +53,13 @@ Args parse_args(int argc, char** argv) {
     } else if (a == "--regs") {
       args.regs = boolean();
     } else if (a == "--procs") {
-      args.procs = static_cast<uint32_t>(std::stoul(value()));
+      args.procs = parse_number<uint32_t>(a, value());
     } else if (a == "--cores") {
-      args.cores = static_cast<uint32_t>(std::stoul(value()));
+      args.cores = parse_number<uint32_t>(a, value());
     } else if (a == "--slice") {
-      args.slice = std::stoull(value());
+      args.slice = parse_number<uint64_t>(a, value());
     } else if (a == "--rerand") {
-      args.rerand = static_cast<uint32_t>(std::stoul(value()));
+      args.rerand = parse_number<uint32_t>(a, value());
     } else if (a == "--rerand-mode") {
       args.rerand_mode = value();
       if (args.rerand_mode != "full" && args.rerand_mode != "incremental") {
@@ -77,13 +77,13 @@ Args parse_args(int argc, char** argv) {
         throw std::runtime_error("--rerand-scope must be proc or fleet");
       }
     } else if (a == "--rerand-max-defer") {
-      args.rerand_max_defer = static_cast<uint32_t>(std::stoul(value()));
+      args.rerand_max_defer = parse_number<uint32_t>(a, value());
     } else if (a == "--pool-workers") {
-      args.pool_workers = static_cast<uint32_t>(std::stoul(value()));
+      args.pool_workers = parse_number<uint32_t>(a, value());
     } else if (a == "--checkpoint-out") {
       args.checkpoint_out = value();
     } else if (a == "--checkpoint-round") {
-      args.checkpoint_round = std::stoull(value());
+      args.checkpoint_round = parse_number<uint64_t>(a, value());
     } else if (a == "--restore") {
       args.restore_in = value();
     } else if (a == "--workloads") {
@@ -91,11 +91,11 @@ Args parse_args(int argc, char** argv) {
     } else if (a == "--restart") {
       args.restart = value();
     } else if (a == "--max-restarts") {
-      args.max_restarts = static_cast<uint32_t>(std::stoul(value()));
+      args.max_restarts = parse_number<uint32_t>(a, value());
     } else if (a == "--backoff") {
-      args.backoff = std::stoull(value());
+      args.backoff = parse_number<uint64_t>(a, value());
     } else if (a == "--watchdog") {
-      args.watchdog = std::stoull(value());
+      args.watchdog = parse_number<uint64_t>(a, value());
     } else if (a == "--inject") {
       args.inject = value();
     } else if (a == "--layouts") {
@@ -103,17 +103,17 @@ Args parse_args(int argc, char** argv) {
     } else if (a == "--sites") {
       args.site_list = value();
     } else if (a == "--trials") {
-      args.trials = static_cast<uint32_t>(std::stoul(value()));
+      args.trials = parse_number<uint32_t>(a, value());
     } else if (a == "--tenants") {
-      args.tenants = static_cast<uint32_t>(std::stoul(value()));
+      args.tenants = parse_number<uint32_t>(a, value());
     } else if (a == "--duration") {
-      args.duration = std::stoull(value());
+      args.duration = parse_number<uint64_t>(a, value());
     } else if (a == "--arrival") {
       args.arrival = value();
     } else if (a == "--dist") {
       args.dist = value();
     } else if (a == "--interarrival") {
-      args.interarrival = std::stoull(value());
+      args.interarrival = parse_number<uint64_t>(a, value());
     } else if (a == "--latency-out") {
       args.latency_out = value();
     } else if (a == "--json") {
@@ -125,29 +125,27 @@ Args parse_args(int argc, char** argv) {
     } else if (a == "--trace-out") {
       args.trace_out = value();
     } else if (a == "--sample-interval") {
-      args.sample_interval = std::stoull(value());
+      args.sample_interval = parse_number<uint64_t>(a, value());
     } else if (a == "--sample-out") {
       args.sample_out = value();
     } else if (a == "--trace-capacity") {
-      args.trace_capacity = std::stoull(value());
+      args.trace_capacity = parse_number<uint64_t>(a, value());
     } else if (a == "--journal-out") {
       args.journal_out = value();
     } else if (a == "--journal-capacity") {
-      args.journal_capacity = std::stoull(value());
+      args.journal_capacity = parse_number<uint64_t>(a, value());
     } else if (a == "--journal") {
       args.journal_in = value();
     } else if (a == "--slo") {
       args.slo = value();
     } else if (a == "--slo-window") {
-      args.slo_window = std::stoull(value());
-    } else if (a == "--trace") {
-      args.trace_in = value();
+      args.slo_window = parse_number<uint64_t>(a, value());
     } else if (a == "--profile-out") {
       args.profile_out = value();
     } else if (a == "--flame-out") {
       args.flame_out = value();
     } else if (a == "--top") {
-      args.top = static_cast<uint32_t>(std::stoul(value()));
+      args.top = parse_number<uint32_t>(a, value());
     } else if (!a.empty() && a[0] == '-') {
       throw std::runtime_error("unknown flag: " + a);
     } else {
@@ -215,7 +213,7 @@ void validate_flags(const std::string& cmd, const Args& args) {
         "--journal-capacity",
         "--sample-interval", "--sample-out", "--slo", "--slo-window",
         "--pool-workers"}},
-      {"trace-report", {"--trace", "--journal", "--top"}},
+      {"trace-report", {"--journal", "--top"}},
   };
   const auto it = kAllowed.find(cmd);
   if (it == kAllowed.end()) return;  // unknown command: usage() handles it
@@ -324,16 +322,16 @@ const char* usage_text() {
       "      serving); --taint attributes taint-sink leaks to requests\n"
       "      (extra CSV columns + report fields) and --rerand-on-leak\n"
       "      re-keys the leaking tenant at its next request boundary\n"
-      "  trace-report <latency.csv> [--trace trace.json]\n"
-      "      [--journal journal.jsonl] [--top N]\n"
+      "  trace-report <latency.csv> [--journal journal.jsonl] [--top N]\n"
       "      per-request critical-path breakdown from a serve\n"
       "      --latency-out CSV: per-tenant queue/run/restart_loss/\n"
       "      commit_stall totals, the top-N slowest requests, and an exact\n"
       "      conservation check (components must sum to the latency;\n"
-      "      exit 1 otherwise); --trace also cross-checks the flow events\n"
-      "      in a --trace-out JSON; --journal ingests the flight recorder\n"
+      "      exit 1 otherwise); --journal ingests the flight recorder\n"
       "      and adds a per-tenant leak forensics section, cross-checked\n"
-      "      against the CSV leak counts (exit 1 on mismatch)\n"
+      "      against the CSV leak counts (exit 1 on mismatch); a\n"
+      "      malformed CSV or journal exits 1 naming file:line; trace\n"
+      "      checks live in tools/validate_trace.py\n"
       "  prof <img.vxe> [--seed N] [--drc N] [--max-instr N] [--top N]\n"
       "      [--profile-out PATH] [--flame-out PATH]\n"
       "      guest-level cycle-attribution profile (docs/OBSERVABILITY.md);\n"

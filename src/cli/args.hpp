@@ -7,8 +7,12 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "binary/text_reader.hpp"
 
 namespace vcfr::cli {
 
@@ -75,10 +79,9 @@ struct Args {
   uint64_t journal_capacity = 0;
   /// Flight-recorder JSONL input (trace-report --journal PATH).
   std::string journal_in;
-  // SLO monitor (serve) + trace-report inputs.
+  // SLO monitor (serve).
   std::string slo;          // p50|p99|p999:<cycles>
   uint64_t slo_window = 50'000;
-  std::string trace_in;     // trace-report --trace PATH
   // Guest profiler outputs (run|sim|fleet|prof).
   std::string profile_out;
   std::string flame_out;
@@ -88,8 +91,20 @@ struct Args {
 };
 
 /// Parses argv[2..] (argv[1] is the subcommand). Throws std::runtime_error
-/// on unknown flags, missing values, or values on boolean flags.
+/// on unknown flags, missing values, malformed numbers (parse_number), or
+/// values on boolean flags.
 [[nodiscard]] Args parse_args(int argc, char** argv);
+
+/// A numeric flag value: digits only, and it must fit T, so `--seed 7abc`
+/// or `--tenants -1` is an error naming the flag, never a truncated or
+/// wrapped value.
+template <typename T>
+[[nodiscard]] T parse_number(const std::string& flag, const std::string& text) {
+  if (const auto v = binary::parse_decimal<T>(text)) return *v;
+  throw std::runtime_error(flag + " expects an unsigned integer up to " +
+                           std::to_string(std::numeric_limits<T>::max()) +
+                           ", got '" + text + "'");
+}
 
 /// Per-subcommand flag whitelist: a flag the global parser knows but the
 /// subcommand does not use is an error, not a silent no-op. Unknown

@@ -4,6 +4,7 @@
 #include <deque>
 #include <memory>
 
+#include "binary/text_reader.hpp"
 #include "telemetry/json_writer.hpp"
 #include "workloads/wl_server.hpp"
 
@@ -621,13 +622,23 @@ std::string ServeReport::to_json() const {
   return w.str() + "\n";
 }
 
+namespace {
+
+// The latency CSV's two headers. Leak columns appear only under --taint,
+// keeping untainted CSVs (and every consumer keyed on the legacy header)
+// byte-identical.
+constexpr std::string_view kCsvHeader =
+    "tenant,request,arrival,dispatch,completion,latency,wait,"
+    "queue,run,restart_loss,commit_stall,instructions,status";
+constexpr std::string_view kCsvTaintColumns = ",leaks,leak_depth";
+constexpr size_t kCsvCells = 13;
+constexpr size_t kCsvTaintCells = 15;
+
+}  // namespace
+
 std::string ServeReport::latency_csv() const {
-  std::string csv =
-      "tenant,request,arrival,dispatch,completion,latency,wait,"
-      "queue,run,restart_loss,commit_stall,instructions,status";
-  // Leak columns appear only under --taint, keeping untainted CSVs (and
-  // every consumer keyed on the legacy header) byte-identical.
-  if (taint_enabled) csv += ",leaks,leak_depth";
+  std::string csv(kCsvHeader);
+  if (taint_enabled) csv += kCsvTaintColumns;
   csv += '\n';
   for (const TenantReport& t : tenants) {
     // Records are appended in completion order; the contract is
@@ -648,7 +659,7 @@ std::string ServeReport::latency_csv() const {
       csv += ',';
       csv += std::to_string(r.completion);
       csv += ',';
-      csv += std::to_string(r.completion - r.arrival);
+      csv += std::to_string(r.latency());
       csv += ',';
       csv += std::to_string(r.dispatch - r.arrival);
       csv += ',';
@@ -671,6 +682,61 @@ std::string ServeReport::latency_csv() const {
       }
       csv += '\n';
     }
+  }
+  return csv;
+}
+
+LatencyCsv read_latency_csv(std::string_view text, const std::string& name) {
+  using binary::FormatFault;
+  binary::TextReader in(text, name);
+  std::string_view line;
+  if (!in.next_line(line)) in.fail(FormatFault::kTruncated, "empty file");
+  LatencyCsv csv;
+  if (line.substr(0, kCsvHeader.size()) != kCsvHeader ||
+      (line.size() != kCsvHeader.size() &&
+       line.substr(kCsvHeader.size()) != kCsvTaintColumns)) {
+    in.fail(FormatFault::kImplausible,
+            "not a vcfr serve --latency-out header");
+  }
+  csv.taint = line.size() != kCsvHeader.size();
+  const size_t want = csv.taint ? kCsvTaintCells : kCsvCells;
+  while (in.next_line(line)) {
+    std::string_view cell[kCsvTaintCells];
+    size_t n = 0;
+    for (size_t start = 0;; ++n) {
+      const size_t comma = line.find(',', start);
+      if (n == want) in.fail(FormatFault::kImplausible, "too many cells");
+      cell[n] = line.substr(start, comma - start);
+      if (comma == std::string_view::npos) break;
+      start = comma + 1;
+    }
+    if (n + 1 < want) in.fail(FormatFault::kTruncated, "short row");
+    LatencyRow row;
+    row.tenant = in.number<uint32_t>(cell[0], "tenant");
+    RequestRecord& r = row.record;
+    r.id = in.number<uint64_t>(cell[1], "request");
+    r.arrival = in.number<uint64_t>(cell[2], "arrival");
+    r.dispatch = in.number<uint64_t>(cell[3], "dispatch");
+    r.completion = in.number<uint64_t>(cell[4], "completion");
+    if (in.number<uint64_t>(cell[5], "latency") != r.latency() ||
+        in.number<uint64_t>(cell[6], "wait") != r.dispatch - r.arrival) {
+      in.fail(FormatFault::kImplausible,
+              "latency/wait disagree with the timestamps");
+    }
+    r.queue_cycles = in.number<uint64_t>(cell[7], "queue");
+    r.run_cycles = in.number<uint64_t>(cell[8], "run");
+    r.restart_loss_cycles = in.number<uint64_t>(cell[9], "restart_loss");
+    r.commit_stall_cycles = in.number<uint64_t>(cell[10], "commit_stall");
+    r.instructions = in.number<uint64_t>(cell[11], "instructions");
+    if (cell[12] != "ok" && cell[12] != "failed") {
+      in.fail(FormatFault::kImplausible, "status is neither ok nor failed");
+    }
+    r.failed = cell[12] == "failed";
+    if (csv.taint) {
+      r.leaks = in.number<uint64_t>(cell[13], "leaks");
+      r.leak_depth = in.number<uint32_t>(cell[14], "leak_depth");
+    }
+    csv.rows.push_back(row);
   }
   return csv;
 }

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fault/injector.hpp"
@@ -94,6 +95,9 @@ struct RequestRecord {
   // only; both stay 0 otherwise).
   uint64_t leaks = 0;
   uint32_t leak_depth = 0;  // deepest propagation chain among them
+
+  [[nodiscard]] uint64_t latency() const { return completion - arrival; }
+  bool operator==(const RequestRecord&) const = default;
 };
 
 struct TenantReport {
@@ -167,6 +171,26 @@ struct ServeReport {
   /// Short human-readable digest for the CLI.
   [[nodiscard]] std::string summary() const;
 };
+
+/// One latency-CSV row: the tenant and the record the row renders.
+struct LatencyRow {
+  uint32_t tenant = 0;
+  RequestRecord record;
+
+  bool operator==(const LatencyRow&) const = default;
+};
+
+struct LatencyCsv {
+  bool taint = false;  // the --taint header, with leaks,leak_depth
+  std::vector<LatencyRow> rows;
+};
+
+/// Reads back exactly what ServeReport::latency_csv() writes: one of its
+/// two headers, and rows whose latency/wait columns agree with their
+/// timestamps. Throws binary::FormatError (kTruncated / kImplausible)
+/// prefixed "name:line: ".
+[[nodiscard]] LatencyCsv read_latency_csv(std::string_view text,
+                                          const std::string& name);
 
 /// Exact nearest-rank percentile over a sorted ascending sample vector:
 /// the k-th smallest with k = ceil(permille/1000 * n), clamped to [1, n].

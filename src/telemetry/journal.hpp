@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace vcfr::telemetry {
@@ -45,6 +46,8 @@ struct JournalEntry {
   int64_t req = -1;    // in-flight request id, -1 = none
   uint64_t arg = 0;    // kind-specific detail (see JournalKind)
   std::string detail;  // optional human string (workload, fault kind)
+
+  bool operator==(const JournalEntry&) const = default;
 };
 
 class Journal {
@@ -73,5 +76,12 @@ class Journal {
   uint64_t dropped_ = 0;
   std::map<std::string, uint64_t> counts_;
 };
+
+/// Reads back exactly what Journal::to_jsonl() writes: the fixed key
+/// order, the kind names of journal_kind_name, and the escapes json_escape
+/// emits. Throws binary::FormatError (kTruncated / kImplausible) prefixed
+/// "name:line: ".
+[[nodiscard]] std::vector<JournalEntry> read_jsonl(std::string_view text,
+                                                   const std::string& name);
 
 }  // namespace vcfr::telemetry

@@ -324,7 +324,6 @@ TEST(CliFlagsTest, ObservabilityFlagDefaults) {
   EXPECT_TRUE(args.journal_out.empty());
   EXPECT_TRUE(args.slo.empty());
   EXPECT_EQ(args.slo_window, 50'000u);
-  EXPECT_TRUE(args.trace_in.empty());
 }
 
 TEST(CliFlagsTest, SloFlagsAreServeOnly) {
@@ -348,14 +347,16 @@ TEST(CliFlagsTest, TraceCapacityFollowsTraceOut) {
 }
 
 TEST(CliFlagsTest, TraceReportWhitelist) {
-  const Args ok = parse({"--trace", "t.json", "--top", "5"});
-  EXPECT_EQ(ok.trace_in, "t.json");
+  const Args ok = parse({"--journal", "j.jsonl", "--top", "5"});
+  EXPECT_EQ(ok.journal_in, "j.jsonl");
   EXPECT_EQ(ok.top, 5u);
   EXPECT_NO_THROW(validate_flags("trace-report", ok));
   EXPECT_THROW(validate_flags("trace-report", parse({"--tenants=4"})),
                std::runtime_error);
-  EXPECT_THROW(validate_flags("serve", parse({"--trace=t.json"})),
+  EXPECT_THROW(validate_flags("serve", parse({"--journal=j.jsonl"})),
                std::runtime_error);
+  // Trace checks belong to tools/validate_trace.py alone.
+  EXPECT_THROW(parse({"--trace=t.json"}), std::runtime_error);
 }
 
 TEST(CliFlagsTest, UsageCoversObservability) {
@@ -365,6 +366,32 @@ TEST(CliFlagsTest, UsageCoversObservability) {
         "--trace-capacity"}) {
     EXPECT_NE(usage.find(needle), std::string::npos) << needle;
   }
+}
+
+// Every numeric flag goes through one strict parse: digits only, within
+// the field's width, and the error names the flag.
+TEST(CliFlagsTest, NumericFlagsRejectBadSpellings) {
+  const struct {
+    const char* flag;
+    const char* value;
+  } kBad[] = {
+      {"--seed", "7abc"},     {"--drc", "abc"},
+      {"--tenants", "-1"},    {"--tenants", "4294967296"},
+      {"--seed", "+7"},       {"--seed", ""},
+      {"--seed", " 7"},       {"--seed", "18446744073709551616"},
+      {"--scale", "-1"},      {"--scale", "2147483648"},
+      {"--slice", "0x10"},    {"--top", "5.0"},
+  };
+  for (const auto& [flag, value] : kBad) {
+    try {
+      (void)parse({flag, value});
+      ADD_FAILURE() << flag << " accepted '" << value << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(flag, 0), 0u) << e.what();
+    }
+  }
+  EXPECT_EQ(parse({"--tenants", "4294967295"}).tenants, 4294967295u);
+  EXPECT_EQ(parse({"--scale=2147483647"}).scale, 2147483647);
 }
 
 TEST(CliFlagsTest, UnknownFlagAndMissingValueThrow) {

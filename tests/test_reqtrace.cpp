@@ -4,6 +4,7 @@
 // attaching telemetry must not move a single simulated cycle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -233,10 +234,12 @@ TEST(ReqTraceTest, JournalRecordsLifecycle) {
   EXPECT_EQ(spawns, sc.tenants);
   EXPECT_EQ(faults, 1u);
   EXPECT_EQ(downs, 1u);
-  // The JSONL rendering is one object per line with the fixed key order.
-  const std::string jsonl = tel.journal()->to_jsonl();
-  EXPECT_NE(jsonl.find("\"kind\": \"tenant_down\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"kind\": \"fault\""), std::string::npos);
+  // The JSONL reads back to the entries it rendered, including a detail
+  // that needs each kind of escape json_escape writes.
+  tel.journal()->log({.cycle = 1, .kind = JournalKind::kFault, .pid = 3,
+                      .req = 9, .arg = 4, .detail = "q\"b\\s\x01\n"});
+  EXPECT_EQ(telemetry::read_jsonl(tel.journal()->to_jsonl(), "journal.jsonl"),
+            tel.journal()->entries());
 }
 
 TEST(ReqTraceTest, JournalRecordsRestarts) {
@@ -318,15 +321,30 @@ TEST(ReqTraceTest, ObserverNeutral) {
   }
 }
 
-// The latency CSV carries the four component columns, and they parse
-// back to the record values (schema guard for trace-report).
+// The latency CSV reads back to the records it rendered: a plain run, a
+// run with failed requests, and a --taint run with the leak columns.
 TEST(ReqTraceTest, LatencyCsvCarriesComponents) {
-  const ServeReport r = run_serve(small_config());
-  const std::string csv = r.latency_csv();
-  EXPECT_NE(csv.find("tenant,request,arrival,dispatch,completion,latency,"
-                     "wait,queue,run,restart_loss,commit_stall,"
-                     "instructions,status"),
-            std::string::npos);
+  ServeConfig leaky = small_config();
+  leaky.workloads = {"leaky", "server"};
+  leaky.taint = true;
+  for (const ServeConfig& sc : {small_config(), inject_config(), leaky}) {
+    const ServeReport r = run_serve(sc);
+    if (sc.taint) {
+      EXPECT_GT(r.leaks, 0u);  // the leak columns carry data
+    }
+    std::vector<LatencyRow> want;
+    for (const TenantReport& t : r.tenants) {
+      std::vector<RequestRecord> records = t.records;
+      std::sort(records.begin(), records.end(),
+                [](const RequestRecord& a, const RequestRecord& b) {
+                  return a.id < b.id;
+                });
+      for (const RequestRecord& rec : records) want.push_back({t.pid, rec});
+    }
+    const LatencyCsv csv = read_latency_csv(r.latency_csv(), "latency.csv");
+    EXPECT_EQ(csv.taint, sc.taint);
+    EXPECT_EQ(csv.rows, want);
+  }
 }
 
 }  // namespace

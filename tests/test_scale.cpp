@@ -14,6 +14,7 @@
 
 #include "binary/state_io.hpp"
 #include "fault/injector.hpp"
+#include "mutate.hpp"
 #include "os/kernel.hpp"
 #include "serve/server.hpp"
 #include "sim/cpu.hpp"
@@ -363,32 +364,12 @@ TEST(CheckpointRestoreTest, MutationFuzzOnlyEverThrowsFormatError) {
   const std::string bytes =
       checkpoint_bytes(testing::TempDir() + "vcfr_ckpt_fuzz.bin");
   ASSERT_GT(bytes.size(), 256u);
-  uint64_t state = 0xc4ec;
-  auto next = [&state]() {
-    state += 0x9e3779b97f4a7c15ull;
-    uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  };
+  SplitMix64 rng(0xc4ec);
   constexpr int kMutations = 200;
   int restored = 0, rejected = 0;
   for (int round = 0; round < kMutations; ++round) {
-    const size_t span = round % 2 == 0 ? 256 : bytes.size();
-    std::string mutated = bytes;
-    switch (next() % 3) {
-      case 0:  // single bit flip
-        mutated[next() % span] ^= static_cast<char>(1u << (next() % 8));
-        break;
-      case 1:  // truncation
-        mutated.resize(next() % span);
-        break;
-      default:  // burst: four byte overwrites
-        for (int i = 0; i < 4; ++i) {
-          mutated[next() % span] = static_cast<char>(next());
-        }
-        break;
-    }
+    const std::string mutated =
+        mutate(bytes, round % 2 == 0 ? 256 : bytes.size(), rng);
     os::KernelConfig kc = fleet_config(4);
     kc.max_rounds = 8 + 4;
     os::Kernel kernel(kc);

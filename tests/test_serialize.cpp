@@ -6,6 +6,7 @@
 #include "binary/serialize.hpp"
 #include "emu/emulator.hpp"
 #include "isa/assembler.hpp"
+#include "mutate.hpp"
 #include "rewriter/randomizer.hpp"
 #include "workloads/suite.hpp"
 
@@ -127,37 +128,14 @@ TEST(SerializeTest, MutationFuzzOnlyEverThrowsFormatError) {
   opts.seed = 4242;
   const auto rr = rewriter::randomize(base, opts);
 
-  uint64_t state = 0x5eed;
-  auto next = [&state]() {
-    state += 0x9e3779b97f4a7c15ull;
-    uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  };
-
+  SplitMix64 rng(0x5eed);
   size_t loaded = 0, rejected = 0;
   for (const Image* img : {&base, &rr.naive, &rr.vcfr}) {
     std::stringstream ss;
     save(*img, ss);
     const std::string bytes = ss.str();
     for (int round = 0; round < 200; ++round) {
-      std::string mutated = bytes;
-      switch (next() % 3) {
-        case 0:  // single bit flip
-          mutated[next() % mutated.size()] ^=
-              static_cast<char>(1u << (next() % 8));
-          break;
-        case 1:  // truncation
-          mutated.resize(next() % mutated.size());
-          break;
-        default:  // burst: four byte overwrites
-          for (int i = 0; i < 4; ++i) {
-            mutated[next() % mutated.size()] = static_cast<char>(next());
-          }
-          break;
-      }
-      std::stringstream in(mutated);
+      std::stringstream in(mutate(bytes, bytes.size(), rng));
       try {
         const Image back = load_file(in);
         (void)back;

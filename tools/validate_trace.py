@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
 """Validate a vcfr Chrome trace-event JSON export.
 
+This script owns every check on the trace; `vcfr trace-report` owns the
+checks on the latency CSV (request conservation) and reads the journal
+for leak forensics. tools/serve_pipeline.cmake runs both on each serve
+run.
+
 Checks (each failure is reported and the script exits nonzero):
   1. The file parses as Chrome trace JSON ({"traceEvents": [...]}).
   2. Per lane ("pid"), event timestamps are monotonically non-decreasing
@@ -10,10 +15,6 @@ Checks (each failure is reported and the script exits nonzero):
   3. Request flows are matched: every flow id has exactly one "s"
      (start) and exactly one "f" (end), with start.ts <= end.ts; "t"
      steps are only allowed on ids that have a start.
-
-With --csv LATENCY.CSV, also audits the per-request critical-path
-conservation invariant from `vcfr serve --latency-out`:
-  queue + run + restart_loss + commit_stall == latency   (every row).
 
 Leak instants (--taint runs) are validated wherever they appear: every
 "leak" event must be an instant on a core lane with a positive depth.
@@ -25,11 +26,10 @@ not journaled (or vice versa). The comparison is skipped, with a
 message, when the trace dropped events or the journal ring evicted
 entries (a complete journal opens with pid 0's spawn entry).
 
-Usage: validate_trace.py TRACE.JSON [--csv LATENCY.CSV]
-                                    [--journal JOURNAL.JSONL]
+Usage: validate_trace.py TRACE.JSON [--journal JOURNAL.JSONL]
 """
 
-import csv
+import argparse
 import json
 import sys
 from collections import Counter
@@ -182,54 +182,18 @@ def validate_journal(path, trace_paired, trace_dropped, errors):
           f"{path}: {counts}")
 
 
-def validate_csv(path, errors):
-    rows = 0
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        for row in csv.DictReader(f):
-            rows += 1
-            parts = [
-                int(row["queue"]),
-                int(row["run"]),
-                int(row["restart_loss"]),
-                int(row["commit_stall"]),
-            ]
-            if sum(parts) != int(row["latency"]):
-                fail(
-                    errors,
-                    f"{path}: tenant {row['tenant']} request "
-                    f"{row['request']}: components sum to {sum(parts)}, "
-                    f"latency is {row['latency']}",
-                )
-    print(f"{path}: {rows} requests, conservation holds" if not errors else
-          f"{path}: {rows} requests checked")
-
-
 def main(argv):
-    if len(argv) < 2:
-        print(__doc__, file=sys.stderr)
-        return 2
-    trace_path = argv[1]
-    csv_path = None
-    journal_path = None
-    if "--csv" in argv:
-        i = argv.index("--csv")
-        if i + 1 >= len(argv):
-            print("--csv needs a path", file=sys.stderr)
-            return 2
-        csv_path = argv[i + 1]
-    if "--journal" in argv:
-        i = argv.index("--journal")
-        if i + 1 >= len(argv):
-            print("--journal needs a path", file=sys.stderr)
-            return 2
-        journal_path = argv[i + 1]
+    parser = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("trace")
+    parser.add_argument("--journal")
+    args = parser.parse_args(argv[1:])  # exits 2 on unknown options
 
     errors = []
-    paired, dropped = validate_trace(trace_path, errors)
-    if csv_path:
-        validate_csv(csv_path, errors)
-    if journal_path:
-        validate_journal(journal_path, paired, dropped, errors)
+    paired, dropped = validate_trace(args.trace, errors)
+    if args.journal:
+        validate_journal(args.journal, paired, dropped, errors)
     if errors:
         print(f"{len(errors)} validation failures", file=sys.stderr)
         return 1

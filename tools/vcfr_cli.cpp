@@ -64,6 +64,7 @@ __attribute__((format(printf, 1, 2))) int rprintf(const char* fmt, ...) {
 // src/cli/args.{hpp,cpp} so tests can drive the exact shipped parser.
 using cli::Args;
 using cli::parse_args;
+using cli::parse_number;
 using cli::validate_flags;
 
 // ---- telemetry plumbing (shared by run/sim/workload/fleet) ----
@@ -81,6 +82,14 @@ telemetry::TelemetryConfig telemetry_config(const Args& args) {
   tc.journal = !args.journal_out.empty();
   if (args.journal_capacity > 0) tc.journal_capacity = args.journal_capacity;
   return tc;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot open " + path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
 }
 
 void write_file(const std::string& path, const std::string& content) {
@@ -181,11 +190,7 @@ std::string per_pid_path(const std::string& path, uint32_t pid) {
 
 int cmd_asm(const Args& args) {
   const std::string path = require_input(args);
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  binary::Image image = isa::assemble(ss.str());
+  binary::Image image = isa::assemble(read_file(path));
   if (image.name.empty()) image.name = path;
   const std::string out = args.output.empty() ? path + ".vxe" : args.output;
   binary::save(image, out);
@@ -550,23 +555,13 @@ void parse_slo(const std::string& spec, serve::ServeConfig& sc) {
     permille = 990;
   } else if (metric == "p999") {
     permille = 999;
-  } else {
+  }
+  if (permille == 0 || colon == std::string::npos) {
     throw std::runtime_error("--slo expects p50|p99|p999:<cycles>, got '" +
                              spec + "'");
   }
-  if (colon == std::string::npos || colon + 1 >= spec.size()) {
-    throw std::runtime_error("--slo expects p50|p99|p999:<cycles>, got '" +
-                             spec + "'");
-  }
-  uint64_t threshold = 0;
-  try {
-    size_t used = 0;
-    threshold = std::stoull(spec.substr(colon + 1), &used);
-    if (colon + 1 + used != spec.size()) throw std::invalid_argument(spec);
-  } catch (const std::exception&) {
-    throw std::runtime_error("--slo expects p50|p99|p999:<cycles>, got '" +
-                             spec + "'");
-  }
+  const uint64_t threshold =
+      parse_number<uint64_t>("--slo", spec.substr(colon + 1));
   if (threshold == 0) {
     throw std::runtime_error("--slo threshold must be > 0 cycles");
   }
@@ -587,7 +582,7 @@ InjectSpec parse_inject(const std::string& spec) {
         "--inject expects pid:site:instr[:seed], got '" + spec + "'");
   }
   InjectSpec out;
-  out.pid = static_cast<uint32_t>(std::stoul(parts[0]));
+  out.pid = parse_number<uint32_t>("--inject", parts[0]);
   const auto site = fault::parse_site(parts[1]);
   if (!site) {
     throw std::runtime_error("--inject: unknown fault site '" + parts[1] +
@@ -595,8 +590,10 @@ InjectSpec parse_inject(const std::string& spec) {
                              "ret_bitmap|payload)");
   }
   out.plan.site = *site;
-  out.plan.at_instruction = std::stoull(parts[2]);
-  out.plan.seed = parts.size() == 4 ? std::stoull(parts[3]) : 1;
+  out.plan.at_instruction = parse_number<uint64_t>("--inject", parts[2]);
+  if (parts.size() == 4) {
+    out.plan.seed = parse_number<uint64_t>("--inject", parts[3]);
+  }
   return out;
 }
 
@@ -710,6 +707,11 @@ int cmd_fleet(const Args& args) {
   return 0;
 }
 
+bool flag_given(const Args& args, const char* flag) {
+  return std::find(args.seen.begin(), args.seen.end(), flag) !=
+         args.seen.end();
+}
+
 int cmd_serve(const Args& args) {
   serve::ServeConfig sc;
   sc.tenants = args.tenants;
@@ -737,12 +739,11 @@ int cmd_serve(const Args& args) {
   if (!args.workload_list.empty()) sc.workloads = split_list(args.workload_list);
   sc.scale = args.scale;
   sc.seed = args.seed;
-  sc.slice_instructions = args.slice == 50'000 ? 2'000 : args.slice;
+  // --slice and --max-instr default to ServeConfig's values: the global
+  // defaults size a whole workload, a request is one handler invocation.
+  if (flag_given(args, "--slice")) sc.slice_instructions = args.slice;
   sc.drc_entries = args.drc;
-  // The global default budget (100M) is per whole workload; a request is
-  // one handler invocation and should cost far less.
-  sc.request_budget = args.max_instr == 100'000'000 ? 2'000'000
-                                                    : args.max_instr;
+  if (flag_given(args, "--max-instr")) sc.request_budget = args.max_instr;
   sc.watchdog_instructions = args.watchdog;
   if (!args.restart.empty()) sc.restart.mode = parse_restart_mode(args.restart);
   sc.restart.max_restarts = args.max_restarts;
@@ -801,99 +802,31 @@ int cmd_serve(const Args& args) {
 
 // ---- trace-report: offline critical-path breakdown ----
 
-/// One parsed latency-CSV row (`vcfr serve --latency-out`).
-struct ReqRow {
-  uint32_t tenant = 0;
-  uint64_t request = 0;
-  uint64_t latency = 0;
-  uint64_t queue = 0;
-  uint64_t run = 0;
-  uint64_t restart_loss = 0;
-  uint64_t commit_stall = 0;
-  uint64_t leaks = 0;  // taint-sink firings (0 unless a --taint CSV)
-  bool failed = false;
-};
-
-std::vector<std::string> split_csv_row(const std::string& line) {
-  std::vector<std::string> cells;
-  std::stringstream ss(line);
-  std::string cell;
-  while (std::getline(ss, cell, ',')) cells.push_back(cell);
-  return cells;
-}
-
 int cmd_trace_report(const Args& args) {
   const std::string path = require_input(args);
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-
-  std::string line;
-  if (!std::getline(in, line)) {
-    throw std::runtime_error(path + ": empty latency CSV");
-  }
-  // Header-indexed so column additions never silently misparse old files.
-  std::map<std::string, size_t> col;
-  {
-    const auto header = split_csv_row(line);
-    for (size_t i = 0; i < header.size(); ++i) col[header[i]] = i;
-  }
-  for (const char* need :
-       {"tenant", "request", "latency", "queue", "run", "restart_loss",
-        "commit_stall", "status"}) {
-    if (col.count(need) == 0) {
-      throw std::runtime_error(path + ": latency CSV lacks column '" +
-                               std::string(need) +
-                               "' (need a vcfr serve --latency-out file)");
-    }
-  }
-
-  std::vector<ReqRow> rows;
-  size_t lineno = 1;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    const auto cells = split_csv_row(line);
-    const auto cell = [&](const char* name) -> const std::string& {
-      const size_t i = col.at(name);
-      if (i >= cells.size()) {
-        throw std::runtime_error(path + ":" + std::to_string(lineno) +
-                                 ": short row");
-      }
-      return cells[i];
-    };
-    ReqRow r;
-    r.tenant = static_cast<uint32_t>(std::stoul(cell("tenant")));
-    r.request = std::stoull(cell("request"));
-    r.latency = std::stoull(cell("latency"));
-    r.queue = std::stoull(cell("queue"));
-    r.run = std::stoull(cell("run"));
-    r.restart_loss = std::stoull(cell("restart_loss"));
-    r.commit_stall = std::stoull(cell("commit_stall"));
-    r.failed = cell("status") != "ok";
-    // Leak columns exist only in --taint CSVs; absent means zero.
-    if (col.count("leaks") != 0) r.leaks = std::stoull(cell("leaks"));
-    rows.push_back(r);
-  }
+  const std::vector<serve::LatencyRow> rows =
+      serve::read_latency_csv(read_file(path), path).rows;
   if (rows.empty()) throw std::runtime_error(path + ": no request rows");
 
   // Conservation audit: the four components must tile the latency exactly
   // for every request — a violation means the serve-path accounting (or
   // the CSV) is broken, which is worth a failing exit status.
   uint64_t violations = 0;
-  for (const ReqRow& r : rows) {
-    const uint64_t sum = r.queue + r.run + r.restart_loss + r.commit_stall;
-    if (sum != r.latency) {
+  for (const auto& [tenant, r] : rows) {
+    const uint64_t sum = r.queue_cycles + r.run_cycles +
+                         r.restart_loss_cycles + r.commit_stall_cycles;
+    if (sum != r.latency()) {
       if (violations < 10) {
         rprintf("CONSERVATION VIOLATION tenant %u request %llu: "
                 "queue %llu + run %llu + restart_loss %llu + "
                 "commit_stall %llu = %llu != latency %llu\n",
-                r.tenant, static_cast<unsigned long long>(r.request),
-                static_cast<unsigned long long>(r.queue),
-                static_cast<unsigned long long>(r.run),
-                static_cast<unsigned long long>(r.restart_loss),
-                static_cast<unsigned long long>(r.commit_stall),
+                tenant, static_cast<unsigned long long>(r.id),
+                static_cast<unsigned long long>(r.queue_cycles),
+                static_cast<unsigned long long>(r.run_cycles),
+                static_cast<unsigned long long>(r.restart_loss_cycles),
+                static_cast<unsigned long long>(r.commit_stall_cycles),
                 static_cast<unsigned long long>(sum),
-                static_cast<unsigned long long>(r.latency));
+                static_cast<unsigned long long>(r.latency()));
       }
       ++violations;
     }
@@ -904,21 +837,21 @@ int cmd_trace_report(const Args& args) {
     uint64_t n = 0, failed = 0;
     uint64_t latency = 0, queue = 0, run = 0, restart_loss = 0,
              commit_stall = 0;
-    void add(const ReqRow& r) {
+    void add(const serve::RequestRecord& r) {
       ++n;
       if (r.failed) ++failed;
-      latency += r.latency;
-      queue += r.queue;
-      run += r.run;
-      restart_loss += r.restart_loss;
-      commit_stall += r.commit_stall;
+      latency += r.latency();
+      queue += r.queue_cycles;
+      run += r.run_cycles;
+      restart_loss += r.restart_loss_cycles;
+      commit_stall += r.commit_stall_cycles;
     }
   };
   Agg total;
   std::map<uint32_t, Agg> by_tenant;
-  for (const ReqRow& r : rows) {
+  for (const auto& [tenant, r] : rows) {
     total.add(r);
-    by_tenant[r.tenant].add(r);
+    by_tenant[tenant].add(r);
   }
   const auto pct = [&](uint64_t part) {
     return total.latency == 0
@@ -958,94 +891,55 @@ int cmd_trace_report(const Args& args) {
 
   // Top-K slowest requests: latency descending, (tenant, request) breaks
   // ties so the listing is deterministic.
-  std::vector<const ReqRow*> slow;
+  std::vector<const serve::LatencyRow*> slow;
   slow.reserve(rows.size());
-  for (const ReqRow& r : rows) slow.push_back(&r);
-  std::sort(slow.begin(), slow.end(), [](const ReqRow* a, const ReqRow* b) {
-    if (a->latency != b->latency) return a->latency > b->latency;
-    if (a->tenant != b->tenant) return a->tenant < b->tenant;
-    return a->request < b->request;
-  });
+  for (const serve::LatencyRow& row : rows) slow.push_back(&row);
+  std::sort(slow.begin(), slow.end(),
+            [](const serve::LatencyRow* a, const serve::LatencyRow* b) {
+              if (a->record.latency() != b->record.latency()) {
+                return a->record.latency() > b->record.latency();
+              }
+              if (a->tenant != b->tenant) return a->tenant < b->tenant;
+              return a->record.id < b->record.id;
+            });
   const size_t k = std::min<size_t>(args.top, slow.size());
   rprintf("\ntop %zu slowest requests:\n", k);
   rprintf("%-7s %8s %12s %12s %12s %12s %12s %6s\n", "tenant", "request",
           "latency", "queue", "run", "rst_loss", "cmt_stall", "status");
   for (size_t i = 0; i < k; ++i) {
-    const ReqRow& r = *slow[i];
-    rprintf("%-7u %8llu %12llu %12llu %12llu %12llu %12llu %6s\n", r.tenant,
-            static_cast<unsigned long long>(r.request),
-            static_cast<unsigned long long>(r.latency),
-            static_cast<unsigned long long>(r.queue),
-            static_cast<unsigned long long>(r.run),
-            static_cast<unsigned long long>(r.restart_loss),
-            static_cast<unsigned long long>(r.commit_stall),
+    const serve::RequestRecord& r = slow[i]->record;
+    rprintf("%-7u %8llu %12llu %12llu %12llu %12llu %12llu %6s\n",
+            slow[i]->tenant, static_cast<unsigned long long>(r.id),
+            static_cast<unsigned long long>(r.latency()),
+            static_cast<unsigned long long>(r.queue_cycles),
+            static_cast<unsigned long long>(r.run_cycles),
+            static_cast<unsigned long long>(r.restart_loss_cycles),
+            static_cast<unsigned long long>(r.commit_stall_cycles),
             r.failed ? "FAIL" : "ok");
-  }
-
-  if (!args.trace_in.empty()) {
-    // Cross-check against the Chrome trace: every request flow that
-    // starts must terminate. The exporter renders flow events with a
-    // fixed `"ph": "x"` spelling, so a substring scan is exact.
-    std::ifstream tin(args.trace_in, std::ios::binary);
-    if (!tin) throw std::runtime_error("cannot open " + args.trace_in);
-    std::stringstream tss;
-    tss << tin.rdbuf();
-    const std::string trace = tss.str();
-    const auto count = [&](const char* needle) {
-      size_t n = 0;
-      for (size_t pos = trace.find(needle); pos != std::string::npos;
-           pos = trace.find(needle, pos + 1)) {
-        ++n;
-      }
-      return n;
-    };
-    const size_t starts = count("\"ph\": \"s\"");
-    const size_t steps = count("\"ph\": \"t\"");
-    const size_t ends = count("\"ph\": \"f\"");
-    rprintf("\ntrace flows (%s): %zu start, %zu step, %zu end — %s\n",
-            args.trace_in.c_str(), starts, steps, ends,
-            starts == ends ? "matched" : "UNMATCHED");
-    if (starts != ends) ++violations;
   }
 
   if (!args.journal_in.empty()) {
     // Leak forensics from the flight recorder: per-tenant counts, the
-    // deepest propagation chain, and the sink kinds that fired. The
-    // exporter renders fixed `"key": value` spellings, so a substring
-    // scan is exact (same convention as the flow cross-check above).
-    std::ifstream jin(args.journal_in);
-    if (!jin) throw std::runtime_error("cannot open " + args.journal_in);
+    // deepest propagation chain, and the sink kinds that fired.
     struct LeakAgg {
       uint64_t count = 0;
-      uint64_t attributed = 0;  // entries carrying a "req" field
+      uint64_t attributed = 0;  // entries carrying a request id
       uint64_t max_depth = 0;
       std::set<std::string> sinks;
     };
     std::map<uint32_t, LeakAgg> by_pid;
-    const auto field_u64 = [](const std::string& line,
-                              const char* key) -> std::optional<uint64_t> {
-      const std::string pat = std::string("\"") + key + "\": ";
-      const size_t pos = line.find(pat);
-      if (pos == std::string::npos) return std::nullopt;
-      return std::stoull(line.substr(pos + pat.size()));
-    };
-    std::string jline;
-    while (std::getline(jin, jline)) {
-      if (jline.find("\"kind\": \"leak\"") == std::string::npos) continue;
-      const auto pid = field_u64(jline, "pid");
-      const auto depth = field_u64(jline, "arg");
-      if (!pid || !depth) continue;
-      LeakAgg& a = by_pid[static_cast<uint32_t>(*pid)];
+    for (const telemetry::JournalEntry& e : telemetry::read_jsonl(
+             read_file(args.journal_in), args.journal_in)) {
+      if (e.kind != telemetry::JournalKind::kLeak) continue;
+      LeakAgg& a = by_pid[e.pid];
       ++a.count;
-      if (field_u64(jline, "req")) ++a.attributed;
-      a.max_depth = std::max(a.max_depth, *depth);
-      const size_t spos = jline.find("sink=");
+      if (e.req >= 0) ++a.attributed;
+      a.max_depth = std::max(a.max_depth, e.arg);
+      // The detail ends "... sink=<kind>" (os::Kernel's leak provenance).
+      const size_t spos = e.detail.find("sink=");
       if (spos != std::string::npos) {
-        size_t end = spos + 5;
-        while (end < jline.size() && jline[end] != '"' && jline[end] != ' ') {
-          ++end;
-        }
-        a.sinks.insert(jline.substr(spos + 5, end - spos - 5));
+        a.sinks.insert(e.detail.substr(
+            spos + 5, e.detail.find(' ', spos) - (spos + 5)));
       }
     }
     rprintf("\nleak forensics (%s):\n", args.journal_in.c_str());
@@ -1070,7 +964,7 @@ int cmd_trace_report(const Args& args) {
     // journal's request-attributed leak entries — a mismatch means one
     // of the two observability paths lost or fabricated events.
     std::map<uint32_t, uint64_t> csv_leaks;
-    for (const ReqRow& r : rows) csv_leaks[r.tenant] += r.leaks;
+    for (const auto& [tenant, r] : rows) csv_leaks[tenant] += r.leaks;
     std::set<uint32_t> pids;
     for (const auto& [pid, a] : by_pid) {
       if (a.attributed > 0) pids.insert(pid);
@@ -1099,7 +993,7 @@ int cmd_trace_report(const Args& args) {
   }
 
   if (violations > 0) {
-    rprintf("\n%llu conservation/flow violations\n",
+    rprintf("\n%llu conservation/leak cross-check violations\n",
             static_cast<unsigned long long>(violations));
     return 1;
   }
