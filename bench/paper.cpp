@@ -229,7 +229,7 @@ void table1_comparison(JsonWriter& w, const App& a) {
   w.end_array();
   w.key("app").value(a.name);
   w.key("relocated_pct")
-      .value(100.0 * static_cast<double>(a.rr.placement.size()) /
+      .value(100.0 * static_cast<double>(a.rr.vcfr.tables.rand.size()) /
              static_cast<double>(
                  std::max<size_t>(1, a.rr.analysis.stats.instructions)));
   w.end_object();

@@ -40,7 +40,7 @@ int main() {
     kernel.spawn(pc);
   }
   // The kernel's per-process randomization state, without running anyone.
-  std::vector<const rewriter::PlacedImage*> fleet;
+  std::vector<const binary::Image*> fleet;
   fleet.reserve(kVariants);
   for (int v = 0; v < kVariants; ++v) {
     fleet.push_back(&kernel.randomization(v));
@@ -50,11 +50,10 @@ int main() {
   double total_pairs = 0, same_placement = 0;
   for (int a = 0; a < kVariants; ++a) {
     for (int b = a + 1; b < kVariants; ++b) {
-      for (const auto& [orig, addr] : fleet[a]->placement) {
-        auto it = fleet[b]->placement.find(orig);
-        if (it != fleet[b]->placement.end()) {
+      for (const auto& [orig, addr] : fleet[a]->tables.rand) {
+        if (const uint32_t* other = fleet[b]->tables.rand.lookup(orig)) {
           ++total_pairs;
-          if (it->second == addr) ++same_placement;
+          if (*other == addr) ++same_placement;
         }
       }
     }
@@ -66,19 +65,21 @@ int main() {
 
   // --- per-instruction location entropy --------------------------------------
   const auto& first = *fleet.front();
-  const double slots = first.vcfr.rand_size / 64.0;  // one per 64B slot
+  const double slots = first.rand_size / 64.0;  // one per 64B slot
   const double entropy_bits = std::log2(slots * 59.0);  // slot * jitter
   std::printf("randomized-space entropy per instruction: ~%.1f bits "
               "(region 0x%x bytes)\n",
-              entropy_bits, first.vcfr.rand_size);
+              entropy_bits, first.rand_size);
 
   // --- cross-variant address knowledge ----------------------------------------
   // The attacker learns variant 0's layout (say, by a leak), then the fleet
   // re-randomizes: how many of those addresses still hit an instruction?
   uint64_t still_instr = 0, probes = 0;
   std::unordered_set<uint32_t> v1_starts;
-  for (const auto& [orig, addr] : fleet[1]->placement) v1_starts.insert(addr);
-  for (const auto& [orig, addr] : fleet[0]->placement) {
+  for (const auto& [orig, addr] : fleet[1]->tables.rand) {
+    v1_starts.insert(addr);
+  }
+  for (const auto& [orig, addr] : fleet[0]->tables.rand) {
     ++probes;
     if (v1_starts.contains(addr)) ++still_instr;
   }
@@ -93,8 +94,9 @@ int main() {
   size_t min_survivors = SIZE_MAX;
   std::unordered_set<uint32_t> common;
   bool first_variant = true;
-  for (const auto& rr : fleet) {
-    const auto sv = gadget::survival_after_randomization(scan0, rr->vcfr.tables);
+  for (const binary::Image* image : fleet) {
+    const auto sv =
+        gadget::survival_after_randomization(scan0, image->tables);
     min_survivors = std::min(min_survivors, sv.after);
     std::unordered_set<uint32_t> here;
     for (const auto& g : sv.surviving) here.insert(g.addr);

@@ -86,8 +86,8 @@ int main() {
       fresh.seed = 100 + static_cast<uint64_t>(epoch);
       epochs.push_back(rewriter::randomize(original, fresh));
       emu::LiveRerandomizeStats stats;
-      emu_ptr = emu::rerandomize_live(*emu_ptr, mem, cur_rr, epochs.back(),
-                                      &stats);
+      emu_ptr = emu::rerandomize_live(*emu_ptr, mem, cur_rr.vcfr,
+                                      epochs.back().vcfr, &stats);
       emu_ptr->set_enforce_tags(true);
       cur_rr = epochs.back();
       std::printf("epoch %d: re-randomized live (%u stack slots, %u table "

@@ -93,7 +93,7 @@ int main() {
   const rewriter::RandomizeResult rr = rewriter::randomize(original, opts);
   std::printf("relocated %zu instructions into [0x%x, 0x%x); "
               "%zu derand + %zu rand table entries\n\n",
-              rr.placement.size(), rr.naive.rand_base,
+              rr.vcfr.tables.rand.size(), rr.naive.rand_base,
               rr.naive.rand_base + rr.naive.rand_size,
               rr.vcfr.tables.derand.size(), rr.vcfr.tables.rand.size());
 

@@ -10,10 +10,8 @@ namespace vcfr::emu {
 
 std::unique_ptr<Emulator> rerandomize_live(
     const Emulator& running, binary::Memory& mem,
-    const rewriter::PlacedImage& old_rr, const rewriter::PlacedImage& new_rr,
+    const binary::Image& old_img, const binary::Image& new_img,
     LiveRerandomizeStats* stats) {
-  const binary::Image& old_img = old_rr.vcfr;
-  const binary::Image& new_img = new_rr.vcfr;
   if (old_img.layout != binary::Layout::kVcfr ||
       new_img.layout != binary::Layout::kVcfr) {
     throw std::invalid_argument("rerandomize_live: requires VCFR images");
@@ -64,11 +62,10 @@ std::unique_ptr<Emulator> rerandomize_live(
 }
 
 bool rerandomize_incremental(const rewriter::Program& program,
-                             rewriter::PlacedImage& rr,
-                             binary::Memory& mem, Emulator& running,
+                             binary::Image& img, binary::Memory& mem,
+                             Emulator& running,
                              const IncrementalRerandOptions& options,
                              IncrementalRerandStats* stats) {
-  binary::Image& img = rr.vcfr;
   if (img.layout != binary::Layout::kVcfr) {
     throw std::invalid_argument(
         "rerandomize_incremental: requires a VCFR image");
@@ -127,7 +124,7 @@ bool rerandomize_incremental(const rewriter::Program& program,
   pinned.reserve(options.pinned.size());
   for (const uint32_t v : options.pinned) pinned.insert(v);
 
-  // --- phase 1: draw fresh slots (any failure leaves rr untouched) --------
+  // --- phase 1: draw fresh slots (any failure leaves img untouched) -------
   std::vector<size_t> moved;
   binary::FlatSet32 moved_orig;
   for (const size_t idx : movable) {
@@ -140,8 +137,8 @@ bool rerandomize_incremental(const rewriter::Program& program,
   // Slot occupancy: placements staying put, plus pinned (alias) keys. A
   // moved instruction frees its old slot unless an alias pins it.
   binary::FlatSet32 occupied;
-  occupied.reserve(rr.placement.size() + options.pinned.size());
-  for (const auto& [orig, ra] : rr.placement) {
+  occupied.reserve(img.tables.rand.size() + options.pinned.size());
+  for (const auto& [orig, ra] : img.tables.rand) {
     if (moved_orig.contains(orig) && !pinned.contains(ra)) continue;
     occupied.insert(slot_of(ra));
   }
@@ -214,7 +211,6 @@ bool rerandomize_incremental(const rewriter::Program& program,
     const uint32_t orig = cfg.instrs[a.idx].addr;
     tables.rand[orig] = a.new_ra;
     tables.derand.emplace(a.new_ra, orig);
-    rr.placement[orig] = a.new_ra;
     ++st.instrs_moved;
   }
 
@@ -235,7 +231,7 @@ bool rerandomize_incremental(const rewriter::Program& program,
         (e.instr.op == isa::Op::kMovRI && code_imm_sites.contains(e.addr));
     if (!qualifies || !moved_orig.contains(e.instr.imm)) continue;
     isa::Instr patched = e.instr;
-    patched.imm = rr.placement.at(e.instr.imm);
+    patched.imm = tables.to_randomized(e.instr.imm);
     const std::vector<uint8_t> bytes = isa::encode(patched);
     if (bytes.size() != e.instr.length) {
       throw std::logic_error(

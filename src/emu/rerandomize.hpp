@@ -41,13 +41,13 @@ struct LiveRerandomizeStats {
   uint32_t reloc_slots_patched = 0;
 };
 
-/// Swaps `running` (executing old_rr.vcfr over `mem`) onto new_rr.vcfr.
-/// Both placements must come from the same original binary; the returned
-/// emulator resumes where `running` stopped. `new_rr.vcfr` must outlive the
-/// returned emulator.
+/// Swaps `running` (executing the VCFR image `old_img` over `mem`) onto
+/// `new_img`. Both images must be placed from the same original binary;
+/// the returned emulator resumes where `running` stopped. `new_img` must
+/// outlive the returned emulator.
 [[nodiscard]] std::unique_ptr<Emulator> rerandomize_live(
     const Emulator& running, binary::Memory& mem,
-    const rewriter::PlacedImage& old_rr, const rewriter::PlacedImage& new_rr,
+    const binary::Image& old_img, const binary::Image& new_img,
     LiveRerandomizeStats* stats = nullptr);
 
 // ---- incremental re-randomization (continuous re-rand, MARDU-style) ----
@@ -106,15 +106,16 @@ struct IncrementalRerandStats {
   }
 };
 
-/// Re-places a deterministic subset of `rr`'s movable code pages in
-/// place, patching tables, code bytes, data slots, marked stack slots,
-/// and the PC of `running`. `program` must be the prepared original binary
-/// `rr` was placed from: its CFG and analysis say which instructions move
-/// and which sites refer to them. Returns false — with `rr`, `mem`, and
-/// `running` untouched — when the slot pool cannot host the re-placement
-/// (caller defers); true on success.
+/// Re-places a deterministic subset of the VCFR image `img`'s movable code
+/// pages in place, patching its tables (tables.rand is the placement),
+/// code bytes, data slots, marked stack slots, and the PC of `running`.
+/// `program` must be the prepared original binary `img` was placed from:
+/// its CFG and analysis say which instructions move and which sites refer
+/// to them. Returns false — with `img`, `mem`, and `running` untouched —
+/// when the slot pool cannot host the re-placement (caller defers); true
+/// on success.
 [[nodiscard]] bool rerandomize_incremental(const rewriter::Program& program,
-                                           rewriter::PlacedImage& rr,
+                                           binary::Image& img,
                                            binary::Memory& mem,
                                            Emulator& running,
                                            const IncrementalRerandOptions& options,

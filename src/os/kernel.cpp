@@ -505,7 +505,7 @@ void Kernel::restore(std::istream& in) {
     if (ctx_[c]->stats().switches != 0) {
       const uint32_t cur = ctx_[c]->current().pid;
       if (cur < procs_.size()) {
-        ctx_[c]->rebind_tables(&procs_[cur]->randomization().vcfr.tables);
+        ctx_[c]->rebind_tables(&procs_[cur]->randomization().tables);
       }
     }
   }
@@ -770,7 +770,7 @@ void Kernel::fire_rerand(uint32_t c, Process& p) {
     // stale lines revalidate lazily against the patched tables on their
     // next lookup, and the decode cache promotes clean entries across the
     // generation bump.
-    ctx_[c]->rerandomize_current(p.randomization().vcfr.tables, true);
+    ctx_[c]->rerandomize_current(p.randomization().tables, true);
   } else {
     // Epoch bump: every cached translation of the old placement is dead
     // (§V-C). ContextManager records the flush; the pipeline re-installs
@@ -778,7 +778,7 @@ void Kernel::fire_rerand(uint32_t c, Process& p) {
     // (pid, epoch) pair no longer matches).
     const uint64_t drc_before = ctx_[c]->stats().entries_flushed;
     const uint64_t bmp_before = ctx_[c]->stats().bitmap_entries_flushed;
-    ctx_[c]->rerandomize_current(p.randomization().vcfr.tables);
+    ctx_[c]->rerandomize_current(p.randomization().tables);
     p.stats().drc_entries_flushed +=
         ctx_[c]->stats().entries_flushed - drc_before;
     p.stats().bitmap_entries_flushed +=
@@ -934,12 +934,12 @@ void Kernel::measure_isolated(ProcessReport& report,
   // process may have re-randomized past it.
   rewriter::RandomizeOptions options;
   options.seed = proc.config().seed;
-  const rewriter::PlacedImage rr = rewriter::place(proc.program(), options);
+  const binary::Image image = rewriter::place(proc.program(), options);
 
   emu::RunLimits limits;
   limits.max_instructions = proc.config().max_instructions;
   limits.enforce_tags = proc.config().enforce_tags;
-  const emu::RunResult isolated = emu::run_image(rr.vcfr, limits);
+  const emu::RunResult isolated = emu::run_image(image, limits);
 
   report.arch_match =
       proc.finished() && isolated.halted == proc.emulator().halted() &&
@@ -963,7 +963,7 @@ void Kernel::measure_isolated(ProcessReport& report,
   solo.mem.l2.line_bytes = config_.shared_l2.l2.line_bytes;
   solo.mem.l2.hit_latency = config_.shared_l2.l2.hit_latency;
   const sim::SimResult res =
-      sim::simulate(rr.vcfr, proc.config().max_instructions, solo);
+      sim::simulate(image, proc.config().max_instructions, solo);
   report.isolated_cycles = res.cycles;
   report.slowdown = res.cycles == 0
                         ? 0.0

@@ -187,11 +187,10 @@ class Kernel {
   [[nodiscard]] const Process& process(uint32_t pid) const {
     return *procs_[pid];
   }
-  /// The pid's current randomization (its VCFR image with tables, and the
-  /// placement map) — lets diversity studies inspect the fleet without
+  /// The pid's current randomization (its VCFR image; tables.rand is the
+  /// placement) — lets diversity studies inspect the fleet without
   /// running it.
-  [[nodiscard]] const rewriter::PlacedImage& randomization(
-      uint32_t pid) const {
+  [[nodiscard]] const binary::Image& randomization(uint32_t pid) const {
     return procs_[pid]->randomization();
   }
   [[nodiscard]] const cache::SharedL2& shared_l2() const { return shared_; }

@@ -18,21 +18,27 @@ constexpr uint64_t kSeedMix = 0x9e3779b97f4a7c15ull;
 Process::Process(uint32_t pid, const ProcessConfig& config,
                  std::shared_ptr<const rewriter::Program> program)
     : pid_(pid), config_(config), program_(std::move(program)) {
-  placed_ = std::make_unique<rewriter::PlacedImage>(
+  image_ = std::make_unique<binary::Image>(
       rewriter::place(*program_, options_for_epoch(0)));
-  binary::load(placed_->vcfr, mem_);
-  emu_ = std::make_unique<emu::Emulator>(placed_->vcfr, mem_);
-  emu_->set_enforce_tags(config_.enforce_tags);
-  apply_taint_config();
+  binary::load(*image_, mem_);
+  emu_ = std::make_unique<emu::Emulator>(*image_, mem_);
+  configure_emulator();
   if (config_.inject_enabled) {
     injector_ = std::make_unique<fault::FaultInjector>(config_.inject);
   }
 }
 
-void Process::apply_taint_config() {
+void Process::configure_emulator() {
+  emu_->set_enforce_tags(config_.enforce_tags);
   if (!config_.taint) return;
   emu_->set_taint_tracking(true);
   emu_->set_taint_epoch(epoch_);
+}
+
+void Process::rebuild_walker() {
+  if (bound_mem_ == nullptr) return;
+  walker_ = std::make_unique<core::TranslationWalker>(image_->tables,
+                                                      *bound_mem_);
 }
 
 rewriter::RandomizeOptions Process::options_for_epoch(uint64_t epoch) const {
@@ -44,15 +50,14 @@ rewriter::RandomizeOptions Process::options_for_epoch(uint64_t epoch) const {
 void Process::bind(uint32_t core, cache::MemHier& mem) {
   core_ = static_cast<int>(core);
   bound_mem_ = &mem;
-  walker_ =
-      std::make_unique<core::TranslationWalker>(placed_->vcfr.tables, mem);
+  rebuild_walker();
 }
 
 core::ProcessContext Process::context() const {
   core::ProcessContext ctx;
   ctx.pid = pid_;
   ctx.name = config_.workload;
-  ctx.tables = &placed_->vcfr.tables;
+  ctx.tables = &image_->tables;
   ctx.epoch = epoch_;
   return ctx;
 }
@@ -76,7 +81,7 @@ bool Process::try_rerandomize() {
   // pinned as derand aliases and the swap proceeds (forced quiescence).
   std::vector<uint32_t> pinned;
   for (const uint32_t reg : emu_->state().regs) {
-    if (placed_->vcfr.tables.is_randomized_addr(reg)) pinned.push_back(reg);
+    if (image_->tables.is_randomized_addr(reg)) pinned.push_back(reg);
   }
   bool force = false;
   if (!pinned.empty()) {
@@ -113,7 +118,7 @@ bool Process::try_rerandomize() {
 
 bool Process::rerandomize_full(const std::vector<uint32_t>& pinned,
                                bool force) {
-  auto next = std::make_unique<rewriter::PlacedImage>(
+  auto next = std::make_unique<binary::Image>(
       rewriter::place(*program_, options_for_epoch(epoch_ + 1)));
   if (force) {
     // Forced quiescence: every register-held randomized address keeps a
@@ -121,8 +126,8 @@ bool Process::rerandomize_full(const std::vector<uint32_t>& pinned,
     // tables, so an indirect transfer through the stale register still
     // lands correctly after the swap.
     for (const uint32_t v : pinned) {
-      const uint32_t orig = placed_->vcfr.tables.to_original(v);
-      const uint32_t* existing = next->vcfr.tables.derand.lookup(v);
+      const uint32_t orig = image_->tables.to_original(v);
+      const uint32_t* existing = next->tables.derand.lookup(v);
       if (existing != nullptr && *existing != orig) {
         // The fresh placement put a different instruction exactly at the
         // pinned address — aliasing would be ambiguous. Defer this firing
@@ -130,22 +135,20 @@ bool Process::rerandomize_full(const std::vector<uint32_t>& pinned,
         ++stats_.rerandomizations_deferred;
         return false;
       }
-      if (existing == nullptr) next->vcfr.tables.derand.emplace(v, orig);
+      if (existing == nullptr) next->tables.derand.emplace(v, orig);
     }
   }
   emu::LiveRerandomizeStats st;
-  emu_ = emu::rerandomize_live(*emu_, mem_, *placed_, *next, &st);
-  emu_->set_enforce_tags(config_.enforce_tags);
-  apply_taint_config();
-  placed_ = std::move(next);
+  emu_ = emu::rerandomize_live(*emu_, mem_, *image_, *next, &st);
+  configure_emulator();
+  image_ = std::move(next);
   // The tables object was replaced — rebuild the walker over it.
-  walker_ = std::make_unique<core::TranslationWalker>(placed_->vcfr.tables,
-                                                      *bound_mem_);
+  rebuild_walker();
   // Full-rebuild work: every table entry rewritten plus the patched data/
   // stack/PC slots; regions = all code pages.
-  const auto& tables = placed_->vcfr.tables;
-  last_work_.regions = static_cast<uint32_t>(
-      (placed_->vcfr.code.size() + 4095) / 4096);
+  const auto& tables = image_->tables;
+  last_work_.regions =
+      static_cast<uint32_t>((image_->code.size() + 4095) / 4096);
   last_work_.entries = tables.derand.size() + tables.rand.size() +
                        st.reloc_slots_patched + st.stack_slots_translated +
                        (st.pc_translated ? 1 : 0);
@@ -163,7 +166,7 @@ bool Process::rerandomize_full(const std::vector<uint32_t>& pinned,
 
 bool Process::rerandomize_incremental_step(
     const std::vector<uint32_t>& pinned, bool /*force*/) {
-  auto& tables = placed_->vcfr.tables;
+  auto& tables = image_->tables;
   // Retire aliases from earlier forced swaps that no register holds any
   // more. (Reaching here with an alias still register-held implies it is
   // in `pinned` — a held alias fails the quiescence check.)
@@ -187,7 +190,7 @@ bool Process::rerandomize_incremental_step(
   opt.pinned = pinned;
   emu::IncrementalRerandStats st;
   const uint64_t prev_gen = mem_.code_version();
-  if (!emu::rerandomize_incremental(*program_, *placed_, mem_, *emu_, opt,
+  if (!emu::rerandomize_incremental(*program_, *image_, mem_, *emu_, opt,
                                     &st)) {
     // Slot pool exhausted — defer; the next epoch draws different slots.
     ++stats_.rerandomizations_deferred;
@@ -220,17 +223,13 @@ void Process::restart() {
   // into), so a layout leak from the old life says nothing about the new.
   reseed_ = kSeedMix * (0xbadc0ffeull + restarts_);
   ++epoch_;
-  placed_ = std::make_unique<rewriter::PlacedImage>(
+  image_ = std::make_unique<binary::Image>(
       rewriter::place(*program_, options_for_epoch(epoch_)));
   mem_ = binary::Memory();
-  binary::load(placed_->vcfr, mem_);
-  emu_ = std::make_unique<emu::Emulator>(placed_->vcfr, mem_);
-  emu_->set_enforce_tags(config_.enforce_tags);
-  apply_taint_config();
-  if (bound_mem_ != nullptr) {
-    walker_ = std::make_unique<core::TranslationWalker>(placed_->vcfr.tables,
-                                                        *bound_mem_);
-  }
+  binary::load(*image_, mem_);
+  emu_ = std::make_unique<emu::Emulator>(*image_, mem_);
+  configure_emulator();
+  rebuild_walker();
   finished_ = false;
   exit_status_ = fault::ExitStatus{};
   life_base_ = stats_.instructions;
@@ -246,13 +245,12 @@ void Process::restart() {
 void Process::rearm(const std::vector<uint8_t>& payload,
                     uint32_t payload_base) {
   mem_ = binary::Memory();
-  binary::load(placed_->vcfr, mem_);
+  binary::load(*image_, mem_);
   for (size_t i = 0; i < payload.size(); ++i) {
     mem_.write8(payload_base + static_cast<uint32_t>(i), payload[i]);
   }
-  emu_ = std::make_unique<emu::Emulator>(placed_->vcfr, mem_);
-  emu_->set_enforce_tags(config_.enforce_tags);
-  apply_taint_config();
+  emu_ = std::make_unique<emu::Emulator>(*image_, mem_);
+  configure_emulator();
   finished_ = false;
   exit_status_ = fault::ExitStatus{};
   life_base_ = stats_.instructions;
@@ -267,7 +265,7 @@ uint64_t Process::injection_gap() const {
 
 bool Process::apply_injection() {
   if (injector_ == nullptr) return false;
-  return injector_->apply(placed_->vcfr, mem_, *emu_, &program_->image);
+  return injector_->apply(*image_, mem_, *emu_, &program_->image);
 }
 
 void Process::state(binary::StateIo& io) {
@@ -282,18 +280,18 @@ void Process::state(binary::StateIo& io) {
   // corruption, not the pristine re-derivation, so the serialized image
   // is the ground truth on load.
   std::ostringstream out;
-  if (!io.loading()) binary::save(placed_->vcfr, out);
+  if (!io.loading()) binary::save(*image_, out);
   std::string image = out.str();
   io.blob(image, 1u << 28);
   if (io.loading()) {
     std::istringstream in(image);
-    placed_ = std::make_unique<rewriter::PlacedImage>();
-    placed_->vcfr = binary::load_file(in);
+    image_ = std::make_unique<binary::Image>(binary::load_file(in));
   }
   mem_.state(io);
   if (io.loading()) {
-    emu_ = std::make_unique<emu::Emulator>(placed_->vcfr, mem_);
-    emu_->set_enforce_tags(config_.enforce_tags);
+    // emu_->state below overwrites the taint settings this applies.
+    emu_ = std::make_unique<emu::Emulator>(*image_, mem_);
+    configure_emulator();
   }
   emu_->state(io);
   bool has_injector = injector_ != nullptr;
@@ -331,17 +329,8 @@ void Process::state(binary::StateIo& io) {
   // own taint shadow state rides inside emu_->state above).
   io.u64(req_leaks_);
   io.u32(req_leak_depth_);
-  if (!io.loading()) return;
-  // Incremental epochs diverge from what place(epoch seed) would produce,
-  // so the placement map is rebuilt from the serialized tables.
-  for (const auto& [orig, ra] : placed_->vcfr.tables.rand) {
-    placed_->placement[orig] = ra;
-  }
   // The tables object changed — rebuild the walker over it.
-  if (bound_mem_ != nullptr) {
-    walker_ = std::make_unique<core::TranslationWalker>(placed_->vcfr.tables,
-                                                        *bound_mem_);
-  }
+  if (io.loading()) rebuild_walker();
 }
 
 }  // namespace vcfr::os

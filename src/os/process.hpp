@@ -171,9 +171,9 @@ class Process {
           std::shared_ptr<const rewriter::Program> program);
 
   /// (Re)creates the translation walker against the bound core's memory
-  /// hierarchy. Must be called before the first slice and is re-issued
-  /// internally after each successful re-randomization (the tables object
-  /// is replaced).
+  /// hierarchy. Must be called before the first slice; the walker is
+  /// rebuilt internally whenever the image object is replaced (full
+  /// re-randomization, restart, restore).
   void bind(uint32_t core, cache::MemHier& mem);
 
   /// The kernel-side context record handed to core::ContextManager.
@@ -308,8 +308,8 @@ class Process {
   /// Checkpoint support. Saving serializes the *current* randomized
   /// image verbatim (not just the epoch seed) so injection-corrupted code
   /// bytes and table entries survive the round trip; loading swaps in
-  /// the serialized image, rebuilds the placement map from its tables,
-  /// restores memory, builds a fresh emulator over them and loads its
+  /// the serialized image (its tables are the placement), restores
+  /// memory, builds a fresh emulator over them and loads its
   /// architectural state, then rebuilds the walker over the restored
   /// tables. The caller must have bind()-ed the process first (spawn order
   /// reproduces that).
@@ -323,9 +323,8 @@ class Process {
     return program_->image;
   }
   [[nodiscard]] const rewriter::Program& program() const { return *program_; }
-  [[nodiscard]] const rewriter::PlacedImage& randomization() const {
-    return *placed_;
-  }
+  /// The live VCFR image; its tables.rand is the current placement.
+  [[nodiscard]] const binary::Image& randomization() const { return *image_; }
   [[nodiscard]] const binary::Memory& memory() const { return mem_; }
   [[nodiscard]] ProcessStats& stats() { return stats_; }
   [[nodiscard]] const ProcessStats& stats() const { return stats_; }
@@ -333,10 +332,13 @@ class Process {
  private:
   [[nodiscard]] rewriter::RandomizeOptions options_for_epoch(
       uint64_t epoch) const;
-  /// Applies config_.taint to the current emulator (every construction
-  /// site calls this; a full re-randomization starts the new emulator's
-  /// shadow state clean — the re-keyed placement has no old secrets).
-  void apply_taint_config();
+  /// Applies config_.enforce_tags and config_.taint to the current
+  /// emulator (every construction site calls this; a full
+  /// re-randomization starts the new emulator's shadow state clean — the
+  /// re-keyed placement has no old secrets).
+  void configure_emulator();
+  /// Rebuilds the walker over the live tables once bound to a core.
+  void rebuild_walker();
   bool rerandomize_full(const std::vector<uint32_t>& pinned, bool force);
   bool rerandomize_incremental_step(const std::vector<uint32_t>& pinned,
                                     bool force);
@@ -346,7 +348,9 @@ class Process {
   /// Original image + CFG + analysis, shared with every process of the same
   /// (workload, scale); every epoch places this.
   std::shared_ptr<const rewriter::Program> program_;
-  std::unique_ptr<rewriter::PlacedImage> placed_;
+  /// Heap-held so a full swap can build the next image while the running
+  /// emulator still reads this one.
+  std::unique_ptr<binary::Image> image_;
   binary::Memory mem_;
   std::unique_ptr<emu::Emulator> emu_;
   std::unique_ptr<core::TranslationWalker> walker_;

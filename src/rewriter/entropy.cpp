@@ -7,7 +7,7 @@ namespace vcfr::rewriter {
 EntropyReport analyze_entropy(const RandomizeResult& result,
                               const RandomizeOptions& options) {
   EntropyReport report;
-  report.randomized_instructions = result.placement.size();
+  report.randomized_instructions = result.vcfr.tables.rand.size();
   report.failover_instructions = result.analysis.unrandomized.size();
 
   double positions = 1.0;

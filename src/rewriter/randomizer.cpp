@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <map>
 #include <bit>
+#include <memory_resource>
 #include <random>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "isa/encoding.hpp"
 
@@ -14,34 +16,27 @@ using isa::Op;
 
 namespace {
 
-using PlacementMap = std::unordered_map<uint32_t, uint32_t>;
-
-uint32_t remap(const PlacementMap& placement, uint32_t addr) {
-  auto it = placement.find(addr);
-  return it == placement.end() ? addr : it->second;
-}
-
 /// One instruction with its control-flow-relevant immediate mapped through
-/// `placement` (identity for everything else). PushI immediates are return
+/// `tables` (identity for everything else). PushI immediates are return
 /// addresses produced by the software call rewrite and are always code
 /// pointers.
 isa::Instr remap_targets(const isa::DisasmEntry& entry,
-                         const PlacementMap& placement,
+                         const binary::TranslationTables& tables,
                          const std::unordered_set<uint32_t>& code_imm_sites) {
   isa::Instr instr = entry.instr;
   const bool is_code_imm =
       instr.op == Op::kMovRI && code_imm_sites.contains(entry.addr);
   if (instr.is_direct_transfer() || is_code_imm || instr.op == Op::kPushI) {
-    instr.imm = remap(placement, instr.imm);
+    instr.imm = tables.to_randomized(instr.imm);
   }
   return instr;
 }
 
 /// Jump tables and stored code pointers.
-void patch_data(binary::Image& img, const PlacementMap& placement) {
+void patch_data(binary::Image& img, const binary::TranslationTables& tables) {
   for (const auto& r : img.relocs) {
     img.write_data32(r.data_addr,
-                     remap(placement, img.read_data32(r.data_addr)));
+                     tables.to_randomized(img.read_data32(r.data_addr)));
   }
 }
 
@@ -148,7 +143,7 @@ Program prepare(binary::Image image, ReturnPolicy return_policy) {
   return program;
 }
 
-PlacedImage place(const Program& program, const RandomizeOptions& options) {
+binary::Image place(const Program& program, const RandomizeOptions& options) {
   if (options.return_option != ReturnOption::kArchitectural) {
     throw std::invalid_argument(
         "place: the software call rewrite needs its own prepared program");
@@ -167,7 +162,13 @@ PlacedImage place(const Program& program, const RandomizeOptions& options) {
   const binary::Image& image = program.image;
   const Cfg& cfg = program.cfg;
   const auto& unrandomized = program.analysis.unrandomized;
-  PlacedImage result;
+  // original -> randomized, drawn below. It only feeds the tables: its
+  // iteration order is their insertion order, which fixes FlatMap32's slot
+  // layout and with it the store_tables, VXE and checkpoint bytes. Its
+  // nodes live in one arena released in bulk on return (the allocator does
+  // not change the iteration order).
+  std::pmr::monotonic_buffer_resource arena;
+  std::pmr::unordered_map<uint32_t, uint32_t> placement(&arena);
 
   // --- assign randomized addresses ----------------------------------------
   std::mt19937_64 rng(options.seed);
@@ -192,7 +193,7 @@ PlacedImage place(const Program& program, const RandomizeOptions& options) {
           rng() % (options.slot_bytes - e.instr.length + 1));
       const uint32_t addr =
           options.rand_base + slots[k] * options.slot_bytes + jitter;
-      result.placement.emplace(e.addr, addr);
+      placement.emplace(e.addr, addr);
     }
     region_size = slot_count * options.slot_bytes;
   } else {
@@ -224,14 +225,13 @@ PlacedImage place(const Program& program, const RandomizeOptions& options) {
         const uint32_t gap = std::min<uint32_t>(slack, rng() % gap_cap);
         pos += gap;
         slack -= gap;
-        result.placement.emplace(cfg.instrs[idx].addr, pos);
+        placement.emplace(cfg.instrs[idx].addr, pos);
         pos += cfg.instrs[idx].instr.length;
         --remaining;
       }
     }
     region_size = (max_page + 1) * kStride;
   }
-  const auto& placement = result.placement;
 
   // --- translation tables ----------------------------------------------------
   binary::TranslationTables tables;
@@ -250,21 +250,21 @@ PlacedImage place(const Program& program, const RandomizeOptions& options) {
       next_pow2(static_cast<uint32_t>(placement.size()) * 2) * 8;
 
   // --- VCFR image ------------------------------------------------------------
-  binary::Image& vcfr = result.vcfr;
-  vcfr = image;
+  binary::Image vcfr = image;
   vcfr.layout = binary::Layout::kVcfr;
   vcfr.seed = options.seed;
+  vcfr.tables = std::move(tables);
   vcfr.code.clear();
   vcfr.code.reserve(image.code.size());
   for (const auto& e : cfg.instrs) {
-    isa::encode(remap_targets(e, placement, program.analysis.code_imm_sites),
-                vcfr.code);
+    isa::encode(
+        remap_targets(e, vcfr.tables, program.analysis.code_imm_sites),
+        vcfr.code);
   }
-  patch_data(vcfr, placement);
-  vcfr.tables = std::move(tables);
+  patch_data(vcfr, vcfr.tables);
   vcfr.rand_base = options.rand_base;
   vcfr.rand_size = region_size;
-  return result;
+  return vcfr;
 }
 
 RandomizeResult randomize(const binary::Image& image,
@@ -285,9 +285,9 @@ RandomizeResult randomize(const binary::Image& image,
 
   Program program = prepare(image, options.return_policy);
   RandomizeResult result;
-  static_cast<PlacedImage&>(result) = place(program, options);
+  result.vcfr = place(program, options);
   const Cfg& cfg = program.cfg;
-  const auto& placement = result.placement;
+  const binary::TranslationTables& tables = result.vcfr.tables;
 
   // --- naive-ILR image -------------------------------------------------------
   binary::Image& naive = result.naive;
@@ -301,18 +301,17 @@ RandomizeResult randomize(const binary::Image& image,
   for (size_t i = 0; i < cfg.instrs.size(); ++i) {
     const auto& e = cfg.instrs[i];
     naive.sparse_code.emplace(
-        remap(placement, e.addr),
-        isa::encode(remap_targets(e, placement,
-                                  program.analysis.code_imm_sites)));
+        tables.to_randomized(e.addr),
+        isa::encode(
+            remap_targets(e, tables, program.analysis.code_imm_sites)));
     if (i + 1 < cfg.instrs.size()) {
-      naive.fallthrough.emplace(remap(placement, e.addr),
-                                remap(placement, cfg.instrs[i + 1].addr));
+      naive.fallthrough.emplace(tables.to_randomized(e.addr),
+                                tables.to_randomized(cfg.instrs[i + 1].addr));
     }
   }
-  patch_data(naive, placement);
-  naive.tables = result.vcfr.tables;  // the mapping exists on the naive
-                                      // hardware too
-  naive.entry = remap(placement, program.image.entry);
+  patch_data(naive, tables);
+  naive.tables = tables;  // the mapping exists on the naive hardware too
+  naive.entry = tables.to_randomized(program.image.entry);
 
   result.analysis = std::move(program.analysis);
   return result;

@@ -16,13 +16,15 @@
 //
 // The work splits at the seed: prepare() recovers the CFG and runs the
 // analyses once per binary (nothing there depends on the seed), and
-// place() draws one seed's placement and emits only the VCFR image. A
-// kernel running many processes of one binary prepares it once and places
-// it per process; randomize() is prepare + place + the naive image.
+// place() draws one seed's placement and emits only the VCFR image. The
+// placement itself lives nowhere else than in that image's rand table
+// (original -> randomized; un-randomized instructions have no entry), the
+// same context the hardware walks (§IV-B). A kernel running many
+// processes of one binary prepares it once and places it per process;
+// randomize() is prepare + place + the naive image.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "binary/image.hpp"
 #include "rewriter/analysis.hpp"
@@ -101,15 +103,9 @@ struct Program {
   ReturnPolicy return_policy = ReturnPolicy::kArchitectural;
 };
 
-/// The per-seed half: what a VCFR process executes.
-struct PlacedImage {
+struct RandomizeResult {
+  /// What a VCFR process executes; vcfr.tables.rand is the placement.
   binary::Image vcfr;
-  /// original instruction address -> randomized address (identity entries
-  /// are omitted; un-randomized instructions keep their addresses).
-  std::unordered_map<uint32_t, uint32_t> placement;
-};
-
-struct RandomizeResult : PlacedImage {
   binary::Image naive;
   AnalysisResult analysis;
   /// Populated when return_option == kSoftwareRewrite.
@@ -132,15 +128,15 @@ struct RandomizeResult : PlacedImage {
     binary::Image image,
     ReturnPolicy return_policy = ReturnPolicy::kArchitectural);
 
-/// Draws the placement for `options.seed` and emits the VCFR image; the
-/// result is byte-identical to randomize(program.image, options).vcfr.
+/// Draws the placement for `options.seed` and emits the VCFR image (its
+/// tables.rand holds the placement); the result is byte-identical to randomize(program.image, options).vcfr.
 /// `options.return_policy` must be the policy `program` was prepared with,
 /// and `options.return_option` must be kArchitectural (the software rewrite
 /// changes the binary itself: prepare its rewrite_calls_software() output
 /// under ReturnPolicy::kNone instead). Throws std::invalid_argument
 /// otherwise or when the options are inconsistent.
-[[nodiscard]] PlacedImage place(const Program& program,
-                                const RandomizeOptions& options = {});
+[[nodiscard]] binary::Image place(const Program& program,
+                                  const RandomizeOptions& options = {});
 
 /// Randomizes an original-layout image: prepare + place + the naive-ILR
 /// image. Throws std::invalid_argument when `image` is already randomized

@@ -313,7 +313,7 @@ TEST(FleetContainmentTest, InjectedFaultRestartsVictimOthersBitIdentical) {
   }
   // Snapshot the victim's first-life placement before running.
   const binary::FlatMap32 first_life_derand =
-      kernel.randomization(1).vcfr.tables.derand;
+      kernel.randomization(1).tables.derand;
 
   const os::FleetReport report = kernel.run();
 
@@ -329,7 +329,7 @@ TEST(FleetContainmentTest, InjectedFaultRestartsVictimOthersBitIdentical) {
   EXPECT_GE(kernel.process(1).epoch(), 1u);
 
   // Restart-with-rerandomize: the replacement runs a fresh placement.
-  EXPECT_FALSE(kernel.randomization(1).vcfr.tables.derand ==
+  EXPECT_FALSE(kernel.randomization(1).tables.derand ==
                first_life_derand);
 
   // The other tenants' architectural results are bit-identical to the

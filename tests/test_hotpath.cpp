@@ -150,15 +150,15 @@ struct IncrementalSession {
   IncrementalSession(const rewriter::Program& program, uint64_t seed,
                      bool cache_on)
       : placed(rewriter::place(program, {.seed = seed})) {
-    binary::load(placed.vcfr, mem);
-    emu = std::make_unique<emu::Emulator>(placed.vcfr, mem);
+    binary::load(placed, mem);
+    emu = std::make_unique<emu::Emulator>(placed, mem);
     emu->set_decode_cache(cache_on);
   }
 
   bool fire(const rewriter::Program& program, uint64_t seed) {
     std::vector<uint32_t> pinned;
     for (const uint32_t reg : emu->state().regs) {
-      if (placed.vcfr.tables.is_randomized_addr(reg)) pinned.push_back(reg);
+      if (placed.tables.is_randomized_addr(reg)) pinned.push_back(reg);
     }
     std::sort(pinned.begin(), pinned.end());
     pinned.erase(std::unique(pinned.begin(), pinned.end()), pinned.end());
@@ -177,7 +177,7 @@ struct IncrementalSession {
     return true;
   }
 
-  rewriter::PlacedImage placed;
+  binary::Image placed;
   binary::Memory mem;
   std::unique_ptr<emu::Emulator> emu;
 };
@@ -265,8 +265,8 @@ TEST(DecodeCacheTest, LiveRerandomizeDifferential) {
       fresh.seed = 0xabc0 + epoch;
       epochs.push_back(rewriter::randomize(isa::assemble(kFactorial), fresh));
       emu_ptr = emu::rerandomize_live(*emu_ptr, mem,
-                                      epochs[epochs.size() - 2],
-                                      epochs.back(), nullptr);
+                                      epochs[epochs.size() - 2].vcfr,
+                                      epochs.back().vcfr, nullptr);
       emu_ptr->set_decode_cache(cache_on);
     }
     emu::RunLimits limits;

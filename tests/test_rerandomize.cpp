@@ -75,7 +75,7 @@ TEST(LiveRerandomizeTest, MidRecursionSwapPreservesSemantics) {
 
     LiveRerandomizeStats stats;
     auto fresh_emu =
-        rerandomize_live(*s.emu, s.mem, s.rr, new_rr, &stats);
+        rerandomize_live(*s.emu, s.mem, s.rr.vcfr, new_rr.vcfr, &stats);
     EXPECT_EQ(stats.stack_slots_translated, marked_before);
 
     fresh_emu->set_enforce_tags(true);
@@ -99,7 +99,8 @@ TEST(LiveRerandomizeTest, OldAddressesAreDeadAfterSwap) {
   rewriter::RandomizeOptions fresh;
   fresh.seed = 999;
   const auto new_rr = rewriter::randomize(isa::assemble(kProgram), fresh);
-  auto fresh_emu = rerandomize_live(*s.emu, s.mem, s.rr, new_rr, nullptr);
+  auto fresh_emu =
+      rerandomize_live(*s.emu, s.mem, s.rr.vcfr, new_rr.vcfr, nullptr);
 
   // In the new epoch the leaked address maps to nothing.
   EXPECT_FALSE(new_rr.vcfr.tables.is_randomized_addr(leaked))
@@ -126,7 +127,8 @@ TEST(LiveRerandomizeTest, RepeatedSwapsKeepWorking) {
     rewriter::RandomizeOptions fresh;
     fresh.seed = 1000 + epoch;
     epochs.push_back(rewriter::randomize(isa::assemble(kProgram), fresh));
-    cur = rerandomize_live(*cur, s.mem, cur_rr, epochs.back(), nullptr);
+    cur = rerandomize_live(*cur, s.mem, cur_rr.vcfr, epochs.back().vcfr,
+                           nullptr);
     cur_rr = epochs.back();
   }
   RunLimits limits;
@@ -138,10 +140,10 @@ TEST(LiveRerandomizeTest, RepeatedSwapsKeepWorking) {
 
 TEST(LiveRerandomizeTest, RejectsNonVcfrImages) {
   Session s = start(1);
-  rewriter::RandomizeResult bogus = s.rr;
-  bogus.vcfr.layout = binary::Layout::kOriginal;
+  binary::Image bogus = s.rr.vcfr;
+  bogus.layout = binary::Layout::kOriginal;
   EXPECT_THROW(
-      (void)rerandomize_live(*s.emu, s.mem, s.rr, bogus, nullptr),
+      (void)rerandomize_live(*s.emu, s.mem, s.rr.vcfr, bogus, nullptr),
       std::invalid_argument);
 }
 

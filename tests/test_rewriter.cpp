@@ -311,7 +311,7 @@ TEST(RandomizerTest, PlacementIsDisjointAndInRegion) {
   opts.seed = 5;
   const RandomizeResult rr = randomize(original, opts);
   std::unordered_set<uint32_t> seen;
-  for (const auto& [orig, rand_addr] : rr.placement) {
+  for (const auto& [orig, rand_addr] : rr.vcfr.tables.rand) {
     EXPECT_GE(rand_addr, opts.rand_base);
     EXPECT_LT(rand_addr, opts.rand_base + rr.naive.rand_size);
     // One instruction per slot: distinct slot indices.
@@ -330,11 +330,11 @@ TEST(RandomizerTest, DifferentSeedsGiveDifferentPlacements) {
   const auto ra = randomize(original, a);
   const auto rb = randomize(original, b);
   size_t same = 0;
-  for (const auto& [orig, rand_addr] : ra.placement) {
-    auto it = rb.placement.find(orig);
-    if (it != rb.placement.end() && it->second == rand_addr) ++same;
+  for (const auto& [orig, rand_addr] : ra.vcfr.tables.rand) {
+    const uint32_t* other = rb.vcfr.tables.rand.lookup(orig);
+    if (other != nullptr && *other == rand_addr) ++same;
   }
-  EXPECT_LT(same, ra.placement.size() / 4)
+  EXPECT_LT(same, ra.vcfr.tables.rand.size() / 4)
       << "re-randomization should relocate almost everything";
 }
 
@@ -376,7 +376,7 @@ TEST(RandomizerTest, PageConfinedPlacementStaysInPage) {
   // One randomized region (page + a line of straddle slop) per original
   // page.
   constexpr uint32_t kStride = 4096 + 64;
-  for (const auto& [orig, rand_addr] : rr.placement) {
+  for (const auto& [orig, rand_addr] : rr.vcfr.tables.rand) {
     const uint32_t orig_page = (orig - original.code_base) / 4096;
     const uint32_t rand_region = (rand_addr - opts.rand_base) / kStride;
     EXPECT_EQ(orig_page, rand_region)
@@ -384,12 +384,12 @@ TEST(RandomizerTest, PageConfinedPlacementStaysInPage) {
   }
   // Instructions still get shuffled within the page.
   size_t moved_order = 0;
-  for (const auto& [orig, rand_addr] : rr.placement) {
+  for (const auto& [orig, rand_addr] : rr.vcfr.tables.rand) {
     if ((rand_addr - opts.rand_base) != (orig - original.code_base)) {
       ++moved_order;
     }
   }
-  EXPECT_GT(moved_order, rr.placement.size() / 2);
+  EXPECT_GT(moved_order, rr.vcfr.tables.rand.size() / 2);
 }
 
 TEST(RandomizerTest, PageConfinedPreservesSemantics) {
@@ -438,11 +438,11 @@ TEST(RandomizerTest, PlaceOfPreparedProgramMatchesRandomize) {
           RandomizeOptions opts;
           opts.seed = seed;
           opts.placement = policy;
-          const PlacedImage placed = place(program, opts);
+          const Image placed = place(program, opts);
           const RandomizeResult rr = randomize(original, opts);
-          EXPECT_EQ(saved(placed.vcfr), saved(rr.vcfr))
+          EXPECT_EQ(saved(placed), saved(rr.vcfr))
               << app << " scale " << scale << " seed " << seed;
-          EXPECT_EQ(placed.placement, rr.placement)
+          EXPECT_EQ(placed.tables.rand, rr.vcfr.tables.rand)
               << app << " scale " << scale << " seed " << seed;
         }
       }

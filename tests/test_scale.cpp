@@ -106,12 +106,16 @@ struct CheckpointRun {
   std::string resumed;      // fresh kernel restored from the checkpoint
   uint64_t writes = 0;
   uint64_t restores = 0;
+  // Forced-quiescence aliases live at the cut that the restored derand
+  // tables hold.
+  size_t restored_aliases = 0;
 };
 
 CheckpointRun checkpoint_roundtrip(const std::string& path, bool inject_pid1,
                                    uint32_t restore_pool_workers = 0,
                                    const os::RerandomizePolicy* rerand =
-                                       nullptr) {
+                                       nullptr,
+                                   uint32_t round = 8) {
   CheckpointRun out;
   {
     os::Kernel kernel(fleet_config(4));
@@ -121,7 +125,7 @@ CheckpointRun checkpoint_roundtrip(const std::string& path, bool inject_pid1,
   {
     os::Kernel kernel(fleet_config(4));
     spawn_mix(kernel, 8, 7, inject_pid1, rerand);
-    kernel.set_checkpoint(8, path);
+    kernel.set_checkpoint(round, path);
     out.with_write = kernel.run().to_json();
     out.writes = kernel.checkpoint_writes();
   }
@@ -130,6 +134,13 @@ CheckpointRun checkpoint_roundtrip(const std::string& path, bool inject_pid1,
     spawn_mix(kernel, 8, 7, inject_pid1, rerand);
     std::ifstream in(path, std::ios::binary);
     kernel.restore(in);
+    for (uint32_t pid = 0; pid < kernel.process_count(); ++pid) {
+      for (const uint32_t alias : kernel.process(pid).rerand_aliases()) {
+        if (kernel.randomization(pid).tables.derand.contains(alias)) {
+          ++out.restored_aliases;
+        }
+      }
+    }
     out.resumed = kernel.run().to_json();
     out.restores = kernel.checkpoint_restores();
   }
@@ -173,15 +184,29 @@ os::RerandomizePolicy continuous_rerand() {
   return rp;
 }
 
+// Both rebuild paths: incremental firings patch the live image in place,
+// full firings replace the image object and keep forced aliases only in
+// the fresh derand table. The full arm cuts at round 12, where such
+// aliases are live, so restore must carry them in the serialized image.
 TEST(CheckpointRestoreTest, ResumedRunIsBitIdenticalUnderContinuousRerand) {
-  const os::RerandomizePolicy rp = continuous_rerand();
-  const CheckpointRun r =
-      checkpoint_roundtrip(testing::TempDir() + "vcfr_ckpt_rerand.bin",
-                           /*inject_pid1=*/true, 0, &rp);
-  EXPECT_EQ(r.writes, 1u);
-  EXPECT_EQ(r.restores, 1u);
-  EXPECT_EQ(r.baseline, r.with_write);
-  EXPECT_EQ(r.baseline, r.resumed);
+  for (const auto rebuild : {os::RerandomizePolicy::Rebuild::kIncremental,
+                             os::RerandomizePolicy::Rebuild::kFull}) {
+    os::RerandomizePolicy rp = continuous_rerand();
+    rp.rebuild = rebuild;
+    const bool full = rebuild == os::RerandomizePolicy::Rebuild::kFull;
+    SCOPED_TRACE(full ? "full rebuild" : "incremental");
+    const CheckpointRun r = checkpoint_roundtrip(
+        testing::TempDir() + (full ? "vcfr_ckpt_full.bin"
+                                   : "vcfr_ckpt_rerand.bin"),
+        /*inject_pid1=*/true, 0, &rp, /*round=*/full ? 12 : 8);
+    EXPECT_EQ(r.writes, 1u);
+    EXPECT_EQ(r.restores, 1u);
+    if (full) {
+      EXPECT_GT(r.restored_aliases, 0u);
+    }
+    EXPECT_EQ(r.baseline, r.with_write);
+    EXPECT_EQ(r.baseline, r.resumed);
+  }
 }
 
 // The digest excludes worker-pool sizing, so restoring under a different

@@ -158,8 +158,8 @@ TEST(SchedulerTest, MidRunRerandomizationBumpsEpochAndStaysCorrect) {
   EXPECT_EQ(c.emulator().output(), p.emulator().output());
   EXPECT_EQ(c.stats().instructions, p.stats().instructions);
   // Placements differ across epochs, so the translation tables must too.
-  EXPECT_NE(kernel.randomization(0).placement,
-            control.randomization(0).placement);
+  EXPECT_NE(kernel.randomization(0).tables.rand,
+            control.randomization(0).tables.rand);
 }
 
 std::string saved(const binary::Image& image) {
@@ -172,12 +172,13 @@ std::string saved(const binary::Image& image) {
 // its workload produces under the seed the image records.
 void expect_matches_randomize(const Process& p) {
   rewriter::RandomizeOptions opts;
-  opts.seed = p.randomization().vcfr.seed;
+  opts.seed = p.randomization().seed;
   const rewriter::RandomizeResult rr = rewriter::randomize(
       workloads::make(p.config().workload, p.config().scale), opts);
-  EXPECT_EQ(saved(p.randomization().vcfr), saved(rr.vcfr))
+  EXPECT_EQ(saved(p.randomization()), saved(rr.vcfr))
       << "pid " << p.pid() << " epoch " << p.epoch();
-  EXPECT_EQ(p.randomization().placement, rr.placement) << "pid " << p.pid();
+  EXPECT_EQ(p.randomization().tables.rand, rr.vcfr.tables.rand)
+      << "pid " << p.pid();
 }
 
 // The kernel prepares each (workload, scale) once; its tenants share that
@@ -196,7 +197,7 @@ TEST(SharedProgramTest, TenantsShareOneProgramAndPlaceLikeRandomize) {
     const Process& first = kernel.process(pid % 2);
     EXPECT_EQ(&p.original(), &first.original()) << "pid " << pid;
     EXPECT_NE(&p.original(), &kernel.process(1 - pid % 2).original());
-    EXPECT_EQ(p.randomization().vcfr.seed, p.config().seed);
+    EXPECT_EQ(p.randomization().seed, p.config().seed);
     expect_matches_randomize(p);
   }
 
@@ -210,7 +211,7 @@ TEST(SharedProgramTest, TenantsShareOneProgramAndPlaceLikeRandomize) {
       p.restart();
     }
     EXPECT_EQ(p.epoch(), 1u);
-    EXPECT_NE(p.randomization().vcfr.seed, p.config().seed);
+    EXPECT_NE(p.randomization().seed, p.config().seed);
     expect_matches_randomize(p);
   }
 

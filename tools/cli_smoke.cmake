@@ -44,3 +44,17 @@ string(FIND "${fleet_out}" "\"arch_match\": false" found_mismatch)
 if(NOT found_mismatch EQUAL -1)
   message(FATAL_ERROR "fleet run diverged from isolated runs: ${fleet_out}")
 endif()
+
+# faultcamp honours an explicit --max-instr at any value, the global
+# default's included (an absent flag means the campaign's 2M budget).
+execute_process(COMMAND ${VCFR_BIN} faultcamp --workloads bzip2 --scale 0
+                --trials 0 --layouts native --sites payload
+                --max-instr 100000000 --json
+                OUTPUT_VARIABLE camp_out RESULT_VARIABLE rc6)
+if(NOT rc6 EQUAL 0)
+  message(FATAL_ERROR "faultcamp smoke failed (${rc6}): ${camp_out}")
+endif()
+string(FIND "${camp_out}" "\"max_instructions\": 100000000}" found_budget)
+if(found_budget EQUAL -1)
+  message(FATAL_ERROR "faultcamp ignored --max-instr 100000000: ${camp_out}")
+endif()

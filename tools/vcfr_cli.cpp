@@ -254,7 +254,7 @@ int cmd_randomize(const Args& args) {
   binary::save(out_image, out);
   rprintf("relocated %zu instructions (seed %llu); failover set: %zu; "
               "-> %s\n",
-              rr.placement.size(),
+              rr.vcfr.tables.rand.size(),
               static_cast<unsigned long long>(args.seed),
               rr.analysis.unrandomized.size(), out.c_str());
   if (args.software_returns) {
@@ -267,22 +267,8 @@ int cmd_randomize(const Args& args) {
 
 int cmd_run(const Args& args) {
   const auto image = binary::load_file(require_input(args));
-  if (!telemetry_requested(args) && args.profile_out.empty() && !args.taint) {
-    emu::RunLimits limits;
-    limits.max_instructions = args.max_instr;
-    limits.enforce_tags = args.enforce_tags;
-    const auto r = emu::run_image(image, limits);
-    for (uint32_t v : r.output) rprintf("out: %u (0x%x)\n", v, v);
-    rprintf("%s after %llu instructions",
-                r.halted ? "halted" : (r.error.empty() ? "limit" : "FAULT"),
-                static_cast<unsigned long long>(r.stats.instructions));
-    if (!r.error.empty()) rprintf(": %s", r.error.c_str());
-    rprintf("\n");
-    return r.halted ? 0 : 1;
-  }
-
-  // Telemetry path: step the golden model by hand so each instruction's
-  // translation events are visible. The functional model has no clock;
+  // Step the golden model by hand so each instruction's translation
+  // events are visible to a trace. The functional model has no clock;
   // events and samples are stamped with the instruction index, which is
   // just as deterministic.
   telemetry::Telemetry tel(telemetry_config(args));
@@ -327,10 +313,12 @@ int cmd_run(const Args& args) {
     tel.tracer()->name_asid(0, 0, image.name.empty() ? "golden model"
                                                      : image.name);
   }
+  // The step record is only filled when a trace lane consumes it.
   emu::StepInfo info;
+  emu::StepInfo* const step_info = lane != nullptr ? &info : nullptr;
   size_t leaks_seen = 0;
   while (st.instructions < args.max_instr) {
-    if (!emulator.step(&info)) break;
+    if (!emulator.step(step_info)) break;
     const uint64_t n = st.instructions;  // index of the retired instruction
     if (lane != nullptr) {
       if (info.needs_derand) {
@@ -1158,10 +1146,10 @@ int cmd_faultcamp(const Args& args) {
   cc.scale = args.scale;
   cc.trials = args.trials;
   cc.seed = args.seed;
-  // The global default budget (100M) is sized for full workloads; a hung
-  // campaign trial should cost far less. Keep an explicit flag override.
-  cc.max_instructions = args.max_instr == 100'000'000 ? 2'000'000
-                                                      : args.max_instr;
+  // The global --max-instr default (100M) sizes a whole workload; a hung
+  // campaign trial should cost far less, so an absent flag means 2M.
+  cc.max_instructions =
+      flag_given(args, "--max-instr") ? args.max_instr : 2'000'000;
   if (!args.layout_list.empty()) {
     cc.layouts.clear();
     for (const std::string& name : split_list(args.layout_list)) {
