@@ -1,6 +1,7 @@
 #include "binary/loader.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "binary/state_io.hpp"
@@ -42,10 +43,10 @@ const Memory::Page* Memory::fetch_page(uint32_t addr) const {
 
 Memory::Page& Memory::write_page(uint32_t addr) {
   const uint32_t no = addr >> kPageBits;
-  if (no == write_memo_no_) return *write_memo_;
+  WriteMemo& memo = write_memo_[no % kWriteMemos];
+  if (no == memo.no) return *memo.page;
   Page& page = touch_page(addr);
-  write_memo_no_ = no;
-  write_memo_ = &page;
+  memo = {no, &page};
   return page;
 }
 
@@ -93,6 +94,20 @@ void Memory::write32(uint32_t addr, uint32_t value) {
   write8(addr + 3, static_cast<uint8_t>(value >> 24));
 }
 
+void Memory::write64(uint32_t addr, uint64_t value) {
+  const uint32_t off = addr & (kPageSize - 1);
+  if (std::endian::native != std::endian::little || off > kPageSize - 8) {
+    write32(addr, static_cast<uint32_t>(value));
+    write32(addr + 4, static_cast<uint32_t>(value >> 32));
+    return;
+  }
+  if (!watched_.empty()) {
+    note_write(addr, 4);
+    note_write(addr + 4, 4);
+  }
+  std::memcpy(write_page(addr).data() + off, &value, sizeof value);
+}
+
 void Memory::read_block(uint32_t addr, uint8_t* out, uint32_t n) const {
   while (n > 0) {
     const uint32_t off = addr & (kPageSize - 1);
@@ -135,8 +150,7 @@ void Memory::state(StateIo& io) {
     data_memo_ = nullptr;
     fetch_memo_no_ = kNoPage;
     fetch_memo_ = nullptr;
-    write_memo_no_ = kNoPage;
-    write_memo_ = nullptr;
+    write_memo_ = {};
   }
   io.vec(page_nos, 1u << 20, [&](uint32_t& page_no) {
     io.u32(page_no);
@@ -194,9 +208,7 @@ void store_tables(const TranslationTables& tables, Memory& mem) {
   // misses a concrete line to fetch. The flat tables iterate in slot
   // order, so the bytes are deterministic across platforms.
   auto store = [&](uint32_t key, uint32_t value) {
-    const uint32_t entry = table_entry_addr(tables, key);
-    mem.write32(entry, key);
-    mem.write32(entry + 4, value);
+    mem.write64(table_entry_addr(tables, key), uint64_t{value} << 32 | key);
   };
   for (const auto& [r, o] : tables.derand) store(r, o);
   for (const auto& [o, r] : tables.rand) store(o, r);

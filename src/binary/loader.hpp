@@ -18,10 +18,12 @@ class StateIo;
 ///
 /// Host-side fast paths (architecturally invisible):
 ///  * the last-touched page is memoized per access stream (instruction
-///    fetch, data reads, writes), so sequential fetch and stack traffic
-///    skip the page hash — a Memory is therefore confined to one host
-///    thread at a time (the fleet kernel guarantees this: each process's
-///    memory is only touched by the worker running its core's slice);
+///    fetch, data reads), and writes keep eight memo entries mapped by
+///    page number, so sequential fetch, stack traffic and a table refresh
+///    scattered over a few pages skip the page hash — a Memory is
+///    therefore confined to one host thread at a time (the fleet kernel
+///    guarantees this: each process's memory is only touched by the
+///    worker running its core's slice);
 ///  * writes landing in a range registered via watch_code() bump
 ///    code_version(), which the emulator's decoded-instruction cache
 ///    compares against its fill generation — self-modifying code and
@@ -36,6 +38,9 @@ class Memory {
 
   [[nodiscard]] uint32_t read32(uint32_t addr) const;
   void write32(uint32_t addr, uint32_t value);
+  /// write32(addr, low word) then write32(addr + 4, high word), code
+  /// version bumps included, with one page lookup.
+  void write64(uint32_t addr, uint64_t value);
 
   /// Copies up to `n` bytes starting at `addr` into `out`; missing pages
   /// yield zeros. Used by instruction decode.
@@ -94,8 +99,12 @@ class Memory {
   mutable const Page* data_memo_ = nullptr;
   mutable uint32_t fetch_memo_no_ = kNoPage;
   mutable const Page* fetch_memo_ = nullptr;
-  uint32_t write_memo_no_ = kNoPage;
-  Page* write_memo_ = nullptr;
+  struct WriteMemo {
+    uint32_t no = kNoPage;
+    Page* page = nullptr;
+  };
+  static constexpr uint32_t kWriteMemos = 8;
+  std::array<WriteMemo, kWriteMemos> write_memo_{};
 
   /// Watched [base, end) ranges; normally one (the image's code section).
   std::vector<std::pair<uint32_t, uint32_t>> watched_;

@@ -1,6 +1,7 @@
 #include "emu/rerandomize.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <random>
 #include <stdexcept>
 
@@ -75,6 +76,8 @@ bool rerandomize_incremental(const rewriter::Program& program,
     throw std::invalid_argument(
         "rerandomize_incremental: requires kFullSpread slot geometry");
   }
+  const rewriter::Cfg& cfg = program.cfg;
+  const rewriter::RerandIndex& ix = program.rerand;
   const uint32_t slot_count = img.rand_size / options.slot_bytes;
   auto slot_of = [&](uint32_t ra) {
     if (ra < options.rand_base ||
@@ -89,35 +92,22 @@ bool rerandomize_incremental(const rewriter::Program& program,
   IncrementalRerandStats local;
   IncrementalRerandStats& st = stats ? *stats : local;
   st = IncrementalRerandStats{};
-  const rewriter::Cfg& cfg = program.cfg;
+  if (ix.movable.empty()) return true;  // nothing randomized: trivial success
 
-  // --- candidate pages: original 4 KiB pages holding movable instrs -------
-  constexpr uint32_t kPage = 4096;
-  const auto& unrandomized = program.analysis.unrandomized;
-  std::vector<size_t> movable;
-  movable.reserve(cfg.instrs.size());
-  std::vector<uint32_t> pages;
-  for (size_t i = 0; i < cfg.instrs.size(); ++i) {
-    const uint32_t addr = cfg.instrs[i].addr;
-    if (unrandomized.contains(addr)) continue;
-    movable.push_back(i);
-    const uint32_t page = (addr - img.code_base) / kPage;
-    if (pages.empty() || pages.back() != page) pages.push_back(page);
-  }
-  if (movable.empty()) return true;  // nothing randomized: trivial success
-
+  // --- page selection: original 4 KiB pages holding movable instrs --------
+  // Shuffling page indices permutes exactly as shuffling the (ascending)
+  // page numbers would, so the draw sequence is the page-number one.
   std::mt19937_64 rng(options.seed);
-  std::vector<uint32_t> selected = pages;
+  const size_t pages = ix.page_begin.size() - 1;
+  std::vector<uint32_t> selected(pages);
+  std::iota(selected.begin(), selected.end(), 0u);
   if (!options.all_regions && options.region_percent < 100) {
     std::shuffle(selected.begin(), selected.end(), rng);
-    const size_t count = std::max<size_t>(
-        1, (pages.size() * options.region_percent + 99) / 100);
+    const size_t count =
+        std::max<size_t>(1, (pages * options.region_percent + 99) / 100);
     selected.resize(std::min(count, selected.size()));
     std::sort(selected.begin(), selected.end());
   }
-  binary::FlatSet32 selected_pages;
-  selected_pages.reserve(selected.size());
-  for (const uint32_t p : selected) selected_pages.insert(p);
   st.regions_selected = static_cast<uint32_t>(selected.size());
 
   binary::FlatSet32 pinned;
@@ -125,41 +115,44 @@ bool rerandomize_incremental(const rewriter::Program& program,
   for (const uint32_t v : options.pinned) pinned.insert(v);
 
   // --- phase 1: draw fresh slots (any failure leaves img untouched) -------
-  std::vector<size_t> moved;
-  binary::FlatSet32 moved_orig;
-  for (const size_t idx : movable) {
-    const uint32_t addr = cfg.instrs[idx].addr;
-    if (!selected_pages.contains((addr - img.code_base) / kPage)) continue;
-    moved.push_back(idx);
-    moved_orig.insert(addr);
-  }
-
-  // Slot occupancy: placements staying put, plus pinned (alias) keys. A
-  // moved instruction frees its old slot unless an alias pins it.
-  binary::FlatSet32 occupied;
-  occupied.reserve(img.tables.rand.size() + options.pinned.size());
-  for (const auto& [orig, ra] : img.tables.rand) {
-    if (moved_orig.contains(orig) && !pinned.contains(ra)) continue;
-    occupied.insert(slot_of(ra));
-  }
-  for (const uint32_t v : options.pinned) {
-    if (img.tables.derand.contains(v)) occupied.insert(slot_of(v));
-  }
-
   struct Assign {
-    size_t idx = 0;       // cfg.instrs index
+    uint32_t idx = 0;  // cfg.instrs index
     uint32_t old_ra = 0;
     uint32_t new_ra = 0;
   };
   std::vector<Assign> assign;
-  assign.reserve(moved.size());
-  for (const size_t idx : moved) {
-    const auto& e = cfg.instrs[idx];
+  assign.reserve(ix.movable.size());
+  for (const uint32_t k : selected) {
+    for (uint32_t j = ix.page_begin[k]; j < ix.page_begin[k + 1]; ++j) {
+      const uint32_t idx = ix.movable[j];
+      const uint32_t* old_ra = img.tables.rand.lookup(cfg.instrs[idx].addr);
+      if (old_ra == nullptr) {
+        throw std::logic_error(
+            "rerandomize_incremental: movable instruction has no placement");
+      }
+      assign.push_back({idx, *old_ra, 0});
+    }
+  }
+
+  // Slot occupancy, one bit per slot: placements staying put, plus pinned
+  // (alias) keys. A moved instruction frees its old slot unless an alias
+  // pins it. No two placements share a slot, so clearing a moved
+  // instruction's slot frees no one else's.
+  std::vector<bool> occupied(slot_count);
+  for (const auto& [orig, ra] : img.tables.rand) occupied[slot_of(ra)] = true;
+  for (const Assign& a : assign) {
+    if (!pinned.contains(a.old_ra)) occupied[slot_of(a.old_ra)] = false;
+  }
+  for (const uint32_t v : options.pinned) {
+    if (img.tables.derand.contains(v)) occupied[slot_of(v)] = true;
+  }
+
+  for (Assign& a : assign) {
     uint32_t slot = 0;
     bool found = false;
     for (int attempt = 0; attempt < 64 && !found; ++attempt) {
       const auto s = static_cast<uint32_t>(rng() % slot_count);
-      if (!occupied.contains(s)) {
+      if (!occupied[s]) {
         slot = s;
         found = true;
       }
@@ -169,7 +162,7 @@ bool rerandomize_incremental(const rewriter::Program& program,
       const auto s0 = static_cast<uint32_t>(rng() % slot_count);
       for (uint32_t d = 0; d < slot_count; ++d) {
         const uint32_t s = (s0 + d) % slot_count;
-        if (!occupied.contains(s)) {
+        if (!occupied[s]) {
           slot = s;
           found = true;
           break;
@@ -177,17 +170,10 @@ bool rerandomize_incremental(const rewriter::Program& program,
       }
     }
     if (!found) return false;  // pool exhausted: the caller defers
-    occupied.insert(slot);
+    occupied[slot] = true;
     const auto jitter = static_cast<uint32_t>(
-        rng() % (options.slot_bytes - e.instr.length + 1));
-    const uint32_t* old_ra = img.tables.rand.lookup(e.addr);
-    if (old_ra == nullptr) {
-      throw std::logic_error(
-          "rerandomize_incremental: movable instruction has no placement");
-    }
-    assign.push_back(
-        {idx, *old_ra,
-         options.rand_base + slot * options.slot_bytes + jitter});
+        rng() % (options.slot_bytes - cfg.instrs[a.idx].instr.length + 1));
+    a.new_ra = options.rand_base + slot * options.slot_bytes + jitter;
   }
 
   // --- phase 2: apply in place --------------------------------------------
@@ -195,14 +181,29 @@ bool rerandomize_incremental(const rewriter::Program& program,
   // the old generation can be mistaken for current state.
   mem.bump_code_version();
   binary::TranslationTables& tables = img.tables;
-  binary::FlatMap32 old2new;
-  old2new.reserve(assign.size());
+  // Old placement -> new, through the old slot: moved_from[slot] is one
+  // past the index in `assign` of the instruction that left it.
+  std::vector<uint32_t> moved_from(slot_count, 0);
+  for (size_t k = 0; k < assign.size(); ++k) {
+    moved_from[slot_of(assign[k].old_ra)] = static_cast<uint32_t>(k + 1);
+  }
+  auto moved_to = [&](uint32_t ra) -> const uint32_t* {
+    if (ra < options.rand_base) return nullptr;
+    const uint32_t slot = (ra - options.rand_base) / options.slot_bytes;
+    if (slot >= slot_count || moved_from[slot] == 0) return nullptr;
+    const Assign& a = assign[moved_from[slot] - 1];
+    return a.old_ra == ra ? &a.new_ra : nullptr;
+  };
+  size_t referring = 0;
+  for (const Assign& a : assign) {
+    referring += ix.ref_begin[a.idx + 1] - ix.ref_begin[a.idx];
+  }
+  st.decode_dirty.reserve(3 * assign.size() + referring);
 
   // Erase every retiring derand key first: a fresh draw may land exactly
   // on another moved instruction's freed slot (and jitter may reproduce
   // its old address), so inserts must only see surviving keys.
   for (const Assign& a : assign) {
-    old2new.emplace(a.old_ra, a.new_ra);
     st.decode_dirty.insert(a.old_ra);
     st.decode_dirty.insert(a.new_ra);
     if (!pinned.contains(a.old_ra)) tables.derand.erase(a.old_ra);
@@ -215,52 +216,55 @@ bool rerandomize_incremental(const rewriter::Program& program,
   }
 
   // Cached seq_next of the linear predecessor of each moved instruction
-  // pointed at the old address: mark its current RPC stale too.
-  for (const Assign& a : assign) {
-    if (a.idx == 0) continue;
-    st.decode_dirty.insert(
-        tables.to_randomized(cfg.instrs[a.idx - 1].addr));
+  // pointed at the old address: mark its current RPC stale too. `assign`
+  // ascends, so a moved predecessor is the entry just before, and both of
+  // its RPCs are marked already.
+  for (size_t j = 0; j < assign.size(); ++j) {
+    const uint32_t idx = assign[j].idx;
+    if (idx == 0 || (j > 0 && assign[j - 1].idx == idx - 1)) continue;
+    st.decode_dirty.insert(tables.to_randomized(cfg.instrs[idx - 1].addr));
   }
 
-  // Referring sites: direct transfers, software-rewrite return pushes,
-  // and proven code-pointer movs whose (original-space) target moved.
-  const auto& code_imm_sites = program.analysis.code_imm_sites;
-  for (const auto& e : cfg.instrs) {
-    const bool qualifies =
-        e.instr.is_direct_transfer() || e.instr.op == isa::Op::kPushI ||
-        (e.instr.op == isa::Op::kMovRI && code_imm_sites.contains(e.addr));
-    if (!qualifies || !moved_orig.contains(e.instr.imm)) continue;
-    isa::Instr patched = e.instr;
-    patched.imm = tables.to_randomized(e.instr.imm);
-    const std::vector<uint8_t> bytes = isa::encode(patched);
-    if (bytes.size() != e.instr.length) {
-      throw std::logic_error(
-          "rerandomize_incremental: re-encoded length changed");
+  // Referring sites of the moved instructions: direct transfers,
+  // software-rewrite return pushes, and proven code-pointer movs.
+  std::vector<uint8_t> bytes;
+  bytes.reserve(isa::kMaxInstrLength);
+  for (const Assign& a : assign) {
+    for (uint32_t r = ix.ref_begin[a.idx]; r < ix.ref_begin[a.idx + 1]; ++r) {
+      const isa::DisasmEntry& e = cfg.instrs[ix.referrers[r]];
+      isa::Instr patched = e.instr;
+      patched.imm = a.new_ra;
+      bytes.clear();
+      isa::encode(patched, bytes);
+      if (bytes.size() != e.instr.length) {
+        throw std::logic_error(
+            "rerandomize_incremental: re-encoded length changed");
+      }
+      const size_t off = e.addr - img.code_base;
+      for (size_t i = 0; i < bytes.size(); ++i) {
+        img.code[off + i] = bytes[i];
+        mem.write8(e.addr + static_cast<uint32_t>(i), bytes[i]);
+      }
+      ++st.sites_patched;
+      st.decode_dirty.insert(tables.to_randomized(e.addr));
     }
-    const size_t off = e.addr - img.code_base;
-    for (size_t i = 0; i < bytes.size(); ++i) {
-      img.code[off + i] = bytes[i];
-      mem.write8(e.addr + static_cast<uint32_t>(i), bytes[i]);
-    }
-    ++st.sites_patched;
-    st.decode_dirty.insert(tables.to_randomized(e.addr));
   }
 
   // Jump-table / stored-code-pointer slots: live memory and the image
   // copy (rearm() re-images data from the latter).
   for (const auto& r : img.relocs) {
-    const uint32_t* nv = old2new.lookup(mem.read32(r.data_addr));
+    const uint32_t* nv = moved_to(mem.read32(r.data_addr));
     if (nv != nullptr) {
       mem.write32(r.data_addr, *nv);
       ++st.reloc_slots_patched;
     }
-    const uint32_t* iv = old2new.lookup(img.read_data32(r.data_addr));
+    const uint32_t* iv = moved_to(img.read_data32(r.data_addr));
     if (iv != nullptr) img.write_data32(r.data_addr, *iv);
   }
 
   // Bitmap-marked stack slots holding a moved return address.
   for (const uint32_t slot : running.ret_bitmap()) {
-    const uint32_t* nv = old2new.lookup(mem.read32(slot));
+    const uint32_t* nv = moved_to(mem.read32(slot));
     if (nv != nullptr) {
       mem.write32(slot, *nv);
       ++st.stack_slots_translated;
@@ -268,7 +272,7 @@ bool rerandomize_incremental(const rewriter::Program& program,
   }
 
   // Architectural PC.
-  if (const uint32_t* nv = old2new.lookup(running.state().pc)) {
+  if (const uint32_t* nv = moved_to(running.state().pc)) {
     running.state().pc = *nv;
     st.pc_translated = true;
   }

@@ -110,8 +110,9 @@ struct IncrementalRerandStats {
 /// pages in place, patching its tables (tables.rand is the placement),
 /// code bytes, data slots, marked stack slots, and the PC of `running`.
 /// `program` must be the prepared original binary `img` was placed from:
-/// its CFG and analysis say which instructions move and which sites refer
-/// to them. Returns false — with `img`, `mem`, and `running` untouched —
+/// its RerandIndex says which instructions move, page by page, and which
+/// sites refer to them. Placements must occupy distinct slots of the pool
+/// (rewriter::check_placement holds). Returns false — with `img`, `mem`, and `running` untouched —
 /// when the slot pool cannot host the re-placement (caller defers); true
 /// on success.
 [[nodiscard]] bool rerandomize_incremental(const rewriter::Program& program,

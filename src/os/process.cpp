@@ -329,8 +329,23 @@ void Process::state(binary::StateIo& io) {
   // own taint shadow state rides inside emu_->state above).
   io.u64(req_leaks_);
   io.u32(req_leak_depth_);
-  // The tables object changed — rebuild the walker over it.
-  if (io.loading()) rebuild_walker();
+  if (io.loading()) {
+    // The serialized image is trusted only as far as the next firing can
+    // patch it: a placement outside the slot pool or sharing a slot would
+    // make it throw or write out of bounds mid-run. A table value this
+    // process's injector flipped is corruption the checkpoint must carry.
+    std::optional<uint32_t> flipped;
+    if (injector_ != nullptr && injector_->applied() &&
+        injector_->record().site == fault::FaultSite::kTranslationEntry) {
+      flipped = injector_->record().address;
+    }
+    const std::string bad = rewriter::check_placement(
+        *program_, *image_, options_for_epoch(epoch_), flipped);
+    io.require(bad.empty(), "checkpoint image of pid " +
+                                std::to_string(pid_) + ": " + bad);
+    // The tables object changed — rebuild the walker over it.
+    rebuild_walker();
+  }
 }
 
 }  // namespace vcfr::os

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <bit>
+#include <cstdio>
 #include <memory_resource>
 #include <random>
 #include <stdexcept>
@@ -16,20 +17,65 @@ using isa::Op;
 
 namespace {
 
+/// True when the instruction's immediate is a code address the placement
+/// must rewrite. PushI immediates are return addresses produced by the
+/// software call rewrite and are always code pointers.
+bool refers_to_code(const isa::DisasmEntry& entry,
+                    const std::unordered_set<uint32_t>& code_imm_sites) {
+  const isa::Instr& instr = entry.instr;
+  return instr.is_direct_transfer() || instr.op == Op::kPushI ||
+         (instr.op == Op::kMovRI && code_imm_sites.contains(entry.addr));
+}
+
 /// One instruction with its control-flow-relevant immediate mapped through
-/// `tables` (identity for everything else). PushI immediates are return
-/// addresses produced by the software call rewrite and are always code
-/// pointers.
+/// `tables` (identity for everything else).
 isa::Instr remap_targets(const isa::DisasmEntry& entry,
                          const binary::TranslationTables& tables,
                          const std::unordered_set<uint32_t>& code_imm_sites) {
   isa::Instr instr = entry.instr;
-  const bool is_code_imm =
-      instr.op == Op::kMovRI && code_imm_sites.contains(entry.addr);
-  if (instr.is_direct_transfer() || is_code_imm || instr.op == Op::kPushI) {
+  if (refers_to_code(entry, code_imm_sites)) {
     instr.imm = tables.to_randomized(instr.imm);
   }
   return instr;
+}
+
+RerandIndex index_rerand(const binary::Image& image, const Cfg& cfg,
+                         const AnalysisResult& analysis) {
+  constexpr uint32_t kPage = 4096;
+  const auto n = static_cast<uint32_t>(cfg.instrs.size());
+  RerandIndex ix;
+  ix.movable.reserve(n);
+  uint32_t last_page = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    const uint32_t addr = cfg.instrs[i].addr;
+    if (analysis.unrandomized.contains(addr)) continue;
+    const uint32_t page = (addr - image.code_base) / kPage;
+    if (ix.movable.empty() || page != last_page) {
+      ix.page_begin.push_back(static_cast<uint32_t>(ix.movable.size()));
+      last_page = page;
+    }
+    ix.movable.push_back(i);
+  }
+  ix.page_begin.push_back(static_cast<uint32_t>(ix.movable.size()));
+
+  // Counting sort of the referring sites by target: count, prefix-sum,
+  // then place in ascending site order.
+  std::vector<uint32_t> target(n, n);
+  ix.ref_begin.assign(n + 1, 0);
+  for (uint32_t i = 0; i < n; ++i) {
+    if (!refers_to_code(cfg.instrs[i], analysis.code_imm_sites)) continue;
+    const auto it = cfg.instr_at.find(cfg.instrs[i].instr.imm);
+    if (it == cfg.instr_at.end()) continue;
+    target[i] = static_cast<uint32_t>(it->second);
+    ++ix.ref_begin[target[i] + 1];
+  }
+  for (uint32_t t = 0; t < n; ++t) ix.ref_begin[t + 1] += ix.ref_begin[t];
+  ix.referrers.resize(ix.ref_begin[n]);
+  std::vector<uint32_t> cursor(ix.ref_begin.begin(), ix.ref_begin.end() - 1);
+  for (uint32_t i = 0; i < n; ++i) {
+    if (target[i] != n) ix.referrers[cursor[target[i]]++] = i;
+  }
+  return ix;
 }
 
 /// Jump tables and stored code pointers.
@@ -42,6 +88,21 @@ void patch_data(binary::Image& img, const binary::TranslationTables& tables) {
 
 uint32_t next_pow2(uint32_t v) {
   return v <= 1 ? 1 : std::bit_ceil(v);
+}
+
+/// kFullSpread slot pool: one slot per movable instruction, thinned by
+/// `spread`.
+uint32_t full_spread_slots(size_t movable, double spread) {
+  return static_cast<uint32_t>(
+      std::max<double>(static_cast<double>(movable),
+                       static_cast<double>(movable) * spread));
+}
+
+/// Open-addressed table over (derand + rand) entries, 8 bytes each, at
+/// ~full occupancy (the walker models a single-probe perfect hash; the
+/// size only determines the table's cache footprint).
+uint32_t table_bytes_for(size_t placed) {
+  return next_pow2(static_cast<uint32_t>(placed) * 2) * 8;
 }
 
 }  // namespace
@@ -138,6 +199,7 @@ Program prepare(binary::Image image, ReturnPolicy return_policy) {
   Program program;
   program.cfg = build_cfg(image);
   program.analysis = analyze(image, program.cfg, return_policy);
+  program.rerand = index_rerand(image, program.cfg, program.analysis);
   program.image = std::move(image);
   program.return_policy = return_policy;
   return program;
@@ -172,17 +234,12 @@ binary::Image place(const Program& program, const RandomizeOptions& options) {
 
   // --- assign randomized addresses ----------------------------------------
   std::mt19937_64 rng(options.seed);
-  std::vector<size_t> movable;
-  movable.reserve(cfg.instrs.size());
-  for (size_t i = 0; i < cfg.instrs.size(); ++i) {
-    if (!unrandomized.contains(cfg.instrs[i].addr)) movable.push_back(i);
-  }
+  const std::vector<uint32_t>& movable = program.rerand.movable;
 
   uint32_t region_size = 0;
   if (options.placement == PlacementPolicy::kFullSpread) {
-    const auto slot_count = static_cast<uint32_t>(std::max<double>(
-        static_cast<double>(movable.size()),
-        static_cast<double>(movable.size()) * options.spread));
+    const uint32_t slot_count =
+        full_spread_slots(movable.size(), options.spread);
     std::vector<uint32_t> slots(slot_count);
     for (uint32_t i = 0; i < slot_count; ++i) slots[i] = i;
     std::shuffle(slots.begin(), slots.end(), rng);
@@ -243,11 +300,7 @@ binary::Image place(const Program& program, const RandomizeOptions& options) {
   }
   tables.unrandomized = unrandomized;
   tables.table_base = options.table_base;
-  // Open-addressed table over (derand + rand) entries, 8 bytes each, at
-  // ~full occupancy (the walker models a single-probe perfect hash; the
-  // size only determines the table's cache footprint).
-  tables.table_bytes =
-      next_pow2(static_cast<uint32_t>(placement.size()) * 2) * 8;
+  tables.table_bytes = table_bytes_for(placement.size());
 
   // --- VCFR image ------------------------------------------------------------
   binary::Image vcfr = image;
@@ -265,6 +318,76 @@ binary::Image place(const Program& program, const RandomizeOptions& options) {
   vcfr.rand_base = options.rand_base;
   vcfr.rand_size = region_size;
   return vcfr;
+}
+
+std::string check_placement(const Program& program, const binary::Image& image,
+                            const RandomizeOptions& options,
+                            std::optional<uint32_t> exempt) {
+  if (options.placement != PlacementPolicy::kFullSpread ||
+      options.slot_bytes == 0) {
+    throw std::invalid_argument(
+        "check_placement: requires kFullSpread slot geometry");
+  }
+  const binary::Image& orig = program.image;
+  const std::vector<uint32_t>& movable = program.rerand.movable;
+  const binary::TranslationTables& tables = image.tables;
+  if (image.layout != binary::Layout::kVcfr) return "not a VCFR image";
+  if (image.code_base != orig.code_base ||
+      image.code.size() != orig.code.size() ||
+      image.data_base != orig.data_base ||
+      image.data.size() != orig.data.size()) {
+    return "code or data section differs from the program's";
+  }
+  if (!std::equal(image.relocs.begin(), image.relocs.end(),
+                  orig.relocs.begin(), orig.relocs.end(),
+                  [](const binary::Relocation& a,
+                     const binary::Relocation& b) {
+                    return a.data_addr == b.data_addr;
+                  })) {
+    return "relocations differ from the program's";
+  }
+  if (!(tables.unrandomized == program.analysis.unrandomized)) {
+    return "failover set differs from the program's";
+  }
+  const uint32_t slots = full_spread_slots(movable.size(), options.spread);
+  if (image.rand_base != options.rand_base ||
+      image.rand_size != slots * options.slot_bytes ||
+      tables.table_base != options.table_base ||
+      tables.table_bytes != table_bytes_for(movable.size())) {
+    return "randomized or table region differs from the placement's";
+  }
+  if (tables.rand.size() != movable.size() ||
+      !std::all_of(movable.begin(), movable.end(), [&](uint32_t idx) {
+        return tables.rand.contains(program.cfg.instrs[idx].addr);
+      })) {
+    return "rand keys are not the program's movable instructions";
+  }
+  auto in_pool = [&](uint32_t ra) {
+    return ra >= options.rand_base &&
+           (ra - options.rand_base) / options.slot_bytes < slots;
+  };
+  auto hex = [](uint32_t v) {
+    char buf[16];
+    std::snprintf(buf, sizeof buf, "0x%08x", v);
+    return std::string(buf);
+  };
+  std::vector<bool> taken(slots);
+  for (const auto& [o, r] : tables.rand) {
+    if (!in_pool(r)) return "placement " + hex(r) + " outside the slot pool";
+    const uint32_t slot = (r - options.rand_base) / options.slot_bytes;
+    if (taken[slot]) return "two placements share slot " + std::to_string(slot);
+    taken[slot] = true;
+    const uint32_t* back = tables.derand.lookup(r);
+    if (r != exempt && (back == nullptr || *back != o)) {
+      return "derand does not invert rand at " + hex(r);
+    }
+  }
+  for (const auto& [r, o] : tables.derand) {
+    if (r != exempt && (!in_pool(r) || !tables.rand.contains(o))) {
+      return "derand entry " + hex(r) + " is neither a placement nor an alias";
+    }
+  }
+  return {};
 }
 
 RandomizeResult randomize(const binary::Image& image,

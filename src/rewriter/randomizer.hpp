@@ -25,6 +25,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "binary/image.hpp"
 #include "rewriter/analysis.hpp"
@@ -92,6 +95,25 @@ struct SoftwareRewriteStats {
   }
 };
 
+/// What an incremental re-randomization firing (emu/rerandomize.cpp) needs
+/// to know about a program beyond its placement. All of it is
+/// seed-independent, so prepare() derives it once and every firing of
+/// every process of the program walks only what it moves. Indices are
+/// into Cfg::instrs.
+struct RerandIndex {
+  /// Randomizable instructions (not in analysis.unrandomized), ascending.
+  std::vector<uint32_t> movable;
+  /// The original 4 KiB code pages holding movable instructions, in
+  /// address order: page k's are movable[page_begin[k] .. page_begin[k+1]).
+  std::vector<uint32_t> page_begin;
+  /// Reverse references (CSR): the sites whose immediate is the original
+  /// address of instruction t — direct transfers, kPushI and proven
+  /// code-pointer movs (analysis.code_imm_sites), ascending — are
+  /// referrers[ref_begin[t] .. ref_begin[t+1]).
+  std::vector<uint32_t> ref_begin;
+  std::vector<uint32_t> referrers;
+};
+
 /// The seed-independent half of a randomization: an original-layout image
 /// with its recovered CFG and analyses under one return policy. Immutable
 /// once built, so any number of placements — on any number of threads —
@@ -101,6 +123,7 @@ struct Program {
   Cfg cfg;
   AnalysisResult analysis;
   ReturnPolicy return_policy = ReturnPolicy::kArchitectural;
+  RerandIndex rerand;
 };
 
 struct RandomizeResult {
@@ -137,6 +160,25 @@ struct RandomizeResult {
 /// otherwise or when the options are inconsistent.
 [[nodiscard]] binary::Image place(const Program& program,
                                   const RandomizeOptions& options = {});
+
+/// Checks that `image` is a kFullSpread placement of `program` under
+/// `options` that an incremental re-randomization firing can patch — the
+/// invariants a restored checkpoint must hold before it runs again:
+///  * the code, data, relocations and failover set are the program's, and
+///    the randomized region and table region are the ones place() sizes;
+///  * the rand keys are exactly the program's movable instructions;
+///  * every rand value lies in the slot pool and no two share a slot;
+///  * derand inverts rand (derand[rand[o]] == o), and every other derand
+///    key (a forced-quiescence alias) lies in the pool and names a placed
+///    instruction.
+/// The derand entry at `exempt` (a fault injector's flipped table value)
+/// is exempt from the last check. Returns the first violation, or an empty
+/// string. Throws std::invalid_argument unless options.placement is
+/// kFullSpread.
+[[nodiscard]] std::string check_placement(
+    const Program& program, const binary::Image& image,
+    const RandomizeOptions& options,
+    std::optional<uint32_t> exempt = std::nullopt);
 
 /// Randomizes an original-layout image: prepare + place + the naive-ILR
 /// image. Throws std::invalid_argument when `image` is already randomized

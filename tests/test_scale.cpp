@@ -186,27 +186,63 @@ os::RerandomizePolicy continuous_rerand() {
 
 // Both rebuild paths: incremental firings patch the live image in place,
 // full firings replace the image object and keep forced aliases only in
-// the fresh derand table. The full arm cuts at round 12, where such
-// aliases are live, so restore must carry them in the serialized image.
+// the fresh derand table. Both arms cut at round 12, after the first
+// forced firings, so restore must carry live aliases in the serialized
+// image. An incremental firing leaves an alias only when it moves the
+// pinned instruction, and at 25 % of the pages no cut in this fleet has
+// one, so that arm re-places every page per firing.
 TEST(CheckpointRestoreTest, ResumedRunIsBitIdenticalUnderContinuousRerand) {
   for (const auto rebuild : {os::RerandomizePolicy::Rebuild::kIncremental,
                              os::RerandomizePolicy::Rebuild::kFull}) {
     os::RerandomizePolicy rp = continuous_rerand();
     rp.rebuild = rebuild;
     const bool full = rebuild == os::RerandomizePolicy::Rebuild::kFull;
+    if (!full) rp.region_percent = 100;
     SCOPED_TRACE(full ? "full rebuild" : "incremental");
     const CheckpointRun r = checkpoint_roundtrip(
         testing::TempDir() + (full ? "vcfr_ckpt_full.bin"
                                    : "vcfr_ckpt_rerand.bin"),
-        /*inject_pid1=*/true, 0, &rp, /*round=*/full ? 12 : 8);
+        /*inject_pid1=*/true, 0, &rp, /*round=*/12);
     EXPECT_EQ(r.writes, 1u);
     EXPECT_EQ(r.restores, 1u);
-    if (full) {
-      EXPECT_GT(r.restored_aliases, 0u);
-    }
+    EXPECT_GT(r.restored_aliases, 0u);
     EXPECT_EQ(r.baseline, r.with_write);
     EXPECT_EQ(r.baseline, r.resumed);
   }
+}
+
+// A translation-entry fault flips a derand value in the live image, and
+// the checkpoint must carry that corruption: restore's placement check
+// exempts exactly the entry the process's own injector flipped.
+TEST(CheckpointRestoreTest, ResumedRunIsBitIdenticalAfterTableCorruption) {
+  const auto spawn = [](os::Kernel& kernel) {
+    for (uint32_t i = 0; i < 2; ++i) {
+      os::ProcessConfig pc =
+          tenant(i == 0 ? "gcc" : "bzip2", 7 ^ (kSeedMix * (i + 1)));
+      if (i == 0) {
+        pc.inject.site = fault::FaultSite::kTranslationEntry;
+        pc.inject.at_instruction = 1'000;
+        pc.inject.seed = 5;
+        pc.inject_enabled = true;
+      }
+      kernel.spawn(pc);
+    }
+  };
+  const std::string path = testing::TempDir() + "vcfr_ckpt_table_fault.bin";
+  std::string baseline;
+  {
+    os::Kernel kernel(fleet_config(2));
+    spawn(kernel);
+    kernel.set_checkpoint(4, path);
+    baseline = kernel.run().to_json();
+    ASSERT_EQ(kernel.checkpoint_writes(), 1u);
+  }
+  os::Kernel kernel(fleet_config(2));
+  spawn(kernel);
+  std::ifstream in(path, std::ios::binary);
+  kernel.restore(in);
+  ASSERT_TRUE(kernel.process(0).injector()->applied());
+  EXPECT_EQ(kernel.run().to_json(), baseline);
 }
 
 // The digest excludes worker-pool sizing, so restoring under a different
@@ -384,39 +420,121 @@ TEST(CheckpointRestoreTest, RestoreRejectsStoreHeadOutOfRange) {
 // restore() as anything but a FormatError. Half of the mutations land in
 // the first 256 bytes (kernel counters, pending restarts, scheduler
 // queues); a mutation that restores is run four rounds past the cut, so an
-// out-of-range index that slipped through surfaces under ASan.
+// out-of-range index that slipped through surfaces under ASan. The second
+// arm arms continuous incremental re-randomization, whose next firing
+// patches the restored tables in place: a restored placement it cannot
+// patch must be refused by restore, never thrown from run().
 TEST(CheckpointRestoreTest, MutationFuzzOnlyEverThrowsFormatError) {
-  const std::string bytes =
-      checkpoint_bytes(testing::TempDir() + "vcfr_ckpt_fuzz.bin");
-  ASSERT_GT(bytes.size(), 256u);
-  SplitMix64 rng(0xc4ec);
-  constexpr int kMutations = 200;
-  int restored = 0, rejected = 0;
-  for (int round = 0; round < kMutations; ++round) {
-    const std::string mutated =
-        mutate(bytes, round % 2 == 0 ? 256 : bytes.size(), rng);
-    os::KernelConfig kc = fleet_config(4);
-    kc.max_rounds = 8 + 4;
-    os::Kernel kernel(kc);
-    spawn_mix(kernel, 8, 7);
-    std::istringstream in(mutated);
-    try {
-      kernel.restore(in);
-    } catch (const binary::FormatError& e) {
-      EXPECT_FALSE(binary::format_fault_name(e.fault()).empty());
-      ++rejected;
-      continue;
-    } catch (const std::exception& e) {
-      ADD_FAILURE() << "mutation " << round
-                    << ": non-FormatError escaped restore: " << e.what();
-      continue;
+  const os::RerandomizePolicy rerand = continuous_rerand();
+  const os::RerandomizePolicy* arms[] = {nullptr, &rerand};
+  for (const os::RerandomizePolicy* rp : arms) {
+    SCOPED_TRACE(rp == nullptr ? "plain" : "continuous re-rand");
+    const bool inject = rp != nullptr;
+    const std::string bytes = checkpoint_bytes(
+        testing::TempDir() + "vcfr_ckpt_fuzz.bin", inject, rp);
+    ASSERT_GT(bytes.size(), 256u);
+    SplitMix64 rng(0xc4ec);
+    constexpr int kMutations = 200;
+    int restored = 0, rejected = 0;
+    for (int round = 0; round < kMutations; ++round) {
+      const std::string mutated =
+          mutate(bytes, round % 2 == 0 ? 256 : bytes.size(), rng);
+      os::KernelConfig kc = fleet_config(4);
+      kc.max_rounds = 8 + 4;
+      os::Kernel kernel(kc);
+      spawn_mix(kernel, 8, 7, inject, rp);
+      std::istringstream in(mutated);
+      try {
+        kernel.restore(in);
+      } catch (const binary::FormatError& e) {
+        EXPECT_FALSE(binary::format_fault_name(e.fault()).empty());
+        ++rejected;
+        continue;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "mutation " << round
+                      << ": non-FormatError escaped restore: " << e.what();
+        continue;
+      }
+      ++restored;
+      try {
+        (void)kernel.run();
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "mutation " << round
+                      << ": restored, then run() threw: " << e.what();
+      }
     }
-    ++restored;
-    (void)kernel.run();
+    EXPECT_EQ(restored + rejected, kMutations);
+    EXPECT_GT(rejected, 0) << "the fuzzer never hit a checked field";
+    EXPECT_GT(restored, 0) << "the fuzzer never left a stream restorable";
   }
-  EXPECT_EQ(restored + rejected, kMutations);
-  EXPECT_GT(rejected, 0) << "the fuzzer never hit a checked field";
-  EXPECT_GT(restored, 0) << "the fuzzer never left a stream restorable";
+}
+
+/// Rewrites the first serialized little-endian u32 pair `from` into `to`.
+void rewrite_pair(std::string& bytes, std::pair<uint32_t, uint32_t> from,
+                  std::pair<uint32_t, uint32_t> to) {
+  std::string pattern(8, '\0');
+  put_u32(pattern, 0, from.first);
+  put_u32(pattern, 4, from.second);
+  const size_t at = bytes.find(pattern);
+  ASSERT_NE(at, std::string::npos);
+  put_u32(bytes, at, to.first);
+  put_u32(bytes, at + 4, to.second);
+}
+
+/// Restores `bytes` into the continuous re-rand mix and expects a
+/// kImplausible FormatError naming `reason`.
+void expect_placement_rejected(const std::string& bytes,
+                               const std::string& reason) {
+  const os::RerandomizePolicy rp = continuous_rerand();
+  os::Kernel kernel(fleet_config(4));
+  spawn_mix(kernel, 8, 7, true, &rp);
+  std::istringstream in(bytes);
+  try {
+    kernel.restore(in);
+    FAIL() << "the corrupt placement was accepted";
+  } catch (const binary::FormatError& e) {
+    EXPECT_EQ(e.fault(), binary::FormatFault::kImplausible) << e.what();
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+        << e.what();
+  }
+}
+
+// A placement the next incremental firing could not patch is refused at
+// restore. Pid 0's image blob is the first process state in the stream, so
+// the first serialized (rand, orig) and (orig, rand) pairs of one of its
+// instructions are its derand and rand entries. Moved just past the slot
+// pool, the firing used to throw std::invalid_argument out of Kernel::run
+// (its slot bitmap would now be indexed out of bounds); moved into another
+// instruction's slot, with derand still inverting rand, a firing that
+// moves either would free a slot the other still holds.
+TEST(CheckpointRestoreTest, RestoreRejectsUnpatchablePlacement) {
+  const os::RerandomizePolicy rp = continuous_rerand();
+  const std::string bytes = checkpoint_bytes(
+      testing::TempDir() + "vcfr_ckpt_placement.bin", true, &rp);
+  binary::Image image;
+  {
+    os::Kernel kernel(fleet_config(4));
+    spawn_mix(kernel, 8, 7, true, &rp);
+    std::istringstream in(bytes);
+    kernel.restore(in);
+    image = kernel.randomization(0);
+  }
+  auto it = image.tables.rand.begin();
+  const auto [orig, ra] = *it;
+  const uint32_t other = (++it)->second;
+
+  std::string outside = bytes;
+  rewrite_pair(outside, {orig, ra},
+               {orig, image.rand_base + image.rand_size});
+  expect_placement_rejected(outside, "outside the slot pool");
+
+  const uint32_t slot_bytes = rewriter::RandomizeOptions{}.slot_bytes;
+  const uint32_t slot_base = other - (other - image.rand_base) % slot_bytes;
+  const uint32_t shared = other == slot_base ? slot_base + 1 : slot_base;
+  std::string twice = bytes;
+  rewrite_pair(twice, {ra, orig}, {shared, orig});
+  rewrite_pair(twice, {orig, ra}, {orig, shared});
+  expect_placement_rejected(twice, "share slot");
 }
 
 /// A serving hook that never injects work: enough to mark the kernel as
