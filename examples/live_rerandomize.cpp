@@ -56,40 +56,41 @@ int main() {
   for (uint32_t v : golden.output) std::printf("%u ", v);
   std::printf("\n\n");
 
-  // Boot epoch 0.
+  // Boot epoch 0. Every later epoch re-places this one image in place, so
+  // the same emulator keeps serving across all of them.
+  const rewriter::Program program = rewriter::prepare(original);
   rewriter::RandomizeOptions opts;
   opts.seed = 100;
-  auto cur_rr = rewriter::randomize(original, opts);
+  binary::Image image = rewriter::place(program, opts);
   binary::Memory mem;
-  binary::load(cur_rr.vcfr, mem);
-  auto emu_ptr = std::make_unique<emu::Emulator>(cur_rr.vcfr, mem);
-  emu_ptr->set_enforce_tags(true);
+  binary::load(image, mem);
+  emu::Emulator emu(image, mem);
+  emu.set_enforce_tags(true);
 
-  std::vector<rewriter::RandomizeResult> epochs;
   uint32_t leaked_epoch0 = 0;
   int epoch = 0;
 
   // Serve: step until halted, re-randomizing every ~120 instructions
   // (a few requests per epoch).
   uint64_t since_swap = 0;
-  while (!emu_ptr->halted() && emu_ptr->error().empty()) {
-    if (!emu_ptr->step()) break;
+  while (!emu.halted() && emu.error().empty()) {
+    if (!emu.step()) break;
     ++since_swap;
     if (epoch == 0 && leaked_epoch0 == 0 &&
-        cur_rr.vcfr.tables.is_randomized_addr(emu_ptr->state().pc)) {
-      leaked_epoch0 = emu_ptr->state().pc;  // the attacker's side channel
+        image.tables.is_randomized_addr(emu.state().pc)) {
+      leaked_epoch0 = emu.state().pc;  // the attacker's side channel
     }
-    if (since_swap >= 120 && !emu_ptr->halted()) {
+    if (since_swap >= 120 && !emu.halted()) {
       since_swap = 0;
       ++epoch;
-      rewriter::RandomizeOptions fresh;
-      fresh.seed = 100 + static_cast<uint64_t>(epoch);
-      epochs.push_back(rewriter::randomize(original, fresh));
-      emu::LiveRerandomizeStats stats;
-      emu_ptr = emu::rerandomize_live(*emu_ptr, mem, cur_rr.vcfr,
-                                      epochs.back().vcfr, &stats);
-      emu_ptr->set_enforce_tags(true);
-      cur_rr = epochs.back();
+      emu::RerandOptions next;
+      next.placement.seed = 100 + static_cast<uint64_t>(epoch);
+      emu::RerandStats stats;
+      // Only a pinned (register-held) address can make a firing defer, and
+      // this demo pins none.
+      if (!emu::rerandomize_full(program, image, mem, emu, next, &stats)) {
+        return 1;
+      }
       std::printf("epoch %d: re-randomized live (%u stack slots, %u table "
                   "slots re-translated; PC moved: %s)\n",
                   epoch, stats.stack_slots_translated,
@@ -99,14 +100,14 @@ int main() {
   }
 
   std::printf("\nservice responses across %d epochs:        ", epoch + 1);
-  for (uint32_t v : emu_ptr->output()) std::printf("%u ", v);
-  const bool same = emu_ptr->output() == golden.output;
+  for (uint32_t v : emu.output()) std::printf("%u ", v);
+  const bool same = emu.output() == golden.output;
   std::printf("\nresponses identical to reference: %s\n",
               same ? "YES" : "NO (bug!)");
 
   // The attacker replays their epoch-0 knowledge against the final epoch.
   std::printf("\nattacker's leaked epoch-0 address 0x%x: ", leaked_epoch0);
-  if (cur_rr.vcfr.tables.is_randomized_addr(leaked_epoch0)) {
+  if (image.tables.is_randomized_addr(leaked_epoch0)) {
     std::printf("still maps (unlucky collision)\n");
   } else {
     std::printf("maps to nothing in epoch %d — knowledge expired (SV-C)\n",

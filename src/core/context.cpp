@@ -18,17 +18,15 @@ uint32_t ContextManager::switch_to(const ProcessContext& next) {
   return flushed;
 }
 
-uint32_t ContextManager::rerandomize_current(
-    const binary::TranslationTables& new_tables, bool epoch_tags) {
+uint32_t ContextManager::rerandomize_current(bool epoch_tags) {
   ++stats_.rerandomizations;
   ++current_.epoch;
-  current_.tables = &new_tables;
   if (epoch_tags) {
     // Continuous re-rand: keep warm state. DRC lines revalidate lazily
     // against the patched tables; bitmap fragments stay valid because the
     // marked slot *addresses* did not move (only the values, which the
-    // incremental patcher rewrote in place).
-    drc_.bump_epoch(&new_tables);
+    // firing rewrote in place).
+    drc_.bump_epoch(current_.tables);
     if (bitmap_) bitmap_->note_rerand();
     return 0;
   }

@@ -11,8 +11,8 @@
 //   * a context switch installs the new tables and flushes the DRC —
 //     cached translations are per-process secrets, and letting them
 //     linger would leak one process's layout to another;
-//   * re-randomization (§V-C) bumps the epoch: a fresh image + tables are
-//     installed and every cached translation is invalidated.
+//   * re-randomization (§V-C) bumps the epoch: the tables are re-placed
+//     in place and every cached translation is invalidated.
 #pragma once
 
 #include <cstdint>
@@ -64,15 +64,15 @@ class ContextManager {
   /// epoch). Returns the number of translations lost to the flush.
   uint32_t switch_to(const ProcessContext& next);
 
-  /// Registers a re-randomization of the *current* process: new tables,
-  /// bumped epoch. Legacy (`epoch_tags` false): mandatory flush — the old
-  /// translations are dead. Epoch-tagged (`epoch_tags` true, incremental
-  /// in-place re-rand): no flush; the DRC epoch is bumped and stale lines
-  /// revalidate lazily against `new_tables` on their next lookup, and the
-  /// bitmap cache keeps its fragments (stack slot addresses are epoch-
-  /// invariant). Returns the number of translations lost (0 when tagged).
-  uint32_t rerandomize_current(const binary::TranslationTables& new_tables,
-                               bool epoch_tags = false);
+  /// Registers a re-randomization of the *current* process: its tables
+  /// were patched in place (the context keeps pointing at them), and the
+  /// epoch bumps. Legacy (`epoch_tags` false): mandatory flush — the old
+  /// translations are dead. Epoch-tagged (`epoch_tags` true): no flush;
+  /// the DRC epoch is bumped and stale lines revalidate lazily against the
+  /// patched tables on their next lookup, and the bitmap cache keeps its
+  /// fragments (stack slot addresses are epoch-invariant). Returns the
+  /// number of translations lost (0 when tagged).
+  uint32_t rerandomize_current(bool epoch_tags = false);
 
   [[nodiscard]] const ProcessContext& current() const { return current_; }
   [[nodiscard]] const ContextStats& stats() const { return stats_; }

@@ -86,7 +86,7 @@ class Drc {
   uint32_t flush();
 
   /// Epoch-tagged invalidation (continuous re-rand): instead of flushing
-  /// after an in-place incremental re-randomization, bump the epoch and
+  /// after an in-place re-randomization, bump the epoch and
   /// keep `tables` (the live, just-patched tables) for lazy revalidation.
   /// A stale-epoch entry that still matches the tables is promoted on its
   /// next lookup (a hit — the tag check rides the existing pipeline); one

@@ -123,7 +123,9 @@ struct RunResult {
 
 class Emulator {
  public:
-  /// The image must already be loaded into `mem` (binary::load).
+  /// The image must already be loaded into `mem` (binary::load). Both are
+  /// referenced, not copied: live re-randomization (emu/rerandomize.hpp)
+  /// patches them in place and this emulator keeps running over them.
   Emulator(const binary::Image& image, binary::Memory& mem);
 
   /// Enables the hardware's randomized-tag enforcement (§IV-A): for VCFR
@@ -204,15 +206,6 @@ class Emulator {
   /// locate exactly the words that must be re-translated.
   [[nodiscard]] const binary::FlatSet32& ret_bitmap() const {
     return ret_bitmap_;
-  }
-
-  /// Restores mid-run state into a fresh emulator (live re-randomization:
-  /// the new emulator wraps the new image over the same memory).
-  void restore(const ArchState& state, binary::FlatSet32 bitmap,
-               std::vector<uint32_t> output) {
-    state_ = state;
-    ret_bitmap_ = std::move(bitmap);
-    output_ = std::move(output);
   }
 
   /// Arms one-shot lazy revalidation of the decode cache after an

@@ -9,95 +9,127 @@
 
 namespace vcfr::emu {
 
-std::unique_ptr<Emulator> rerandomize_live(
-    const Emulator& running, binary::Memory& mem,
-    const binary::Image& old_img, const binary::Image& new_img,
-    LiveRerandomizeStats* stats) {
-  if (old_img.layout != binary::Layout::kVcfr ||
-      new_img.layout != binary::Layout::kVcfr) {
-    throw std::invalid_argument("rerandomize_live: requires VCFR images");
-  }
-  if (old_img.code.size() != new_img.code.size() ||
-      old_img.code_base != new_img.code_base) {
-    throw std::invalid_argument(
-        "rerandomize_live: images must share the original layout");
-  }
+namespace {
 
-  LiveRerandomizeStats local;
-  LiveRerandomizeStats& st = stats ? *stats : local;
-  st = LiveRerandomizeStats{};
+/// Pinned keys left behind as aliases: their instruction lives elsewhere now.
+std::vector<uint32_t> surviving_aliases(const binary::TranslationTables& tables,
+                                        const std::vector<uint32_t>& pinned) {
+  std::vector<uint32_t> aliases;
+  for (const uint32_t v : pinned) {
+    const uint32_t* orig = tables.derand.lookup(v);
+    if (orig == nullptr) continue;
+    const uint32_t* ra = tables.rand.lookup(*orig);
+    if (ra != nullptr && *ra != v) aliases.push_back(v);
+  }
+  return aliases;
+}
+
+}  // namespace
+
+bool rerandomize_full(const rewriter::Program& program, binary::Image& img,
+                      binary::Memory& mem, Emulator& running,
+                      const RerandOptions& options, RerandStats* stats) {
+  if (img.layout != binary::Layout::kVcfr) {
+    throw std::invalid_argument("rerandomize_full: requires a VCFR image");
+  }
+  if (img.code.size() != program.image.code.size() ||
+      img.code_base != program.image.code_base) {
+    throw std::invalid_argument(
+        "rerandomize_full: image must share the program's original layout");
+  }
+  RerandStats local;
+  RerandStats& st = stats ? *stats : local;
+  st = RerandStats{};
+
+  binary::Image next = rewriter::place(program, options.placement);
+  // Forced quiescence: every pinned address keeps a derand alias to its
+  // instruction's original address in the fresh tables.
+  for (const uint32_t v : options.pinned) {
+    const uint32_t orig = img.tables.to_original(v);
+    const uint32_t* existing = next.tables.derand.lookup(v);
+    // The fresh placement put a different instruction exactly at the
+    // pinned address: aliasing would be ambiguous.
+    if (existing != nullptr && *existing != orig) return false;
+    if (existing == nullptr) next.tables.derand.emplace(v, orig);
+  }
 
   auto retranslate = [&](uint32_t old_value) {
-    return new_img.tables.to_randomized(old_img.tables.to_original(old_value));
+    return next.tables.to_randomized(img.tables.to_original(old_value));
   };
 
   // 1. Stack: re-translate every bitmap-marked randomized return address.
-  for (uint32_t slot : running.ret_bitmap()) {
+  for (const uint32_t slot : running.ret_bitmap()) {
     mem.write32(slot, retranslate(mem.read32(slot)));
     ++st.stack_slots_translated;
   }
 
   // 2. Architectural PC.
-  ArchState state = running.state();
-  const uint32_t new_pc = retranslate(state.pc);
-  st.pc_translated = new_pc != state.pc;
-  state.pc = new_pc;
+  uint32_t& pc = running.state().pc;
+  const uint32_t new_pc = retranslate(pc);
+  st.pc_translated = new_pc != pc;
+  pc = new_pc;
 
   // 3. Code bytes (same layout, new encoded targets), jump-table slots,
   //    and the kernel tables.
-  for (size_t i = 0; i < new_img.code.size(); ++i) {
-    mem.write8(new_img.code_base + static_cast<uint32_t>(i),
-               new_img.code[i]);
+  for (size_t i = 0; i < next.code.size(); ++i) {
+    mem.write8(next.code_base + static_cast<uint32_t>(i), next.code[i]);
   }
-  for (const auto& r : new_img.relocs) {
+  for (const auto& r : next.relocs) {
     mem.write32(r.data_addr, retranslate(mem.read32(r.data_addr)));
     ++st.reloc_slots_patched;
   }
-  binary::store_tables(new_img.tables, mem);
+  binary::store_tables(next.tables, mem);
 
-  // 4. Resume over the new image.
-  auto fresh = std::make_unique<Emulator>(new_img, mem);
-  fresh->restore(state, running.ret_bitmap(),
-                 std::vector<uint32_t>(running.output()));
-  return fresh;
+  // Every table entry rewritten plus the patched data/stack/PC slots;
+  // regions = all code pages.
+  st.regions = static_cast<uint32_t>((next.code.size() + 4095) / 4096);
+  st.entries = next.tables.derand.size() + next.tables.rand.size() +
+               st.reloc_slots_patched + st.stack_slots_translated +
+               (st.pc_translated ? 1 : 0);
+  st.alias_keys = surviving_aliases(next.tables, options.pinned);
+
+  // 4. The same emulator resumes over the new image, in place.
+  img = std::move(next);
+  return true;
 }
 
 bool rerandomize_incremental(const rewriter::Program& program,
                              binary::Image& img, binary::Memory& mem,
                              Emulator& running,
-                             const IncrementalRerandOptions& options,
-                             IncrementalRerandStats* stats) {
+                             const RerandOptions& options,
+                             RerandStats* stats) {
   if (img.layout != binary::Layout::kVcfr) {
     throw std::invalid_argument(
         "rerandomize_incremental: requires a VCFR image");
   }
-  if (options.slot_bytes == 0 || img.rand_size == 0 ||
-      img.rand_size % options.slot_bytes != 0) {
+  const uint32_t slot_bytes = options.placement.slot_bytes;
+  const uint32_t rand_base = options.placement.rand_base;
+  if (slot_bytes == 0 || img.rand_size == 0 ||
+      img.rand_size % slot_bytes != 0) {
     throw std::invalid_argument(
         "rerandomize_incremental: requires kFullSpread slot geometry");
   }
   const rewriter::Cfg& cfg = program.cfg;
   const rewriter::RerandIndex& ix = program.rerand;
-  const uint32_t slot_count = img.rand_size / options.slot_bytes;
+  const uint32_t slot_count = img.rand_size / slot_bytes;
   auto slot_of = [&](uint32_t ra) {
-    if (ra < options.rand_base ||
-        (ra - options.rand_base) / options.slot_bytes >= slot_count) {
+    if (ra < rand_base || (ra - rand_base) / slot_bytes >= slot_count) {
       throw std::invalid_argument(
           "rerandomize_incremental: placement outside the slot pool "
           "(kPageConfined image?)");
     }
-    return (ra - options.rand_base) / options.slot_bytes;
+    return (ra - rand_base) / slot_bytes;
   };
 
-  IncrementalRerandStats local;
-  IncrementalRerandStats& st = stats ? *stats : local;
-  st = IncrementalRerandStats{};
+  RerandStats local;
+  RerandStats& st = stats ? *stats : local;
+  st = RerandStats{};
   if (ix.movable.empty()) return true;  // nothing randomized: trivial success
 
   // --- page selection: original 4 KiB pages holding movable instrs --------
   // Shuffling page indices permutes exactly as shuffling the (ascending)
   // page numbers would, so the draw sequence is the page-number one.
-  std::mt19937_64 rng(options.seed);
+  std::mt19937_64 rng(options.placement.seed);
   const size_t pages = ix.page_begin.size() - 1;
   std::vector<uint32_t> selected(pages);
   std::iota(selected.begin(), selected.end(), 0u);
@@ -108,7 +140,7 @@ bool rerandomize_incremental(const rewriter::Program& program,
     selected.resize(std::min(count, selected.size()));
     std::sort(selected.begin(), selected.end());
   }
-  st.regions_selected = static_cast<uint32_t>(selected.size());
+  st.regions = static_cast<uint32_t>(selected.size());
 
   binary::FlatSet32 pinned;
   pinned.reserve(options.pinned.size());
@@ -172,8 +204,8 @@ bool rerandomize_incremental(const rewriter::Program& program,
     if (!found) return false;  // pool exhausted: the caller defers
     occupied[slot] = true;
     const auto jitter = static_cast<uint32_t>(
-        rng() % (options.slot_bytes - cfg.instrs[a.idx].instr.length + 1));
-    a.new_ra = options.rand_base + slot * options.slot_bytes + jitter;
+        rng() % (slot_bytes - cfg.instrs[a.idx].instr.length + 1));
+    a.new_ra = rand_base + slot * slot_bytes + jitter;
   }
 
   // --- phase 2: apply in place --------------------------------------------
@@ -188,8 +220,8 @@ bool rerandomize_incremental(const rewriter::Program& program,
     moved_from[slot_of(assign[k].old_ra)] = static_cast<uint32_t>(k + 1);
   }
   auto moved_to = [&](uint32_t ra) -> const uint32_t* {
-    if (ra < options.rand_base) return nullptr;
-    const uint32_t slot = (ra - options.rand_base) / options.slot_bytes;
+    if (ra < rand_base) return nullptr;
+    const uint32_t slot = (ra - rand_base) / slot_bytes;
     if (slot >= slot_count || moved_from[slot] == 0) return nullptr;
     const Assign& a = assign[moved_from[slot] - 1];
     return a.old_ra == ra ? &a.new_ra : nullptr;
@@ -279,13 +311,10 @@ bool rerandomize_incremental(const rewriter::Program& program,
 
   binary::store_tables(tables, mem);
 
-  // Surviving aliases: pinned keys whose instruction now lives elsewhere.
-  for (const uint32_t v : options.pinned) {
-    const uint32_t* orig = tables.derand.lookup(v);
-    if (orig == nullptr) continue;
-    const uint32_t* ra = tables.rand.lookup(*orig);
-    if (ra != nullptr && *ra != v) st.alias_keys.push_back(v);
-  }
+  st.entries = uint64_t{2} * st.instrs_moved + st.sites_patched +
+               st.reloc_slots_patched + st.stack_slots_translated +
+               (st.pc_translated ? 1 : 0);
+  st.alias_keys = surviving_aliases(tables, options.pinned);
   return true;
 }
 

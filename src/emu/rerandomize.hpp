@@ -6,7 +6,11 @@
 // information would be outdated for mounting new attacks").
 //
 // This goes one step beyond restart-time re-randomization: the swap
-// happens *mid-run*, at a quiescent point, without losing program state:
+// happens *mid-run*, at a quiescent point, without losing program state.
+// Both firings below patch what moved in place — the image object, its
+// tables, memory and the running emulator keep their identity, so every
+// pointer into them (the table walker, the kernel's context record, DRC
+// revalidation) stays valid:
 //
 //   1. every randomized return address on the stack — located exactly by
 //      the §IV-C bitmap — is translated old-randomized -> original ->
@@ -15,17 +19,29 @@
 //   3. code bytes (same original layout, new encoded targets), jump-table
 //      relocation slots, and the serialized kernel tables are refreshed;
 //      program *data* is untouched;
-//   4. a new emulator resumes over the same memory with the carried-over
-//      register file, bitmap, and output stream.
+//   4. the same emulator resumes over the patched image and memory, its
+//      register file, bitmap, output, and statistics carried as they are.
 //
 // Quiescence condition: no general-purpose register may hold a code
 // pointer at the swap point (call sites pick e.g. the top of a request
 // loop). Return addresses are fully covered by the bitmap; un-randomized
 // failover addresses are identity in every epoch because the failover set
 // is analysis-determined and seed-independent.
+//
+// Forced quiescence: addresses listed in `pinned` (register-held
+// randomized values) keep a derand entry to the instruction's original
+// address even after the instruction moves, so a later indirect transfer
+// through the stale register still de-randomizes correctly. These aliases
+// stay in the tables until the caller drops them.
+//
+// The full firing draws a whole new placement (rewriter::place); the
+// incremental one (continuous re-rand, MARDU-style) re-places only a
+// deterministic selection of original 4 KiB code pages against the
+// previous placement and re-encodes only the sites that refer to them.
+// Both require kFullSpread geometry (the Process layer's only policy).
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <vector>
 
 #include "binary/flat_map.hpp"
@@ -35,76 +51,57 @@
 
 namespace vcfr::emu {
 
-struct LiveRerandomizeStats {
-  uint32_t stack_slots_translated = 0;
-  bool pc_translated = false;
-  uint32_t reloc_slots_patched = 0;
-};
-
-/// Swaps `running` (executing the VCFR image `old_img` over `mem`) onto
-/// `new_img`. Both images must be placed from the same original binary;
-/// the returned emulator resumes where `running` stopped. `new_img` must
-/// outlive the returned emulator.
-[[nodiscard]] std::unique_ptr<Emulator> rerandomize_live(
-    const Emulator& running, binary::Memory& mem,
-    const binary::Image& old_img, const binary::Image& new_img,
-    LiveRerandomizeStats* stats = nullptr);
-
-// ---- incremental re-randomization (continuous re-rand, MARDU-style) ----
-//
-// Instead of rebuilding the whole placement and flushing every cache, the
-// incremental path re-places only a deterministic selection of original
-// 4 KiB code pages and patches the live placement *in place*: the
-// TranslationTables object keeps its identity (walkers stay bound), only
-// the moved instructions' derand/rand entries change, and only the code
-// bytes of referring sites are re-encoded. The caller keeps the same
-// Emulator — no state transplant.
-//
-// Forced quiescence: addresses listed in `pinned` (register-held
-// randomized values) keep their derand entry alive as an *alias* of the
-// instruction's original address even after the instruction moves, so a
-// later indirect transfer through the stale register still de-randomizes
-// correctly. Alias slots stay occupied until the caller drops them.
-//
-// Requires kFullSpread geometry (the Process layer's only policy): the
-// image's rand_size / slot_bytes gives the slot pool the original
-// randomize() drew from.
-
-struct IncrementalRerandOptions {
-  /// Epoch seed: drives page selection, slot draws, and jitter.
-  uint64_t seed = 1;
-  /// Percent of candidate code pages re-placed per firing (>= 100 = all).
+struct RerandOptions {
+  /// The next epoch's placement options: its seed drives the draw (the
+  /// full placement, or the incremental page selection, slot draws and
+  /// jitter) and its slot geometry is the pool both firings draw from.
+  rewriter::RandomizeOptions placement;
+  /// Incremental only: percent of candidate code pages re-placed per
+  /// firing (>= 100 = all).
   uint32_t region_percent = 25;
-  /// Re-place every movable page (fresh placement after a trap).
+  /// Incremental only: re-place every movable page (fresh placement after
+  /// a trap).
   bool all_regions = false;
-  uint32_t slot_bytes = 64;
-  uint32_t rand_base = binary::kDefaultRandBase;
   /// Randomized addresses whose derand entries must survive as aliases
   /// (register-held values under forced quiescence). Sorted + deduped.
   std::vector<uint32_t> pinned;
 };
 
-struct IncrementalRerandStats {
-  uint32_t regions_selected = 0;
-  uint32_t instrs_moved = 0;
-  uint32_t sites_patched = 0;
+struct RerandStats {
+  /// Code pages re-placed (full: every code page of the image).
+  uint32_t regions = 0;
+  /// Table/image entries touched — the unit the kernel charges re-rand
+  /// latency in. Full: every derand and rand entry plus every relocation
+  /// slot, stack slot and the PC; incremental: two table entries per
+  /// moved instruction plus every patched site and slot.
+  uint64_t entries = 0;
+  uint32_t instrs_moved = 0;   // incremental only
+  uint32_t sites_patched = 0;  // incremental only
   uint32_t reloc_slots_patched = 0;
   uint32_t stack_slots_translated = 0;
   bool pc_translated = false;
   /// Pinned keys left behind as stale aliases (rand[orig] moved away).
   std::vector<uint32_t> alias_keys;
-  /// RPCs whose previous-generation decode-cache entries are stale: old
-  /// and new randomized addresses of moved instructions, their linear
-  /// predecessors (cached seq_next), and re-encoded referring sites.
+  /// Incremental only: RPCs whose previous-generation decode-cache entries
+  /// are stale: old and new randomized addresses of moved instructions,
+  /// their linear predecessors (cached seq_next), and re-encoded referring
+  /// sites.
   binary::FlatSet32 decode_dirty;
-
-  /// Table/image entries touched — the unit the kernel charges re-rand
-  /// latency in (and the full path reports the same way).
-  [[nodiscard]] uint64_t entries() const {
-    return uint64_t{2} * instrs_moved + sites_patched + reloc_slots_patched +
-           stack_slots_translated + (pc_translated ? 1 : 0);
-  }
 };
+
+/// Re-places the VCFR image `img` (placed from `program`, executed by
+/// `running` over `mem`) whole under `options.placement`, patching `img`,
+/// `mem`, and the PC of `running` in place; `running` keeps executing.
+/// Returns false — with everything untouched — when the fresh placement
+/// puts a different instruction exactly at a pinned address (an alias
+/// would be ambiguous; the caller defers and the next seed draws another
+/// layout). Throws std::invalid_argument unless `img` is a VCFR image of
+/// `program`'s layout.
+[[nodiscard]] bool rerandomize_full(const rewriter::Program& program,
+                                    binary::Image& img, binary::Memory& mem,
+                                    Emulator& running,
+                                    const RerandOptions& options,
+                                    RerandStats* stats = nullptr);
 
 /// Re-places a deterministic subset of the VCFR image `img`'s movable code
 /// pages in place, patching its tables (tables.rand is the placement),
@@ -112,14 +109,14 @@ struct IncrementalRerandStats {
 /// `program` must be the prepared original binary `img` was placed from:
 /// its RerandIndex says which instructions move, page by page, and which
 /// sites refer to them. Placements must occupy distinct slots of the pool
-/// (rewriter::check_placement holds). Returns false — with `img`, `mem`, and `running` untouched —
-/// when the slot pool cannot host the re-placement (caller defers); true
-/// on success.
+/// (rewriter::check_placement holds). Returns false — with `img`, `mem`,
+/// and `running` untouched — when the slot pool cannot host the
+/// re-placement (caller defers); true on success.
 [[nodiscard]] bool rerandomize_incremental(const rewriter::Program& program,
                                            binary::Image& img,
                                            binary::Memory& mem,
                                            Emulator& running,
-                                           const IncrementalRerandOptions& options,
-                                           IncrementalRerandStats* stats = nullptr);
+                                           const RerandOptions& options,
+                                           RerandStats* stats = nullptr);
 
 }  // namespace vcfr::emu

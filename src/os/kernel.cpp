@@ -491,8 +491,8 @@ void Kernel::write_checkpoint() {
 void Kernel::restore(std::istream& in) {
   binary::StateIo io(in);
   state(io);
-  // Every process rebuilt its walker and tables over the restored image;
-  // re-point the per-core references that used to alias the old objects.
+  // Pointers are not serialized: point each core at its installed
+  // process's walker and each context record at its process's tables.
   for (uint32_t c = 0; c < shared_.cores(); ++c) {
     const int64_t pid = installed_[c].first;
     if (pid >= 0 && static_cast<size_t>(pid) < procs_.size()) {
@@ -770,15 +770,15 @@ void Kernel::fire_rerand(uint32_t c, Process& p) {
     // stale lines revalidate lazily against the patched tables on their
     // next lookup, and the decode cache promotes clean entries across the
     // generation bump.
-    ctx_[c]->rerandomize_current(p.randomization().tables, true);
+    ctx_[c]->rerandomize_current(true);
   } else {
     // Epoch bump: every cached translation of the old placement is dead
     // (§V-C). ContextManager records the flush; the pipeline re-installs
-    // over the fresh walker at the next dispatch (the installed
-    // (pid, epoch) pair no longer matches).
+    // the walker at the next dispatch (the installed (pid, epoch) pair no
+    // longer matches).
     const uint64_t drc_before = ctx_[c]->stats().entries_flushed;
     const uint64_t bmp_before = ctx_[c]->stats().bitmap_entries_flushed;
-    ctx_[c]->rerandomize_current(p.randomization().tables);
+    ctx_[c]->rerandomize_current();
     p.stats().drc_entries_flushed +=
         ctx_[c]->stats().entries_flushed - drc_before;
     p.stats().bitmap_entries_flushed +=

@@ -18,27 +18,29 @@ constexpr uint64_t kSeedMix = 0x9e3779b97f4a7c15ull;
 Process::Process(uint32_t pid, const ProcessConfig& config,
                  std::shared_ptr<const rewriter::Program> program)
     : pid_(pid), config_(config), program_(std::move(program)) {
-  image_ = std::make_unique<binary::Image>(
-      rewriter::place(*program_, options_for_epoch(0)));
-  binary::load(*image_, mem_);
-  emu_ = std::make_unique<emu::Emulator>(*image_, mem_);
-  configure_emulator();
+  image_ = rewriter::place(*program_, options_for_epoch(0));
+  start_life();
   if (config_.inject_enabled) {
     injector_ = std::make_unique<fault::FaultInjector>(config_.inject);
   }
 }
 
-void Process::configure_emulator() {
+void Process::start_life(const std::vector<uint8_t>& payload,
+                         uint32_t payload_base) {
+  mem_ = binary::Memory();
+  binary::load(image_, mem_);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    mem_.write8(payload_base + static_cast<uint32_t>(i), payload[i]);
+  }
+  emu_ = std::make_unique<emu::Emulator>(image_, mem_);
   emu_->set_enforce_tags(config_.enforce_tags);
-  if (!config_.taint) return;
-  emu_->set_taint_tracking(true);
-  emu_->set_taint_epoch(epoch_);
-}
-
-void Process::rebuild_walker() {
-  if (bound_mem_ == nullptr) return;
-  walker_ = std::make_unique<core::TranslationWalker>(image_->tables,
-                                                      *bound_mem_);
+  if (config_.taint) {
+    emu_->set_taint_tracking(true);
+    emu_->set_taint_epoch(epoch_);
+  }
+  finished_ = false;
+  exit_status_ = fault::ExitStatus{};
+  life_base_ = stats_.instructions;
 }
 
 rewriter::RandomizeOptions Process::options_for_epoch(uint64_t epoch) const {
@@ -50,14 +52,14 @@ rewriter::RandomizeOptions Process::options_for_epoch(uint64_t epoch) const {
 void Process::bind(uint32_t core, cache::MemHier& mem) {
   core_ = static_cast<int>(core);
   bound_mem_ = &mem;
-  rebuild_walker();
+  walker_ = std::make_unique<core::TranslationWalker>(image_.tables, mem);
 }
 
 core::ProcessContext Process::context() const {
   core::ProcessContext ctx;
   ctx.pid = pid_;
   ctx.name = config_.workload;
-  ctx.tables = &image_->tables;
+  ctx.tables = &image_.tables;
   ctx.epoch = epoch_;
   return ctx;
 }
@@ -81,7 +83,7 @@ bool Process::try_rerandomize() {
   // pinned as derand aliases and the swap proceeds (forced quiescence).
   std::vector<uint32_t> pinned;
   for (const uint32_t reg : emu_->state().regs) {
-    if (image_->tables.is_randomized_addr(reg)) pinned.push_back(reg);
+    if (image_.tables.is_randomized_addr(reg)) pinned.push_back(reg);
   }
   bool force = false;
   if (!pinned.empty()) {
@@ -98,115 +100,69 @@ bool Process::try_rerandomize() {
 
   const bool incremental = config_.rerandomize.rebuild ==
                            RerandomizePolicy::Rebuild::kIncremental;
-  const bool ok = incremental ? rerandomize_incremental_step(pinned, force)
-                              : rerandomize_full(pinned, force);
-  if (!ok) return false;
-  ++epoch_;
-  // Re-stamp the taint epoch so secrets seeded from here on carry the new
-  // placement's identity. The full path started a clean shadow state (the
-  // re-keyed layout has no old secrets); the incremental path keeps its
-  // taint — partially-moved layouts still leak partially-valid addresses.
-  if (config_.taint) emu_->set_taint_epoch(epoch_);
-  ++stats_.rerandomizations;
-  if (force) ++stats_.rerandomizations_forced;
-  last_work_.forced = force;
-  last_work_.incremental = incremental;
-  defer_streak_ = 0;
-  rerand_pending_ = false;
-  return true;
-}
-
-bool Process::rerandomize_full(const std::vector<uint32_t>& pinned,
-                               bool force) {
-  auto next = std::make_unique<binary::Image>(
-      rewriter::place(*program_, options_for_epoch(epoch_ + 1)));
-  if (force) {
-    // Forced quiescence: every register-held randomized address keeps a
-    // derand alias to its instruction's original address in the fresh
-    // tables, so an indirect transfer through the stale register still
-    // lands correctly after the swap.
-    for (const uint32_t v : pinned) {
-      const uint32_t orig = image_->tables.to_original(v);
-      const uint32_t* existing = next->tables.derand.lookup(v);
-      if (existing != nullptr && *existing != orig) {
-        // The fresh placement put a different instruction exactly at the
-        // pinned address — aliasing would be ambiguous. Defer this firing
-        // deterministically; the next epoch draws another layout.
-        ++stats_.rerandomizations_deferred;
-        return false;
-      }
-      if (existing == nullptr) next->tables.derand.emplace(v, orig);
-    }
-  }
-  emu::LiveRerandomizeStats st;
-  emu_ = emu::rerandomize_live(*emu_, mem_, *image_, *next, &st);
-  configure_emulator();
-  image_ = std::move(next);
-  // The tables object was replaced — rebuild the walker over it.
-  rebuild_walker();
-  // Full-rebuild work: every table entry rewritten plus the patched data/
-  // stack/PC slots; regions = all code pages.
-  const auto& tables = image_->tables;
-  last_work_.regions =
-      static_cast<uint32_t>((image_->code.size() + 4095) / 4096);
-  last_work_.entries = tables.derand.size() + tables.rand.size() +
-                       st.reloc_slots_patched + st.stack_slots_translated +
-                       (st.pc_translated ? 1 : 0);
-  // Aliases of earlier epochs died with the old tables; the survivors are
-  // exactly the pinned keys whose instruction lives elsewhere now.
-  aliases_.clear();
-  for (const uint32_t v : pinned) {
-    const uint32_t* orig = tables.derand.lookup(v);
-    if (orig == nullptr) continue;
-    const uint32_t* ra = tables.rand.lookup(*orig);
-    if (ra != nullptr && *ra != v) aliases_.push_back(v);
-  }
-  return true;
-}
-
-bool Process::rerandomize_incremental_step(
-    const std::vector<uint32_t>& pinned, bool /*force*/) {
-  auto& tables = image_->tables;
-  // Retire aliases from earlier forced swaps that no register holds any
-  // more. (Reaching here with an alias still register-held implies it is
-  // in `pinned` — a held alias fails the quiescence check.)
+  // Incremental: retire aliases from earlier forced swaps that no register
+  // holds any more. (Reaching here with an alias still register-held
+  // implies it is in `pinned` — a held alias fails the quiescence check.)
+  // A full firing re-places every table entry, so its old aliases simply
+  // do not carry over.
   std::vector<uint32_t> dropped;
-  for (const uint32_t a : aliases_) {
-    if (std::binary_search(pinned.begin(), pinned.end(), a)) continue;
-    const uint32_t* orig = tables.derand.lookup(a);
-    if (orig == nullptr) continue;
-    const uint32_t* ra = tables.rand.lookup(*orig);
-    if (ra != nullptr && *ra != a) {
-      tables.derand.erase(a);
-      dropped.push_back(a);
+  if (incremental) {
+    auto& tables = image_.tables;
+    for (const uint32_t a : aliases_) {
+      if (std::binary_search(pinned.begin(), pinned.end(), a)) continue;
+      const uint32_t* orig = tables.derand.lookup(a);
+      if (orig == nullptr) continue;
+      const uint32_t* ra = tables.rand.lookup(*orig);
+      if (ra != nullptr && *ra != a) {
+        tables.derand.erase(a);
+        dropped.push_back(a);
+      }
     }
   }
-  emu::IncrementalRerandOptions opt;
-  opt.seed = options_for_epoch(epoch_ + 1).seed;
+  emu::RerandOptions opt;
+  opt.placement = options_for_epoch(epoch_ + 1);
   opt.region_percent = config_.rerandomize.region_percent;
   // A trap-scheduled firing is a fresh placement: the attacker proved
   // knowledge of the current layout, so every movable page moves.
   opt.all_regions = rerand_pending_;
-  opt.pinned = pinned;
-  emu::IncrementalRerandStats st;
+  opt.pinned = std::move(pinned);
+  emu::RerandStats st;
   const uint64_t prev_gen = mem_.code_version();
-  if (!emu::rerandomize_incremental(*program_, *image_, mem_, *emu_, opt,
-                                    &st)) {
-    // Slot pool exhausted — defer; the next epoch draws different slots.
+  const bool ok =
+      incremental
+          ? emu::rerandomize_incremental(*program_, image_, mem_, *emu_, opt,
+                                         &st)
+          : emu::rerandomize_full(*program_, image_, mem_, *emu_, opt, &st);
+  if (!ok) {
+    // Slot pool exhausted, or the fresh placement took a pinned address:
+    // defer; the next epoch draws different slots.
     ++stats_.rerandomizations_deferred;
     return false;
   }
-  // Tables, image, memory, and PC were patched in place; walker and
-  // emulator identities are preserved. Arm lazy decode revalidation for
-  // everything the patch provably did not touch.
-  for (const uint32_t a : dropped) st.decode_dirty.insert(a);
-  if (st.instrs_moved != 0) {
-    emu_->note_rerand(prev_gen, mem_.code_version(),
-                      std::move(st.decode_dirty));
+  if (incremental) {
+    // Arm lazy decode revalidation for everything the patch provably did
+    // not touch.
+    for (const uint32_t a : dropped) st.decode_dirty.insert(a);
+    if (st.instrs_moved != 0) {
+      emu_->note_rerand(prev_gen, mem_.code_version(),
+                        std::move(st.decode_dirty));
+    }
+  } else if (config_.taint) {
+    // The re-keyed layout has no old secrets: start the shadow state
+    // clean. The incremental path keeps its taint — partially-moved
+    // layouts still leak partially-valid addresses.
+    emu_->set_taint_tracking(true);
   }
-  aliases_ = st.alias_keys;
-  last_work_.regions = st.regions_selected;
-  last_work_.entries = st.entries();
+  aliases_ = std::move(st.alias_keys);
+  last_work_ = RerandWork{st.regions, st.entries, force, incremental};
+  ++epoch_;
+  // Re-stamp the taint epoch so secrets seeded from here on carry the new
+  // placement's identity.
+  if (config_.taint) emu_->set_taint_epoch(epoch_);
+  ++stats_.rerandomizations;
+  if (force) ++stats_.rerandomizations_forced;
+  defer_streak_ = 0;
+  rerand_pending_ = false;
   return true;
 }
 
@@ -223,16 +179,8 @@ void Process::restart() {
   // into), so a layout leak from the old life says nothing about the new.
   reseed_ = kSeedMix * (0xbadc0ffeull + restarts_);
   ++epoch_;
-  image_ = std::make_unique<binary::Image>(
-      rewriter::place(*program_, options_for_epoch(epoch_)));
-  mem_ = binary::Memory();
-  binary::load(*image_, mem_);
-  emu_ = std::make_unique<emu::Emulator>(*image_, mem_);
-  configure_emulator();
-  rebuild_walker();
-  finished_ = false;
-  exit_status_ = fault::ExitStatus{};
-  life_base_ = stats_.instructions;
+  image_ = rewriter::place(*program_, options_for_epoch(epoch_));
+  start_life();
   // The restart *is* a fresh placement: a pending trap-scheduled re-rand
   // is satisfied, the deferral streak resets, and the old layout's
   // forced-quiescence aliases died with its tables.
@@ -244,16 +192,7 @@ void Process::restart() {
 
 void Process::rearm(const std::vector<uint8_t>& payload,
                     uint32_t payload_base) {
-  mem_ = binary::Memory();
-  binary::load(*image_, mem_);
-  for (size_t i = 0; i < payload.size(); ++i) {
-    mem_.write8(payload_base + static_cast<uint32_t>(i), payload[i]);
-  }
-  emu_ = std::make_unique<emu::Emulator>(*image_, mem_);
-  configure_emulator();
-  finished_ = false;
-  exit_status_ = fault::ExitStatus{};
-  life_base_ = stats_.instructions;
+  start_life(payload, payload_base);
 }
 
 uint64_t Process::injection_gap() const {
@@ -265,7 +204,7 @@ uint64_t Process::injection_gap() const {
 
 bool Process::apply_injection() {
   if (injector_ == nullptr) return false;
-  return injector_->apply(*image_, mem_, *emu_, &program_->image);
+  return injector_->apply(image_, mem_, *emu_, &program_->image);
 }
 
 void Process::state(binary::StateIo& io) {
@@ -280,19 +219,14 @@ void Process::state(binary::StateIo& io) {
   // corruption, not the pristine re-derivation, so the serialized image
   // is the ground truth on load.
   std::ostringstream out;
-  if (!io.loading()) binary::save(*image_, out);
+  if (!io.loading()) binary::save(image_, out);
   std::string image = out.str();
   io.blob(image, 1u << 28);
   if (io.loading()) {
     std::istringstream in(image);
-    image_ = std::make_unique<binary::Image>(binary::load_file(in));
+    image_ = binary::load_file(in);
   }
   mem_.state(io);
-  if (io.loading()) {
-    // emu_->state below overwrites the taint settings this applies.
-    emu_ = std::make_unique<emu::Emulator>(*image_, mem_);
-    configure_emulator();
-  }
   emu_->state(io);
   bool has_injector = injector_ != nullptr;
   io.b(has_injector);
@@ -340,11 +274,9 @@ void Process::state(binary::StateIo& io) {
       flipped = injector_->record().address;
     }
     const std::string bad = rewriter::check_placement(
-        *program_, *image_, options_for_epoch(epoch_), flipped);
+        *program_, image_, options_for_epoch(epoch_), flipped);
     io.require(bad.empty(), "checkpoint image of pid " +
                                 std::to_string(pid_) + ": " + bad);
-    // The tables object changed — rebuild the walker over it.
-    rebuild_walker();
   }
 }
 

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "binary/image.hpp"
 #include "binary/loader.hpp"
@@ -41,11 +42,10 @@ struct RerandomizePolicy {
 
   /// How a firing rebuilds the placement.
   enum class Rebuild : uint8_t {
-    /// Legacy: fresh full placement, stop-the-world table swap.
+    /// Legacy: a fresh full placement, every table entry rewritten.
     kFull = 0,
     /// Continuous (MARDU-style): re-place only a deterministic selection
-    /// of code pages, patching the live tables/image in place. The
-    /// walker, emulator, and tables object keep their identity.
+    /// of code pages against the previous placement.
     kIncremental = 1,
   };
   Rebuild rebuild = Rebuild::kFull;
@@ -170,10 +170,10 @@ class Process {
   Process(uint32_t pid, const ProcessConfig& config,
           std::shared_ptr<const rewriter::Program> program);
 
-  /// (Re)creates the translation walker against the bound core's memory
-  /// hierarchy. Must be called before the first slice; the walker is
-  /// rebuilt internally whenever the image object is replaced (full
-  /// re-randomization, restart, restore).
+  /// Builds the translation walker against the bound core's memory
+  /// hierarchy. Must be called before the first slice. The walker reads
+  /// the process's one image in place, which every firing, restart and
+  /// restore patches or assigns into, so it is never rebuilt.
   void bind(uint32_t core, cache::MemHier& mem);
 
   /// The kernel-side context record handed to core::ContextManager.
@@ -183,9 +183,9 @@ class Process {
   /// false (and counts a deferral) when any general-purpose register holds
   /// a randomized-space address — not a quiescent point — unless the
   /// policy's deferral cap forces the swap (the held addresses survive as
-  /// derand aliases). On success the epoch bumps; the full path swaps
-  /// image, tables, walker, and emulator while the incremental path
-  /// patches them in place (identities preserved). Calling this before
+  /// derand aliases). On success the epoch bumps; either rebuild mode
+  /// patches image, tables, and memory in place and the same emulator
+  /// keeps running (emu/rerandomize.hpp). Calling this before
   /// bind() is kernel misuse and surfaces as a typed kRerandFailure fault
   /// on the process (never an exception).
   bool try_rerandomize();
@@ -307,12 +307,11 @@ class Process {
 
   /// Checkpoint support. Saving serializes the *current* randomized
   /// image verbatim (not just the epoch seed) so injection-corrupted code
-  /// bytes and table entries survive the round trip; loading swaps in
-  /// the serialized image (its tables are the placement), restores
-  /// memory, builds a fresh emulator over them and loads its
-  /// architectural state, then rebuilds the walker over the restored
-  /// tables. The caller must have bind()-ed the process first (spawn order
-  /// reproduces that).
+  /// bytes and table entries survive the round trip; loading assigns the
+  /// serialized image (its tables are the placement) into the live one,
+  /// restores memory and loads the architectural state into the existing
+  /// emulator; the walker keeps reading the same tables. The caller must
+  /// have bind()-ed the process first (spawn order reproduces that).
   void state(binary::StateIo& io);
 
   [[nodiscard]] emu::Emulator& emulator() { return *emu_; }
@@ -324,7 +323,7 @@ class Process {
   }
   [[nodiscard]] const rewriter::Program& program() const { return *program_; }
   /// The live VCFR image; its tables.rand is the current placement.
-  [[nodiscard]] const binary::Image& randomization() const { return *image_; }
+  [[nodiscard]] const binary::Image& randomization() const { return image_; }
   [[nodiscard]] const binary::Memory& memory() const { return mem_; }
   [[nodiscard]] ProcessStats& stats() { return stats_; }
   [[nodiscard]] const ProcessStats& stats() const { return stats_; }
@@ -332,25 +331,22 @@ class Process {
  private:
   [[nodiscard]] rewriter::RandomizeOptions options_for_epoch(
       uint64_t epoch) const;
-  /// Applies config_.enforce_tags and config_.taint to the current
-  /// emulator (every construction site calls this; a full
-  /// re-randomization starts the new emulator's shadow state clean — the
-  /// re-keyed placement has no old secrets).
-  void configure_emulator();
-  /// Rebuilds the walker over the live tables once bound to a core.
-  void rebuild_walker();
-  bool rerandomize_full(const std::vector<uint32_t>& pinned, bool force);
-  bool rerandomize_incremental_step(const std::vector<uint32_t>& pinned,
-                                    bool force);
+  /// Starts a life over the current image: fresh memory loaded from it
+  /// (with `payload` written at `payload_base`), a fresh emulator under
+  /// config_.enforce_tags and config_.taint, and a clean exit status; the
+  /// per-life instruction clock restarts.
+  void start_life(const std::vector<uint8_t>& payload = {},
+                  uint32_t payload_base = 0);
 
   uint32_t pid_;
   ProcessConfig config_;
   /// Original image + CFG + analysis, shared with every process of the same
   /// (workload, scale); every epoch places this.
   std::shared_ptr<const rewriter::Program> program_;
-  /// Heap-held so a full swap can build the next image while the running
-  /// emulator still reads this one.
-  std::unique_ptr<binary::Image> image_;
+  /// The live VCFR image, one object for the whole process: firings patch
+  /// it in place and restart/restore assign into it, so the emulator, the
+  /// walker and the kernel's context record never need re-pointing.
+  binary::Image image_;
   binary::Memory mem_;
   std::unique_ptr<emu::Emulator> emu_;
   std::unique_ptr<core::TranslationWalker> walker_;

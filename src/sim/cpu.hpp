@@ -161,7 +161,7 @@ class CpuCore {
   void state(binary::StateIo& io);
   /// Swaps the translation walker without touching pipeline state (the
   /// restored core resumes mid-stream against the restored process's
-  /// rebuilt walker).
+  /// walker; pointers are not serialized).
   void rebind_walker(core::TranslationWalker* walker) { walker_ = walker; }
 
   // ---- telemetry (all optional; disabled = a null-pointer test) --------

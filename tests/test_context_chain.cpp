@@ -59,15 +59,16 @@ TEST(ContextTest, ResumingSameContextKeepsEntries) {
 TEST(ContextTest, RerandomizationBumpsEpochAndFlushes) {
   Drc drc({.entries = 64, .assoc = 1, .hit_latency = 1});
   ContextManager mgr(drc);
-  binary::TranslationTables t0, t1;
+  binary::TranslationTables t0;
   ProcessContext p{.pid = 1, .name = "svc", .tables = &t0, .epoch = 0};
   mgr.switch_to(p);
   drc.insert(0x40000300, true, {0x1300, true});
 
-  const uint32_t lost = mgr.rerandomize_current(t1);
+  // The firing patched t0 in place: the context keeps pointing at it.
+  const uint32_t lost = mgr.rerandomize_current();
   EXPECT_EQ(lost, 1u);
   EXPECT_EQ(mgr.current().epoch, 1u);
-  EXPECT_EQ(mgr.current().tables, &t1);
+  EXPECT_EQ(mgr.current().tables, &t0);
   EXPECT_EQ(mgr.stats().rerandomizations, 1u);
 
   // A later switch back with the *old* epoch is a different context.

@@ -143,33 +143,37 @@ TEST(DecodeCacheTest, DifferentialAcrossSuiteAndLayouts) {
   }
 }
 
-// One VCFR process of a prepared program, re-randomized incrementally in
-// place the way os::Process does it (registers pinned, decode revalidation
-// armed through note_rerand).
-struct IncrementalSession {
-  IncrementalSession(const rewriter::Program& program, uint64_t seed,
-                     bool cache_on)
+// One VCFR process of a prepared program, re-randomized in place the way
+// os::Process does it (registers pinned; after an incremental firing,
+// decode revalidation armed through note_rerand).
+struct RerandSession {
+  RerandSession(const rewriter::Program& program, uint64_t seed,
+                bool cache_on)
       : placed(rewriter::place(program, {.seed = seed})) {
     binary::load(placed, mem);
     emu = std::make_unique<emu::Emulator>(placed, mem);
     emu->set_decode_cache(cache_on);
   }
 
-  bool fire(const rewriter::Program& program, uint64_t seed) {
+  bool fire(const rewriter::Program& program, uint64_t seed,
+            bool full = false) {
     std::vector<uint32_t> pinned;
     for (const uint32_t reg : emu->state().regs) {
       if (placed.tables.is_randomized_addr(reg)) pinned.push_back(reg);
     }
     std::sort(pinned.begin(), pinned.end());
     pinned.erase(std::unique(pinned.begin(), pinned.end()), pinned.end());
-    emu::IncrementalRerandOptions opt;
-    opt.seed = seed;
+    emu::RerandOptions opt;
+    opt.placement.seed = seed;
     opt.pinned = std::move(pinned);
-    emu::IncrementalRerandStats st;
+    emu::RerandStats st;
     const uint64_t prev_gen = mem.code_version();
-    if (!emu::rerandomize_incremental(program, placed, mem, *emu, opt, &st)) {
-      return false;
-    }
+    const bool ok =
+        full ? emu::rerandomize_full(program, placed, mem, *emu, opt, &st)
+             : emu::rerandomize_incremental(program, placed, mem, *emu, opt,
+                                            &st);
+    if (!ok) return false;
+    EXPECT_EQ(rewriter::check_placement(program, placed, opt.placement), "");
     if (st.instrs_moved != 0) {
       emu->note_rerand(prev_gen, mem.code_version(),
                        std::move(st.decode_dirty));
@@ -190,8 +194,8 @@ TEST(DecodeCacheTest, StepInfoStreamAcrossIncrementalRerand) {
   for (const char* name : {"gcc", "hmmer", "xalan", "namd"}) {
     const rewriter::Program program =
         rewriter::prepare(workloads::make(name, 0));
-    IncrementalSession on(program, 21, true);
-    IncrementalSession off(program, 21, false);
+    RerandSession on(program, 21, true);
+    RerandSession off(program, 21, false);
     int fired = 0;
     for (int epoch = 0; epoch < 12 && !on.emu->halted(); ++epoch) {
       const std::string what =
@@ -239,43 +243,32 @@ constexpr const char* kFactorial = R"(
     ret
 )";
 
-// Live re-randomization mid-recursion: the swap rewrites code bytes and
-// tables under a *new* emulator; cached and uncached sessions must agree.
+// Full re-randomization mid-recursion: the firing rewrites every code
+// byte and table entry under the *running* emulator, whose cached decodes
+// must all go stale; cached and uncached sessions must agree step by step.
 TEST(DecodeCacheTest, LiveRerandomizeDifferential) {
   const auto golden = emu::run_image(isa::assemble(kFactorial));
   ASSERT_TRUE(golden.halted);
+  const rewriter::Program program =
+      rewriter::prepare(isa::assemble(kFactorial));
+  RerandSession on(program, 11, true);
+  RerandSession off(program, 11, false);
 
-  for (const bool cache_on : {true, false}) {
-    binary::Memory mem;
-    rewriter::RandomizeOptions opts;
-    opts.seed = 11;
-    // Every epoch's RandomizeResult must outlive the emulator running on
-    // it (the emulator references the image in place).
-    std::vector<rewriter::RandomizeResult> epochs;
-    epochs.reserve(4);
-    epochs.push_back(rewriter::randomize(isa::assemble(kFactorial), opts));
-    binary::load(epochs.back().vcfr, mem);
-    auto emu_ptr = std::make_unique<emu::Emulator>(epochs.back().vcfr, mem);
-    emu_ptr->set_decode_cache(cache_on);
-
-    // Three epochs, swapping every 15 instructions.
-    for (int epoch = 0; epoch < 3; ++epoch) {
-      for (int i = 0; i < 15; ++i) ASSERT_TRUE(emu_ptr->step());
-      rewriter::RandomizeOptions fresh;
-      fresh.seed = 0xabc0 + epoch;
-      epochs.push_back(rewriter::randomize(isa::assemble(kFactorial), fresh));
-      emu_ptr = emu::rerandomize_live(*emu_ptr, mem,
-                                      epochs[epochs.size() - 2].vcfr,
-                                      epochs.back().vcfr, nullptr);
-      emu_ptr->set_decode_cache(cache_on);
-    }
-    emu::RunLimits limits;
-    limits.max_instructions = 100000;
-    const auto r = emu_ptr->run(limits);
-    EXPECT_TRUE(r.halted) << r.error;
-    EXPECT_EQ(r.output, golden.output)
-        << "cache " << (cache_on ? "on" : "off");
+  // Three epochs, swapping every 15 instructions.
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    const std::string what = "epoch " + std::to_string(epoch);
+    expect_same_stream(*on.emu, *off.emu, 15, what);
+    ASSERT_FALSE(HasFailure() || on.emu->halted()) << what;
+    ASSERT_TRUE(on.fire(program, 0xabc0 + epoch, /*full=*/true)) << what;
+    ASSERT_TRUE(off.fire(program, 0xabc0 + epoch, /*full=*/true)) << what;
   }
+  expect_same_stream(*on.emu, *off.emu, 100000, "after the last epoch");
+  emu::RunLimits limits;
+  limits.max_instructions = 100000;
+  const auto r = on.emu->run(limits);
+  EXPECT_TRUE(r.halted) << r.error;
+  EXPECT_EQ(r.output, golden.output);
+  expect_identical(r, off.emu->run(limits), "full re-randomization");
 }
 
 // Self-modifying code: a write landing in the watched code range must

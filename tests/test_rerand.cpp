@@ -205,6 +205,41 @@ TEST(RerandForcedTest, DeferralCapForcesQuiescence) {
   EXPECT_EQ(journaled, kernel.rerand_forced());
 }
 
+// ------------------------------------------------- one emulator per life --
+
+// A full firing patches the running process in place, so the emulator —
+// and with it the instruction count an injection record and a trap are
+// stamped with — lives for the whole life. Forcing a firing every slice
+// puts several between the start of the life and the injection at 5000,
+// and the payload traps on its first step: both clocks must read the life
+// clock, not the count since the last firing.
+TEST(RerandFullTest, InjectionAndTrapCountFromLifeStart) {
+  KernelConfig kc;
+  kc.cores = 1;
+  kc.sched.slice_instructions = 2'000;
+  Kernel kernel(kc);
+  RerandomizePolicy rp;
+  rp.every_slices = 1;
+  rp.max_defer = 1;
+  ProcessConfig pc = tenant("bzip2", 7, rp);
+  pc.inject.site = fault::FaultSite::kPayload;
+  pc.inject.at_instruction = 5'000;
+  pc.inject.seed = 3;
+  pc.inject_enabled = true;
+  kernel.spawn(pc);
+  const FleetReport report = kernel.run();
+
+  const Process& victim = kernel.process(0);
+  EXPECT_GE(report.rerandomizations, 2u);
+  ASSERT_NE(victim.injector(), nullptr);
+  ASSERT_TRUE(victim.injector()->applied());
+  ASSERT_TRUE(victim.exit_status().crashed());
+  EXPECT_EQ(victim.injector()->record().at_instruction,
+            pc.inject.at_instruction);
+  EXPECT_EQ(victim.exit_status().trap.instruction,
+            victim.life_instructions());
+}
+
 // ------------------------------------------------------ re-rand-on-trap --
 
 struct TrapTrial {

@@ -7,7 +7,8 @@
 // code and data bytes, memory, the decode-cache dirty set and every stat.
 // The reference below is the firing as it was before that rewrite, kept
 // verbatim; every test here runs both on identical state, firing after
-// firing, and compares everything either produces.
+// firing, and compares everything either produces. Every firing must also
+// leave a placement rewriter::check_placement accepts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +30,46 @@
 
 namespace vcfr::emu {
 namespace {
+
+// ---- the firing's options and stats as the reference knew them ---------
+
+struct IncrementalRerandOptions {
+  uint64_t seed = 1;
+  uint32_t region_percent = 25;
+  bool all_regions = false;
+  uint32_t slot_bytes = 64;
+  uint32_t rand_base = binary::kDefaultRandBase;
+  std::vector<uint32_t> pinned;
+};
+
+struct IncrementalRerandStats {
+  uint32_t regions_selected = 0;
+  uint32_t instrs_moved = 0;
+  uint32_t sites_patched = 0;
+  uint32_t reloc_slots_patched = 0;
+  uint32_t stack_slots_translated = 0;
+  bool pc_translated = false;
+  std::vector<uint32_t> alias_keys;
+  binary::FlatSet32 decode_dirty;
+
+  [[nodiscard]] uint64_t entries() const {
+    return uint64_t{2} * instrs_moved + sites_patched + reloc_slots_patched +
+           stack_slots_translated + (pc_translated ? 1 : 0);
+  }
+};
+
+/// The reference's options for the firing `options` drives: the seed and
+/// slot geometry come from the next placement's options.
+IncrementalRerandOptions reference_options(const RerandOptions& options) {
+  IncrementalRerandOptions ref;
+  ref.seed = options.placement.seed;
+  ref.region_percent = options.region_percent;
+  ref.all_regions = options.all_regions;
+  ref.slot_bytes = options.placement.slot_bytes;
+  ref.rand_base = options.placement.rand_base;
+  ref.pinned = options.pinned;
+  return ref;
+}
 
 // ---- the reference firing (verbatim; only its name differs) -------------
 
@@ -298,10 +339,10 @@ void expect_same_state(const LiveImage& a, const LiveImage& b,
   EXPECT_EQ(a.emu->state().pc, b.emu->state().pc) << what;
 }
 
-void expect_same_stats(const IncrementalRerandStats& a,
-                       const IncrementalRerandStats& b,
+void expect_same_stats(const RerandStats& a, const IncrementalRerandStats& b,
                        const std::string& what) {
-  EXPECT_EQ(a.regions_selected, b.regions_selected) << what;
+  EXPECT_EQ(a.regions, b.regions_selected) << what;
+  EXPECT_EQ(a.entries, b.entries()) << what;
   EXPECT_EQ(a.instrs_moved, b.instrs_moved) << what;
   EXPECT_EQ(a.sites_patched, b.sites_patched) << what;
   EXPECT_EQ(a.reloc_slots_patched, b.reloc_slots_patched) << what;
@@ -386,12 +427,11 @@ Coverage differential(const rewriter::Program& program, const Drive& drive,
       }
       aliases.clear();
     }
-    IncrementalRerandOptions opt;
-    opt.seed = drive.place.seed * 131 + static_cast<uint64_t>(f);
+    RerandOptions opt;
+    opt.placement = drive.place;
+    opt.placement.seed = drive.place.seed * 131 + static_cast<uint64_t>(f);
     opt.region_percent = drive.region_percent;
     opt.all_regions = drive.all_regions;
-    opt.slot_bytes = drive.place.slot_bytes;
-    opt.rand_base = drive.place.rand_base;
     opt.pinned = pins(fresh, drive);
     EXPECT_EQ(opt.pinned, pins(ref, drive)) << what;
     opt.pinned.insert(opt.pinned.end(), aliases.begin(), aliases.end());
@@ -401,14 +441,18 @@ Coverage differential(const rewriter::Program& program, const Drive& drive,
 
     const std::vector<uint8_t> code_before = fresh.img.code;
     const uint64_t mem_before = fresh.mem.checksum();
-    IncrementalRerandStats st_fresh, st_ref;
+    RerandStats st_fresh;
+    IncrementalRerandStats st_ref;
     const bool r_fresh = rerandomize_incremental(
         program, fresh.img, fresh.mem, *fresh.emu, opt, &st_fresh);
     const bool r_ref = reference_rerandomize_incremental(
-        program, ref.img, ref.mem, *ref.emu, opt, &st_ref);
+        program, ref.img, ref.mem, *ref.emu, reference_options(opt), &st_ref);
     EXPECT_EQ(r_fresh, r_ref) << what;
     expect_same_stats(st_fresh, st_ref, what);
     expect_same_state(fresh, ref, what);
+    EXPECT_EQ(rewriter::check_placement(program, fresh.img, opt.placement),
+              "")
+        << what;
     cov.aliases += st_fresh.alias_keys.size();
     if (r_fresh) aliases = st_fresh.alias_keys;
     cov.relocs += st_fresh.reloc_slots_patched;

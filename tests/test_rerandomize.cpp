@@ -1,5 +1,5 @@
-// Live re-randomization tests (§V-C): swap a running VCFR process onto a
-// freshly randomized image mid-run, preserving semantics.
+// Live re-randomization tests (§V-C): re-place a running VCFR process's
+// whole image mid-run, in place, preserving semantics.
 #include <gtest/gtest.h>
 
 #include "emu/rerandomize.hpp"
@@ -38,22 +38,32 @@ constexpr const char* kProgram = R"(
     ret
 )";
 
+/// One VCFR process of the victim, re-randomized the way os::Process does
+/// it: the image, memory and emulator are patched in place.
 struct Session {
+  explicit Session(uint64_t seed)
+      : program(rewriter::prepare(isa::assemble(kProgram))),
+        img(rewriter::place(program, {.seed = seed})) {
+    binary::load(img, mem);
+    emu = std::make_unique<Emulator>(img, mem);
+  }
+
+  /// Fires a full re-randomization under `seed`; the result must be a
+  /// placement the next firing can patch.
+  RerandStats fire(uint64_t seed) {
+    RerandOptions opt;
+    opt.placement.seed = seed;
+    RerandStats st;
+    EXPECT_TRUE(rerandomize_full(program, img, mem, *emu, opt, &st));
+    EXPECT_EQ(rewriter::check_placement(program, img, opt.placement), "");
+    return st;
+  }
+
+  rewriter::Program program;
+  binary::Image img;
   binary::Memory mem;
-  rewriter::RandomizeResult rr;
   std::unique_ptr<Emulator> emu;
 };
-
-Session start(uint64_t seed) {
-  Session s;
-  const auto img = isa::assemble(kProgram);
-  rewriter::RandomizeOptions opts;
-  opts.seed = seed;
-  s.rr = rewriter::randomize(img, opts);
-  binary::load(s.rr.vcfr, s.mem);
-  s.emu = std::make_unique<Emulator>(s.rr.vcfr, s.mem);
-  return s;
-}
 
 TEST(LiveRerandomizeTest, MidRecursionSwapPreservesSemantics) {
   // Reference run.
@@ -65,23 +75,19 @@ TEST(LiveRerandomizeTest, MidRecursionSwapPreservesSemantics) {
   EXPECT_EQ(golden.output[1], 720u);    // 6!
 
   for (uint64_t swap_at : {5ull, 17ull, 33ull, 50ull}) {
-    Session s = start(/*seed=*/11);
+    Session s(/*seed=*/11);
     for (uint64_t i = 0; i < swap_at; ++i) ASSERT_TRUE(s.emu->step());
     const size_t marked_before = s.emu->ret_bitmap().size();
 
-    rewriter::RandomizeOptions fresh;
-    fresh.seed = 0xfeed0000 + swap_at;
-    const auto new_rr = rewriter::randomize(isa::assemble(kProgram), fresh);
-
-    LiveRerandomizeStats stats;
-    auto fresh_emu =
-        rerandomize_live(*s.emu, s.mem, s.rr.vcfr, new_rr.vcfr, &stats);
+    const RerandStats stats = s.fire(0xfeed0000 + swap_at);
     EXPECT_EQ(stats.stack_slots_translated, marked_before);
+    // The same emulator keeps running: its clock counts from the start.
+    EXPECT_EQ(s.emu->stats().instructions, swap_at);
 
-    fresh_emu->set_enforce_tags(true);
+    s.emu->set_enforce_tags(true);
     RunLimits limits;
     limits.max_instructions = 100000;
-    const auto r = fresh_emu->run(limits);
+    const auto r = s.emu->run(limits);
     EXPECT_TRUE(r.halted) << "swap at " << swap_at << ": " << r.error;
     EXPECT_EQ(r.output, golden.output) << "swap at " << swap_at;
     EXPECT_EQ(r.stats.tag_violations, 0u);
@@ -89,61 +95,71 @@ TEST(LiveRerandomizeTest, MidRecursionSwapPreservesSemantics) {
 }
 
 TEST(LiveRerandomizeTest, OldAddressesAreDeadAfterSwap) {
-  Session s = start(7);
+  Session s(7);
   for (int i = 0; i < 20; ++i) ASSERT_TRUE(s.emu->step());
 
   // The attacker leaks one old randomized address before the swap.
   const uint32_t leaked = s.emu->state().pc;
-  ASSERT_TRUE(s.rr.vcfr.tables.is_randomized_addr(leaked));
+  ASSERT_TRUE(s.img.tables.is_randomized_addr(leaked));
 
-  rewriter::RandomizeOptions fresh;
-  fresh.seed = 999;
-  const auto new_rr = rewriter::randomize(isa::assemble(kProgram), fresh);
-  auto fresh_emu =
-      rerandomize_live(*s.emu, s.mem, s.rr.vcfr, new_rr.vcfr, nullptr);
+  (void)s.fire(999);
 
   // In the new epoch the leaked address maps to nothing.
-  EXPECT_FALSE(new_rr.vcfr.tables.is_randomized_addr(leaked))
+  EXPECT_FALSE(s.img.tables.is_randomized_addr(leaked))
       << "a leaked epoch-0 address must be meaningless in epoch 1 "
          "(astronomically unlikely collision aside)";
 }
 
 TEST(LiveRerandomizeTest, RepeatedSwapsKeepWorking) {
   const auto golden = run_image(isa::assemble(kProgram));
-  Session s = start(1);
-  auto cur_rr = s.rr;
-  auto cur = std::move(s.emu);
-  std::vector<rewriter::RandomizeResult> epochs;
-  epochs.reserve(6);
-  uint64_t steps = 0;
-  RunLimits one;
-  one.max_instructions = 1;
+  Session s(1);
   // Re-randomize every 9 instructions, six times, then run to completion.
   for (int epoch = 0; epoch < 6; ++epoch) {
-    for (int i = 0; i < 9; ++i) {
-      ASSERT_TRUE(cur->step());
-      ++steps;
-    }
-    rewriter::RandomizeOptions fresh;
-    fresh.seed = 1000 + epoch;
-    epochs.push_back(rewriter::randomize(isa::assemble(kProgram), fresh));
-    cur = rerandomize_live(*cur, s.mem, cur_rr.vcfr, epochs.back().vcfr,
-                           nullptr);
-    cur_rr = epochs.back();
+    for (int i = 0; i < 9; ++i) ASSERT_TRUE(s.emu->step());
+    (void)s.fire(1000 + epoch);
   }
   RunLimits limits;
   limits.max_instructions = 100000;
-  const auto r = cur->run(limits);
+  const auto r = s.emu->run(limits);
   EXPECT_TRUE(r.halted) << r.error;
   EXPECT_EQ(r.output, golden.output);
 }
 
+// A pinned address the fresh placement gives to a different instruction
+// would make its alias ambiguous: the firing defers with nothing written.
+TEST(LiveRerandomizeTest, PinnedCollisionDefersUntouched) {
+  Session s(3);
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(s.emu->step());
+  RerandOptions opt;
+  opt.placement.seed = 4;
+  const binary::Image next = rewriter::place(s.program, opt.placement);
+  for (const auto& [orig, ra] : next.tables.rand) {
+    if (s.img.tables.to_original(ra) != orig) {
+      opt.pinned = {ra};
+      break;
+    }
+  }
+  ASSERT_EQ(opt.pinned.size(), 1u);
+  const binary::Image before = s.img;
+  const uint64_t mem_before = s.mem.checksum();
+  const uint32_t pc_before = s.emu->state().pc;
+  EXPECT_FALSE(rerandomize_full(s.program, s.img, s.mem, *s.emu, opt));
+  EXPECT_EQ(s.img.code, before.code);
+  EXPECT_TRUE(s.img.tables.rand == before.tables.rand);
+  EXPECT_TRUE(s.img.tables.derand == before.tables.derand);
+  EXPECT_EQ(s.mem.checksum(), mem_before);
+  EXPECT_EQ(s.emu->state().pc, pc_before);
+}
+
 TEST(LiveRerandomizeTest, RejectsNonVcfrImages) {
-  Session s = start(1);
-  binary::Image bogus = s.rr.vcfr;
+  Session s(1);
+  binary::Image bogus = s.img;
   bogus.layout = binary::Layout::kOriginal;
   EXPECT_THROW(
-      (void)rerandomize_live(*s.emu, s.mem, s.rr.vcfr, bogus, nullptr),
+      (void)rerandomize_full(s.program, bogus, s.mem, *s.emu, {}),
+      std::invalid_argument);
+  EXPECT_THROW(
+      (void)rerandomize_incremental(s.program, bogus, s.mem, *s.emu, {}),
       std::invalid_argument);
 }
 

@@ -58,3 +58,31 @@ string(FIND "${camp_out}" "\"max_instructions\": 100000000}" found_budget)
 if(found_budget EQUAL -1)
   message(FATAL_ERROR "faultcamp ignored --max-instr 100000000: ${camp_out}")
 endif()
+
+# trace honours an explicit --max-instr at any value, the global default's
+# included (an absent flag means 64 steps): a 303-step loop runs to its
+# halt only when the flag is obeyed.
+file(WRITE "${WORK_DIR}/loop.vx" "
+.entry main
+.func main
+main:
+  mov r1, 100
+loop:
+  sub r1, 1
+  cmp r1, 0
+  jgt loop
+  out r1
+  halt
+")
+execute_process(COMMAND ${VCFR_BIN} asm ${WORK_DIR}/loop.vx -o ${WORK_DIR}/loop.vxe
+                RESULT_VARIABLE rc7)
+execute_process(COMMAND ${VCFR_BIN} trace ${WORK_DIR}/loop.vxe
+                --max-instr 100000000
+                OUTPUT_VARIABLE trace_out RESULT_VARIABLE rc8)
+if(NOT rc7 EQUAL 0 OR NOT rc8 EQUAL 0)
+  message(FATAL_ERROR "trace smoke failed: ${rc7} ${rc8}")
+endif()
+string(FIND "${trace_out}" "== halted" found_halt)
+if(found_halt EQUAL -1)
+  message(FATAL_ERROR "trace ignored --max-instr 100000000: ${trace_out}")
+endif()

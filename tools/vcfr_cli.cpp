@@ -145,6 +145,11 @@ void export_telemetry(const Args& args, telemetry::Telemetry& tel) {
   }
 }
 
+bool flag_given(const Args& args, const char* flag) {
+  return std::find(args.seen.begin(), args.seen.end(), flag) !=
+         args.seen.end();
+}
+
 std::string require_input(const Args& args) {
   if (args.positional.empty()) throw std::runtime_error("missing input file");
   return args.positional.front();
@@ -456,7 +461,7 @@ int cmd_workload(const Args& args) {
 int cmd_trace(const Args& args) {
   const auto image = binary::load_file(require_input(args));
   emu::TraceOptions opts;
-  opts.max_steps = args.max_instr == 100'000'000 ? 64 : args.max_instr;
+  opts.max_steps = flag_given(args, "--max-instr") ? args.max_instr : 64;
   opts.show_registers = args.regs;
   std::fputs(emu::trace(image, opts).c_str(), stdout);
   return 0;
@@ -693,11 +698,6 @@ int cmd_fleet(const Args& args) {
     }
   }
   return 0;
-}
-
-bool flag_given(const Args& args, const char* flag) {
-  return std::find(args.seen.begin(), args.seen.end(), flag) !=
-         args.seen.end();
 }
 
 int cmd_serve(const Args& args) {
