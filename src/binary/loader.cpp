@@ -108,6 +108,19 @@ void Memory::write64(uint32_t addr, uint64_t value) {
   std::memcpy(write_page(addr).data() + off, &value, sizeof value);
 }
 
+void Memory::write_block(uint32_t addr, const uint8_t* src, uint32_t n) {
+  if (n == 0) return;
+  if (!watched_.empty()) note_write(addr, n);
+  while (n > 0) {
+    const uint32_t off = addr & (kPageSize - 1);
+    const uint32_t chunk = std::min(n, kPageSize - off);
+    std::memcpy(write_page(addr).data() + off, src, chunk);
+    addr += chunk;
+    src += chunk;
+    n -= chunk;
+  }
+}
+
 void Memory::read_block(uint32_t addr, uint8_t* out, uint32_t n) const {
   while (n > 0) {
     const uint32_t off = addr & (kPageSize - 1);
@@ -182,17 +195,13 @@ uint32_t table_entry_addr(const TranslationTables& tables, uint32_t addr) {
 }
 
 void load(const Image& image, Memory& mem) {
-  for (size_t i = 0; i < image.code.size(); ++i) {
-    mem.write8(image.code_base + static_cast<uint32_t>(i), image.code[i]);
-  }
-  for (size_t i = 0; i < image.data.size(); ++i) {
-    mem.write8(image.data_base + static_cast<uint32_t>(i), image.data[i]);
-  }
+  mem.write_block(image.code_base, image.code.data(),
+                  static_cast<uint32_t>(image.code.size()));
+  mem.write_block(image.data_base, image.data.data(),
+                  static_cast<uint32_t>(image.data.size()));
   if (image.layout == Layout::kNaiveIlr) {
     for (const auto& [addr, bytes] : image.sparse_code) {
-      for (size_t i = 0; i < bytes.size(); ++i) {
-        mem.write8(addr + static_cast<uint32_t>(i), bytes[i]);
-      }
+      mem.write_block(addr, bytes.data(), static_cast<uint32_t>(bytes.size()));
     }
   }
   if (image.layout == Layout::kVcfr && image.tables.table_bytes != 0) {

@@ -41,6 +41,11 @@ class Memory {
   /// write32(addr, low word) then write32(addr + 4, high word), code
   /// version bumps included, with one page lookup.
   void write64(uint32_t addr, uint64_t value);
+  /// Writes `n` bytes from `src` starting at `addr`: one page lookup and
+  /// one copy per page chunk, allocating every page the range touches
+  /// (all-zero chunks too, exactly as a write8 loop would). A block
+  /// overlapping a watched range bumps code_version() once.
+  void write_block(uint32_t addr, const uint8_t* src, uint32_t n);
 
   /// Copies up to `n` bytes starting at `addr` into `out`; missing pages
   /// yield zeros. Used by instruction decode.
@@ -85,7 +90,7 @@ class Memory {
 
   void note_write(uint32_t addr, uint32_t bytes) {
     for (const auto& r : watched_) {
-      if (addr < r.second && addr + bytes > r.first) {
+      if (addr < r.second && uint64_t{addr} + bytes > r.first) {
         ++code_version_;
         break;
       }

@@ -275,26 +275,18 @@ bool Emulator::step(StepInfo* info) {
   const uint32_t rpc = state_.pc;
 
   // Decoded-instruction cache: the fetch/decode/translate front half of a
-  // step is a pure function of (rpc, code bytes, tables). The image and
-  // its tables are immutable for this emulator's lifetime, so a cached
-  // entry is valid exactly while the memory's code generation is
-  // unchanged since fill. A hit binds the entry in place: no copy of the
-  // decoded instruction, no translation probe on the sequential path.
+  // step is a pure function of (rpc, code bytes, tables). Every change to
+  // either (self-modifying code, a re-randomization firing) bumps the
+  // memory's code generation, so a cached entry is valid exactly while the
+  // generation it was filled at is current. A hit binds the entry in
+  // place: no copy of the decoded instruction, no translation probe on the
+  // sequential path.
   DecodedEntry* entry = &uncached_;
   bool hit = false;
   const uint64_t gen = mem_.code_version();
   if (dcache_on_) {
     entry = &dcache_[(rpc * 0x9e3779b9u) >> (32 - kDecodeCacheBits)];
     hit = entry->rpc == rpc && entry->gen == gen && rpc != 0xffffffffu;
-    if (!hit && rerand_note_ && entry->rpc == rpc && rpc != 0xffffffffu &&
-        entry->gen == rerand_prev_gen_ && gen == rerand_new_gen_ &&
-        !rerand_dirty_.contains(rpc)) {
-      // Epoch promotion: the incremental re-randomization left this rpc's
-      // translation, bytes, and sequential successor untouched.
-      entry->gen = gen;
-      ++dcache_stats_.rerand_promotions;
-      hit = true;
-    }
     if (hit) {
       ++dcache_stats_.hits;
     } else {
@@ -681,8 +673,6 @@ void Emulator::state(binary::StateIo& io) {
   // Host-only decode cache: drop every fill so nothing predating the
   // restored architectural state survives.
   std::fill(dcache_.begin(), dcache_.end(), DecodedEntry{});
-  rerand_note_ = false;
-  rerand_dirty_.clear();
 }
 
 RunResult Emulator::run(const RunLimits& limits) {

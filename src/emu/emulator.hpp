@@ -93,19 +93,15 @@ struct RunLimits {
 /// architectural statistics: the cache only skips redundant host work
 /// (fetch, decode, translation-map probes) and can never change a
 /// simulated result. Deterministic for a deterministic run, so they are
-/// safe to register with the stat registry.
+/// safe to register with the stat registry. A fill is valid exactly while
+/// the memory's code generation it was filled at is current.
 struct DecodeCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   /// Fills evicted because the memory's code generation moved (self-
-  /// modifying code, live re-randomization refreshing code bytes or
-  /// tables). Tag-conflict evictions count as plain misses.
+  /// modifying code, or any re-randomization firing, full or incremental).
+  /// Tag-conflict evictions count as plain misses.
   uint64_t invalidations = 0;
-  /// Previous-generation fills revalidated across an incremental
-  /// re-randomization (note_rerand): the rpc was untouched by the patch,
-  /// so the cached decode is promoted to the new generation instead of
-  /// being discarded. Counted as hits too.
-  uint64_t rerand_promotions = 0;
 };
 
 struct RunResult {
@@ -208,22 +204,6 @@ class Emulator {
     return ret_bitmap_;
   }
 
-  /// Arms one-shot lazy revalidation of the decode cache after an
-  /// incremental re-randomization (epoch-tagged invalidation): entries
-  /// filled at `prev_gen` whose rpc is NOT in `dirty` are promoted to
-  /// `new_gen` on their next lookup instead of being discarded — the
-  /// patch provably left their (upc, bytes, seq_next) intact. `dirty`
-  /// holds the stale RPCs (moved instructions' old/new addresses, their
-  /// linear predecessors, re-encoded referring sites). A later note
-  /// replaces this one; loading a checkpoint clears it.
-  void note_rerand(uint64_t prev_gen, uint64_t new_gen,
-                   binary::FlatSet32 dirty) {
-    rerand_note_ = true;
-    rerand_prev_gen_ = prev_gen;
-    rerand_new_gen_ = new_gen;
-    rerand_dirty_ = std::move(dirty);
-  }
-
   /// Checkpoint support: full architectural state (registers, flags, PC,
   /// stats, output, ret bitmap, halt/trap state). The decoded-instruction
   /// cache is host-only and never serialized; loading empties it so
@@ -305,11 +285,6 @@ class Emulator {
   DecodedEntry uncached_;
   bool dcache_on_ = true;
   DecodeCacheStats dcache_stats_;
-  // One-shot incremental-rerand revalidation note (see note_rerand).
-  bool rerand_note_ = false;
-  uint64_t rerand_prev_gen_ = 0;
-  uint64_t rerand_new_gen_ = 0;
-  binary::FlatSet32 rerand_dirty_;
   profile::Profiler* prof_ = nullptr;
 
   // ---- address-taint shadow state (emu/taint.hpp) -----------------------

@@ -5,6 +5,7 @@
 #include <random>
 #include <stdexcept>
 
+#include "binary/flat_map.hpp"
 #include "isa/encoding.hpp"
 
 namespace vcfr::emu {
@@ -70,10 +71,10 @@ bool rerandomize_full(const rewriter::Program& program, binary::Image& img,
   pc = new_pc;
 
   // 3. Code bytes (same layout, new encoded targets), jump-table slots,
-  //    and the kernel tables.
-  for (size_t i = 0; i < next.code.size(); ++i) {
-    mem.write8(next.code_base + static_cast<uint32_t>(i), next.code[i]);
-  }
+  //    and the kernel tables. The code is rewritten whole in one block
+  //    (one generation bump), which also repairs any flipped code byte.
+  mem.write_block(next.code_base, next.code.data(),
+                  static_cast<uint32_t>(next.code.size()));
   for (const auto& r : next.relocs) {
     mem.write32(r.data_addr, retranslate(mem.read32(r.data_addr)));
     ++st.reloc_slots_patched;
@@ -226,18 +227,11 @@ bool rerandomize_incremental(const rewriter::Program& program,
     const Assign& a = assign[moved_from[slot] - 1];
     return a.old_ra == ra ? &a.new_ra : nullptr;
   };
-  size_t referring = 0;
-  for (const Assign& a : assign) {
-    referring += ix.ref_begin[a.idx + 1] - ix.ref_begin[a.idx];
-  }
-  st.decode_dirty.reserve(3 * assign.size() + referring);
 
   // Erase every retiring derand key first: a fresh draw may land exactly
   // on another moved instruction's freed slot (and jitter may reproduce
   // its old address), so inserts must only see surviving keys.
   for (const Assign& a : assign) {
-    st.decode_dirty.insert(a.old_ra);
-    st.decode_dirty.insert(a.new_ra);
     if (!pinned.contains(a.old_ra)) tables.derand.erase(a.old_ra);
   }
   for (const Assign& a : assign) {
@@ -245,16 +239,6 @@ bool rerandomize_incremental(const rewriter::Program& program,
     tables.rand[orig] = a.new_ra;
     tables.derand.emplace(a.new_ra, orig);
     ++st.instrs_moved;
-  }
-
-  // Cached seq_next of the linear predecessor of each moved instruction
-  // pointed at the old address: mark its current RPC stale too. `assign`
-  // ascends, so a moved predecessor is the entry just before, and both of
-  // its RPCs are marked already.
-  for (size_t j = 0; j < assign.size(); ++j) {
-    const uint32_t idx = assign[j].idx;
-    if (idx == 0 || (j > 0 && assign[j - 1].idx == idx - 1)) continue;
-    st.decode_dirty.insert(tables.to_randomized(cfg.instrs[idx - 1].addr));
   }
 
   // Referring sites of the moved instructions: direct transfers,
@@ -278,7 +262,6 @@ bool rerandomize_incremental(const rewriter::Program& program,
         mem.write8(e.addr + static_cast<uint32_t>(i), bytes[i]);
       }
       ++st.sites_patched;
-      st.decode_dirty.insert(tables.to_randomized(e.addr));
     }
   }
 

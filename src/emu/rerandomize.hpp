@@ -21,6 +21,9 @@
 //      program *data* is untouched;
 //   4. the same emulator resumes over the patched image and memory, its
 //      register file, bitmap, output, and statistics carried as they are.
+//      Every firing advances the memory's code generation, so the
+//      emulator's decode cache refills from the patched state: an entry is
+//      valid exactly while the generation it was filled at is current.
 //
 // Quiescence condition: no general-purpose register may hold a code
 // pointer at the swap point (call sites pick e.g. the top of a request
@@ -44,7 +47,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "binary/flat_map.hpp"
 #include "binary/loader.hpp"
 #include "emu/emulator.hpp"
 #include "rewriter/randomizer.hpp"
@@ -82,11 +84,6 @@ struct RerandStats {
   bool pc_translated = false;
   /// Pinned keys left behind as stale aliases (rand[orig] moved away).
   std::vector<uint32_t> alias_keys;
-  /// Incremental only: RPCs whose previous-generation decode-cache entries
-  /// are stale: old and new randomized addresses of moved instructions,
-  /// their linear predecessors (cached seq_next), and re-encoded referring
-  /// sites.
-  binary::FlatSet32 decode_dirty;
 };
 
 /// Re-places the VCFR image `img` (placed from `program`, executed by

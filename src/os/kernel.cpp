@@ -768,8 +768,8 @@ void Kernel::fire_rerand(uint32_t c, Process& p) {
   if (rp.epoch_tags) {
     // Epoch-tagged invalidation: warm DRC/bitmap state survives the swap;
     // stale lines revalidate lazily against the patched tables on their
-    // next lookup, and the decode cache promotes clean entries across the
-    // generation bump.
+    // next lookup. (The host-only decode cache is outside this policy: the
+    // firing's code-generation bump retires all of its entries.)
     ctx_[c]->rerandomize_current(true);
   } else {
     // Epoch bump: every cached translation of the old placement is dead

@@ -29,9 +29,8 @@ void Process::start_life(const std::vector<uint8_t>& payload,
                          uint32_t payload_base) {
   mem_ = binary::Memory();
   binary::load(image_, mem_);
-  for (size_t i = 0; i < payload.size(); ++i) {
-    mem_.write8(payload_base + static_cast<uint32_t>(i), payload[i]);
-  }
+  mem_.write_block(payload_base, payload.data(),
+                   static_cast<uint32_t>(payload.size()));
   emu_ = std::make_unique<emu::Emulator>(image_, mem_);
   emu_->set_enforce_tags(config_.enforce_tags);
   if (config_.taint) {
@@ -105,7 +104,6 @@ bool Process::try_rerandomize() {
   // implies it is in `pinned` — a held alias fails the quiescence check.)
   // A full firing re-places every table entry, so its old aliases simply
   // do not carry over.
-  std::vector<uint32_t> dropped;
   if (incremental) {
     auto& tables = image_.tables;
     for (const uint32_t a : aliases_) {
@@ -113,10 +111,7 @@ bool Process::try_rerandomize() {
       const uint32_t* orig = tables.derand.lookup(a);
       if (orig == nullptr) continue;
       const uint32_t* ra = tables.rand.lookup(*orig);
-      if (ra != nullptr && *ra != a) {
-        tables.derand.erase(a);
-        dropped.push_back(a);
-      }
+      if (ra != nullptr && *ra != a) tables.derand.erase(a);
     }
   }
   emu::RerandOptions opt;
@@ -127,7 +122,6 @@ bool Process::try_rerandomize() {
   opt.all_regions = rerand_pending_;
   opt.pinned = std::move(pinned);
   emu::RerandStats st;
-  const uint64_t prev_gen = mem_.code_version();
   const bool ok =
       incremental
           ? emu::rerandomize_incremental(*program_, image_, mem_, *emu_, opt,
@@ -139,15 +133,7 @@ bool Process::try_rerandomize() {
     ++stats_.rerandomizations_deferred;
     return false;
   }
-  if (incremental) {
-    // Arm lazy decode revalidation for everything the patch provably did
-    // not touch.
-    for (const uint32_t a : dropped) st.decode_dirty.insert(a);
-    if (st.instrs_moved != 0) {
-      emu_->note_rerand(prev_gen, mem_.code_version(),
-                        std::move(st.decode_dirty));
-    }
-  } else if (config_.taint) {
+  if (!incremental && config_.taint) {
     // The re-keyed layout has no old secrets: start the shadow state
     // clean. The incremental path keeps its taint — partially-moved
     // layouts still leak partially-valid addresses.

@@ -34,10 +34,13 @@ TEST_P(FuzzEquivalence, AllLayoutsAgreeAcrossSeeds) {
   ASSERT_TRUE(base.halted) << "fuzz program must terminate: " << base.error
                            << "\n" << src;
 
+  const rewriter::Program program = rewriter::prepare(original);
   for (uint64_t seed : {1ull, 42ull, 31337ull}) {
     rewriter::RandomizeOptions opts;
     opts.seed = seed;
     const auto rr = rewriter::randomize(original, opts);
+    EXPECT_EQ(rewriter::check_placement(program, rr.vcfr, opts), "")
+        << "seed " << seed << "\n" << src;
 
     const auto naive = emu::run_image(rr.naive, limits);
     ASSERT_TRUE(naive.halted) << naive.error;

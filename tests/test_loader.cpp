@@ -2,9 +2,13 @@
 // checksum stability, and the serialized translation-table layout.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "binary/loader.hpp"
 #include "isa/assembler.hpp"
 #include "rewriter/randomizer.hpp"
+#include "workloads/suite.hpp"
 
 namespace vcfr::binary {
 namespace {
@@ -54,6 +58,92 @@ TEST(MemoryTest, ChecksumIsOrderIndependentAndContentSensitive) {
   EXPECT_EQ(a.checksum(), b.checksum());
   b.write8(0x1000, 8);
   EXPECT_NE(a.checksum(), b.checksum());
+}
+
+// The byte-at-a-time writes write_block replaces: same bytes, same pages.
+void write_bytes(Memory& mem, uint32_t addr, const uint8_t* src, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    mem.write8(addr + static_cast<uint32_t>(i), src[i]);
+  }
+}
+
+TEST(MemoryTest, WriteBlockAcrossPagesMatchesByteWrites) {
+  std::vector<uint8_t> bytes(Memory::kPageSize + 100);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<uint8_t>(i * 7 + 3);
+  }
+  const uint32_t addr = 3 * Memory::kPageSize - 50;  // spans three pages
+  Memory block, bytewise;
+  block.write_block(addr, bytes.data(), static_cast<uint32_t>(bytes.size()));
+  write_bytes(bytewise, addr, bytes.data(), bytes.size());
+  EXPECT_EQ(block.pages_allocated(), 3u);
+  EXPECT_EQ(block.pages_allocated(), bytewise.pages_allocated());
+  EXPECT_EQ(block.checksum(), bytewise.checksum());
+  std::vector<uint8_t> back(bytes.size());
+  block.read_block(addr, back.data(), static_cast<uint32_t>(back.size()));
+  EXPECT_EQ(back, bytes);
+}
+
+TEST(MemoryTest, WriteBlockOfZerosAllocatesItsPages) {
+  const std::vector<uint8_t> zeros(2 * Memory::kPageSize, 0);
+  Memory block, bytewise;
+  block.write_block(0x7000, zeros.data(), static_cast<uint32_t>(zeros.size()));
+  write_bytes(bytewise, 0x7000, zeros.data(), zeros.size());
+  EXPECT_EQ(block.pages_allocated(), 2u);
+  EXPECT_EQ(block.checksum(), bytewise.checksum());
+}
+
+TEST(MemoryTest, WriteBlockBumpsCodeVersionOncePerWatchedOverlap) {
+  Memory mem;
+  mem.watch_code(0x2000, 0x100);
+  const std::vector<uint8_t> bytes(64, 0xab);
+  const uint64_t v0 = mem.code_version();
+  // Starts before the watched range and runs into it.
+  mem.write_block(0x2000 - 32, bytes.data(), 64);
+  EXPECT_EQ(mem.code_version(), v0 + 1);
+  // Entirely inside.
+  mem.write_block(0x2010, bytes.data(), 64);
+  EXPECT_EQ(mem.code_version(), v0 + 2);
+  // Outside every watched range, on both sides.
+  mem.write_block(0x2000 - 64, bytes.data(), 64);
+  mem.write_block(0x2100, bytes.data(), 64);
+  EXPECT_EQ(mem.code_version(), v0 + 2);
+}
+
+TEST(MemoryTest, WriteBlockOfNothingDoesNothing) {
+  Memory mem;
+  mem.watch_code(0x2000, 0x100);
+  const uint8_t byte = 1;
+  mem.write_block(0x2000, &byte, 0);
+  EXPECT_EQ(mem.code_version(), 0u);
+  EXPECT_EQ(mem.pages_allocated(), 0u);
+}
+
+// load() writes each section as one block; it must leave exactly the
+// memory the per-byte loader did, in every layout of every suite workload.
+TEST(LoaderTest, BlockLoadMatchesByteLoadAcrossSuite) {
+  for (const std::string& name : workloads::spec_names()) {
+    const Image original = workloads::make(name, 0);
+    const rewriter::RandomizeResult rr = rewriter::randomize(original, {});
+    for (const Image* image : {&original, &rr.naive, &rr.vcfr}) {
+      Memory block, bytewise;
+      load(*image, block);
+      write_bytes(bytewise, image->code_base, image->code.data(),
+                  image->code.size());
+      write_bytes(bytewise, image->data_base, image->data.data(),
+                  image->data.size());
+      if (image->layout == Layout::kNaiveIlr) {
+        for (const auto& [addr, bytes] : image->sparse_code) {
+          write_bytes(bytewise, addr, bytes.data(), bytes.size());
+        }
+      }
+      if (image->layout == Layout::kVcfr) store_tables(image->tables, bytewise);
+      const std::string what =
+          name + " layout " + std::to_string(static_cast<int>(image->layout));
+      EXPECT_EQ(block.pages_allocated(), bytewise.pages_allocated()) << what;
+      EXPECT_EQ(block.checksum(), bytewise.checksum()) << what;
+    }
+  }
 }
 
 TEST(LoaderTest, LoadsAllThreeLayouts) {

@@ -14,6 +14,7 @@
 
 #include "fault/injector.hpp"
 #include "os/kernel.hpp"
+#include "rewriter/randomizer.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace vcfr::os {
@@ -203,6 +204,20 @@ TEST(RerandForcedTest, DeferralCapForcesQuiescence) {
     if (e.kind == telemetry::JournalKind::kRerandForced) ++journaled;
   }
   EXPECT_EQ(journaled, kernel.rerand_forced());
+
+  // Every tenant's final placement, forced aliases included, passes the
+  // structural verifier under the geometry os::Process places with; at
+  // least one tenant ends with an alias still live.
+  size_t live_aliases = 0;
+  for (uint32_t pid = 0; pid < kernel.process_count(); ++pid) {
+    const Process& p = kernel.process(pid);
+    EXPECT_EQ(rewriter::check_placement(p.program(), p.randomization(),
+                                        rewriter::RandomizeOptions{}),
+              "")
+        << "pid " << pid;
+    live_aliases += p.rerand_aliases().size();
+  }
+  EXPECT_GT(live_aliases, 0u);
 }
 
 // ------------------------------------------------- one emulator per life --

@@ -4,7 +4,7 @@
 // and a slot-occupancy bitmap instead of rescanning the whole program and
 // hashing every placement on each firing. Its output is a byte contract:
 // table slot layout (store_tables, VXE and checkpoint bytes depend on it),
-// code and data bytes, memory, the decode-cache dirty set and every stat.
+// code and data bytes, memory, the code generation and every stat.
 // The reference below is the firing as it was before that rewrite, kept
 // verbatim; every test here runs both on identical state, firing after
 // firing, and compares everything either produces. Every firing must also
@@ -50,7 +50,6 @@ struct IncrementalRerandStats {
   uint32_t stack_slots_translated = 0;
   bool pc_translated = false;
   std::vector<uint32_t> alias_keys;
-  binary::FlatSet32 decode_dirty;
 
   [[nodiscard]] uint64_t entries() const {
     return uint64_t{2} * instrs_moved + sites_patched + reloc_slots_patched +
@@ -214,8 +213,6 @@ bool reference_rerandomize_incremental(
   // its old address), so inserts must only see surviving keys.
   for (const Assign& a : assign) {
     old2new.emplace(a.old_ra, a.new_ra);
-    st.decode_dirty.insert(a.old_ra);
-    st.decode_dirty.insert(a.new_ra);
     if (!pinned.contains(a.old_ra)) tables.derand.erase(a.old_ra);
   }
   for (const Assign& a : assign) {
@@ -223,14 +220,6 @@ bool reference_rerandomize_incremental(
     tables.rand[orig] = a.new_ra;
     tables.derand.emplace(a.new_ra, orig);
     ++st.instrs_moved;
-  }
-
-  // Cached seq_next of the linear predecessor of each moved instruction
-  // pointed at the old address: mark its current RPC stale too.
-  for (const Assign& a : assign) {
-    if (a.idx == 0) continue;
-    st.decode_dirty.insert(
-        tables.to_randomized(cfg.instrs[a.idx - 1].addr));
   }
 
   // Referring sites: direct transfers, software-rewrite return pushes,
@@ -254,7 +243,6 @@ bool reference_rerandomize_incremental(
       mem.write8(e.addr + static_cast<uint32_t>(i), bytes[i]);
     }
     ++st.sites_patched;
-    st.decode_dirty.insert(tables.to_randomized(e.addr));
   }
 
   // Jump-table / stored-code-pointer slots: live memory and the image
@@ -349,7 +337,6 @@ void expect_same_stats(const RerandStats& a, const IncrementalRerandStats& b,
   EXPECT_EQ(a.stack_slots_translated, b.stack_slots_translated) << what;
   EXPECT_EQ(a.pc_translated, b.pc_translated) << what;
   EXPECT_EQ(a.alias_keys, b.alias_keys) << what;
-  EXPECT_TRUE(a.decode_dirty == b.decode_dirty) << what;
 }
 
 /// How a run of firings is driven.

@@ -86,3 +86,54 @@ string(FIND "${trace_out}" "== halted" found_halt)
 if(found_halt EQUAL -1)
   message(FATAL_ERROR "trace ignored --max-instr 100000000: ${trace_out}")
 endif()
+
+# The checks below run each command in WORK_DIR and fail on a non-zero
+# exit; `run` sends stdout to a file there, `same` byte-compares two
+# files, and `json` parses one with Python's json.tool.
+function(run out_file)
+  execute_process(COMMAND ${ARGN} WORKING_DIRECTORY ${WORK_DIR}
+                  OUTPUT_FILE ${WORK_DIR}/${out_file}
+                  RESULT_VARIABLE rc ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${ARGN}\nexited ${rc}\n${err}")
+  endif()
+endfunction()
+function(same a b)
+  run(cmp.out ${CMAKE_COMMAND} -E compare_files ${a} ${b})
+endfunction()
+function(json file)
+  run(json.out ${PYTHON} -m json.tool ${file})
+endfunction()
+
+# Telemetry exports: the stat registry and Chrome trace parse as JSON and
+# the sampler's CSV starts with its header.
+run(fleet_tel.json ${VCFR_BIN} fleet --procs 4 --cores 2 --slice 2000
+    --scale 0 --seed 7 --json
+    --stats-json stats.json --trace-out trace.json
+    --sample-interval 5000 --sample-out samples.csv)
+json(stats.json)
+json(trace.json)
+file(STRINGS ${WORK_DIR}/samples.csv samples_header LIMIT_COUNT 1)
+if(NOT samples_header MATCHES "^cycle,")
+  message(FATAL_ERROR "samples.csv header is not cycle,...: ${samples_header}")
+endif()
+
+# Profiler: same-seed profiles are byte-identical (flamegraph and report
+# included) and the JSON exports parse; then the native-vs-VCFR
+# comparison on the original image and the fleet's per-tenant profiles.
+run(workload.out ${VCFR_BIN} workload gcc --scale 0 -o gcc0.vxe)
+run(randomize.out ${VCFR_BIN} randomize gcc0.vxe -o gcc0v.vxe --seed 7)
+run(report_a.txt ${VCFR_BIN} prof gcc0v.vxe --profile-out prof_a.json
+    --flame-out flame_a.txt)
+run(report_b.txt ${VCFR_BIN} prof gcc0v.vxe --profile-out prof_b.json
+    --flame-out flame_b.txt)
+same(prof_a.json prof_b.json)
+same(flame_a.txt flame_b.txt)
+same(report_a.txt report_b.txt)
+json(prof_a.json)
+run(prof_cmp.out ${VCFR_BIN} prof gcc0.vxe --seed 7 --profile-out cmp.json)
+json(cmp.json)
+run(fleet_prof.out ${VCFR_BIN} fleet --procs 2 --cores 2 --slice 2000
+    --scale 0 --seed 7 --profile-out fleetprof.json)
+json(fleetprof.pid0.json)
+json(fleetprof.pid1.json)

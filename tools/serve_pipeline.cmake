@@ -6,7 +6,8 @@
 #                      its journal/trace instant pairing;
 #   vcfr trace-report  the CSV and the journal (typed reads, request
 #                      conservation, journal-vs-CSV leak attribution).
-# Then the SLO exit status, and serve's --slice honoured at any value.
+# Then same-seed determinism, the closed-loop and fault-recovery runs,
+# the SLO exit status, and serve's --slice honoured at any value.
 
 # step(<want exit status> <command>...): run in WORK_DIR, fail on any
 # other status.
@@ -57,6 +58,28 @@ step(0 ${VCFR_BIN} serve --tenants 4 --cores 2 --seed 7 --duration 120000
 step(0 ${VALIDATE} leak_trace.json --journal leak_journal.jsonl)
 expect_kind(leak_journal.jsonl leak)
 step(0 ${VCFR_BIN} trace-report leak_lat.csv --journal leak_journal.jsonl)
+
+# The same seed twice is byte-identical, JSON report and latency CSV
+# both; the report parses.
+foreach(run a b)
+  execute_process(COMMAND ${VCFR_BIN} serve --tenants 8 --cores 4 --seed 7
+                  --duration 100000 --json --latency-out lat_${run}.csv
+                  WORKING_DIRECTORY ${WORK_DIR}
+                  OUTPUT_FILE ${WORK_DIR}/serve_${run}.json RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "serve run ${run} exited ${rc}")
+  endif()
+endforeach()
+step(0 ${CMAKE_COMMAND} -E compare_files serve_a.json serve_b.json)
+step(0 ${CMAKE_COMMAND} -E compare_files lat_a.csv lat_b.csv)
+step(0 ${PYTHON} -m json.tool serve_a.json)
+
+# Closed-loop mixed tenants; and recovery: an injected fault under
+# --restart on-fault must not take the tenant down (exit 0).
+step(0 ${VCFR_BIN} serve --tenants 8 --cores 4 --seed 9 --arrival closed
+     --dist uniform --scale 0 --workloads server,bzip2,server,mcf)
+step(0 ${VCFR_BIN} serve --tenants 4 --cores 2 --seed 7
+     --inject 2:code_byte:50 --restart on-fault --json)
 
 # A violated SLO objective exits 2.
 step(2 ${VCFR_BIN} serve --tenants 4 --cores 2 --seed 7 --duration 100000
