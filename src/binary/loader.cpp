@@ -216,8 +216,31 @@ void store_tables(const TranslationTables& tables, Memory& mem) {
   // uses the exact in-image maps, the serialized form exists to give DRC
   // misses a concrete line to fetch. The flat tables iterate in slot
   // order, so the bytes are deterministic across platforms.
+  //
+  // Fast path: 8-aligned entries in a region that neither wraps nor holds
+  // watched code never straddle a page and bump nothing, so each page is
+  // resolved once, on the first entry that lands on it (exactly the pages
+  // write64 would allocate), and written through its pointer. Otherwise
+  // write64 per entry, with its code-version bumps.
+  const uint32_t base = tables.table_base;
+  const bool direct = std::endian::native == std::endian::little &&
+                      (base & 7) == 0 &&
+                      uint64_t{base} + tables.table_bytes <= (1ull << 32) &&
+                      !mem.watched(base, tables.table_bytes);
+  const uint32_t first_page = base >> Memory::kPageBits;
+  std::vector<Memory::Page*> run(
+      direct ? tables.table_bytes / Memory::kPageSize + 2 : 0);
   auto store = [&](uint32_t key, uint32_t value) {
-    mem.write64(table_entry_addr(tables, key), uint64_t{value} << 32 | key);
+    const uint32_t addr = table_entry_addr(tables, key);
+    const uint64_t entry = uint64_t{value} << 32 | key;
+    if (!direct) {
+      mem.write64(addr, entry);
+      return;
+    }
+    Memory::Page*& page = run[(addr >> Memory::kPageBits) - first_page];
+    if (page == nullptr) page = &mem.touch_page(addr);
+    std::memcpy(page->data() + (addr & (Memory::kPageSize - 1)), &entry,
+                sizeof entry);
   };
   for (const auto& [r, o] : tables.derand) store(r, o);
   for (const auto& [o, r] : tables.rand) store(o, r);

@@ -24,6 +24,8 @@ class StateIo;
 ///    therefore confined to one host thread at a time (the fleet kernel
 ///    guarantees this: each process's memory is only touched by the
 ///    worker running its core's slice);
+///  * store_tables() resolves each table page once and writes its entries
+///    through the page pointer, bypassing the write memos;
 ///  * writes landing in a range registered via watch_code() bump
 ///    code_version(), which the emulator's decoded-instruction cache
 ///    compares against its fill generation — self-modifying code and
@@ -88,14 +90,19 @@ class Memory {
   [[nodiscard]] const Page* fetch_page(uint32_t addr) const;
   Page& write_page(uint32_t addr);
 
-  void note_write(uint32_t addr, uint32_t bytes) {
+  /// True when [addr, addr + bytes) overlaps a watched range.
+  [[nodiscard]] bool watched(uint32_t addr, uint64_t bytes) const {
     for (const auto& r : watched_) {
-      if (addr < r.second && uint64_t{addr} + bytes > r.first) {
-        ++code_version_;
-        break;
-      }
+      if (addr < r.second && addr + bytes > r.first) return true;
     }
+    return false;
   }
+  void note_write(uint32_t addr, uint32_t bytes) {
+    if (watched(addr, bytes)) ++code_version_;
+  }
+
+  /// Writes the table region through raw page pointers.
+  friend void store_tables(const TranslationTables& tables, Memory& mem);
 
   std::unordered_map<uint32_t, std::unique_ptr<Page>> pages_;
 

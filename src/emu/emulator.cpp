@@ -1,6 +1,8 @@
 #include "emu/emulator.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <stdexcept>
 
 #include "binary/state_io.hpp"
 #include "isa/encoding.hpp"
@@ -13,8 +15,14 @@ using isa::Cond;
 using isa::Instr;
 using isa::Op;
 
-Emulator::Emulator(const binary::Image& image, binary::Memory& mem)
-    : image_(image), mem_(mem), dcache_(1u << kDecodeCacheBits) {
+Emulator::Emulator(const binary::Image& image, binary::Memory& mem,
+                   uint32_t decode_cache_entries)
+    : image_(image), mem_(mem) {
+  if (decode_cache_entries < 2 || !std::has_single_bit(decode_cache_entries)) {
+    throw std::invalid_argument("decode cache entries must be a power of two");
+  }
+  dcache_.resize(decode_cache_entries);
+  dcache_shift_ = 32 - std::countr_zero(decode_cache_entries);
   state_.pc = image.entry;
   if (image.layout == Layout::kNaiveIlr || image.layout == Layout::kVcfr) {
     // Entry point expressed in the randomized space when it was randomized.
@@ -285,7 +293,7 @@ bool Emulator::step(StepInfo* info) {
   bool hit = false;
   const uint64_t gen = mem_.code_version();
   if (dcache_on_) {
-    entry = &dcache_[(rpc * 0x9e3779b9u) >> (32 - kDecodeCacheBits)];
+    entry = &dcache_[(rpc * 0x9e3779b9u) >> dcache_shift_];
     hit = entry->rpc == rpc && entry->gen == gen && rpc != 0xffffffffu;
     if (hit) {
       ++dcache_stats_.hits;

@@ -119,10 +119,19 @@ struct RunResult {
 
 class Emulator {
  public:
+  /// Default decoded-instruction cache size: 4096 lines (160 KB). A
+  /// standalone emulator (sim::simulate, the CLI, the BENCH drivers) uses
+  /// it, and BENCH_hotpath pins its hit and miss counts.
+  static constexpr uint32_t kDefaultDecodeCacheEntries = 4096;
+
   /// The image must already be loaded into `mem` (binary::load). Both are
   /// referenced, not copied: live re-randomization (emu/rerandomize.hpp)
   /// patches them in place and this emulator keeps running over them.
-  Emulator(const binary::Image& image, binary::Memory& mem);
+  /// `decode_cache_entries` sizes the direct-mapped decode cache; it must
+  /// be a power of two of at least 2 (std::invalid_argument otherwise).
+  /// os::Process sizes each tenant's cache to its program.
+  Emulator(const binary::Image& image, binary::Memory& mem,
+           uint32_t decode_cache_entries = kDefaultDecodeCacheEntries);
 
   /// Enables the hardware's randomized-tag enforcement (§IV-A): for VCFR
   /// images, any control transfer into the original code space whose
@@ -141,6 +150,7 @@ class Emulator {
   [[nodiscard]] const DecodeCacheStats& decode_cache_stats() const {
     return dcache_stats_;
   }
+  [[nodiscard]] size_t decode_cache_entries() const { return dcache_.size(); }
 
   /// Toggles address-taint tracking (off by default; emu/taint.hpp).
   /// Pure shadow state: architectural results, outputs, and simulated
@@ -155,7 +165,6 @@ class Emulator {
       leaks_.clear();
     }
   }
-  [[nodiscard]] bool taint_tracking() const { return taint_on_; }
   /// Stamps subsequently-seeded tags with the owning placement epoch so a
   /// leak's provenance names the placement whose secret escaped.
   void set_taint_epoch(uint64_t epoch) { taint_epoch_ = epoch; }
@@ -240,9 +249,9 @@ class Emulator {
     uint64_t gen = 0;       // Memory::code_version() at fill time
     isa::Instr instr{};
   };
-  // Every tenant value-initializes a full cache: keep the line at 40 bytes.
+  // Every emulator value-initializes its whole cache (a fleet tenant's is
+  // 256-4096 lines, sized to its program): keep the line at 40 bytes.
   static_assert(sizeof(DecodedEntry) == 40);
-  static constexpr uint32_t kDecodeCacheBits = 12;  // 4096 entries
 
   /// Leak-record ring bound: stats keep exact counts past the cap, only
   /// the per-record provenance is dropped (fleet callers drain every
@@ -281,6 +290,8 @@ class Emulator {
   uint64_t max_output_ = 1u << 20;
 
   std::vector<DecodedEntry> dcache_;
+  /// Index shift: 32 - log2(dcache_.size()).
+  uint32_t dcache_shift_ = 0;
   /// Decode target when the cache is off (never tagged, never hit).
   DecodedEntry uncached_;
   bool dcache_on_ = true;

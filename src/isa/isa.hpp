@@ -145,16 +145,6 @@ struct Instr {
         return true;  // kJcc falls through when not taken; calls return
     }
   }
-
-  [[nodiscard]] bool is_mem_load() const {
-    return op == Op::kLd || op == Op::kLdb || op == Op::kPopR ||
-           op == Op::kRet;
-  }
-
-  [[nodiscard]] bool is_mem_store() const {
-    return op == Op::kSt || op == Op::kStb || op == Op::kPushR ||
-           op == Op::kPushI || op == Op::kCall || op == Op::kCallR;
-  }
 };
 
 /// Register/flag use-def summary for dependency tracking (the out-of-order

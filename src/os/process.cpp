@@ -1,6 +1,7 @@
 #include "os/process.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "binary/serialize.hpp"
@@ -13,6 +14,19 @@ namespace {
 // Same golden-ratio mixer the examples use for per-instance seeds; here it
 // advances a process's seed across re-randomization epochs.
 constexpr uint64_t kSeedMix = 0x9e3779b97f4a7c15ull;
+
+// A tenant's decode cache holds the next power of two at or above its
+// program's static instruction count, between 256 and 4096 lines: a
+// tenant never needs more lines than it has instructions, while below
+// 256 the direct-mapped conflicts of a hot loop cost more than the
+// memory saved (a 64-line floor cut libquantum's hit rate from 99.5 % to
+// 83 % under serving).
+uint32_t decode_cache_entries(const rewriter::Program& program) {
+  const size_t instrs =
+      std::clamp<size_t>(program.cfg.instrs.size(), 256,
+                         emu::Emulator::kDefaultDecodeCacheEntries);
+  return static_cast<uint32_t>(std::bit_ceil(instrs));
+}
 }  // namespace
 
 Process::Process(uint32_t pid, const ProcessConfig& config,
@@ -31,7 +45,8 @@ void Process::start_life(const std::vector<uint8_t>& payload,
   binary::load(image_, mem_);
   mem_.write_block(payload_base, payload.data(),
                    static_cast<uint32_t>(payload.size()));
-  emu_ = std::make_unique<emu::Emulator>(image_, mem_);
+  emu_ = std::make_unique<emu::Emulator>(image_, mem_,
+                                         decode_cache_entries(*program_));
   emu_->set_enforce_tags(config_.enforce_tags);
   if (config_.taint) {
     emu_->set_taint_tracking(true);

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "binary/loader.hpp"
 #include "isa/encoding.hpp"
 
 namespace vcfr::rewriter {
@@ -388,6 +389,40 @@ std::string check_placement(const Program& program, const binary::Image& image,
     }
   }
   return {};
+}
+
+std::string check_table_region(const binary::Image& image,
+                               const binary::Memory& mem) {
+  const binary::TranslationTables& tables = image.tables;
+  std::vector<uint8_t> held(tables.table_bytes);
+  mem.read_block(tables.table_base, held.data(), tables.table_bytes);
+  std::vector<uint8_t> fresh = held;
+  auto store = [&](uint32_t key, uint32_t value) {
+    const uint32_t off =
+        binary::table_entry_addr(tables, key) - tables.table_base;
+    for (int i = 0; i < 4; ++i) {
+      fresh[off + i] = static_cast<uint8_t>(key >> (8 * i));
+      fresh[off + 4 + i] = static_cast<uint8_t>(value >> (8 * i));
+    }
+  };
+  for (const auto& [r, o] : tables.derand) store(r, o);
+  for (const auto& [o, r] : tables.rand) store(o, r);
+  const auto diff = std::mismatch(held.begin(), held.end(), fresh.begin());
+  if (diff.first == held.end()) return {};
+  const size_t bucket = static_cast<size_t>(diff.first - held.begin()) / 8;
+  auto word = [&](const std::vector<uint8_t>& bytes, size_t off) {
+    uint32_t v = 0;
+    for (int i = 3; i >= 0; --i) v = v << 8 | bytes[off + i];
+    return v;
+  };
+  char buf[160];
+  std::snprintf(buf, sizeof buf,
+                "table bucket %zu at 0x%08x holds 0x%08x -> 0x%08x, the maps "
+                "serialize 0x%08x -> 0x%08x",
+                bucket, tables.table_base + static_cast<uint32_t>(bucket * 8),
+                word(held, bucket * 8), word(held, bucket * 8 + 4),
+                word(fresh, bucket * 8), word(fresh, bucket * 8 + 4));
+  return buf;
 }
 
 RandomizeResult randomize(const binary::Image& image,

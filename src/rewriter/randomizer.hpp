@@ -33,6 +33,10 @@
 #include "rewriter/analysis.hpp"
 #include "rewriter/cfg.hpp"
 
+namespace vcfr::binary {
+class Memory;
+}  // namespace vcfr::binary
+
 namespace vcfr::rewriter {
 
 /// How return addresses get randomized (§IV-A):
@@ -179,6 +183,15 @@ struct RandomizeResult {
     const Program& program, const binary::Image& image,
     const RandomizeOptions& options,
     std::optional<uint32_t> exempt = std::nullopt);
+
+/// Checks the serialized table region of `image` in `mem` against its
+/// in-image maps: re-serializes every derand, then every rand entry (the
+/// order binary::store_tables writes them) over a copy of the region and
+/// names the first bucket that would change, or returns an empty string.
+/// A bucket no current key hashes to is not checked: it keeps whatever a
+/// retired key last wrote there, exactly as the eager store leaves it.
+[[nodiscard]] std::string check_table_region(const binary::Image& image,
+                                             const binary::Memory& mem);
 
 /// Randomizes an original-layout image: prepare + place + the naive-ILR
 /// image. Throws std::invalid_argument when `image` is already randomized

@@ -148,7 +148,6 @@ class CpuCore {
   [[nodiscard]] cache::MemHier& mem() { return mem_; }
   [[nodiscard]] core::Drc& drc() { return drc_; }
   [[nodiscard]] core::RetBitmapCache& ret_bitmap_cache() { return bitmap_; }
-  [[nodiscard]] const BpredStats& bpred_stats() const { return bpstats_; }
 
   /// Snapshot of every structural statistic plus the energy account, in
   /// SimResult form (app/layout/halted/error left for the caller).

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <memory>
 #include <random>
 #include <set>
@@ -147,10 +148,12 @@ TEST(DecodeCacheTest, DifferentialAcrossSuiteAndLayouts) {
 // os::Process does it (registers pinned).
 struct RerandSession {
   RerandSession(const rewriter::Program& program, uint64_t seed,
-                bool cache_on)
+                bool cache_on,
+                uint32_t cache_entries =
+                    emu::Emulator::kDefaultDecodeCacheEntries)
       : placed(rewriter::place(program, {.seed = seed})) {
     binary::load(placed, mem);
-    emu = std::make_unique<emu::Emulator>(placed, mem);
+    emu = std::make_unique<emu::Emulator>(placed, mem, cache_entries);
     emu->set_decode_cache(cache_on);
   }
 
@@ -170,6 +173,7 @@ struct RerandSession {
              : emu::rerandomize_incremental(program, placed, mem, *emu, opt);
     if (!ok) return false;
     EXPECT_EQ(rewriter::check_placement(program, placed, opt.placement), "");
+    EXPECT_EQ(rewriter::check_table_region(placed, mem), "");
     return true;
   }
 
@@ -205,6 +209,44 @@ TEST(DecodeCacheTest, StepInfoStreamAcrossIncrementalRerand) {
     EXPECT_TRUE(r_on.halted) << name << ": " << r_on.error;
     EXPECT_GT(fired, 0) << name;
     EXPECT_GT(on.emu->decode_cache_stats().invalidations, 0u) << name;
+  }
+}
+
+// Tenant-sized caches (os::Process sizes each to its program): libquantum
+// at the 256-line floor and bzip2 at 512 lines stay in StepInfo lockstep
+// with an uncached emulator across incremental and full firings.
+TEST(DecodeCacheTest, TenantSizedCachesAcrossBothFirings) {
+  for (const auto& [name, entries] :
+       {std::pair<const char*, uint32_t>{"libquantum", 256},
+        std::pair<const char*, uint32_t>{"bzip2", 512}}) {
+    const rewriter::Program program =
+        rewriter::prepare(workloads::make(name, 0));
+    EXPECT_EQ(std::bit_ceil(std::max<size_t>(program.cfg.instrs.size(), 256)),
+              entries)
+        << name;
+    RerandSession on(program, 31, true, entries);
+    RerandSession off(program, 31, false);
+    ASSERT_EQ(on.emu->decode_cache_entries(), entries);
+    int fired[2] = {0, 0};  // incremental, full
+    for (int epoch = 0; epoch < 12 && !on.emu->halted(); ++epoch) {
+      const std::string what =
+          std::string(name) + " epoch " + std::to_string(epoch);
+      expect_same_stream(*on.emu, *off.emu, 1000, what);
+      if (HasFailure() || on.emu->halted()) break;
+      const bool full = epoch % 2 == 1;
+      const bool ok_on = on.fire(program, 0x7100 + epoch, full);
+      ASSERT_EQ(ok_on, off.fire(program, 0x7100 + epoch, full)) << what;
+      fired[full ? 1 : 0] += ok_on ? 1 : 0;
+    }
+    expect_same_stream(*on.emu, *off.emu, 200'000'000, name);
+    const emu::RunResult r_on = on.emu->run();
+    expect_identical(r_on, off.emu->run(), name);
+    EXPECT_TRUE(r_on.halted) << name << ": " << r_on.error;
+    EXPECT_GT(fired[0], 0) << name;
+    EXPECT_GT(fired[1], 0) << name;
+    const emu::DecodeCacheStats& stats = on.emu->decode_cache_stats();
+    EXPECT_GT(stats.invalidations, 0u) << name;
+    EXPECT_GT(stats.hits, stats.misses) << name;
   }
 }
 

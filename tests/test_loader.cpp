@@ -2,6 +2,7 @@
 // checksum stability, and the serialized translation-table layout.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -144,6 +145,143 @@ TEST(LoaderTest, BlockLoadMatchesByteLoadAcrossSuite) {
       EXPECT_EQ(block.checksum(), bytewise.checksum()) << what;
     }
   }
+}
+
+// store_tables as it was before it resolved each table page once: one
+// write64 per entry, kept verbatim. The page-run store must leave the same
+// bytes, allocate the same pages and bump the code version alike.
+void reference_store_tables(const TranslationTables& tables, Memory& mem) {
+  if (tables.table_bytes == 0) return;
+  // Serialize (key, translation) pairs so the tables occupy real cacheable
+  // memory. Bucket collisions overwrite; functional translation always
+  // uses the exact in-image maps, the serialized form exists to give DRC
+  // misses a concrete line to fetch. The flat tables iterate in slot
+  // order, so the bytes are deterministic across platforms.
+  auto store = [&](uint32_t key, uint32_t value) {
+    mem.write64(table_entry_addr(tables, key), uint64_t{value} << 32 | key);
+  };
+  for (const auto& [r, o] : tables.derand) store(r, o);
+  for (const auto& [o, r] : tables.rand) store(o, r);
+  mem.bump_code_version();
+}
+
+void expect_same_store(const Memory& store, const Memory& reference,
+                       const std::string& what) {
+  EXPECT_EQ(store.checksum(), reference.checksum()) << what;
+  EXPECT_EQ(store.pages_allocated(), reference.pages_allocated()) << what;
+  EXPECT_EQ(store.code_version(), reference.code_version()) << what;
+}
+
+// Every suite program at scales 0 and 1, stored the way a process stores
+// it: code loaded and watched, then one placement stored over another's
+// bytes. gcc at scale 0 has a 16-page table, twice the write memos.
+TEST(LoaderTest, TableStoreMatchesPerEntryStoreAcrossSuite) {
+  uint32_t gcc_pages = 0;
+  for (const int scale : {0, 1}) {
+    for (const std::string& name : workloads::spec_names()) {
+      const rewriter::Program program =
+          rewriter::prepare(workloads::make(name, scale));
+      const Image& orig = program.image;
+      Memory paged, per_entry;
+      for (Memory* mem : {&paged, &per_entry}) {
+        mem->write_block(orig.code_base, orig.code.data(),
+                         static_cast<uint32_t>(orig.code.size()));
+        mem->watch_code(orig.code_base,
+                        static_cast<uint32_t>(orig.code.size()));
+      }
+      for (const uint64_t seed : {1ull, 2ull}) {
+        const Image img = rewriter::place(program, {.seed = seed});
+        store_tables(img.tables, paged);
+        reference_store_tables(img.tables, per_entry);
+        const std::string what = name + "@" + std::to_string(scale) +
+                                 " seed " + std::to_string(seed);
+        expect_same_store(paged, per_entry, what);
+        EXPECT_EQ(rewriter::check_table_region(img, paged), "") << what;
+        if (name == "gcc" && scale == 0) {
+          gcc_pages = img.tables.table_bytes / Memory::kPageSize;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(gcc_pages, 16u);
+}
+
+// A sparse table: only the pages an entry lands on are allocated.
+TEST(LoaderTest, TableStoreAllocatesOnlyPagesEntriesLandOn) {
+  TranslationTables tables;
+  tables.table_base = 0x60000000;
+  tables.table_bytes = 64 * Memory::kPageSize;
+  for (const uint32_t r : {0x40000000u, 0x40001230u, 0x4000ff00u}) {
+    tables.derand.emplace(r, r & 0xffff);
+    tables.rand.emplace(r & 0xffff, r);
+  }
+  Memory paged, per_entry;
+  store_tables(tables, paged);
+  reference_store_tables(tables, per_entry);
+  expect_same_store(paged, per_entry, "sparse");
+  EXPECT_LE(paged.pages_allocated(), 6u);
+}
+
+// Off the fast path: a table base that is not 8-aligned (entries straddle
+// pages) and a table region overlapping watched code (every entry bumps
+// the code version) both store exactly as the per-entry writes do.
+TEST(LoaderTest, TableStoreOffTheFastPathMatchesPerEntryStore) {
+  const Image original = workloads::make("mcf", 0);
+  const rewriter::RandomizeResult rr = rewriter::randomize(original, {});
+  for (const bool watched : {false, true}) {
+    TranslationTables tables = rr.vcfr.tables;
+    tables.table_base = watched ? 0x60000000u : 0x60000ffcu;
+    Memory paged, per_entry;
+    if (watched) {
+      paged.watch_code(0x60002000u, 0x100);
+      per_entry.watch_code(0x60002000u, 0x100);
+    }
+    store_tables(tables, paged);
+    reference_store_tables(tables, per_entry);
+    const std::string what = watched ? "watched" : "unaligned";
+    expect_same_store(paged, per_entry, what);
+    if (watched) {
+      EXPECT_GT(paged.code_version(), 1u) << what;
+    }
+  }
+}
+
+// The table-region check names the first bucket whose bytes the in-image
+// maps would rewrite: a flipped byte in a live bucket is a violation, one
+// in a bucket no key hashes to is not (it is not the maps' to define).
+TEST(LoaderTest, TableRegionCheckNamesAFlippedLiveBucket) {
+  const rewriter::RandomizeResult rr =
+      rewriter::randomize(workloads::make("gcc", 0), {});
+  const Image& img = rr.vcfr;
+  const TranslationTables& tables = img.tables;
+  Memory mem;
+  load(img, mem);
+  ASSERT_EQ(rewriter::check_table_region(img, mem), "");
+
+  const uint32_t live = table_entry_addr(tables, tables.rand.begin()->first);
+  const uint32_t bucket = (live - tables.table_base) / 8;
+  mem.write8(live + 5, mem.read8(live + 5) ^ 0x10);
+  const std::string violation = rewriter::check_table_region(img, mem);
+  EXPECT_EQ(violation.rfind("table bucket " + std::to_string(bucket) + " at ",
+                            0),
+            0u)
+      << violation;
+  mem.write8(live + 5, mem.read8(live + 5) ^ 0x10);
+  ASSERT_EQ(rewriter::check_table_region(img, mem), "");
+
+  std::vector<bool> hashed(tables.table_bytes / 8);
+  for (const auto& [r, o] : tables.derand) {
+    hashed[(table_entry_addr(tables, r) - tables.table_base) / 8] = true;
+  }
+  for (const auto& [o, r] : tables.rand) {
+    hashed[(table_entry_addr(tables, o) - tables.table_base) / 8] = true;
+  }
+  const auto idle = std::find(hashed.begin(), hashed.end(), false);
+  ASSERT_NE(idle, hashed.end());
+  const uint32_t idle_addr =
+      tables.table_base + static_cast<uint32_t>(idle - hashed.begin()) * 8;
+  mem.write8(idle_addr, 0x5a);
+  EXPECT_EQ(rewriter::check_table_region(img, mem), "");
 }
 
 TEST(LoaderTest, LoadsAllThreeLayouts) {

@@ -89,7 +89,15 @@ FleetReport run_mix(const RerandomizePolicy& rp, uint64_t seed,
                     bool inject_pid1 = false, uint32_t cores = 2) {
   Kernel kernel(small_fleet(cores));
   spawn_mix(kernel, 4, seed, rp, inject_pid1);
-  return kernel.run();
+  FleetReport report = kernel.run();
+  // After the last firing, every tenant's table region holds its maps.
+  for (uint32_t pid = 0; pid < kernel.process_count(); ++pid) {
+    const Process& p = kernel.process(pid);
+    EXPECT_EQ(rewriter::check_table_region(p.randomization(), p.memory()),
+              "")
+        << "pid " << pid << " seed " << seed;
+  }
+  return report;
 }
 
 // ------------------------------------------ incremental differentials --
@@ -213,6 +221,9 @@ TEST(RerandForcedTest, DeferralCapForcesQuiescence) {
     const Process& p = kernel.process(pid);
     EXPECT_EQ(rewriter::check_placement(p.program(), p.randomization(),
                                         rewriter::RandomizeOptions{}),
+              "")
+        << "pid " << pid;
+    EXPECT_EQ(rewriter::check_table_region(p.randomization(), p.memory()),
               "")
         << "pid " << pid;
     live_aliases += p.rerand_aliases().size();

@@ -440,6 +440,7 @@ Coverage differential(const rewriter::Program& program, const Drive& drive,
     EXPECT_EQ(rewriter::check_placement(program, fresh.img, opt.placement),
               "")
         << what;
+    EXPECT_EQ(rewriter::check_table_region(fresh.img, fresh.mem), "") << what;
     cov.aliases += st_fresh.alias_keys.size();
     if (r_fresh) aliases = st_fresh.alias_keys;
     cov.relocs += st_fresh.reloc_slots_patched;

@@ -2,6 +2,9 @@
 // whole image mid-run, in place, preserving semantics.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "binary/loader.hpp"
 #include "emu/rerandomize.hpp"
 #include "isa/assembler.hpp"
 #include "rewriter/randomizer.hpp"
@@ -56,6 +59,7 @@ struct Session {
     RerandStats st;
     EXPECT_TRUE(rerandomize_full(program, img, mem, *emu, opt, &st));
     EXPECT_EQ(rewriter::check_placement(program, img, opt.placement), "");
+    EXPECT_EQ(rewriter::check_table_region(img, mem), "");
     return st;
   }
 
@@ -149,6 +153,72 @@ TEST(LiveRerandomizeTest, PinnedCollisionDefersUntouched) {
   EXPECT_TRUE(s.img.tables.derand == before.tables.derand);
   EXPECT_EQ(s.mem.checksum(), mem_before);
   EXPECT_EQ(s.emu->state().pc, pc_before);
+}
+
+// The table store is eager: every firing rewrites the bucket of every key
+// it holds, so a bucket that only a retired key hashes to keeps that key's
+// entry. Here a derand key added by firing 1 and retired by firing 2 still
+// owns its bucket after firing 2. One store of the final maps deferred to
+// after firing 2 would leave the bytes from before firing 1 there instead,
+// so a deferred store is not byte-exact.
+TEST(LiveRerandomizeTest, RetiredKeyBucketKeepsItsLastEntry) {
+  auto region = [](const Session& s) {
+    std::vector<uint8_t> bytes(s.img.tables.table_bytes);
+    s.mem.read_block(s.img.tables.table_base, bytes.data(),
+                     static_cast<uint32_t>(bytes.size()));
+    return bytes;
+  };
+  auto bucket_of = [](const binary::TranslationTables& t, uint32_t key) {
+    return (binary::table_entry_addr(t, key) - t.table_base) / 8;
+  };
+  auto entry = [](const std::vector<uint8_t>& bytes, uint32_t bucket) {
+    return std::vector<uint8_t>(bytes.begin() + bucket * 8,
+                                bytes.begin() + bucket * 8 + 8);
+  };
+  int found = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Session s(seed);
+    for (int i = 0; i < 20; ++i) ASSERT_TRUE(s.emu->step());
+    const std::vector<uint8_t> before = region(s);
+    const binary::TranslationTables t0 = s.img.tables;
+    (void)s.fire(seed * 100 + 1);
+    const std::vector<uint8_t> after_one = region(s);
+    const binary::TranslationTables t1 = s.img.tables;
+    (void)s.fire(seed * 100 + 2);
+    const std::vector<uint8_t> after_two = region(s);
+    const binary::TranslationTables& t2 = s.img.tables;
+
+    std::vector<bool> hashed(t2.table_bytes / 8);
+    for (const auto& [r, o] : t2.derand) hashed[bucket_of(t2, r)] = true;
+    for (const auto& [o, r] : t2.rand) hashed[bucket_of(t2, o)] = true;
+    for (const auto& [r, o] : t1.derand) {
+      const uint32_t b = bucket_of(t1, r);
+      std::vector<uint8_t> written(8);
+      for (int i = 0; i < 4; ++i) {
+        written[i] = static_cast<uint8_t>(r >> (8 * i));
+        written[4 + i] = static_cast<uint8_t>(o >> (8 * i));
+      }
+      // Added by firing 1, retired by firing 2, the last writer of its
+      // bucket in firing 1, and no current key hashes there.
+      if (t0.derand.contains(r) || t2.derand.contains(r) || hashed[b] ||
+          entry(after_one, b) != written) {
+        continue;
+      }
+      ++found;
+      EXPECT_EQ(entry(after_two, b), written) << "seed " << seed;
+      EXPECT_NE(entry(before, b), written) << "seed " << seed;
+
+      binary::Memory deferred;
+      deferred.write_block(t2.table_base, before.data(),
+                           static_cast<uint32_t>(before.size()));
+      binary::store_tables(t2, deferred);
+      std::vector<uint8_t> deferred_bytes(before.size());
+      deferred.read_block(t2.table_base, deferred_bytes.data(),
+                          static_cast<uint32_t>(deferred_bytes.size()));
+      EXPECT_EQ(entry(deferred_bytes, b), entry(before, b)) << "seed " << seed;
+    }
+  }
+  EXPECT_GT(found, 0) << "no retired key kept its bucket";
 }
 
 TEST(LiveRerandomizeTest, RejectsNonVcfrImages) {

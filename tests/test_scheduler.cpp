@@ -5,7 +5,10 @@
 // program per (workload, scale).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -220,6 +223,45 @@ TEST(SharedProgramTest, TenantsShareOneProgramAndPlaceLikeRandomize) {
   for (const ProcessReport& pr : r.processes) {
     EXPECT_EQ(pr.exit, "halted") << "pid " << pr.pid;
   }
+}
+
+// Each tenant's decode cache is sized to its program, suite and serving
+// workloads alike: the next power of two at or above its static
+// instruction count, between 256 and 4096 lines, in every life. A
+// standalone emulator keeps 4096 lines.
+TEST(SharedProgramTest, TenantDecodeCacheSizedToProgram) {
+  std::vector<std::string> names = workloads::spec_names();
+  names.insert(names.end(), {"server", "leaky"});
+  std::map<std::string, size_t> scale0;
+  for (const int scale : {0, 1}) {
+    for (const std::string& name : names) {
+      auto program = std::make_shared<const rewriter::Program>(
+          rewriter::prepare(workloads::make(name, scale)));
+      size_t want = 256;
+      while (want < program->cfg.instrs.size() && want < 4096) want *= 2;
+      ProcessConfig pc = tiny(name, 3);
+      pc.scale = scale;
+      Process p(0, pc, program);
+      const std::string what = name + "@" + std::to_string(scale);
+      EXPECT_EQ(p.emulator().decode_cache_entries(), want) << what;
+      p.restart();
+      EXPECT_EQ(p.emulator().decode_cache_entries(), want) << what;
+      if (scale == 0) scale0[name] = want;
+    }
+  }
+  EXPECT_EQ(scale0["server"], 256u);
+  EXPECT_EQ(scale0["libquantum"], 256u);
+  EXPECT_EQ(scale0["bzip2"], 512u);
+  EXPECT_EQ(scale0["mcf"], 2048u);
+  EXPECT_EQ(scale0["hmmer"], 2048u);
+  EXPECT_EQ(scale0["gcc"], 4096u);
+
+  const binary::Image image = workloads::make("libquantum", 0);
+  binary::Memory mem;
+  binary::load(image, mem);
+  EXPECT_EQ(emu::Emulator(image, mem).decode_cache_entries(), 4096u);
+  EXPECT_THROW(emu::Emulator(image, mem, 300), std::invalid_argument);
+  EXPECT_THROW(emu::Emulator(image, mem, 1), std::invalid_argument);
 }
 
 // The flushed return-bitmap cache refuses stale entries outright.
