@@ -9,7 +9,7 @@
 //
 // Iteration order is slot order, which is a pure function of the inserted
 // keys — deterministic across platforms and standard libraries, unlike
-// unordered_map. store_tables() and the VXE serializer rely on this.
+// unordered_map. The VXE and checkpoint serializers rely on this.
 //
 // Both share one slot-array core (detail::FlatTable: probe, growth and
 // backward-shift erase with no tombstones): the incremental re-randomizer
@@ -25,8 +25,8 @@
 
 namespace vcfr::binary {
 
-/// 32-bit mix (xorshift-multiply); also spreads the serialized table keys
-/// over buckets (see table_entry_addr in loader.cpp).
+/// 32-bit mix (xorshift-multiply); also spreads translation-table keys
+/// over the table region's buckets (see table_entry_addr in loader.cpp).
 inline uint32_t mix32(uint32_t x) {
   x ^= x >> 16;
   x *= 0x7feb352du;

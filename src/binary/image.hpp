@@ -39,13 +39,15 @@ struct FunctionSymbol {
 };
 
 /// Randomization / de-randomization tables emitted by the rewriter for
-/// kVcfr images. The paper stores these in kernel-protected pages; the
-/// simulated layout (for DRC miss cost) is described by table_base/bytes.
+/// kVcfr images. The paper stores these in kernel-protected pages; here
+/// these maps are the only copy. table_base/table_bytes describe where the
+/// region would sit, which gives a DRC miss the line address it reads
+/// (table_entry_addr in loader.hpp); the region is never written.
 ///
 /// The maps are open-addressing flat tables (binary/flat_map.hpp): they
 /// are probed on the emulator's per-instruction hot path, and their
-/// deterministic iteration order pins the serialized in-memory form that
-/// DRC table walks read (store_tables in loader.cpp).
+/// deterministic iteration order pins the VXE and checkpoint bytes that
+/// serialize them.
 struct TranslationTables {
   /// randomized address -> original address (the paper's "derand" entries).
   FlatMap32 derand;

@@ -1,7 +1,6 @@
 #include "binary/loader.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "binary/state_io.hpp"
@@ -92,20 +91,6 @@ void Memory::write32(uint32_t addr, uint32_t value) {
   write8(addr + 1, static_cast<uint8_t>(value >> 8));
   write8(addr + 2, static_cast<uint8_t>(value >> 16));
   write8(addr + 3, static_cast<uint8_t>(value >> 24));
-}
-
-void Memory::write64(uint32_t addr, uint64_t value) {
-  const uint32_t off = addr & (kPageSize - 1);
-  if (std::endian::native != std::endian::little || off > kPageSize - 8) {
-    write32(addr, static_cast<uint32_t>(value));
-    write32(addr + 4, static_cast<uint32_t>(value >> 32));
-    return;
-  }
-  if (!watched_.empty()) {
-    note_write(addr, 4);
-    note_write(addr + 4, 4);
-  }
-  std::memcpy(write_page(addr).data() + off, &value, sizeof value);
 }
 
 void Memory::write_block(uint32_t addr, const uint8_t* src, uint32_t n) {
@@ -204,47 +189,6 @@ void load(const Image& image, Memory& mem) {
       mem.write_block(addr, bytes.data(), static_cast<uint32_t>(bytes.size()));
     }
   }
-  if (image.layout == Layout::kVcfr && image.tables.table_bytes != 0) {
-    store_tables(image.tables, mem);
-  }
-}
-
-void store_tables(const TranslationTables& tables, Memory& mem) {
-  if (tables.table_bytes == 0) return;
-  // Serialize (key, translation) pairs so the tables occupy real cacheable
-  // memory. Bucket collisions overwrite; functional translation always
-  // uses the exact in-image maps, the serialized form exists to give DRC
-  // misses a concrete line to fetch. The flat tables iterate in slot
-  // order, so the bytes are deterministic across platforms.
-  //
-  // Fast path: 8-aligned entries in a region that neither wraps nor holds
-  // watched code never straddle a page and bump nothing, so each page is
-  // resolved once, on the first entry that lands on it (exactly the pages
-  // write64 would allocate), and written through its pointer. Otherwise
-  // write64 per entry, with its code-version bumps.
-  const uint32_t base = tables.table_base;
-  const bool direct = std::endian::native == std::endian::little &&
-                      (base & 7) == 0 &&
-                      uint64_t{base} + tables.table_bytes <= (1ull << 32) &&
-                      !mem.watched(base, tables.table_bytes);
-  const uint32_t first_page = base >> Memory::kPageBits;
-  std::vector<Memory::Page*> run(
-      direct ? tables.table_bytes / Memory::kPageSize + 2 : 0);
-  auto store = [&](uint32_t key, uint32_t value) {
-    const uint32_t addr = table_entry_addr(tables, key);
-    const uint64_t entry = uint64_t{value} << 32 | key;
-    if (!direct) {
-      mem.write64(addr, entry);
-      return;
-    }
-    Memory::Page*& page = run[(addr >> Memory::kPageBits) - first_page];
-    if (page == nullptr) page = &mem.touch_page(addr);
-    std::memcpy(page->data() + (addr & (Memory::kPageSize - 1)), &entry,
-                sizeof entry);
-  };
-  for (const auto& [r, o] : tables.derand) store(r, o);
-  for (const auto& [o, r] : tables.rand) store(o, r);
-  mem.bump_code_version();
 }
 
 }  // namespace vcfr::binary

@@ -19,17 +19,19 @@ class StateIo;
 /// Host-side fast paths (architecturally invisible):
 ///  * the last-touched page is memoized per access stream (instruction
 ///    fetch, data reads), and writes keep eight memo entries mapped by
-///    page number, so sequential fetch, stack traffic and a table refresh
-///    scattered over a few pages skip the page hash — a Memory is
-///    therefore confined to one host thread at a time (the fleet kernel
-///    guarantees this: each process's memory is only touched by the
-///    worker running its core's slice);
-///  * store_tables() resolves each table page once and writes its entries
-///    through the page pointer, bypassing the write memos;
+///    page number, so sequential fetch and stack traffic skip the page
+///    hash — a Memory is therefore confined to one host thread at a time
+///    (the fleet kernel guarantees this: each process's memory is only
+///    touched by the worker running its core's slice);
 ///  * writes landing in a range registered via watch_code() bump
 ///    code_version(), which the emulator's decoded-instruction cache
 ///    compares against its fill generation — self-modifying code and
-///    table refreshes invalidate cached decodes instead of going stale.
+///    re-randomization firings invalidate cached decodes instead of going
+///    stale.
+///
+/// The translation tables are not materialized here: they live only in
+/// the image's maps, and their region at tables.table_base stays
+/// unallocated (DRC misses time a line read of an entry's address).
 class Memory {
  public:
   static constexpr uint32_t kPageBits = 12;
@@ -40,9 +42,6 @@ class Memory {
 
   [[nodiscard]] uint32_t read32(uint32_t addr) const;
   void write32(uint32_t addr, uint32_t value);
-  /// write32(addr, low word) then write32(addr + 4, high word), code
-  /// version bumps included, with one page lookup.
-  void write64(uint32_t addr, uint64_t value);
   /// Writes `n` bytes from `src` starting at `addr`: one page lookup and
   /// one copy per page chunk, allocating every page the range touches
   /// (all-zero chunks too, exactly as a write8 loop would). A block
@@ -66,9 +65,9 @@ class Memory {
   /// Generation counter for cached decodings of code bytes.
   [[nodiscard]] uint64_t code_version() const { return code_version_; }
 
-  /// Explicit invalidation for writers that bypass the watched ranges'
-  /// semantics (store_tables refreshing the kernel tables on live
-  /// re-randomization).
+  /// Explicit invalidation for changes the watched ranges cannot see: an
+  /// incremental re-randomization firing and an injected translation-entry
+  /// flip change what code means without rewriting all of it.
   void bump_code_version() { ++code_version_; }
 
   /// Checkpoint support: every allocated page (sorted by page number for a
@@ -90,19 +89,16 @@ class Memory {
   [[nodiscard]] const Page* fetch_page(uint32_t addr) const;
   Page& write_page(uint32_t addr);
 
-  /// True when [addr, addr + bytes) overlaps a watched range.
-  [[nodiscard]] bool watched(uint32_t addr, uint64_t bytes) const {
-    for (const auto& r : watched_) {
-      if (addr < r.second && addr + bytes > r.first) return true;
-    }
-    return false;
-  }
+  /// Bumps code_version() when [addr, addr + bytes) overlaps a watched
+  /// range.
   void note_write(uint32_t addr, uint32_t bytes) {
-    if (watched(addr, bytes)) ++code_version_;
+    for (const auto& r : watched_) {
+      if (addr < r.second && uint64_t{addr} + bytes > r.first) {
+        ++code_version_;
+        return;
+      }
+    }
   }
-
-  /// Writes the table region through raw page pointers.
-  friend void store_tables(const TranslationTables& tables, Memory& mem);
 
   std::unordered_map<uint32_t, std::unique_ptr<Page>> pages_;
 
@@ -123,24 +119,19 @@ class Memory {
   uint64_t code_version_ = 0;
 };
 
-/// Loads an image's sections into memory:
+/// Loads an image's code and data sections into memory:
 ///  * kOriginal / kVcfr: dense code at code_base;
 ///  * kNaiveIlr: sparse_code at randomized addresses;
-///  * always: data section, and for kVcfr the translation tables serialized
-///    at tables.table_base (so DRC misses touch real cacheable memory).
+///  * always: the data section.
+/// A kVcfr image's translation tables stay in the image: nothing is
+/// written at tables.table_base.
 void load(const Image& image, Memory& mem);
 
-/// Writes (only) the serialized translation tables into memory at
-/// tables.table_base — used by load() and by live re-randomization, which
-/// must refresh the tables without touching the program's evolved data.
-/// Bumps the memory's code_version (a table refresh means the placement
-/// changed, so cached decodings of the old epoch must die).
-void store_tables(const TranslationTables& tables, Memory& mem);
-
-/// Serialized translation-table entry layout: 8 bytes per entry
-/// (4-byte key slot hash bucket -> 4-byte translation). Returns the
-/// simulated address of the table entry that holds the mapping for `addr`,
-/// which is the line the hardware reads on a DRC miss.
+/// The translation-table region's entry geometry: 8 bytes per entry in a
+/// hash bucket of tables.table_bytes. Returns the simulated address of the
+/// entry that holds the mapping for `addr`, which is the line the hardware
+/// reads on a DRC miss. Only the address is modelled; the bytes are never
+/// materialized (functional translation reads the image's maps).
 [[nodiscard]] uint32_t table_entry_addr(const TranslationTables& tables,
                                         uint32_t addr);
 

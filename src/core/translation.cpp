@@ -13,14 +13,14 @@ TranslationWalker::TranslationWalker(const binary::TranslationTables& tables,
 WalkResult TranslationWalker::walk(uint32_t key, bool derand, uint64_t now) {
   ++walks_;
   WalkResult result;
-  // Timing: one line read of the serialized entry through the unified L2.
+  // Timing: one line read of the entry's address through the unified L2.
   const cache::AccessResult mem_access =
       mem_.table_read(binary::table_entry_addr(tables_, key), now);
   result.latency = mem_access.latency;
   result.l2_hit = mem_access.l2_hit || mem_access.l1_hit;
 
-  // Functional translation always comes from the exact tables (the
-  // serialized form exists to give the walk a concrete line to fetch).
+  // Functional translation always comes from the exact tables; only the
+  // entry's address is modelled, to give the walk a line to fetch.
   if (derand) {
     result.value.translation = tables_.to_original(key);
     result.value.randomized_tag = tables_.is_randomized_addr(key);

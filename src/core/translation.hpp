@@ -1,10 +1,11 @@
 // Table-walk layer between the DRC and the memory hierarchy (§IV-B).
 //
-// The randomization/de-randomization tables live in dedicated, user-
-// invisible pages of simulated memory. A DRC miss reads the entry's line
-// through the unified L2 (falling through to DRAM) — "such design
-// eliminates the necessity of trapping into the kernel when entries of the
-// DRC lookup buffer need to be updated".
+// The randomization/de-randomization tables occupy a dedicated, user-
+// invisible region of the simulated address space; only its addresses are
+// modelled, the contents are the image's maps. A DRC miss reads the
+// entry's line through the unified L2 (falling through to DRAM) — "such
+// design eliminates the necessity of trapping into the kernel when entries
+// of the DRC lookup buffer need to be updated".
 #pragma once
 
 #include <cstdint>

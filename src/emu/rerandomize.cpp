@@ -70,16 +70,15 @@ bool rerandomize_full(const rewriter::Program& program, binary::Image& img,
   st.pc_translated = new_pc != pc;
   pc = new_pc;
 
-  // 3. Code bytes (same layout, new encoded targets), jump-table slots,
-  //    and the kernel tables. The code is rewritten whole in one block
-  //    (one generation bump), which also repairs any flipped code byte.
+  // 3. Code bytes (same layout, new encoded targets) and jump-table
+  //    slots. The code is rewritten whole in one block (one generation
+  //    bump), which also repairs any flipped code byte.
   mem.write_block(next.code_base, next.code.data(),
                   static_cast<uint32_t>(next.code.size()));
   for (const auto& r : next.relocs) {
     mem.write32(r.data_addr, retranslate(mem.read32(r.data_addr)));
     ++st.reloc_slots_patched;
   }
-  binary::store_tables(next.tables, mem);
 
   // Every table entry rewritten plus the patched data/stack/PC slots;
   // regions = all code pages.
@@ -291,8 +290,6 @@ bool rerandomize_incremental(const rewriter::Program& program,
     running.state().pc = *nv;
     st.pc_translated = true;
   }
-
-  binary::store_tables(tables, mem);
 
   st.entries = uint64_t{2} * st.instrs_moved + st.sites_patched +
                st.reloc_slots_patched + st.stack_slots_translated +

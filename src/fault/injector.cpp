@@ -128,9 +128,9 @@ bool FaultInjector::apply(binary::Image& image, binary::Memory& mem,
       const uint32_t key = keys[rng.below(keys.size())];
       const uint32_t bit = static_cast<uint32_t>(rng.below(32));
       image.tables.derand[key] ^= (1u << bit);
-      // Refresh the serialized table bytes the DRC walks read and bump the
-      // code generation — cached decodes of the old mapping are stale.
-      binary::store_tables(image.tables, mem);
+      // The maps are the only copy of the tables; bump the code
+      // generation, since cached decodes of the old mapping are stale.
+      mem.bump_code_version();
       record_.applied = true;
       record_.address = key;
       record_.bit = bit;

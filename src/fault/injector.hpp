@@ -31,9 +31,8 @@ namespace vcfr::fault {
 enum class FaultSite : uint8_t {
   /// One bit of one code byte (in the loaded memory image).
   kCodeByte = 0,
-  /// One bit of one de-randomization table value (kVcfr only). The
-  /// serialized in-memory tables are refreshed so DRC walks see the
-  /// corrupted entry too.
+  /// One bit of one de-randomization table value (kVcfr only), flipped in
+  /// the image's maps, which translation and DRC fills both read.
   kTranslationEntry = 1,
   /// One low-order bit of a stack slot holding a return address
   /// (bitmap-marked slot when one exists, else the top-of-stack word).

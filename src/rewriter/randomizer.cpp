@@ -87,6 +87,12 @@ void patch_data(binary::Image& img, const binary::TranslationTables& tables) {
   }
 }
 
+std::string hex(uint32_t v) {
+  char buf[16];
+  std::snprintf(buf, sizeof buf, "0x%08x", v);
+  return buf;
+}
+
 uint32_t next_pow2(uint32_t v) {
   return v <= 1 ? 1 : std::bit_ceil(v);
 }
@@ -227,9 +233,9 @@ binary::Image place(const Program& program, const RandomizeOptions& options) {
   const auto& unrandomized = program.analysis.unrandomized;
   // original -> randomized, drawn below. It only feeds the tables: its
   // iteration order is their insertion order, which fixes FlatMap32's slot
-  // layout and with it the store_tables, VXE and checkpoint bytes. Its
-  // nodes live in one arena released in bulk on return (the allocator does
-  // not change the iteration order).
+  // layout and with it the VXE and checkpoint bytes. Its nodes live in one
+  // arena released in bulk on return (the allocator does not change the
+  // iteration order).
   std::pmr::monotonic_buffer_resource arena;
   std::pmr::unordered_map<uint32_t, uint32_t> placement(&arena);
 
@@ -367,11 +373,6 @@ std::string check_placement(const Program& program, const binary::Image& image,
     return ra >= options.rand_base &&
            (ra - options.rand_base) / options.slot_bytes < slots;
   };
-  auto hex = [](uint32_t v) {
-    char buf[16];
-    std::snprintf(buf, sizeof buf, "0x%08x", v);
-    return std::string(buf);
-  };
   std::vector<bool> taken(slots);
   for (const auto& [o, r] : tables.rand) {
     if (!in_pool(r)) return "placement " + hex(r) + " outside the slot pool";
@@ -391,38 +392,30 @@ std::string check_placement(const Program& program, const binary::Image& image,
   return {};
 }
 
-std::string check_table_region(const binary::Image& image,
-                               const binary::Memory& mem) {
-  const binary::TranslationTables& tables = image.tables;
-  std::vector<uint8_t> held(tables.table_bytes);
-  mem.read_block(tables.table_base, held.data(), tables.table_bytes);
-  std::vector<uint8_t> fresh = held;
-  auto store = [&](uint32_t key, uint32_t value) {
-    const uint32_t off =
-        binary::table_entry_addr(tables, key) - tables.table_base;
-    for (int i = 0; i < 4; ++i) {
-      fresh[off + i] = static_cast<uint8_t>(key >> (8 * i));
-      fresh[off + 4 + i] = static_cast<uint8_t>(value >> (8 * i));
+std::string check_referring_sites(const Program& program,
+                                  const binary::Image& image,
+                                  const binary::Memory& mem,
+                                  std::optional<uint32_t> exempt) {
+  const Cfg& cfg = program.cfg;
+  const RerandIndex& ix = program.rerand;
+  uint8_t bytes[isa::kMaxInstrLength];
+  for (uint32_t t = 0; t + 1 < ix.ref_begin.size(); ++t) {
+    const uint32_t placed = image.tables.to_randomized(cfg.instrs[t].addr);
+    for (uint32_t r = ix.ref_begin[t]; r < ix.ref_begin[t + 1]; ++r) {
+      const isa::DisasmEntry& site = cfg.instrs[ix.referrers[r]];
+      const uint8_t length = site.instr.length;
+      if (exempt && *exempt - site.addr < length) continue;
+      mem.read_block(site.addr, bytes, length);
+      const std::optional<isa::Instr> held = isa::decode({bytes, length});
+      if (held && held->op == site.instr.op && held->imm == placed) continue;
+      return "referring site " + hex(site.addr) + " (" +
+             std::string(isa::mnemonic(site.instr.op)) + " to " +
+             hex(cfg.instrs[t].addr) + ") holds " +
+             (held ? hex(held->imm) : std::string("no such instruction")) +
+             ", its target is placed at " + hex(placed);
     }
-  };
-  for (const auto& [r, o] : tables.derand) store(r, o);
-  for (const auto& [o, r] : tables.rand) store(o, r);
-  const auto diff = std::mismatch(held.begin(), held.end(), fresh.begin());
-  if (diff.first == held.end()) return {};
-  const size_t bucket = static_cast<size_t>(diff.first - held.begin()) / 8;
-  auto word = [&](const std::vector<uint8_t>& bytes, size_t off) {
-    uint32_t v = 0;
-    for (int i = 3; i >= 0; --i) v = v << 8 | bytes[off + i];
-    return v;
-  };
-  char buf[160];
-  std::snprintf(buf, sizeof buf,
-                "table bucket %zu at 0x%08x holds 0x%08x -> 0x%08x, the maps "
-                "serialize 0x%08x -> 0x%08x",
-                bucket, tables.table_base + static_cast<uint32_t>(bucket * 8),
-                word(held, bucket * 8), word(held, bucket * 8 + 4),
-                word(fresh, bucket * 8), word(fresh, bucket * 8 + 4));
-  return buf;
+  }
+  return {};
 }
 
 RandomizeResult randomize(const binary::Image& image,

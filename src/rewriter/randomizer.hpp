@@ -184,14 +184,16 @@ struct RandomizeResult {
     const RandomizeOptions& options,
     std::optional<uint32_t> exempt = std::nullopt);
 
-/// Checks the serialized table region of `image` in `mem` against its
-/// in-image maps: re-serializes every derand, then every rand entry (the
-/// order binary::store_tables writes them) over a copy of the region and
-/// names the first bucket that would change, or returns an empty string.
-/// A bucket no current key hashes to is not checked: it keeps whatever a
-/// retired key last wrote there, exactly as the eager store leaves it.
-[[nodiscard]] std::string check_table_region(const binary::Image& image,
-                                             const binary::Memory& mem);
+/// Checks the code bytes a process of `image` executes: every referring
+/// site in program.rerand (a direct transfer, kPushI or proven code-pointer
+/// mov), decoded from `mem` at its original address, must be the program's
+/// instruction with its immediate at its target's current placement,
+/// image.tables.to_randomized(target). A site covering the byte at
+/// `exempt` (a fault injector's flipped code byte) is exempt. Returns the
+/// first violation, naming the site, or an empty string.
+[[nodiscard]] std::string check_referring_sites(
+    const Program& program, const binary::Image& image,
+    const binary::Memory& mem, std::optional<uint32_t> exempt = std::nullopt);
 
 /// Randomizes an original-layout image: prepare + place + the naive-ILR
 /// image. Throws std::invalid_argument when `image` is already randomized

@@ -17,6 +17,7 @@
 #include "binary/flat_map.hpp"
 #include "emu/emulator.hpp"
 #include "emu/rerandomize.hpp"
+#include "fault/injector.hpp"
 #include "isa/assembler.hpp"
 #include "os/kernel.hpp"
 #include "os/worker_pool.hpp"
@@ -95,7 +96,8 @@ std::string step_diff(const emu::StepInfo& a, const emu::StepInfo& b) {
 /// Steps a cached and an uncached emulator in lockstep for up to `steps`
 /// instructions, requiring identical StepInfo records.
 void expect_same_stream(emu::Emulator& on, emu::Emulator& off,
-                        uint64_t steps, const std::string& what) {
+                        uint64_t steps, const std::string& what,
+                        std::set<uint32_t>* executed = nullptr) {
   for (uint64_t done = 0; done < steps; ++done) {
     emu::StepInfo a = poisoned(true);
     emu::StepInfo b = poisoned(false);
@@ -103,6 +105,7 @@ void expect_same_stream(emu::Emulator& on, emu::Emulator& off,
     const bool ran_off = off.step(&b);
     EXPECT_EQ(ran_on, ran_off) << what << " step " << done;
     if (!ran_on || !ran_off) break;
+    if (executed != nullptr) executed->insert(b.rpc);
     const std::string field = step_diff(a, b);
     EXPECT_EQ(field, "") << what << " step " << done << " rpc 0x"
                          << std::hex << a.rpc;
@@ -173,7 +176,7 @@ struct RerandSession {
              : emu::rerandomize_incremental(program, placed, mem, *emu, opt);
     if (!ok) return false;
     EXPECT_EQ(rewriter::check_placement(program, placed, opt.placement), "");
-    EXPECT_EQ(rewriter::check_table_region(placed, mem), "");
+    EXPECT_EQ(rewriter::check_referring_sites(program, placed, mem), "");
     return true;
   }
 
@@ -303,6 +306,38 @@ TEST(DecodeCacheTest, LiveRerandomizeDifferential) {
   EXPECT_TRUE(r.halted) << r.error;
   EXPECT_EQ(r.output, golden.output);
   expect_identical(r, off.emu->run(limits), "full re-randomization");
+}
+
+// A translation-entry injection flips a derand value in the image's maps,
+// which changes what a cached decode at the flipped address means. The
+// injection bumps the code generation, so cached and uncached emulators
+// stay in StepInfo lockstep across it. Some seeds must flip an address
+// executed both before the injection (so cached) and after it.
+TEST(InjectorTest, TranslationEntryFlipRetiresCachedDecodes) {
+  const rewriter::Program program =
+      rewriter::prepare(isa::assemble(kFactorial));
+  int hot = 0;
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    const std::string what = "seed " + std::to_string(seed);
+    RerandSession on(program, 41, true);
+    RerandSession off(program, 41, false);
+    std::set<uint32_t> before, after;
+    expect_same_stream(*on.emu, *off.emu, 15, what, &before);
+    const fault::FaultPlan plan{.at_instruction = 15,
+                                .site = fault::FaultSite::kTranslationEntry,
+                                .seed = seed};
+    const uint64_t version = on.mem.code_version();
+    fault::FaultInjector inj_on(plan);
+    fault::FaultInjector inj_off(plan);
+    ASSERT_TRUE(inj_on.apply(on.placed, on.mem, *on.emu)) << what;
+    ASSERT_TRUE(inj_off.apply(off.placed, off.mem, *off.emu)) << what;
+    ASSERT_EQ(inj_on.record().address, inj_off.record().address) << what;
+    EXPECT_GT(on.mem.code_version(), version) << what;
+    expect_same_stream(*on.emu, *off.emu, 100'000, what, &after);
+    const uint32_t key = inj_on.record().address;
+    hot += before.contains(key) && after.contains(key) ? 1 : 0;
+  }
+  EXPECT_GT(hot, 0);
 }
 
 // Self-modifying code: a write landing in the watched code range must

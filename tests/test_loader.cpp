@@ -1,12 +1,17 @@
 // Memory-model and loader tests: paging semantics, boundary straddles,
-// checksum stability, and the serialized translation-table layout.
+// checksum stability, and the translation-table region's geometry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "binary/loader.hpp"
+#include "binary/state_io.hpp"
+#include "emu/emulator.hpp"
+#include "emu/rerandomize.hpp"
+#include "fault/injector.hpp"
 #include "isa/assembler.hpp"
 #include "rewriter/randomizer.hpp"
 #include "workloads/suite.hpp"
@@ -138,7 +143,6 @@ TEST(LoaderTest, BlockLoadMatchesByteLoadAcrossSuite) {
           write_bytes(bytewise, addr, bytes.data(), bytes.size());
         }
       }
-      if (image->layout == Layout::kVcfr) store_tables(image->tables, bytewise);
       const std::string what =
           name + " layout " + std::to_string(static_cast<int>(image->layout));
       EXPECT_EQ(block.pages_allocated(), bytewise.pages_allocated()) << what;
@@ -147,141 +151,32 @@ TEST(LoaderTest, BlockLoadMatchesByteLoadAcrossSuite) {
   }
 }
 
-// store_tables as it was before it resolved each table page once: one
-// write64 per entry, kept verbatim. The page-run store must leave the same
-// bytes, allocate the same pages and bump the code version alike.
-void reference_store_tables(const TranslationTables& tables, Memory& mem) {
-  if (tables.table_bytes == 0) return;
-  // Serialize (key, translation) pairs so the tables occupy real cacheable
-  // memory. Bucket collisions overwrite; functional translation always
-  // uses the exact in-image maps, the serialized form exists to give DRC
-  // misses a concrete line to fetch. The flat tables iterate in slot
-  // order, so the bytes are deterministic across platforms.
-  auto store = [&](uint32_t key, uint32_t value) {
-    mem.write64(table_entry_addr(tables, key), uint64_t{value} << 32 | key);
-  };
-  for (const auto& [r, o] : tables.derand) store(r, o);
-  for (const auto& [o, r] : tables.rand) store(o, r);
-  mem.bump_code_version();
+/// The numbers of `mem`'s allocated pages, read back from its checkpoint
+/// stream (which lists them first, sorted).
+std::vector<uint32_t> page_numbers(Memory& mem) {
+  std::stringstream stream;
+  StateIo out(static_cast<std::ostream&>(stream));
+  mem.state(out);
+  StateIo in(static_cast<std::istream&>(stream));
+  std::vector<uint32_t> pages;
+  std::vector<uint8_t> skip(Memory::kPageSize);
+  in.vec(pages, 1u << 20, [&](uint32_t& page_no) {
+    in.u32(page_no);
+    in.bytes(skip.data(), skip.size());
+  });
+  return pages;
 }
 
-void expect_same_store(const Memory& store, const Memory& reference,
-                       const std::string& what) {
-  EXPECT_EQ(store.checksum(), reference.checksum()) << what;
-  EXPECT_EQ(store.pages_allocated(), reference.pages_allocated()) << what;
-  EXPECT_EQ(store.code_version(), reference.code_version()) << what;
-}
-
-// Every suite program at scales 0 and 1, stored the way a process stores
-// it: code loaded and watched, then one placement stored over another's
-// bytes. gcc at scale 0 has a 16-page table, twice the write memos.
-TEST(LoaderTest, TableStoreMatchesPerEntryStoreAcrossSuite) {
-  uint32_t gcc_pages = 0;
-  for (const int scale : {0, 1}) {
-    for (const std::string& name : workloads::spec_names()) {
-      const rewriter::Program program =
-          rewriter::prepare(workloads::make(name, scale));
-      const Image& orig = program.image;
-      Memory paged, per_entry;
-      for (Memory* mem : {&paged, &per_entry}) {
-        mem->write_block(orig.code_base, orig.code.data(),
-                         static_cast<uint32_t>(orig.code.size()));
-        mem->watch_code(orig.code_base,
-                        static_cast<uint32_t>(orig.code.size()));
-      }
-      for (const uint64_t seed : {1ull, 2ull}) {
-        const Image img = rewriter::place(program, {.seed = seed});
-        store_tables(img.tables, paged);
-        reference_store_tables(img.tables, per_entry);
-        const std::string what = name + "@" + std::to_string(scale) +
-                                 " seed " + std::to_string(seed);
-        expect_same_store(paged, per_entry, what);
-        EXPECT_EQ(rewriter::check_table_region(img, paged), "") << what;
-        if (name == "gcc" && scale == 0) {
-          gcc_pages = img.tables.table_bytes / Memory::kPageSize;
-        }
-      }
-    }
-  }
-  EXPECT_EQ(gcc_pages, 16u);
-}
-
-// A sparse table: only the pages an entry lands on are allocated.
-TEST(LoaderTest, TableStoreAllocatesOnlyPagesEntriesLandOn) {
-  TranslationTables tables;
-  tables.table_base = 0x60000000;
-  tables.table_bytes = 64 * Memory::kPageSize;
-  for (const uint32_t r : {0x40000000u, 0x40001230u, 0x4000ff00u}) {
-    tables.derand.emplace(r, r & 0xffff);
-    tables.rand.emplace(r & 0xffff, r);
-  }
-  Memory paged, per_entry;
-  store_tables(tables, paged);
-  reference_store_tables(tables, per_entry);
-  expect_same_store(paged, per_entry, "sparse");
-  EXPECT_LE(paged.pages_allocated(), 6u);
-}
-
-// Off the fast path: a table base that is not 8-aligned (entries straddle
-// pages) and a table region overlapping watched code (every entry bumps
-// the code version) both store exactly as the per-entry writes do.
-TEST(LoaderTest, TableStoreOffTheFastPathMatchesPerEntryStore) {
-  const Image original = workloads::make("mcf", 0);
-  const rewriter::RandomizeResult rr = rewriter::randomize(original, {});
-  for (const bool watched : {false, true}) {
-    TranslationTables tables = rr.vcfr.tables;
-    tables.table_base = watched ? 0x60000000u : 0x60000ffcu;
-    Memory paged, per_entry;
-    if (watched) {
-      paged.watch_code(0x60002000u, 0x100);
-      per_entry.watch_code(0x60002000u, 0x100);
-    }
-    store_tables(tables, paged);
-    reference_store_tables(tables, per_entry);
-    const std::string what = watched ? "watched" : "unaligned";
-    expect_same_store(paged, per_entry, what);
-    if (watched) {
-      EXPECT_GT(paged.code_version(), 1u) << what;
-    }
-  }
-}
-
-// The table-region check names the first bucket whose bytes the in-image
-// maps would rewrite: a flipped byte in a live bucket is a violation, one
-// in a bucket no key hashes to is not (it is not the maps' to define).
-TEST(LoaderTest, TableRegionCheckNamesAFlippedLiveBucket) {
-  const rewriter::RandomizeResult rr =
-      rewriter::randomize(workloads::make("gcc", 0), {});
-  const Image& img = rr.vcfr;
-  const TranslationTables& tables = img.tables;
-  Memory mem;
-  load(img, mem);
-  ASSERT_EQ(rewriter::check_table_region(img, mem), "");
-
-  const uint32_t live = table_entry_addr(tables, tables.rand.begin()->first);
-  const uint32_t bucket = (live - tables.table_base) / 8;
-  mem.write8(live + 5, mem.read8(live + 5) ^ 0x10);
-  const std::string violation = rewriter::check_table_region(img, mem);
-  EXPECT_EQ(violation.rfind("table bucket " + std::to_string(bucket) + " at ",
-                            0),
-            0u)
-      << violation;
-  mem.write8(live + 5, mem.read8(live + 5) ^ 0x10);
-  ASSERT_EQ(rewriter::check_table_region(img, mem), "");
-
-  std::vector<bool> hashed(tables.table_bytes / 8);
-  for (const auto& [r, o] : tables.derand) {
-    hashed[(table_entry_addr(tables, r) - tables.table_base) / 8] = true;
-  }
-  for (const auto& [o, r] : tables.rand) {
-    hashed[(table_entry_addr(tables, o) - tables.table_base) / 8] = true;
-  }
-  const auto idle = std::find(hashed.begin(), hashed.end(), false);
-  ASSERT_NE(idle, hashed.end());
-  const uint32_t idle_addr =
-      tables.table_base + static_cast<uint32_t>(idle - hashed.begin()) * 8;
-  mem.write8(idle_addr, 0x5a);
-  EXPECT_EQ(rewriter::check_table_region(img, mem), "");
+/// The pages of `mem` inside the table region of `tables`.
+size_t table_pages(Memory& mem, const TranslationTables& tables) {
+  const uint32_t first = tables.table_base >> Memory::kPageBits;
+  const uint32_t last =
+      (tables.table_base + tables.table_bytes - 1) >> Memory::kPageBits;
+  const std::vector<uint32_t> pages = page_numbers(mem);
+  return static_cast<size_t>(
+      std::count_if(pages.begin(), pages.end(), [&](uint32_t no) {
+        return no >= first && no <= last;
+      }));
 }
 
 TEST(LoaderTest, LoadsAllThreeLayouts) {
@@ -312,18 +207,29 @@ TEST(LoaderTest, LoadsAllThreeLayouts) {
   }
   EXPECT_TRUE(found);
 
+  // The translation tables live only in the image: a VCFR load allocates
+  // exactly the original's pages, none in the table region, and neither
+  // firing nor a translation-entry injection allocates one there.
+  const rewriter::Program program = rewriter::prepare(original);
+  Image img = rewriter::place(program, {});
   Memory m2;
-  load(rr.vcfr, m2);
-  EXPECT_EQ(m2.read8(rr.vcfr.code_base),
-            static_cast<uint8_t>(isa::Op::kMovRI));
-  // Serialized tables occupy their pages.
-  ASSERT_GT(rr.vcfr.tables.table_bytes, 0u);
-  bool any_table_byte = false;
-  for (uint32_t off = 0; off < rr.vcfr.tables.table_bytes && !any_table_byte;
-       off += 4) {
-    any_table_byte = m2.read32(rr.vcfr.tables.table_base + off) != 0;
-  }
-  EXPECT_TRUE(any_table_byte);
+  load(img, m2);
+  EXPECT_EQ(m2.read8(img.code_base), static_cast<uint8_t>(isa::Op::kMovRI));
+  ASSERT_GT(img.tables.table_bytes, 0u);
+  EXPECT_EQ(table_pages(m2, img.tables), 0u);
+  EXPECT_EQ(m2.pages_allocated(), m0.pages_allocated());
+  emu::Emulator emu(img, m2);
+  emu::RerandOptions opt;
+  opt.placement.seed = 2;
+  ASSERT_TRUE(emu::rerandomize_full(program, img, m2, emu, opt));
+  EXPECT_EQ(table_pages(m2, img.tables), 0u) << "full firing";
+  opt.placement.seed = 3;
+  ASSERT_TRUE(emu::rerandomize_incremental(program, img, m2, emu, opt));
+  EXPECT_EQ(table_pages(m2, img.tables), 0u) << "incremental firing";
+  fault::FaultInjector inj({.site = fault::FaultSite::kTranslationEntry});
+  ASSERT_TRUE(inj.apply(img, m2, emu));
+  EXPECT_EQ(table_pages(m2, img.tables), 0u) << "injection";
+  EXPECT_EQ(m2.pages_allocated(), m0.pages_allocated());
 }
 
 TEST(LoaderTest, TableEntryAddrStaysInsideTable) {

@@ -3,12 +3,14 @@
 // rerandomize_incremental walks per-program indices (rewriter::RerandIndex)
 // and a slot-occupancy bitmap instead of rescanning the whole program and
 // hashing every placement on each firing. Its output is a byte contract:
-// table slot layout (store_tables, VXE and checkpoint bytes depend on it),
-// code and data bytes, memory, the code generation and every stat.
-// The reference below is the firing as it was before that rewrite, kept
-// verbatim; every test here runs both on identical state, firing after
-// firing, and compares everything either produces. Every firing must also
-// leave a placement rewriter::check_placement accepts.
+// table slot layout (VXE and checkpoint bytes depend on it), code and data
+// bytes, memory, the code generation and every stat. The reference below
+// is the firing as it was before that rewrite, kept verbatim except for
+// its final store of the serialized tables, which the emulator no longer
+// materializes in memory. Every test here runs both on identical state,
+// firing after firing, and compares everything either produces. Every
+// firing must also leave a placement rewriter::check_placement accepts and
+// code whose referring sites rewriter::check_referring_sites accepts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -272,8 +274,6 @@ bool reference_rerandomize_incremental(
     st.pc_translated = true;
   }
 
-  binary::store_tables(tables, mem);
-
   // Surviving aliases: pinned keys whose instruction now lives elsewhere.
   for (const uint32_t v : options.pinned) {
     const uint32_t* orig = tables.derand.lookup(v);
@@ -287,7 +287,8 @@ bool reference_rerandomize_incremental(
 // ---- the differential ---------------------------------------------------
 
 /// Table contents in slot iteration order: FlatMap32::operator== is set
-/// equality and would miss a layout change that moves store_tables bytes.
+/// equality and would miss a layout change that moves VXE or checkpoint
+/// bytes.
 std::vector<std::pair<uint32_t, uint32_t>> slot_order(
     const binary::FlatMap32& map) {
   std::vector<std::pair<uint32_t, uint32_t>> out;
@@ -440,7 +441,9 @@ Coverage differential(const rewriter::Program& program, const Drive& drive,
     EXPECT_EQ(rewriter::check_placement(program, fresh.img, opt.placement),
               "")
         << what;
-    EXPECT_EQ(rewriter::check_table_region(fresh.img, fresh.mem), "") << what;
+    EXPECT_EQ(rewriter::check_referring_sites(program, fresh.img, fresh.mem),
+              "")
+        << what;
     cov.aliases += st_fresh.alias_keys.size();
     if (r_fresh) aliases = st_fresh.alias_keys;
     cov.relocs += st_fresh.reloc_slots_patched;

@@ -2,6 +2,9 @@
 // whole image mid-run, in place, preserving semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "binary/loader.hpp"
@@ -59,7 +62,7 @@ struct Session {
     RerandStats st;
     EXPECT_TRUE(rerandomize_full(program, img, mem, *emu, opt, &st));
     EXPECT_EQ(rewriter::check_placement(program, img, opt.placement), "");
-    EXPECT_EQ(rewriter::check_table_region(img, mem), "");
+    EXPECT_EQ(rewriter::check_referring_sites(program, img, mem), "");
     return st;
   }
 
@@ -155,70 +158,38 @@ TEST(LiveRerandomizeTest, PinnedCollisionDefersUntouched) {
   EXPECT_EQ(s.emu->state().pc, pc_before);
 }
 
-// The table store is eager: every firing rewrites the bucket of every key
-// it holds, so a bucket that only a retired key hashes to keeps that key's
-// entry. Here a derand key added by firing 1 and retired by firing 2 still
-// owns its bucket after firing 2. One store of the final maps deferred to
-// after firing 2 would leave the bytes from before firing 1 there instead,
-// so a deferred store is not byte-exact.
-TEST(LiveRerandomizeTest, RetiredKeyBucketKeepsItsLastEntry) {
-  auto region = [](const Session& s) {
-    std::vector<uint8_t> bytes(s.img.tables.table_bytes);
-    s.mem.read_block(s.img.tables.table_base, bytes.data(),
-                     static_cast<uint32_t>(bytes.size()));
-    return bytes;
-  };
-  auto bucket_of = [](const binary::TranslationTables& t, uint32_t key) {
-    return (binary::table_entry_addr(t, key) - t.table_base) / 8;
-  };
-  auto entry = [](const std::vector<uint8_t>& bytes, uint32_t bucket) {
-    return std::vector<uint8_t>(bytes.begin() + bucket * 8,
-                                bytes.begin() + bucket * 8 + 8);
-  };
-  int found = 0;
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    Session s(seed);
-    for (int i = 0; i < 20; ++i) ASSERT_TRUE(s.emu->step());
-    const std::vector<uint8_t> before = region(s);
-    const binary::TranslationTables t0 = s.img.tables;
-    (void)s.fire(seed * 100 + 1);
-    const std::vector<uint8_t> after_one = region(s);
-    const binary::TranslationTables t1 = s.img.tables;
-    (void)s.fire(seed * 100 + 2);
-    const std::vector<uint8_t> after_two = region(s);
-    const binary::TranslationTables& t2 = s.img.tables;
-
-    std::vector<bool> hashed(t2.table_bytes / 8);
-    for (const auto& [r, o] : t2.derand) hashed[bucket_of(t2, r)] = true;
-    for (const auto& [o, r] : t2.rand) hashed[bucket_of(t2, o)] = true;
-    for (const auto& [r, o] : t1.derand) {
-      const uint32_t b = bucket_of(t1, r);
-      std::vector<uint8_t> written(8);
-      for (int i = 0; i < 4; ++i) {
-        written[i] = static_cast<uint8_t>(r >> (8 * i));
-        written[4 + i] = static_cast<uint8_t>(o >> (8 * i));
-      }
-      // Added by firing 1, retired by firing 2, the last writer of its
-      // bucket in firing 1, and no current key hashes there.
-      if (t0.derand.contains(r) || t2.derand.contains(r) || hashed[b] ||
-          entry(after_one, b) != written) {
-        continue;
-      }
-      ++found;
-      EXPECT_EQ(entry(after_two, b), written) << "seed " << seed;
-      EXPECT_NE(entry(before, b), written) << "seed " << seed;
-
-      binary::Memory deferred;
-      deferred.write_block(t2.table_base, before.data(),
-                           static_cast<uint32_t>(before.size()));
-      binary::store_tables(t2, deferred);
-      std::vector<uint8_t> deferred_bytes(before.size());
-      deferred.read_block(t2.table_base, deferred_bytes.data(),
-                          static_cast<uint32_t>(deferred_bytes.size()));
-      EXPECT_EQ(entry(deferred_bytes, b), entry(before, b)) << "seed " << seed;
+// The referring-site verifier reads the bytes the guest executes. A
+// firing that left one site's immediate at the old placement is named;
+// an injected flip on that site's bytes exempts it.
+TEST(LiveRerandomizeTest, StaleReferringSiteIsNamed) {
+  Session s(3);
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(s.emu->step());
+  const std::vector<uint8_t> old_code = s.img.code;
+  (void)s.fire(301);
+  const isa::DisasmEntry* stale = nullptr;
+  for (const uint32_t r : s.program.rerand.referrers) {
+    const isa::DisasmEntry& site = s.program.cfg.instrs[r];
+    const size_t off = site.addr - s.img.code_base;
+    if (!std::equal(old_code.begin() + off,
+                    old_code.begin() + off + site.instr.length,
+                    s.img.code.begin() + off)) {
+      stale = &site;
+      break;
     }
   }
-  EXPECT_GT(found, 0) << "no retired key kept its bucket";
+  ASSERT_NE(stale, nullptr) << "the firing moved no referenced instruction";
+  // The mutant: this site keeps the bytes it had before the firing.
+  s.mem.write_block(stale->addr,
+                    old_code.data() + (stale->addr - s.img.code_base),
+                    stale->instr.length);
+  const std::string violation =
+      rewriter::check_referring_sites(s.program, s.img, s.mem);
+  char prefix[40];
+  std::snprintf(prefix, sizeof prefix, "referring site 0x%08x ", stale->addr);
+  EXPECT_EQ(violation.rfind(prefix, 0), 0u) << violation;
+  EXPECT_EQ(rewriter::check_referring_sites(s.program, s.img, s.mem,
+                                            stale->addr + 1),
+            "");
 }
 
 TEST(LiveRerandomizeTest, RejectsNonVcfrImages) {
