@@ -96,6 +96,8 @@ class MemHier {
   [[nodiscard]] const Cache& l2() const { return l2_; }
   [[nodiscard]] Tlb& itlb() { return itlb_; }
   [[nodiscard]] Tlb& dtlb() { return dtlb_; }
+  [[nodiscard]] const Tlb& itlb() const { return itlb_; }
+  [[nodiscard]] const Tlb& dtlb() const { return dtlb_; }
   [[nodiscard]] const dram::Dram& dram() const { return dram_; }
   [[nodiscard]] const L2PressureStats& l2_pressure() const { return pressure_; }
   [[nodiscard]] const PrefetcherStats& prefetch_stats() const {

@@ -48,9 +48,10 @@ std::string format_instr(const Instr& in) {
     case Op::kSt:
     case Op::kLdb:
     case Op::kStb: {
-      std::string mem = "[" + reg_name(in.rs);
-      if (in.disp > 0) mem += "+" + std::to_string(in.disp);
-      if (in.disp < 0) mem += std::to_string(in.disp);
+      std::string mem = "[";
+      mem += reg_name(in.rs);
+      if (in.disp > 0) mem += '+';
+      if (in.disp != 0) mem += std::to_string(in.disp);
       mem += "]";
       return mn + " " + reg_name(in.rd) + ", " + mem;
     }
@@ -59,8 +60,11 @@ std::string format_instr(const Instr& in) {
       return mn + " " + hex32(in.imm);
     case Op::kPushI:
       return mn + " " + hex32(in.imm);
-    case Op::kJcc:
-      return "j" + std::string(cond_name(in.cond)) + " " + hex32(in.imm);
+    case Op::kJcc: {
+      std::string text = "j";
+      text += cond_name(in.cond);
+      return text + " " + hex32(in.imm);
+    }
     case Op::kMovRI:
     case Op::kAddRI:
     case Op::kSubRI:

@@ -239,7 +239,9 @@ std::optional<uint8_t> parse_reg(std::string_view name) {
 
 std::string reg_name(uint8_t reg) {
   if (reg == kSp) return "sp";
-  return "r" + std::to_string(static_cast<int>(reg));
+  std::string name = "r";
+  name += std::to_string(static_cast<int>(reg));
+  return name;
 }
 
 }  // namespace vcfr::isa

@@ -322,7 +322,8 @@ std::string Profiler::to_hot_blocks(const ProfileMeta& meta,
   const bool can_disasm = image_.layout != binary::Layout::kNaiveIlr;
   size_t rank = 1;
   for (const auto& [rpc, blk] : hot) {
-    out += "#" + std::to_string(rank++) + " rpc=" + hex32(rpc) +
+    out += '#';
+    out += std::to_string(rank++) + " rpc=" + hex32(rpc) +
            " upc=" + hex32(blk->upc) + " func=" +
            func_name(func_of(blk->upc)) + " count=" +
            std::to_string(blk->count) + " cycles=" +

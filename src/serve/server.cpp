@@ -499,8 +499,11 @@ std::string slo_metric_name(uint32_t permille) {
       return "p99";
     case 999:
       return "p999";
-    default:
-      return "p" + std::to_string(permille) + "m";
+    default: {
+      std::string name = "p";
+      name += std::to_string(permille);
+      return name + "m";
+    }
   }
 }
 

@@ -433,8 +433,8 @@ SimResult CpuCore::harvest() const {
   res.l2 = mem_.l2().stats();
   res.l2_pressure = mem_.l2_pressure();
   res.prefetches_issued = mem_.prefetch_stats().issued;
-  res.itlb = const_cast<cache::MemHier&>(mem_).itlb().stats();
-  res.dtlb = const_cast<cache::MemHier&>(mem_).dtlb().stats();
+  res.itlb = mem_.itlb().stats();
+  res.dtlb = mem_.dtlb().stats();
   res.dram = mem_.dram().stats();
   res.bpred = bpstats_;
   res.drc = drc_.stats();

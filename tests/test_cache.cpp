@@ -2,7 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "binary/state_io.hpp"
 #include "cache/cache.hpp"
 #include "cache/tlb.hpp"
 
@@ -121,6 +125,188 @@ TEST(TlbTest, VisibilityBitProtectsTablePages) {
   EXPECT_TRUE(tlb.check_user_access(0x50000000));
   EXPECT_FALSE(tlb.check_user_access(0x60000800));
   EXPECT_EQ(tlb.stats().visibility_faults, 1u);
+}
+
+struct RefEntry {
+  bool valid = false;
+  uint32_t page = 0;
+  uint64_t lru = 0;
+};
+
+/// A TLB checkpoint in Tlb::state's layout, with no invisible pages.
+std::string tlb_bytes(uint64_t tick, std::vector<RefEntry> entries,
+                      TlbStats stats = {}) {
+  std::ostringstream out;
+  binary::StateIo io(out);
+  io.u64(tick);
+  io.fixed(entries.size(), 1u << 20, "");
+  for (RefEntry& e : entries) {
+    io.b(e.valid);
+    io.u32(e.page);
+    io.u64(e.lru);
+  }
+  std::vector<uint32_t> invisible;
+  io.u32s(invisible, 1u << 20);
+  io.u64(stats.accesses);
+  io.u64(stats.misses);
+  io.u64(stats.visibility_faults);
+  return out.str();
+}
+
+std::string save(Tlb& tlb) {
+  std::ostringstream out;
+  binary::StateIo io(out);
+  tlb.state(io);
+  return out.str();
+}
+
+void load(Tlb& tlb, const std::string& bytes) {
+  std::istringstream in(bytes);
+  binary::StateIo io(in);
+  tlb.state(io);
+}
+
+/// The linear-scan TLB that Tlb replaced, its access() kept verbatim: the
+/// reference for every latency, statistic and state byte.
+class ReferenceTlb {
+ public:
+  explicit ReferenceTlb(const TlbConfig& config) : config_(config) {
+    entries_.resize(config.entries);
+  }
+
+  uint32_t access(uint32_t addr) {
+    ++stats_.accesses;
+    const uint32_t page = addr >> config_.page_bits;
+    RefEntry* victim = nullptr;
+    for (auto& e : entries_) {
+      if (e.valid && e.page == page) {
+        e.lru = ++tick_;
+        return 0;
+      }
+      if (!e.valid) {
+        if (victim == nullptr || victim->valid) victim = &e;
+      } else if (victim == nullptr || (victim->valid && e.lru < victim->lru)) {
+        victim = &e;
+      }
+    }
+    ++stats_.misses;
+    victim->valid = true;
+    victim->page = page;
+    victim->lru = ++tick_;
+    return config_.miss_penalty;
+  }
+
+  [[nodiscard]] std::string bytes() const {
+    return tlb_bytes(tick_, entries_, stats_);
+  }
+
+ private:
+  TlbConfig config_;
+  std::vector<RefEntry> entries_;
+  uint64_t tick_ = 0;
+  TlbStats stats_;
+};
+
+/// A page stream over [0, span): half the accesses revisit one of the
+/// last eight pages, the rest are uniform, so both hits and LRU
+/// evictions are frequent at every capacity.
+class PageStream {
+ public:
+  PageStream(uint32_t seed, uint32_t span) : rng_(seed), span_(span) {}
+
+  uint32_t next_addr() {
+    uint32_t page = rng_() % span_;
+    if (rng_() % 2 == 0) page = recent_[rng_() % recent_.size()];
+    recent_[pos_++ % recent_.size()] = page;
+    return (page << 12) | (rng_() & 0xfffu);
+  }
+
+ private:
+  std::mt19937 rng_;
+  uint32_t span_;
+  std::vector<uint32_t> recent_ = std::vector<uint32_t>(8, 0);
+  size_t pos_ = 0;
+};
+
+TEST(TlbTest, MatchesLinearScanReference) {
+  for (uint32_t entries = 1; entries <= 64; ++entries) {
+    const TlbConfig cfg{.entries = entries, .page_bits = 12,
+                        .miss_penalty = 20};
+    for (const uint32_t span : {entries / 2 + 1, entries + 1, entries * 16}) {
+      SCOPED_TRACE("entries " + std::to_string(entries) + ", span " +
+                   std::to_string(span));
+      Tlb tlb(cfg);
+      ReferenceTlb ref(cfg);
+      PageStream stream(entries * 131 + span, span);
+      for (int batch = 0; batch < 8; ++batch) {
+        for (int i = 0; i < 256; ++i) {
+          const uint32_t addr = stream.next_addr();
+          ASSERT_EQ(tlb.access(addr), ref.access(addr)) << "access " << i;
+        }
+        ASSERT_EQ(save(tlb), ref.bytes()) << "batch " << batch;
+      }
+      EXPECT_GT(tlb.stats().misses, 0u);
+      EXPECT_LT(tlb.stats().misses, tlb.stats().accesses);
+    }
+  }
+}
+
+TEST(TlbTest, RestoreMidStreamContinuesIdentically) {
+  for (const uint32_t entries : {1u, 5u, 64u}) {
+    for (const uint32_t prefix : {0u, entries / 2, 700u}) {
+      SCOPED_TRACE("entries " + std::to_string(entries) + ", prefix " +
+                   std::to_string(prefix));
+      const TlbConfig cfg{.entries = entries, .page_bits = 12,
+                          .miss_penalty = 7};
+      Tlb live(cfg);
+      ReferenceTlb ref(cfg);
+      PageStream stream(entries + prefix, entries * 3);
+      for (uint32_t i = 0; i < prefix; ++i) {
+        const uint32_t addr = stream.next_addr();
+        (void)live.access(addr);
+        (void)ref.access(addr);
+      }
+      const std::string saved = save(live);
+      Tlb restored(cfg);
+      (void)restored.access(0x123000);  // restore must replace this state
+      load(restored, saved);
+      ASSERT_EQ(save(restored), saved);
+      for (int i = 0; i < 2000; ++i) {
+        const uint32_t addr = stream.next_addr();
+        const uint32_t want = ref.access(addr);
+        ASSERT_EQ(restored.access(addr), want) << "access " << i;
+        ASSERT_EQ(live.access(addr), want) << "access " << i;
+      }
+      EXPECT_EQ(save(restored), ref.bytes());
+    }
+  }
+}
+
+TEST(TlbTest, RestoreRejectsStatesNoStreamProduces) {
+  const TlbConfig cfg{.entries = 4, .page_bits = 12, .miss_penalty = 20};
+  const auto rejects = [&](const std::string& bytes) {
+    Tlb tlb(cfg);
+    EXPECT_THROW(load(tlb, bytes), binary::FormatError);
+  };
+  const RefEntry none{};
+  // Two filled slots, then two empty ones: what a stream leaves.
+  const std::string good =
+      tlb_bytes(5, {{true, 9, 5}, {true, 3, 2}, none, none});
+  Tlb tlb(cfg);
+  load(tlb, good);
+  EXPECT_EQ(save(tlb), good);
+  EXPECT_EQ(tlb.access(3 << 12), 0u);
+  EXPECT_EQ(tlb.access(4 << 12), 20u);  // fills slot 2
+
+  rejects(tlb_bytes(5, {{true, 9, 5}, {true, 9, 2}, none, none}));
+  rejects(tlb_bytes(5, {{true, 9, 5}, none, {true, 3, 2}, none}));
+  rejects(tlb_bytes(5, {none, {true, 3, 2}, none, none}));
+  rejects(tlb_bytes(5, {{true, 9, 2}, {true, 3, 2}, none, none}));
+  rejects(tlb_bytes(4, {{true, 9, 5}, {true, 3, 2}, none, none}));
+}
+
+TEST(TlbTest, RejectsEmptyGeometry) {
+  EXPECT_THROW(Tlb({.entries = 0}), std::invalid_argument);
 }
 
 // Property: random access streams keep hits + misses == accesses and the

@@ -106,7 +106,8 @@ TEST(VcfrTimingTest, RotatingIndirectTargetsPayDrcWalks) {
          "  mov r2, r1\n  and r2, 39\n  mul r2, 4\n  add r2, @jt\n"
          "  ld r3, [r2]\n  jmpr r3\n";
   for (int i = 0; i < 40; ++i) {
-    src += "t" + std::to_string(i) + ":\n  add r1, 1\n  cmp r1, 2000\n"
+    src += 't';
+    src += std::to_string(i) + ":\n  add r1, 1\n  cmp r1, 2000\n"
            "  jlt loop\n  halt\n";
   }
   const Image img = isa::assemble(src);
