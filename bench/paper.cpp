@@ -27,7 +27,6 @@
 #include "gadget/payload.hpp"
 #include "gadget/scanner.hpp"
 #include "os/kernel.hpp"
-#include "rewriter/cfg.hpp"
 #include "rewriter/randomizer.hpp"
 #include "sim/cpu.hpp"
 #include "sim/ooo.hpp"
@@ -70,15 +69,20 @@ rewriter::RandomizeResult randomized(const binary::Image& image,
 
 double ratio(double num, double den) { return num / std::max(1e-12, den); }
 
-/// One app: its image, default randomization and static analysis, built
-/// once, plus the shared runs. Fig 2's two extra apps (memcpy, python)
-/// carry only `base`; the suite apps carry all five.
+/// One app: its image, default randomization (with its static analysis)
+/// and that placement's naive-ILR image, built once, plus the shared runs.
+/// Fig 2's two extra apps (memcpy, python) carry only `base`; the suite
+/// apps carry all five.
 struct App {
   std::string name;
   binary::Image image;
   rewriter::RandomizeResult rr;
-  rewriter::StaticStats stats;
+  binary::Image naive_image;
   sim::SimResult base, naive, vcfr128, vcfr512, vcfr64;
+
+  [[nodiscard]] const rewriter::StaticStats& stats() const {
+    return rr.program.analysis.stats;
+  }
 };
 
 using Apps = std::vector<const App*>;
@@ -88,7 +92,7 @@ App make_app(const std::string& name) {
   a.name = name;
   a.image = workloads::make(name, kScale);
   a.rr = randomized(a.image);
-  a.stats = rewriter::static_stats(a.image, rewriter::build_cfg(a.image));
+  a.naive_image = rewriter::naive_ilr(a.rr.program, a.rr.vcfr);
   a.base = run(a.image, machine(128));
   return a;
 }
@@ -99,7 +103,7 @@ std::vector<App> make_apps() {
   std::vector<App> apps;
   for (const auto& name : spec) {
     App a = make_app(name);
-    a.naive = run(a.rr.naive, machine(128));
+    a.naive = run(a.naive_image, machine(128));
     a.vcfr128 = run(a.rr.vcfr, machine(128));
     a.vcfr512 = run(a.rr.vcfr, machine(512));
     a.vcfr64 = run(a.rr.vcfr, machine(64));
@@ -170,7 +174,7 @@ void fig02_emulation(JsonWriter& w, const Apps& apps) {
       {"native_cpi", "emu_cycles_per_instr", "slowdown"}, [](const App& a) {
         emu::RunLimits limits;
         limits.max_instructions = kMaxInstr;
-        const auto e = emu::emulate_ilr(a.rr.naive, a.base.cpi(), limits);
+        const auto e = emu::emulate_ilr(a.naive_image, a.base.cpi(), limits);
         return Row{a.base.cpi(), e.host_cycles_per_instr,
                    e.slowdown_vs_native};
       });
@@ -231,7 +235,7 @@ void table1_comparison(JsonWriter& w, const App& a) {
   w.key("relocated_pct")
       .value(100.0 * static_cast<double>(a.rr.vcfr.tables.rand.size()) /
              static_cast<double>(
-                 std::max<size_t>(1, a.rr.analysis.stats.instructions)));
+                 std::max<size_t>(1, a.stats().instructions)));
   w.end_object();
 }
 
@@ -240,9 +244,10 @@ void table2_static_analysis(JsonWriter& w, const Apps& suite) {
            {"instructions", "direct_transfers", "indirect_transfers", "calls",
             "indirect_calls"},
            [](const App& a) {
-             return Row{a.stats.instructions, a.stats.direct_transfers,
-                        a.stats.indirect_transfers, a.stats.function_calls,
-                        a.stats.indirect_calls};
+             const rewriter::StaticStats& s = a.stats();
+             return Row{s.instructions, s.direct_transfers,
+                        s.indirect_transfers, s.function_calls,
+                        s.indirect_calls};
            });
   w.end_object();
 }
@@ -250,9 +255,9 @@ void table2_static_analysis(JsonWriter& w, const Apps& suite) {
 void fig09_functions(JsonWriter& w, const Apps& suite) {
   app_rows(w, "fig09_functions", suite,
            {"functions", "with_ret", "without_ret"}, [](const App& a) {
-             return Row{
-                 a.stats.functions_with_ret + a.stats.functions_without_ret,
-                 a.stats.functions_with_ret, a.stats.functions_without_ret};
+             const rewriter::StaticStats& s = a.stats();
+             return Row{s.functions_with_ret + s.functions_without_ret,
+                        s.functions_with_ret, s.functions_without_ret};
            });
   w.end_object();
 }
@@ -402,9 +407,10 @@ void ablation_return_options(JsonWriter& w, const Apps& suite) {
         // Coverage: share of static call sites whose returns are
         // randomized.
         const double calls =
-            static_cast<double>(a.rr.analysis.stats.function_calls);
+            static_cast<double>(a.stats().function_calls);
         const double unsafe =
-            static_cast<double>(a.rr.analysis.unsafe_return_sites.size());
+            static_cast<double>(
+                a.rr.program.analysis.unsafe_return_sites.size());
         return Row{
             rr_sw.sw_stats.expansion_percent(),
             100.0 * (static_cast<double>(r_sw.instructions) /
@@ -430,13 +436,15 @@ void ablation_page_confined(JsonWriter& w, const Apps& suite) {
              rewriter::RandomizeOptions pc_options;
              pc_options.placement = rewriter::PlacementPolicy::kPageConfined;
              const auto rr_pc = randomized(a.image, pc_options);
-             const auto r_pc = run(rr_pc.naive, machine(128));
+             const auto r_pc =
+                 run(rewriter::naive_ilr(rr_pc.program, rr_pc.vcfr),
+                     machine(128));
              // Full spread draws a location from the whole randomized
              // region.
              return Row{100 * a.naive.itlb.miss_rate(),
                         100 * r_pc.itlb.miss_rate(), a.naive.ipc(),
                         r_pc.ipc(),
-                        std::log2(static_cast<double>(a.rr.naive.rand_size))};
+                        std::log2(static_cast<double>(a.rr.vcfr.rand_size))};
            });
   // Page confinement draws from one 4 KiB page.
   w.key("entropy_bits_page").value(std::log2(4096.0));

@@ -105,16 +105,17 @@ int main() {
   rewriter::RandomizeOptions opts;
   opts.seed = 0xfeedface;
   const auto rr = rewriter::randomize(server, opts);
+  const auto naive = rewriter::naive_ilr(rr.program, rr.vcfr);
 
   std::printf("== benign request\n");
   report("original", serve(server, benign, false));
-  report("naive-ILR", serve(rr.naive, benign, false));
+  report("naive-ILR", serve(naive, benign, false));
   report("VCFR (tags on)", serve(rr.vcfr, benign, true));
 
   std::printf("\n== malicious request (ROP chain)\n");
   const auto r_orig = serve(server, exploit, false);
   report("original", r_orig);
-  const auto r_naive = serve(rr.naive, exploit, false);
+  const auto r_naive = serve(naive, exploit, false);
   report("naive-ILR", r_naive);
   const auto r_vcfr = serve(rr.vcfr, exploit, true);
   report("VCFR (tags on)", r_vcfr);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
+#include <utility>
 
 #include "binary/loader.hpp"
 #include "emu/emulator.hpp"
@@ -102,8 +103,10 @@ CampaignReport run_campaign(const CampaignConfig& config,
       } else {
         rewriter::RandomizeOptions options;
         options.seed = mix(config.seed, wi);
-        const rewriter::RandomizeResult rr = rewriter::randomize(base, options);
-        image = layout == binary::Layout::kNaiveIlr ? rr.naive : rr.vcfr;
+        rewriter::RandomizeResult rr = rewriter::randomize(base, options);
+        image = layout == binary::Layout::kNaiveIlr
+                    ? rewriter::naive_ilr(rr.program, rr.vcfr)
+                    : std::move(rr.vcfr);
       }
       const bool enforce = layout == binary::Layout::kVcfr;
 

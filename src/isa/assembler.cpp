@@ -1,11 +1,12 @@
 #include "isa/assembler.hpp"
 
-#include <cctype>
+#include <array>
 #include <charconv>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
-#include <variant>
 #include <vector>
 
 #include "isa/encoding.hpp"
@@ -20,11 +21,18 @@ struct AsmError : std::runtime_error {
       : std::runtime_error("asm:" + std::to_string(line) + ": " + msg) {}
 };
 
+/// The highest address a section may end at (one past its last byte), so
+/// that Image::code_end() and Image::data_end() do not wrap to zero.
+constexpr uint64_t kMaxSectionEnd = 0xffff'ffff;
+
+// Labels and mnemonics below are views into the source, which outlives
+// the Assembler.
+
 /// An instruction whose immediate/target may still be symbolic.
 struct PendingInstr {
   Instr instr;
-  std::string target_label;  // for jmp/jcc/call targets
-  std::string imm_label;     // for `mov rX, @label`
+  std::string_view target_label;  // for jmp/jcc/call targets
+  std::string_view imm_label;     // for `mov rX, @label`
   size_t line = 0;
   uint32_t addr = 0;
 };
@@ -32,10 +40,22 @@ struct PendingInstr {
 /// A pending data item.
 struct DataItem {
   enum class Kind { kWord, kByte, kSpace, kPtr } kind = Kind::kWord;
-  uint32_t value = 0;      // word/byte value or space size
-  std::string label;       // for kPtr
+  uint32_t value = 0;           // word/byte value or space size
+  std::string_view label;       // for kPtr
   size_t line = 0;
   uint32_t addr = 0;
+};
+
+/// The comma-separated operands of one statement. Every operand is
+/// counted, so an arity error reports the true count, but only the first
+/// kCapacity (the most any mnemonic takes) are kept.
+struct Operands {
+  static constexpr size_t kCapacity = 2;
+  std::array<std::string_view, kCapacity> items{};
+  size_t count = 0;
+
+  [[nodiscard]] size_t size() const { return count; }
+  std::string_view operator[](size_t i) const { return items[i]; }
 };
 
 class Assembler {
@@ -51,31 +71,35 @@ class Assembler {
  private:
   // ---- lexing helpers -----------------------------------------------------
 
+  /// The C locale's isspace: ' ', \t, \n, \v, \f, \r.
+  static bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
   static std::string_view trim(std::string_view s) {
-    while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
-      s.remove_prefix(1);
-    }
-    while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) {
-      s.remove_suffix(1);
-    }
+    while (!s.empty() && is_space(s.front())) s.remove_prefix(1);
+    while (!s.empty() && is_space(s.back())) s.remove_suffix(1);
     return s;
   }
 
   /// Splits "a, b" operands on commas, trimming whitespace.
-  static std::vector<std::string_view> split_operands(std::string_view s) {
-    std::vector<std::string_view> out;
+  static Operands split_operands(std::string_view s) {
+    Operands out;
     size_t start = 0;
     for (size_t i = 0; i <= s.size(); ++i) {
       if (i == s.size() || s[i] == ',') {
         auto piece = trim(s.substr(start, i - start));
-        if (!piece.empty()) out.push_back(piece);
+        if (!piece.empty()) {
+          if (out.count < Operands::kCapacity) out.items[out.count] = piece;
+          ++out.count;
+        }
         start = i + 1;
       }
     }
     return out;
   }
 
-  std::optional<int64_t> parse_int(std::string_view s) const {
+  /// A decimal or 0x literal with an optional sign, or nullopt when `s`
+  /// is not one or does not fit in int64_t.
+  static std::optional<int64_t> parse_int(std::string_view s) {
     bool neg = false;
     if (!s.empty() && (s[0] == '-' || s[0] == '+')) {
       neg = s[0] == '-';
@@ -91,7 +115,9 @@ class Assembler {
     auto [ptr, ec] =
         std::from_chars(s.data(), s.data() + s.size(), value, base);
     if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
-    return neg ? -static_cast<int64_t>(value) : static_cast<int64_t>(value);
+    const uint64_t limit = neg ? uint64_t{1} << 63 : INT64_MAX;
+    if (value > limit) return std::nullopt;
+    return static_cast<int64_t>(neg ? 0 - value : value);
   }
 
   uint8_t expect_reg(std::string_view tok, size_t line) const {
@@ -104,6 +130,33 @@ class Assembler {
     auto v = parse_int(tok);
     if (!v) throw AsmError(line, "expected integer, got '" + std::string(tok) + "'");
     return *v;
+  }
+
+  /// Checks that `v` fits in `bits` bits, signed or unsigned:
+  /// [-2^(bits-1), 2^bits - 1].
+  static uint32_t fit(int64_t v, int bits, std::string_view tok, size_t line) {
+    if (v < -(int64_t{1} << (bits - 1)) || v > (int64_t{1} << bits) - 1) {
+      throw AsmError(line, "value '" + std::string(tok) + "' out of " +
+                               std::to_string(bits) + "-bit range");
+    }
+    return static_cast<uint32_t>(v);
+  }
+
+  uint32_t expect_bits(std::string_view tok, int bits, size_t line) const {
+    return fit(expect_int(tok, line), bits, tok, line);
+  }
+
+  /// Returns `cursor` and advances it past a `size`-byte item, rejecting
+  /// an item that would end past kMaxSectionEnd.
+  static uint32_t advance(uint32_t& cursor, uint64_t size, const char* section,
+                          size_t line) {
+    if (cursor + size > kMaxSectionEnd) {
+      throw AsmError(line, std::string(section) +
+                               " section runs past the 32-bit address space");
+    }
+    const uint32_t at = cursor;
+    cursor = static_cast<uint32_t>(cursor + size);
+    return at;
   }
 
   // ---- pass 1: parse ------------------------------------------------------
@@ -125,7 +178,7 @@ class Assembler {
       if (line.empty()) continue;
 
       if (line.back() == ':') {
-        define_label(std::string(trim(line.substr(0, line.size() - 1))), line_no);
+        define_label(trim(line.substr(0, line.size() - 1)), line_no);
         continue;
       }
       if (line.front() == '.') {
@@ -139,14 +192,14 @@ class Assembler {
     }
   }
 
-  void define_label(const std::string& name, size_t line) {
+  void define_label(std::string_view name, size_t line) {
     if (name.empty()) throw AsmError(line, "empty label");
     const uint32_t addr = in_data_ ? data_cursor_ : code_cursor_;
     if (!labels_.emplace(name, addr).second) {
-      throw AsmError(line, "duplicate label '" + name + "'");
+      throw AsmError(line, "duplicate label '" + std::string(name) + "'");
     }
     if (pending_func_.has_value()) {
-      image_.functions.push_back({*pending_func_, addr});
+      image_.functions.push_back({std::string(*pending_func_), addr});
       pending_func_.reset();
     }
   }
@@ -160,44 +213,49 @@ class Assembler {
     if (dir == ".name") {
       image_.name = std::string(rest);
     } else if (dir == ".code") {
-      image_.code_base = static_cast<uint32_t>(expect_int(rest, line_no));
+      // Each section is laid out back to back from its one base: a base
+      // set after the section has contents would leave them outside it.
+      if (code_cursor_ != image_.code_base) {
+        throw AsmError(line_no, ".code base after code was emitted");
+      }
+      image_.code_base = expect_bits(rest, 32, line_no);
       code_cursor_ = image_.code_base;
       in_data_ = false;
     } else if (dir == ".data") {
       if (!rest.empty()) {
-        image_.data_base = static_cast<uint32_t>(expect_int(rest, line_no));
+        if (data_cursor_ != image_.data_base) {
+          throw AsmError(line_no, ".data base after data was emitted");
+        }
+        image_.data_base = expect_bits(rest, 32, line_no);
         data_cursor_ = image_.data_base;
       }
       in_data_ = true;
     } else if (dir == ".text") {
       in_data_ = false;
     } else if (dir == ".entry") {
-      entry_label_ = std::string(rest);
+      entry_label_ = rest;
       entry_line_ = line_no;
     } else if (dir == ".func") {
       if (rest.empty()) throw AsmError(line_no, ".func requires a name");
-      pending_func_ = std::string(rest);
+      pending_func_ = rest;
     } else if (dir == ".word") {
-      data_items_.push_back({DataItem::Kind::kWord,
-                             static_cast<uint32_t>(expect_int(rest, line_no)),
-                             {}, line_no, data_cursor_});
-      data_cursor_ += 4;
+      const uint32_t value = expect_bits(rest, 32, line_no);
+      data_items_.push_back({DataItem::Kind::kWord, value, {}, line_no,
+                             advance(data_cursor_, 4, "data", line_no)});
     } else if (dir == ".byte") {
-      data_items_.push_back({DataItem::Kind::kByte,
-                             static_cast<uint32_t>(expect_int(rest, line_no)),
-                             {}, line_no, data_cursor_});
-      data_cursor_ += 1;
+      const uint32_t value = expect_bits(rest, 8, line_no);
+      data_items_.push_back({DataItem::Kind::kByte, value, {}, line_no,
+                             advance(data_cursor_, 1, "data", line_no)});
     } else if (dir == ".space") {
       const auto n = expect_int(rest, line_no);
       if (n < 0) throw AsmError(line_no, ".space size must be non-negative");
-      data_items_.push_back({DataItem::Kind::kSpace, static_cast<uint32_t>(n),
-                             {}, line_no, data_cursor_});
-      data_cursor_ += static_cast<uint32_t>(n);
+      data_items_.push_back(
+          {DataItem::Kind::kSpace, static_cast<uint32_t>(n), {}, line_no,
+           advance(data_cursor_, static_cast<uint64_t>(n), "data", line_no)});
     } else if (dir == ".ptr") {
       if (rest.empty()) throw AsmError(line_no, ".ptr requires a label");
-      data_items_.push_back({DataItem::Kind::kPtr, 0, std::string(rest),
-                             line_no, data_cursor_});
-      data_cursor_ += 4;
+      data_items_.push_back({DataItem::Kind::kPtr, 0, rest, line_no,
+                             advance(data_cursor_, 4, "data", line_no)});
     } else {
       throw AsmError(line_no, "unknown directive '" + std::string(dir) + "'");
     }
@@ -225,15 +283,14 @@ class Assembler {
     if (in_data_) {
       throw AsmError(p.line, "instruction in data section");
     }
-    p.addr = code_cursor_;
     p.instr.length = instr_length(static_cast<uint8_t>(p.instr.op));
-    code_cursor_ += p.instr.length;
-    instrs_.push_back(std::move(p));
+    p.addr = advance(code_cursor_, p.instr.length, "code", p.line);
+    instrs_.push_back(p);
   }
 
   void parse_instr(std::string_view line, size_t line_no) {
     const size_t sp = line.find_first_of(" \t");
-    std::string mn{line.substr(0, sp)};
+    const std::string_view mn = line.substr(0, sp);
     const auto ops = split_operands(
         sp == std::string_view::npos ? std::string_view{} : line.substr(sp));
 
@@ -243,8 +300,9 @@ class Assembler {
 
     auto need = [&](size_t n) {
       if (ops.size() != n) {
-        throw AsmError(line_no, mn + " expects " + std::to_string(n) +
-                                    " operand(s), got " + std::to_string(ops.size()));
+        throw AsmError(line_no, std::string(mn) + " expects " +
+                                    std::to_string(n) + " operand(s), got " +
+                                    std::to_string(ops.size()));
       }
     };
     auto reg_or_imm = [&](Op rr, Op ri) {
@@ -256,9 +314,12 @@ class Assembler {
       } else {
         in.op = ri;
         if (!ops[1].empty() && ops[1][0] == '@') {
-          p.imm_label = std::string(ops[1].substr(1));
+          p.imm_label = ops[1].substr(1);
+          if (p.imm_label.empty()) {
+            throw AsmError(line_no, "expected label after '@'");
+          }
         } else {
-          in.imm = static_cast<uint32_t>(expect_int(ops[1], line_no));
+          in.imm = expect_bits(ops[1], 32, line_no);
         }
       }
     };
@@ -279,9 +340,9 @@ class Assembler {
       need(1);
       in.op = op;
       if (auto v = parse_int(ops[0])) {
-        in.imm = static_cast<uint32_t>(*v);
+        in.imm = fit(*v, 32, ops[0], line_no);
       } else {
-        p.target_label = std::string(ops[0]);
+        p.target_label = ops[0];
       }
     };
 
@@ -291,7 +352,7 @@ class Assembler {
     else if (mn == "sys") {
       need(1);
       in.op = Op::kSys;
-      in.imm = static_cast<uint32_t>(expect_int(ops[0], line_no));
+      in.imm = expect_bits(ops[0], 32, line_no);
     }
     else if (mn == "out") { one_reg(Op::kOut); }
     else if (mn == "push") {
@@ -301,7 +362,7 @@ class Assembler {
         in.rd = *parse_reg(ops[0]);
       } else {
         in.op = Op::kPushI;
-        in.imm = static_cast<uint32_t>(expect_int(ops[0], line_no));
+        in.imm = expect_bits(ops[0], 32, line_no);
       }
     }
     else if (mn == "pop") { one_reg(Op::kPopR); }
@@ -340,20 +401,23 @@ class Assembler {
       in.cond = *parse_cond(mn.substr(1));
     }
     else {
-      throw AsmError(line_no, "unknown mnemonic '" + mn + "'");
+      throw AsmError(line_no, "unknown mnemonic '" + std::string(mn) + "'");
     }
-    emit(std::move(p));
+    emit(p);
   }
 
   // ---- pass 2: resolve and encode ----------------------------------------
 
-  uint32_t lookup(const std::string& label, size_t line) const {
+  uint32_t lookup(std::string_view label, size_t line) const {
     auto it = labels_.find(label);
-    if (it == labels_.end()) throw AsmError(line, "undefined label '" + label + "'");
+    if (it == labels_.end()) {
+      throw AsmError(line, "undefined label '" + std::string(label) + "'");
+    }
     return it->second;
   }
 
   void resolve() {
+    image_.code.reserve(code_cursor_ - image_.code_base);
     for (auto& p : instrs_) {
       if (!p.target_label.empty()) p.instr.imm = lookup(p.target_label, p.line);
       if (!p.imm_label.empty()) p.instr.imm = lookup(p.imm_label, p.line);
@@ -398,11 +462,11 @@ class Assembler {
   bool in_data_ = false;
   uint32_t code_cursor_ = binary::kDefaultCodeBase;
   uint32_t data_cursor_ = binary::kDefaultDataBase;
-  std::unordered_map<std::string, uint32_t> labels_;
+  std::unordered_map<std::string_view, uint32_t> labels_;
   std::vector<PendingInstr> instrs_;
   std::vector<DataItem> data_items_;
-  std::optional<std::string> pending_func_;
-  std::string entry_label_;
+  std::optional<std::string_view> pending_func_;
+  std::string_view entry_label_;
   size_t entry_line_ = 0;
 };
 

@@ -34,7 +34,9 @@ namespace vcfr::isa {
 
 /// Assembles VX source into an original-layout image.
 /// Throws std::runtime_error with a line-numbered message on any error
-/// (unknown mnemonic, undefined label, malformed operand, ...).
+/// (unknown mnemonic, undefined label, malformed operand, a value outside
+/// its field's range, a section running past 0xffffffff, ...; the ranges
+/// are in docs/ISA.md).
 [[nodiscard]] binary::Image assemble(std::string_view source);
 
 }  // namespace vcfr::isa

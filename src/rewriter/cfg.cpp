@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <set>
 #include <stdexcept>
 
 namespace vcfr::rewriter {
@@ -32,9 +31,12 @@ Cfg build_cfg(const binary::Image& image) {
   }
 
   // --- leaders (the classic leader algorithm, §IV-A) -----------------------
-  std::set<uint32_t> leaders;
+  const size_t n = cfg.instrs.size();
+  std::vector<uint8_t> leader(n, 0);  // by instruction index
   auto add_leader = [&](uint32_t addr) {
-    if (cfg.instr_at.contains(addr)) leaders.insert(addr);
+    if (auto it = cfg.instr_at.find(addr); it != cfg.instr_at.end()) {
+      leader[it->second] = 1;
+    }
   };
   add_leader(image.entry);
   for (const auto& f : image.functions) add_leader(f.addr);
@@ -42,25 +44,23 @@ Cfg build_cfg(const binary::Image& image) {
   for (const auto& r : image.relocs) {
     add_leader(image.read_data32(r.data_addr));
   }
-  for (size_t i = 0; i < cfg.instrs.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     const auto& e = cfg.instrs[i];
     if (e.instr.is_direct_transfer()) add_leader(e.instr.imm);
-    if (e.instr.is_control() && i + 1 < cfg.instrs.size()) {
-      add_leader(cfg.instrs[i + 1].addr);
-    }
+    if (e.instr.is_control() && i + 1 < n) leader[i + 1] = 1;
   }
 
   // --- blocks ---------------------------------------------------------------
-  for (size_t i = 0; i < cfg.instrs.size();) {
+  for (size_t i = 0; i < n;) {
     BasicBlock block;
     block.start = cfg.instrs[i].addr;
     block.first_instr = i;
     size_t j = i;
-    while (j < cfg.instrs.size()) {
+    while (j < n) {
       const auto& e = cfg.instrs[j];
       ++j;
       if (e.instr.is_control()) break;
-      if (j < cfg.instrs.size() && leaders.contains(cfg.instrs[j].addr)) break;
+      if (j < n && leader[j]) break;
     }
     const auto& last = cfg.instrs[j - 1];
     block.num_instrs = j - block.first_instr;
@@ -72,7 +72,7 @@ Cfg build_cfg(const binary::Image& image) {
       block.successors.push_back(last.instr.imm);
     }
     // Fall-through edges for everything that does not unconditionally leave.
-    if (last.instr.has_fallthrough() && j < cfg.instrs.size()) {
+    if (last.instr.has_fallthrough() && j < n) {
       block.successors.push_back(cfg.instrs[j].addr);
     }
     cfg.block_at.emplace(block.start, cfg.blocks.size());

@@ -40,7 +40,10 @@ struct Cfg {
   std::vector<FunctionExtent> functions;
 
   [[nodiscard]] bool is_instr_start(uint32_t addr) const {
-    return instr_at.contains(addr);
+    // Most queried values (immediates, data words) are no code address at
+    // all: the range test spares them the hash lookup.
+    return !instrs.empty() && addr >= instrs.front().addr &&
+           addr <= instrs.back().addr && instr_at.contains(addr);
   }
   /// Function extent containing `addr`, or nullptr.
   [[nodiscard]] const FunctionExtent* function_of(uint32_t addr) const;

@@ -8,7 +8,7 @@ EntropyReport analyze_entropy(const RandomizeResult& result,
                               const RandomizeOptions& options) {
   EntropyReport report;
   report.randomized_instructions = result.vcfr.tables.rand.size();
-  report.failover_instructions = result.analysis.unrandomized.size();
+  report.failover_instructions = result.program.analysis.unrandomized.size();
 
   double positions = 1.0;
   if (options.placement == PlacementPolicy::kFullSpread) {
@@ -16,7 +16,7 @@ EntropyReport analyze_entropy(const RandomizeResult& result,
     // (slot_bytes - len + 1) byte offsets inside it; use the mean
     // instruction length of 4 for the jitter term.
     const double slots =
-        static_cast<double>(result.naive.rand_size) / options.slot_bytes;
+        static_cast<double>(result.vcfr.rand_size) / options.slot_bytes;
     const double jitter = options.slot_bytes - 4 + 1;
     positions = slots * jitter;
   } else {

@@ -434,20 +434,24 @@ RandomizeResult randomize(const binary::Image& image,
     return result;
   }
 
-  Program program = prepare(image, options.return_policy);
   RandomizeResult result;
-  result.vcfr = place(program, options);
-  const Cfg& cfg = program.cfg;
-  const binary::TranslationTables& tables = result.vcfr.tables;
+  result.program = prepare(image, options.return_policy);
+  result.vcfr = place(result.program, options);
+  return result;
+}
 
-  // --- naive-ILR image -------------------------------------------------------
-  binary::Image& naive = result.naive;
-  naive = program.image;
+binary::Image naive_ilr(const Program& program, const binary::Image& vcfr) {
+  if (vcfr.layout != binary::Layout::kVcfr) {
+    throw std::invalid_argument("naive_ilr: requires a VCFR image");
+  }
+  const Cfg& cfg = program.cfg;
+  const binary::TranslationTables& tables = vcfr.tables;
+  binary::Image naive = program.image;
   naive.layout = binary::Layout::kNaiveIlr;
-  naive.seed = options.seed;
+  naive.seed = vcfr.seed;
   naive.code.clear();  // all instructions live in sparse_code
-  naive.rand_base = options.rand_base;
-  naive.rand_size = result.vcfr.rand_size;
+  naive.rand_base = vcfr.rand_base;
+  naive.rand_size = vcfr.rand_size;
   naive.sparse_code.reserve(cfg.instrs.size());
   for (size_t i = 0; i < cfg.instrs.size(); ++i) {
     const auto& e = cfg.instrs[i];
@@ -463,9 +467,7 @@ RandomizeResult randomize(const binary::Image& image,
   patch_data(naive, tables);
   naive.tables = tables;  // the mapping exists on the naive hardware too
   naive.entry = tables.to_randomized(program.image.entry);
-
-  result.analysis = std::move(program.analysis);
-  return result;
+  return naive;
 }
 
 }  // namespace vcfr::rewriter

@@ -1,15 +1,16 @@
 // The ILR randomization software (§IV-A): takes an original-layout binary,
 // runs the CFG + target/safety analyses, assigns every randomizable
 // instruction a fresh address in the randomized instruction space, and
-// emits two executable forms:
+// emits up to two executable forms:
 //
-//   * a *naive-ILR* image: instructions physically relocated to their
-//     randomized addresses (plus the fall-through successor map the
-//     straightforward hardware resolves at zero cost) — the §III baseline;
 //   * a *VCFR* image: instruction bytes kept in the original layout with
 //     direct targets, patched immediates, and jump-table slots rewritten
 //     into the randomized space, plus the randomization/de-randomization
-//     tables the DRC caches at run time — the paper's proposal.
+//     tables the DRC caches at run time — the paper's proposal;
+//   * on request, a *naive-ILR* image of the same placement: instructions
+//     physically relocated to their randomized addresses (plus the
+//     fall-through successor map the straightforward hardware resolves at
+//     zero cost) — the §III baseline.
 //
 // Both images are semantically equivalent to the original program; the
 // equivalence property tests exercise this across seeds.
@@ -21,7 +22,8 @@
 // (original -> randomized; un-randomized instructions have no entry), the
 // same context the hardware walks (§IV-B). A kernel running many
 // processes of one binary prepares it once and places it per process;
-// randomize() is prepare + place + the naive image.
+// randomize() is prepare + place. naive_ilr() builds the naive image of
+// any placement, only for the callers that run the §III baseline.
 #pragma once
 
 #include <cstdint>
@@ -133,8 +135,9 @@ struct Program {
 struct RandomizeResult {
   /// What a VCFR process executes; vcfr.tables.rand is the placement.
   binary::Image vcfr;
-  binary::Image naive;
-  AnalysisResult analysis;
+  /// The prepared program vcfr places (after the software call rewrite,
+  /// when one was applied): naive_ilr(program, vcfr) is its naive image.
+  Program program;
   /// Populated when return_option == kSoftwareRewrite.
   SoftwareRewriteStats sw_stats;
 };
@@ -195,10 +198,18 @@ struct RandomizeResult {
     const Program& program, const binary::Image& image,
     const binary::Memory& mem, std::optional<uint32_t> exempt = std::nullopt);
 
-/// Randomizes an original-layout image: prepare + place + the naive-ILR
-/// image. Throws std::invalid_argument when `image` is already randomized
-/// or options are inconsistent.
+/// Randomizes an original-layout image: prepare + place. Throws
+/// std::invalid_argument when `image` is already randomized or options are
+/// inconsistent.
 [[nodiscard]] RandomizeResult randomize(const binary::Image& image,
                                         const RandomizeOptions& options = {});
+
+/// The naive-ILR image of a placement: every instruction of `program`
+/// relocated to its place in `vcfr` (a place() result for `program`), with
+/// its control-flow immediates remapped as in vcfr and the fall-through
+/// map the naive hardware follows. Throws std::invalid_argument unless
+/// `vcfr` is a VCFR image.
+[[nodiscard]] binary::Image naive_ilr(const Program& program,
+                                      const binary::Image& vcfr);
 
 }  // namespace vcfr::rewriter

@@ -42,7 +42,8 @@ TEST_P(FuzzEquivalence, AllLayoutsAgreeAcrossSeeds) {
     EXPECT_EQ(rewriter::check_placement(program, rr.vcfr, opts), "")
         << "seed " << seed << "\n" << src;
 
-    const auto naive = emu::run_image(rr.naive, limits);
+    const auto naive =
+        emu::run_image(rewriter::naive_ilr(rr.program, rr.vcfr), limits);
     ASSERT_TRUE(naive.halted) << naive.error;
     EXPECT_EQ(naive.output, base.output) << "naive seed " << seed;
     EXPECT_EQ(naive.stats.instructions, base.stats.instructions);
@@ -88,7 +89,8 @@ TEST_P(FuzzEquivalence, PageConfinedAlsoAgrees) {
   opts.seed = 6;
   opts.placement = rewriter::PlacementPolicy::kPageConfined;
   const auto rr = rewriter::randomize(original, opts);
-  const auto naive = emu::run_image(rr.naive, limits);
+  const auto naive =
+      emu::run_image(rewriter::naive_ilr(rr.program, rr.vcfr), limits);
   ASSERT_TRUE(naive.halted) << naive.error;
   EXPECT_EQ(naive.output, base.output);
 }

@@ -124,8 +124,9 @@ TEST(DecodeCacheTest, DifferentialAcrossSuiteAndLayouts) {
     rewriter::RandomizeOptions opts;
     opts.seed = 0x9000 + original.code.size();
     const rewriter::RandomizeResult rr = rewriter::randomize(original, opts);
+    const binary::Image naive = rewriter::naive_ilr(rr.program, rr.vcfr);
 
-    for (const binary::Image* image : {&original, &rr.naive, &rr.vcfr}) {
+    for (const binary::Image* image : {&original, &naive, &rr.vcfr}) {
       binary::Memory mem_on, mem_off;
       binary::load(*image, mem_on);
       binary::load(*image, mem_off);

@@ -18,7 +18,8 @@ binary::Image loop_program(int body_adds) {
 
 TEST(IlrEmulatorTest, SlowdownIsHundredsOfTimes) {
   const auto rr = rewriter::randomize(loop_program(8), {});
-  const auto r = emulate_ilr(rr.naive, /*native_cpi=*/1.0);
+  const auto r =
+      emulate_ilr(rewriter::naive_ilr(rr.program, rr.vcfr), /*native_cpi=*/1.0);
   EXPECT_GT(r.guest_instructions, 1000u);
   EXPECT_GT(r.slowdown_vs_native, 50.0);
   EXPECT_LT(r.slowdown_vs_native, 2000.0);
@@ -30,8 +31,9 @@ TEST(IlrEmulatorTest, CostScalesWithGuestInstructionCount) {
   half.max_instructions = 2000;
   RunLimits full;
   full.max_instructions = 4000;
-  const auto a = emulate_ilr(rr.naive, 1.0, half);
-  const auto b = emulate_ilr(rr.naive, 1.0, full);
+  const auto naive = rewriter::naive_ilr(rr.program, rr.vcfr);
+  const auto a = emulate_ilr(naive, 1.0, half);
+  const auto b = emulate_ilr(naive, 1.0, full);
   EXPECT_EQ(a.guest_instructions, 2000u);
   EXPECT_EQ(b.guest_instructions, 4000u);
   EXPECT_NEAR(b.host_cycles / a.host_cycles, 2.0, 0.1);
@@ -58,8 +60,10 @@ TEST(IlrEmulatorTest, ControlHeavyGuestCostsMorePerInstruction) {
   const auto branchy = rewriter::randomize(ping, {});
   RunLimits limits;
   limits.max_instructions = 5000;
-  const auto r_straight = emulate_ilr(straight.naive, 1.0, limits);
-  const auto r_branchy = emulate_ilr(branchy.naive, 1.0, limits);
+  const auto r_straight = emulate_ilr(
+      rewriter::naive_ilr(straight.program, straight.vcfr), 1.0, limits);
+  const auto r_branchy = emulate_ilr(
+      rewriter::naive_ilr(branchy.program, branchy.vcfr), 1.0, limits);
   EXPECT_GT(r_branchy.host_cycles_per_instr,
             1.2 * r_straight.host_cycles_per_instr);
 }
@@ -71,16 +75,19 @@ TEST(IlrEmulatorTest, PredictableOpcodeStreamMispredictsLess) {
   const auto python = rewriter::randomize(workloads::make_python(0), {});
   RunLimits limits;
   limits.max_instructions = 20000;
-  const auto r_uniform = emulate_ilr(uniform.naive, 1.0, limits);
-  const auto r_python = emulate_ilr(python.naive, 1.0, limits);
+  const auto r_uniform = emulate_ilr(
+      rewriter::naive_ilr(uniform.program, uniform.vcfr), 1.0, limits);
+  const auto r_python = emulate_ilr(
+      rewriter::naive_ilr(python.program, python.vcfr), 1.0, limits);
   EXPECT_LT(r_uniform.dispatch_mispredict_rate,
             r_python.dispatch_mispredict_rate);
 }
 
 TEST(IlrEmulatorTest, HigherNativeCpiLowersTheRatio) {
   const auto rr = rewriter::randomize(loop_program(8), {});
-  const auto fast_native = emulate_ilr(rr.naive, 1.0);
-  const auto slow_native = emulate_ilr(rr.naive, 2.0);
+  const auto naive = rewriter::naive_ilr(rr.program, rr.vcfr);
+  const auto fast_native = emulate_ilr(naive, 1.0);
+  const auto slow_native = emulate_ilr(naive, 2.0);
   EXPECT_NEAR(fast_native.slowdown_vs_native,
               2.0 * slow_native.slowdown_vs_native, 1.0);
 }
@@ -98,7 +105,8 @@ TEST(IlrEmulatorTest, CustomCostsAreHonored) {
   cheap.target_mapping = 0;
   cheap.target_change = 0;
   cheap.host_cpi = 1.0;
-  const auto r = emulate_ilr(rr.naive, 1.0, {}, cheap);
+  const auto r =
+      emulate_ilr(rewriter::naive_ilr(rr.program, rr.vcfr), 1.0, {}, cheap);
   EXPECT_NEAR(r.host_cycles_per_instr, 2.0, 1e-9);
 }
 

@@ -70,7 +70,7 @@ TEST(WorkloadCharacterTest, PythonComputedDispatchIsFailover) {
   const auto rr = rewriter::randomize(workloads::make("python", 0), {});
   // The interpreter's handler cluster cannot be randomized (computed
   // goto), so python carries a sizeable failover set.
-  EXPECT_GT(rr.analysis.unrandomized.size(), 30u);
+  EXPECT_GT(rr.program.analysis.unrandomized.size(), 30u);
 }
 
 TEST(EndToEndTest, FullPipelineOnEverySpecAppAtScale0) {

@@ -131,7 +131,8 @@ TEST(LoaderTest, BlockLoadMatchesByteLoadAcrossSuite) {
   for (const std::string& name : workloads::spec_names()) {
     const Image original = workloads::make(name, 0);
     const rewriter::RandomizeResult rr = rewriter::randomize(original, {});
-    for (const Image* image : {&original, &rr.naive, &rr.vcfr}) {
+    const Image naive = rewriter::naive_ilr(rr.program, rr.vcfr);
+    for (const Image* image : {&original, &naive, &rr.vcfr}) {
       Memory block, bytewise;
       load(*image, block);
       write_bytes(bytewise, image->code_base, image->code.data(),
@@ -197,12 +198,13 @@ TEST(LoaderTest, LoadsAllThreeLayouts) {
   EXPECT_EQ(m0.read32(0x10000000), 0xcafeu);
 
   const auto rr = rewriter::randomize(original, {});
+  const Image naive = rewriter::naive_ilr(rr.program, rr.vcfr);
   Memory m1;
-  load(rr.naive, m1);
+  load(naive, m1);
   // The original code location is vacated; instructions live at their
   // randomized addresses.
   bool found = false;
-  for (const auto& [addr, bytes] : rr.naive.sparse_code) {
+  for (const auto& [addr, bytes] : naive.sparse_code) {
     if (!bytes.empty() && m1.read8(addr) == bytes[0]) found = true;
   }
   EXPECT_TRUE(found);

@@ -273,7 +273,7 @@ TEST_P(RandomizeEquivalence, RichProgramAllLayoutsAgree) {
   opts.seed = GetParam();
   const RandomizeResult rr = randomize(original, opts);
 
-  const auto naive = run_image(rr.naive);
+  const auto naive = run_image(rewriter::naive_ilr(rr.program, rr.vcfr));
   EXPECT_TRUE(naive.halted) << naive.error;
   EXPECT_EQ(naive.output, expected);
 
@@ -313,7 +313,7 @@ TEST(RandomizerTest, PlacementIsDisjointAndInRegion) {
   std::unordered_set<uint32_t> seen;
   for (const auto& [orig, rand_addr] : rr.vcfr.tables.rand) {
     EXPECT_GE(rand_addr, opts.rand_base);
-    EXPECT_LT(rand_addr, opts.rand_base + rr.naive.rand_size);
+    EXPECT_LT(rand_addr, opts.rand_base + rr.vcfr.rand_size);
     // One instruction per slot: distinct slot indices.
     EXPECT_TRUE(seen.insert((rand_addr - opts.rand_base) / opts.slot_bytes)
                     .second)
@@ -399,7 +399,7 @@ TEST(RandomizerTest, PageConfinedPreservesSemantics) {
     opts.seed = seed;
     opts.placement = PlacementPolicy::kPageConfined;
     const RandomizeResult rr = randomize(original, opts);
-    const auto naive = run_image(rr.naive);
+    const auto naive = run_image(rewriter::naive_ilr(rr.program, rr.vcfr));
     EXPECT_TRUE(naive.halted) << naive.error;
     EXPECT_EQ(naive.output, expected_rich_output());
     const auto vcfr = run_image(rr.vcfr);
@@ -448,6 +448,15 @@ TEST(RandomizerTest, PlaceOfPreparedProgramMatchesRandomize) {
       }
     }
   }
+}
+
+TEST(RandomizerTest, NaiveIlrRequiresAVcfrImage) {
+  const Image original = isa::assemble(kRichProgram);
+  const Program program = prepare(original);
+  EXPECT_THROW((void)naive_ilr(program, original), std::invalid_argument);
+  const Image naive = naive_ilr(program, place(program, {}));
+  EXPECT_EQ(naive.layout, binary::Layout::kNaiveIlr);
+  EXPECT_THROW((void)naive_ilr(program, naive), std::invalid_argument);
 }
 
 TEST(RandomizerTest, PlaceRejectsOptionsItsProgramWasNotPreparedFor) {

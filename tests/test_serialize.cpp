@@ -69,9 +69,10 @@ TEST(SerializeTest, RandomizedLayoutsRoundTripAndStillRun) {
   rewriter::RandomizeOptions opts;
   opts.seed = 31337;
   const auto rr = rewriter::randomize(image, opts);
+  const Image naive = rewriter::naive_ilr(rr.program, rr.vcfr);
   const auto golden = emu::run_image(rr.vcfr);
 
-  for (const Image* img : {&rr.naive, &rr.vcfr}) {
+  for (const Image* img : {&naive, &rr.vcfr}) {
     std::stringstream ss;
     save(*img, ss);
     const Image back = load_file(ss);
@@ -127,10 +128,11 @@ TEST(SerializeTest, MutationFuzzOnlyEverThrowsFormatError) {
   rewriter::RandomizeOptions opts;
   opts.seed = 4242;
   const auto rr = rewriter::randomize(base, opts);
+  const Image naive = rewriter::naive_ilr(rr.program, rr.vcfr);
 
   SplitMix64 rng(0x5eed);
   size_t loaded = 0, rejected = 0;
-  for (const Image* img : {&base, &rr.naive, &rr.vcfr}) {
+  for (const Image* img : {&base, &naive, &rr.vcfr}) {
     std::stringstream ss;
     save(*img, ss);
     const std::string bytes = ss.str();

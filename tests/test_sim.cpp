@@ -178,7 +178,8 @@ ModeResults run_modes(const Image& img, uint32_t drc_entries = 128) {
   const auto rr = rewriter::randomize(img, opts);
   CpuConfig cfg = quiet();
   cfg.drc.entries = drc_entries;
-  return {simulate(img, 2'000'000, cfg), simulate(rr.naive, 2'000'000, cfg),
+  return {simulate(img, 2'000'000, cfg),
+          simulate(rewriter::naive_ilr(rr.program, rr.vcfr), 2'000'000, cfg),
           simulate(rr.vcfr, 2'000'000, cfg)};
 }
 

@@ -3,6 +3,11 @@
 // identically under naive-ILR and VCFR randomization for arbitrary seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <string>
+
+#include "binary/serialize.hpp"
 #include "emu/emulator.hpp"
 #include "rewriter/cfg.hpp"
 #include "rewriter/randomizer.hpp"
@@ -39,7 +44,8 @@ TEST_P(WorkloadRuns, SurvivesRandomizationBothLayouts) {
     opts.seed = seed;
     const auto rr = rewriter::randomize(img, opts);
 
-    const auto naive = emu::run_image(rr.naive, limits());
+    const auto naive =
+        emu::run_image(rewriter::naive_ilr(rr.program, rr.vcfr), limits());
     EXPECT_TRUE(naive.halted) << GetParam() << " naive seed " << seed << ": "
                               << naive.error;
     EXPECT_EQ(naive.output, base.output) << GetParam() << " naive " << seed;
@@ -124,6 +130,90 @@ TEST(SuiteTest, GccExercisesReturnAddressBitmap) {
   ASSERT_TRUE(r.halted) << r.error;
   EXPECT_GT(r.stats.bitmap_autoderand_loads, 0u)
       << "the PIC probe must hit the §IV-C auto-de-randomization path";
+}
+
+uint64_t fnv1a(const std::string& s) {
+  uint64_t h = 14695981039346656037ull;
+  for (const char c : s) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+uint64_t saved_digest(const binary::Image& image) {
+  std::ostringstream out;
+  binary::save(image, out);
+  return fnv1a(out.str());
+}
+
+// The VXE bytes of every workload make() accepts, at scales 0 and 1: the
+// assembler's output, pinned so that a faster lexer or parser cannot move
+// a byte. The digests were taken from the assembler before its lexer
+// stopped allocating per line.
+TEST(ImageBytesTest, AssembledWorkloadsArePinned) {
+  struct Pin {
+    const char* name;
+    uint64_t scale0;
+    uint64_t scale1;
+  };
+  const Pin pins[] = {
+      {"bzip2", 17842107966005708496ull, 16081021776858450271ull},
+      {"gcc", 12587560865310788880ull, 15807451289542210584ull},
+      {"mcf", 9464809348757393843ull, 15031905466931554804ull},
+      {"hmmer", 18225495578382727944ull, 4053429585965116102ull},
+      {"sjeng", 13833177087393605111ull, 11363623072884085859ull},
+      {"libquantum", 13892411166468433932ull, 10126808085680875943ull},
+      {"h264ref", 13118020117839878140ull, 10513728802580830222ull},
+      {"lbm", 655147510750424927ull, 12435757700428544182ull},
+      {"xalan", 10931455095271427363ull, 2745841047309260973ull},
+      {"namd", 1459139905960036352ull, 4902549325421101032ull},
+      {"soplex", 22884031642256224ull, 11197100772137485010ull},
+      {"memcpy", 14763743941903418279ull, 12283164335165045463ull},
+      {"python", 547048250042161961ull, 11036240022153354252ull},
+      {"server", 8573251576111975044ull, 8573251576111975044ull},
+      {"leaky", 2305316633519859539ull, 2305316633519859539ull},
+  };
+  for (const Pin& pin : pins) {
+    EXPECT_EQ(saved_digest(make(pin.name, 0)), pin.scale0) << pin.name;
+    EXPECT_EQ(saved_digest(make(pin.name, 1)), pin.scale1) << pin.name;
+  }
+  // The table covers every suite and Figure 2 name.
+  for (const auto* names : {&spec_names(), &fig2_names()}) {
+    for (const std::string& name : *names) {
+      EXPECT_TRUE(std::any_of(std::begin(pins), std::end(pins),
+                              [&](const Pin& p) { return name == p.name; }))
+          << name;
+    }
+  }
+}
+
+// The naive-ILR image of a placement, built on request by naive_ilr():
+// its sparse_code iteration order and fall-through slot layout are what
+// binary::save writes. Digests taken when randomize() still built this
+// image itself.
+TEST(ImageBytesTest, NaiveIlrImagesArePinned) {
+  struct Pin {
+    const char* name;
+    uint64_t seed;
+    uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"bzip2", 1, 1017958818092521480ull},
+      {"bzip2", 1337, 4210639833009909576ull},
+      {"xalan", 1, 6547860145652196900ull},
+      {"xalan", 1337, 493995577447798356ull},
+      {"python", 1, 12152106534176689416ull},
+      {"python", 1337, 4744341797634495946ull},
+  };
+  for (const Pin& pin : pins) {
+    rewriter::RandomizeOptions opts;
+    opts.seed = pin.seed;
+    const auto rr = rewriter::randomize(make(pin.name, 0), opts);
+    EXPECT_EQ(saved_digest(rewriter::naive_ilr(rr.program, rr.vcfr)),
+              pin.digest)
+        << pin.name << " seed " << pin.seed;
+  }
 }
 
 }  // namespace

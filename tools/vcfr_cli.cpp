@@ -252,16 +252,16 @@ int cmd_randomize(const Args& args) {
     opts.placement = rewriter::PlacementPolicy::kPageConfined;
   }
   const auto rr = rewriter::randomize(image, opts);
-  const auto& out_image = args.naive ? rr.naive : rr.vcfr;
   const std::string out =
       args.output.empty() ? image.name + (args.naive ? ".naive.vxe" : ".vcfr.vxe")
                           : args.output;
-  binary::save(out_image, out);
+  binary::save(args.naive ? rewriter::naive_ilr(rr.program, rr.vcfr) : rr.vcfr,
+               out);
   rprintf("relocated %zu instructions (seed %llu); failover set: %zu; "
               "-> %s\n",
               rr.vcfr.tables.rand.size(),
               static_cast<unsigned long long>(args.seed),
-              rr.analysis.unrandomized.size(), out.c_str());
+              rr.program.analysis.unrandomized.size(), out.c_str());
   if (args.software_returns) {
     rprintf("software return rewrite: %u calls, +%.1f%% code\n",
                 rr.sw_stats.calls_rewritten,
