@@ -194,6 +194,7 @@ class FlatMap32 : public detail::FlatTable<std::pair<uint32_t, uint32_t>> {
   bool emplace(uint32_t key, uint32_t value) {
     return claim(key, {key, value}).second;
   }
+  bool insert(const value_type& e) { return emplace(e.first, e.second); }
 
   uint32_t& operator[](uint32_t key) {
     return slots_[claim(key, {key, 0}).first].second;

@@ -11,6 +11,8 @@
 
 namespace vcfr::binary {
 
+class StateIo;
+
 /// How the code bytes of an image are laid out (see DESIGN.md §4).
 enum class Layout {
   /// Compiler output: instructions sequential from `code_base`.
@@ -128,6 +130,10 @@ struct Image {
   [[nodiscard]] uint32_t read_data32(uint32_t addr) const;
   /// Writes a 32-bit little-endian value into the data section.
   void write_data32(uint32_t addr, uint32_t value);
+
+  /// The VXE field list (binary/serialize.cpp). Loading rejects a section
+  /// that would end past kMaxSectionEnd.
+  void state(StateIo& io);
 };
 
 /// Default section bases shared by the assembler and workload builders.
@@ -135,5 +141,9 @@ inline constexpr uint32_t kDefaultCodeBase = 0x0000'1000;
 inline constexpr uint32_t kDefaultDataBase = 0x1000'0000;
 inline constexpr uint32_t kDefaultStackTop = 0x7fff'0000;
 inline constexpr uint32_t kDefaultRandBase = 0x4000'0000;
+
+/// The highest address a section may end at (one past its last byte), so
+/// that Image::code_end() and Image::data_end() do not wrap to zero.
+inline constexpr uint64_t kMaxSectionEnd = 0xffff'ffff;
 
 }  // namespace vcfr::binary

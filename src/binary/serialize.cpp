@@ -4,89 +4,59 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <stdexcept>
+#include <utility>
+#include <vector>
+
+#include "binary/state_io.hpp"
 
 namespace vcfr::binary {
 namespace {
 
 constexpr char kMagic[4] = {'V', 'X', 'E', '1'};
 
-/// Hard bound on every count field (relocs, functions, table entries, …).
-/// Far above anything the toolchain emits, low enough that a corrupted
-/// count can never drive reserve() into bad_alloc/length_error.
+/// Hard bounds: a section (or one naive-ILR instruction's bytes) and every
+/// count field (relocs, functions, table entries, ...). Far above anything
+/// the toolchain emits; a corrupt length still fails as truncation first,
+/// since StateIo never allocates ahead of the input.
+constexpr uint32_t kMaxSection = 1u << 28;
 constexpr uint32_t kMaxEntries = 1u << 24;
 
-/// A corrupted count field must fail as a typed parse error before it
-/// reaches a container reserve.
-uint32_t checked_count(uint32_t n, const char* what) {
-  if (n > kMaxEntries) {
-    throw FormatError(FormatFault::kImplausible,
-                      std::string("vxe: implausible ") + what + " count");
+using Pair = std::pair<uint32_t, uint32_t>;
+using SparseEntry = std::pair<uint32_t, std::vector<uint8_t>>;
+
+/// A hash container as a count and its entries in iteration order.
+/// Loading reads every entry before it touches the container, so a
+/// corrupt count reserves nothing, then reserves the count and inserts in
+/// stream order. Slot order (FlatMap32, FlatSet32) and bucket order
+/// (unordered_map) depend on capacity and insertion order, so this rebuild
+/// fixes how a loaded image iterates and re-saves (pinned by
+/// ImageBytesTest.SaveLoadSaveIsPinned).
+template <typename Entry, typename Map, typename Field>
+void table(StateIo& io, Map& map, Field field) {
+  std::vector<Entry> entries;
+  if (!io.loading()) {
+    for (const auto& e : map) entries.emplace_back(e);
   }
-  return n;
+  io.vec(entries, kMaxEntries, field);
+  if (!io.loading()) return;
+  map.clear();
+  map.reserve(entries.size());
+  for (Entry& e : entries) map.insert(std::move(e));
 }
 
-void put8(std::ostream& out, uint8_t v) {
-  out.put(static_cast<char>(v));
+void pairs(StateIo& io, FlatMap32& map) {
+  table<Pair>(io, map, [&](Pair& e) {
+    io.u32(e.first);
+    io.u32(e.second);
+  });
 }
 
-void put32(std::ostream& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) put8(out, static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void put64(std::ostream& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) put8(out, static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void put_bytes(std::ostream& out, const std::vector<uint8_t>& bytes) {
-  put32(out, static_cast<uint32_t>(bytes.size()));
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-}
-
-void put_string(std::ostream& out, const std::string& s) {
-  put32(out, static_cast<uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-uint8_t get8(std::istream& in) {
-  const int c = in.get();
-  if (c == EOF) throw FormatError(FormatFault::kTruncated, "vxe: truncated file");
-  return static_cast<uint8_t>(c);
-}
-
-uint32_t get32(std::istream& in) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(get8(in)) << (8 * i);
-  return v;
-}
-
-uint64_t get64(std::istream& in) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(get8(in)) << (8 * i);
-  return v;
-}
-
-std::vector<uint8_t> get_bytes(std::istream& in) {
-  const uint32_t n = get32(in);
-  if (n > (1u << 28)) throw FormatError(FormatFault::kImplausible, "vxe: implausible section size");
-  std::vector<uint8_t> bytes(n);
-  in.read(reinterpret_cast<char*>(bytes.data()), n);
-  if (static_cast<uint32_t>(in.gcount()) != n) {
-    throw FormatError(FormatFault::kTruncated, "vxe: truncated section");
-  }
-  return bytes;
-}
-
-std::string get_string(std::istream& in) {
-  const uint32_t n = get32(in);
-  if (n > (1u << 20)) throw FormatError(FormatFault::kImplausible, "vxe: implausible string size");
-  std::string s(n, '\0');
-  in.read(s.data(), n);
-  if (static_cast<uint32_t>(in.gcount()) != n) {
-    throw FormatError(FormatFault::kTruncated, "vxe: truncated string");
-  }
-  return s;
+/// A section's bytes, which must end by kMaxSectionEnd.
+void section(StateIo& io, uint32_t base, std::vector<uint8_t>& bytes,
+             const char* what) {
+  io.blob(bytes, kMaxSection);
+  StateIo::require(base + uint64_t{bytes.size()} <= kMaxSectionEnd,
+                   std::string(what) + " runs past the 32-bit address space");
 }
 
 }  // namespace
@@ -102,56 +72,39 @@ std::string_view format_fault_name(FormatFault fault) {
   return "unknown";
 }
 
+void Image::state(StateIo& io) {
+  io.enum8(layout);
+  io.u64(seed);
+  io.str(name);
+  io.u32(code_base);
+  section(io, code_base, code, "code section");
+  io.u32(data_base);
+  section(io, data_base, data, "data section");
+  io.u32(entry);
+  io.vec(relocs, kMaxEntries, [&](Relocation& r) { io.u32(r.data_addr); });
+  io.vec(functions, kMaxEntries, [&](FunctionSymbol& f) {
+    io.str(f.name);
+    io.u32(f.addr);
+  });
+  io.u32(rand_base);
+  io.u32(rand_size);
+  table<SparseEntry>(io, sparse_code, [&](SparseEntry& e) {
+    io.u32(e.first);
+    section(io, e.first, e.second, "sparse-code entry");
+  });
+  pairs(io, fallthrough);
+  pairs(io, tables.derand);
+  pairs(io, tables.rand);
+  table<uint32_t>(io, tables.unrandomized, [&](uint32_t& a) { io.u32(a); });
+  io.u32(tables.table_base);
+  io.u32(tables.table_bytes);
+}
+
 void save(const Image& image, std::ostream& out) {
   out.write(kMagic, 4);
-  put8(out, static_cast<uint8_t>(image.layout));
-  put64(out, image.seed);
-  put_string(out, image.name);
-  put32(out, image.code_base);
-  put_bytes(out, image.code);
-  put32(out, image.data_base);
-  put_bytes(out, image.data);
-  put32(out, image.entry);
-
-  put32(out, static_cast<uint32_t>(image.relocs.size()));
-  for (const auto& r : image.relocs) put32(out, r.data_addr);
-
-  put32(out, static_cast<uint32_t>(image.functions.size()));
-  for (const auto& f : image.functions) {
-    put_string(out, f.name);
-    put32(out, f.addr);
-  }
-
-  put32(out, image.rand_base);
-  put32(out, image.rand_size);
-
-  put32(out, static_cast<uint32_t>(image.sparse_code.size()));
-  for (const auto& [addr, bytes] : image.sparse_code) {
-    put32(out, addr);
-    put_bytes(out, bytes);
-  }
-  put32(out, static_cast<uint32_t>(image.fallthrough.size()));
-  for (const auto& [from, to] : image.fallthrough) {
-    put32(out, from);
-    put32(out, to);
-  }
-
-  const auto& t = image.tables;
-  put32(out, static_cast<uint32_t>(t.derand.size()));
-  for (const auto& [k, v] : t.derand) {
-    put32(out, k);
-    put32(out, v);
-  }
-  put32(out, static_cast<uint32_t>(t.rand.size()));
-  for (const auto& [k, v] : t.rand) {
-    put32(out, k);
-    put32(out, v);
-  }
-  put32(out, static_cast<uint32_t>(t.unrandomized.size()));
-  for (uint32_t a : t.unrandomized) put32(out, a);
-  put32(out, t.table_base);
-  put32(out, t.table_bytes);
-
+  StateIo io(out);
+  // A saving StateIo only reads the fields it is handed.
+  const_cast<Image&>(image).state(io);
   if (!out) throw FormatError(FormatFault::kIo, "vxe: write failed");
 }
 
@@ -161,68 +114,17 @@ Image load_file(std::istream& in) {
   if (in.gcount() != 4 || std::memcmp(magic, kMagic, 4) != 0) {
     throw FormatError(FormatFault::kBadMagic, "vxe: bad magic (not a VXE image)");
   }
-  Image image;
-  const uint8_t layout = get8(in);
-  if (layout > static_cast<uint8_t>(Layout::kVcfr)) {
+  const int layout = in.peek();
+  if (layout != EOF && layout > static_cast<int>(Layout::kVcfr)) {
     throw FormatError(FormatFault::kBadLayout, "vxe: unknown layout");
   }
-  image.layout = static_cast<Layout>(layout);
-  image.seed = get64(in);
-  image.name = get_string(in);
-  image.code_base = get32(in);
-  image.code = get_bytes(in);
-  image.data_base = get32(in);
-  image.data = get_bytes(in);
-  image.entry = get32(in);
-
-  const uint32_t n_relocs = checked_count(get32(in), "reloc");
-  image.relocs.reserve(n_relocs);
-  for (uint32_t i = 0; i < n_relocs; ++i) image.relocs.push_back({get32(in)});
-
-  const uint32_t n_funcs = checked_count(get32(in), "function");
-  image.functions.reserve(n_funcs);
-  for (uint32_t i = 0; i < n_funcs; ++i) {
-    FunctionSymbol f;
-    f.name = get_string(in);
-    f.addr = get32(in);
-    image.functions.push_back(std::move(f));
+  Image image;
+  StateIo io(in);
+  try {
+    image.state(io);
+  } catch (const FormatError& e) {
+    throw FormatError(e.fault(), std::string("vxe: ") + e.what());
   }
-
-  image.rand_base = get32(in);
-  image.rand_size = get32(in);
-
-  const uint32_t n_sparse = checked_count(get32(in), "sparse-code");
-  image.sparse_code.reserve(n_sparse);
-  for (uint32_t i = 0; i < n_sparse; ++i) {
-    const uint32_t addr = get32(in);
-    image.sparse_code.emplace(addr, get_bytes(in));
-  }
-  const uint32_t n_fall = checked_count(get32(in), "fallthrough");
-  image.fallthrough.reserve(n_fall);
-  for (uint32_t i = 0; i < n_fall; ++i) {
-    const uint32_t from = get32(in);
-    const uint32_t to = get32(in);
-    image.fallthrough.emplace(from, to);
-  }
-
-  auto& t = image.tables;
-  const uint32_t n_derand = checked_count(get32(in), "derand");
-  t.derand.reserve(n_derand);
-  for (uint32_t i = 0; i < n_derand; ++i) {
-    const uint32_t k = get32(in);
-    t.derand.emplace(k, get32(in));
-  }
-  const uint32_t n_rand = checked_count(get32(in), "rand");
-  t.rand.reserve(n_rand);
-  for (uint32_t i = 0; i < n_rand; ++i) {
-    const uint32_t k = get32(in);
-    t.rand.emplace(k, get32(in));
-  }
-  const uint32_t n_unrand = checked_count(get32(in), "unrandomized");
-  t.unrandomized.reserve(n_unrand);
-  for (uint32_t i = 0; i < n_unrand; ++i) t.unrandomized.insert(get32(in));
-  t.table_base = get32(in);
-  t.table_bytes = get32(in);
   return image;
 }
 

@@ -1,14 +1,11 @@
 // VXE on-disk image format: serialization for Image objects so the CLI
-// tool (tools/vcfr_cli.cpp) can pass programs between pipeline stages.
+// tool (tools/vcfr_cli.cpp) can pass programs between pipeline stages,
+// and checkpoints can carry each process's live image.
 //
-// Layout (little-endian):
-//   magic "VXE1" | layout u8 | seed u64 | name (len-prefixed) |
-//   code_base u32 | code (len-prefixed bytes) |
-//   data_base u32 | data (len-prefixed bytes) | entry u32 |
-//   relocs (count + u32 each) | functions (count + name/addr) |
-//   rand_base u32 | rand_size u32 |
-//   sparse_code (count + addr/bytes) | fallthrough (count + pairs) |
-//   tables: derand pairs, rand pairs, unrandomized set, base/bytes
+// The format is the magic "VXE1" followed by Image::state's field list
+// (serialize.cpp, little-endian), written through the StateIo field layer
+// that checkpoints use too (binary/state_io.hpp): the field order, the
+// bounds and the errors are stated once, there.
 #pragma once
 
 #include <cstdint>

@@ -15,7 +15,7 @@ void StateIo::raw(void* data, size_t size, const char* what) {
   in_->read(static_cast<char*>(data), static_cast<std::streamsize>(size));
   if (in_->gcount() != static_cast<std::streamsize>(size)) {
     throw FormatError(FormatFault::kTruncated,
-                      std::string("checkpoint truncated mid-") + what);
+                      std::string("truncated mid-") + what);
   }
 }
 
@@ -25,6 +25,7 @@ void StateIo::u32(uint32_t& v) {
   uint8_t buf[4];
   for (int i = 0; i < 4; ++i) buf[i] = static_cast<uint8_t>(v >> (8 * i));
   raw(buf, 4, "field");
+  if (!loading()) return;
   v = 0;
   for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(buf[i]) << (8 * i);
 }
@@ -33,6 +34,7 @@ void StateIo::u64(uint64_t& v) {
   uint8_t buf[8];
   for (int i = 0; i < 8; ++i) buf[i] = static_cast<uint8_t>(v >> (8 * i));
   raw(buf, 8, "field");
+  if (!loading()) return;
   v = 0;
   for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(buf[i]) << (8 * i);
 }
@@ -40,36 +42,40 @@ void StateIo::u64(uint64_t& v) {
 void StateIo::i64(int64_t& v) {
   auto bits = static_cast<uint64_t>(v);
   u64(bits);
-  v = static_cast<int64_t>(bits);
+  if (loading()) v = static_cast<int64_t>(bits);
 }
 
 void StateIo::b(bool& v) {
   uint8_t byte = v ? 1 : 0;
   u8(byte);
-  v = byte != 0;
+  if (loading()) v = byte != 0;
 }
 
-void StateIo::blob(std::string& s, uint32_t max) {
-  const uint32_t n = count(s.size(), max);
+template <typename Buf>
+void StateIo::blob(Buf& buf, uint32_t max) {
+  const uint32_t n = count(buf.size(), max);
   if (!loading()) {
-    raw(s.data(), n, "string");
+    raw(buf.data(), n, "blob");
     return;
   }
   constexpr uint32_t kChunk = 1u << 16;
-  s.clear();
-  while (s.size() < n) {
-    const size_t at = s.size();
-    s.resize(at + std::min<size_t>(kChunk, n - at));
-    raw(s.data() + at, s.size() - at, "string");
+  buf.clear();
+  while (buf.size() < n) {
+    const size_t at = buf.size();
+    buf.resize(at + std::min<size_t>(kChunk, n - at));
+    raw(buf.data() + at, buf.size() - at, "blob");
   }
 }
+
+template void StateIo::blob(std::string&, uint32_t);
+template void StateIo::blob(std::vector<uint8_t>&, uint32_t);
 
 void StateIo::bytes(void* data, size_t size) { raw(data, size, "buffer"); }
 
 uint32_t StateIo::count(size_t n, uint32_t max) {
   auto v = static_cast<uint32_t>(n);
   u32(v);
-  require(v <= max, "checkpoint count beyond format bound");
+  require(v <= max, "count beyond its format bound");
   return v;
 }
 

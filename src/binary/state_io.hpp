@@ -1,24 +1,27 @@
-// Primitive binary state serialization for checkpoint/restore.
+// Primitive binary state serialization, shared by both persisted binary
+// formats: VXE program images (binary/serialize.*, Image::state) and
+// fleet checkpoints (Kernel::state and every runtime class below it).
 //
-// The VXE image serializer (binary/serialize.*) knows how to persist a
-// program; checkpointing a running fleet additionally needs every piece
-// of *runtime* state — pipeline clocks, cache tag arrays, DRAM bank
-// horizons, scheduler queues — written in a versioned, deterministic,
-// little-endian layout. StateIo is the shared primitive layer, built over
-// either an ostream (saving) or an istream (loading). Each stateful class
-// lists its checkpoint fields once:
+// Both need their fields written in a deterministic little-endian layout
+// and read back with bounds: a program's sections and translation tables,
+// and a running fleet's pipeline clocks, cache tag arrays, DRAM bank
+// horizons and scheduler queues. StateIo is that one field layer, built
+// over either an ostream (saving) or an istream (loading). Each persisted
+// class lists its fields once:
 //
 //   void state(binary::StateIo& io);
 //
-// Every primitive takes a reference: saving writes the value, loading
-// assigns it, so one field list serves both directions. The few steps
-// that really differ by direction (sorting hash-set contents before a
-// save, rebuilding derived state after a load) branch on loading().
+// Every primitive takes a reference: saving writes the value and only
+// reads the field, loading assigns it, so one field list serves both
+// directions. The few steps that really differ by direction (sorting
+// hash-set contents before a save, rebuilding derived state after a load)
+// branch on loading().
 //
 // Loading throws FormatError — kTruncated on underrun, kImplausible on a
 // count beyond its bound, a geometry that does not match the live object
-// or an out-of-range index — the same taxonomy as the image parser, so
-// checkpoint corruption surfaces as a structured error instead of UB.
+// or an out-of-range index — so corrupt bytes surface as a structured
+// error instead of UB. Variable-length fields never allocate ahead of the
+// input: a corrupt length runs into truncation before a large allocation.
 #pragma once
 
 #include <cstdint>
@@ -47,13 +50,15 @@ class StateIo {
   void enum8(E& v) {
     auto byte = static_cast<uint8_t>(v);
     u8(byte);
-    v = static_cast<E>(byte);
+    if (loading()) v = static_cast<E>(byte);
   }
   /// u32 length prefix + raw bytes.
   void str(std::string& s) { blob(s, kMaxString); }
-  /// str() with its own length bound. Loading grows the string in bounded
-  /// chunks, so a corrupt length hits truncation before a large allocation.
-  void blob(std::string& s, uint32_t max);
+  /// str() with its own length bound, for a std::string or a byte vector
+  /// (a program section). Loading grows the buffer in bounded chunks, so a
+  /// corrupt length hits truncation before a large allocation.
+  template <typename Buf>
+  void blob(Buf& buf, uint32_t max);
   void bytes(void* data, size_t size);
 
   /// A u32 element count: saving writes `n` and returns it; loading reads

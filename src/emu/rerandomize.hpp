@@ -17,7 +17,7 @@
 //      new-randomized;
 //   2. the architectural PC is translated the same way;
 //   3. code bytes (same original layout, new encoded targets), jump-table
-//      relocation slots, and the serialized kernel tables are refreshed;
+//      relocation slots, and the image's rand/derand tables are refreshed;
 //      program *data* is untouched;
 //   4. the same emulator resumes over the patched image and memory, its
 //      register file, bitmap, output, and statistics carried as they are.

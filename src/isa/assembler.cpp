@@ -21,10 +21,6 @@ struct AsmError : std::runtime_error {
       : std::runtime_error("asm:" + std::to_string(line) + ": " + msg) {}
 };
 
-/// The highest address a section may end at (one past its last byte), so
-/// that Image::code_end() and Image::data_end() do not wrap to zero.
-constexpr uint64_t kMaxSectionEnd = 0xffff'ffff;
-
 // Labels and mnemonics below are views into the source, which outlives
 // the Assembler.
 
@@ -147,10 +143,10 @@ class Assembler {
   }
 
   /// Returns `cursor` and advances it past a `size`-byte item, rejecting
-  /// an item that would end past kMaxSectionEnd.
+  /// an item that would end past binary::kMaxSectionEnd.
   static uint32_t advance(uint32_t& cursor, uint64_t size, const char* section,
                           size_t line) {
-    if (cursor + size > kMaxSectionEnd) {
+    if (cursor + size > binary::kMaxSectionEnd) {
       throw AsmError(line, std::string(section) +
                                " section runs past the 32-bit address space");
     }

@@ -82,7 +82,8 @@ struct RandomizeOptions {
   double spread = 1.25;
   ReturnPolicy return_policy = ReturnPolicy::kArchitectural;
   ReturnOption return_option = ReturnOption::kArchitectural;
-  /// Simulated placement of the serialized rand/derand tables.
+  /// Simulated physical base of the rand/derand table region that DRC
+  /// misses walk (TranslationTables::table_base); nothing is written there.
   uint32_t table_base = 0x6000'0000;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -95,6 +96,11 @@ constexpr uint32_t kInvalidLine = 0xffffffffu;
 
 SimResult simulate_ooo(const binary::Image& image, uint64_t max_instructions,
                        const OooConfig& config) {
+  if (config.drc.l2_entries != 0) {
+    throw std::invalid_argument(
+        "simulate_ooo: drc.l2_entries must be 0 (the out-of-order core has "
+        "no dedicated L2 DRC)");
+  }
   const bool vcfr = image.layout == Layout::kVcfr;
   const bool naive = image.layout == Layout::kNaiveIlr;
 

@@ -48,7 +48,9 @@ struct OooConfig {
 };
 
 /// Simulates `image` on the out-of-order core. Result fields have the
-/// same meaning as sim::simulate's.
+/// same meaning as sim::simulate's. The dedicated L2 DRC is an in-order
+/// (CpuCore) ablation only: a non-zero `config.drc.l2_entries` throws
+/// std::invalid_argument rather than being ignored.
 [[nodiscard]] SimResult simulate_ooo(const binary::Image& image,
                                      uint64_t max_instructions,
                                      const OooConfig& config = {});

@@ -1,6 +1,9 @@
 // Tests for the out-of-order core model (§IX future work).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "isa/assembler.hpp"
 #include "rewriter/randomizer.hpp"
 #include "emu/emulator.hpp"
@@ -203,6 +206,23 @@ TEST(OooTest, WiderThanInOrder) {
   const auto io = simulate(img, 1'000'000, in_order);
   const auto ooo = simulate_ooo(img, 1'000'000, quiet());
   EXPECT_GT(ooo.ipc(), 1.3 * io.ipc());
+}
+
+// The out-of-order core builds no dedicated L2 DRC, so asking for one is
+// an error rather than a silently ignored setting.
+TEST(OooTest, RejectsAnL2Drc) {
+  const Image img = isa::assemble(".entry main\nmain:\n  halt\n");
+  OooConfig c = quiet();
+  c.drc.l2_entries = 256;
+  try {
+    (void)simulate_ooo(img, 1000, c);
+    FAIL() << "an L2 DRC configuration was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("drc.l2_entries"), std::string::npos)
+        << e.what();
+  }
+  c.drc.l2_entries = 0;
+  EXPECT_TRUE(simulate_ooo(img, 1000, c).halted);
 }
 
 }  // namespace

@@ -1,7 +1,12 @@
 // VXE serialization round-trip and robustness tests.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "binary/serialize.hpp"
 #include "emu/emulator.hpp"
@@ -152,6 +157,142 @@ TEST(SerializeTest, MutationFuzzOnlyEverThrowsFormatError) {
   }
   EXPECT_EQ(loaded + rejected, 600u);
   EXPECT_GT(rejected, 0u) << "the fuzzer never hit a framing field";
+}
+
+std::string saved(const Image& image) {
+  std::ostringstream out;
+  save(image, out);
+  return out.str();
+}
+
+void put_u32(std::string& bytes, size_t at, uint32_t v) {
+  for (int i = 0; i < 4; ++i) bytes[at + i] = static_cast<char>(v >> (8 * i));
+}
+
+/// Stream offsets of `image`'s fields, in Image::state's field order.
+size_t code_size_at(const Image& image) { return 21 + image.name.size(); }
+size_t data_base_at(const Image& image) {
+  return code_size_at(image) + 4 + image.code.size();
+}
+size_t sparse_count_at(const Image& image) {
+  size_t at = data_base_at(image) + 8 + image.data.size() + 4;
+  at += 4 + 4 * image.relocs.size() + 4;
+  for (const auto& f : image.functions) at += 4 + f.name.size() + 4;
+  return at + 8;
+}
+
+void expect_fault(const std::string& bytes, FormatFault fault,
+                  const std::string& reason) {
+  std::istringstream in(bytes);
+  try {
+    (void)load_file(in);
+    ADD_FAILURE() << "loaded an image that should fail: " << reason;
+  } catch (const FormatError& e) {
+    EXPECT_EQ(e.fault(), fault) << e.what();
+    EXPECT_EQ(std::string(e.what()).rfind("vxe: ", 0), 0u) << e.what();
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+        << e.what();
+  }
+}
+
+// code_end()/data_end() are 32-bit: a section that ran past 0xffffffff
+// would wrap them and fail only later, as an out_of_range inside the
+// rewriter. The loader refuses it, like the assembler does.
+TEST(SerializeTest, RejectsSectionsPastTheAddressSpace) {
+  const Image image = sample_image();
+  ASSERT_EQ(image.data.size(), 8u);
+  std::string bytes = saved(image);
+  put_u32(bytes, data_base_at(image), 0xfffffffc);
+  expect_fault(bytes, FormatFault::kImplausible,
+               "data section runs past the 32-bit address space");
+
+  bytes = saved(image);
+  put_u32(bytes, code_size_at(image) - 4, 0xffffffff - 2);
+  expect_fault(bytes, FormatFault::kImplausible,
+               "code section runs past the 32-bit address space");
+
+  // A naive-ILR instruction's bytes are a section of their own.
+  rewriter::RandomizeOptions opts;
+  opts.seed = 4242;
+  const auto rr = rewriter::randomize(image, opts);
+  const Image naive = rewriter::naive_ilr(rr.program, rr.vcfr);
+  ASSERT_FALSE(naive.sparse_code.empty());
+  bytes = saved(naive);
+  put_u32(bytes, sparse_count_at(naive) + 4, 0xffffffff);
+  expect_fault(bytes, FormatFault::kImplausible,
+               "sparse-code entry runs past the 32-bit address space");
+
+  // Ending exactly at 0xffffffff is fine.
+  Image top = image;
+  top.data_base = 0xffffffff - 8;
+  std::istringstream in(saved(top));
+  EXPECT_EQ(load_file(in).data_end(), 0xffffffffu);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define VCFR_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define VCFR_TEST_SANITIZED 1
+#endif
+#endif
+
+#ifndef VCFR_TEST_SANITIZED
+size_t derand_count_at(const Image& image, size_t size) {
+  const auto& t = image.tables;
+  return size - (12 + 8 * t.derand.size() + 8 * t.rand.size() +
+                 4 * t.unrandomized.size() + 8);
+}
+
+/// Loads `bytes` with the address space capped 128 MiB above the process's
+/// current size, so any allocation near a corrupt length field's claim
+/// fails. Exits 0 only when the load is rejected as kTruncated.
+[[noreturn]] void load_with_capped_address_space(const std::string& bytes) {
+  unsigned long pages = 0;
+  std::ifstream("/proc/self/statm") >> pages;
+  const rlim_t cap = static_cast<rlim_t>(pages) *
+                         static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) +
+                     (rlim_t{128} << 20);
+  const rlimit limit{cap, cap};
+  if (pages == 0 || setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(3);
+  std::istringstream in(bytes);
+  try {
+    (void)load_file(in);
+    std::_Exit(1);
+  } catch (const FormatError& e) {
+    std::_Exit(e.fault() == FormatFault::kTruncated ? 0 : 2);
+  } catch (...) {
+    std::_Exit(4);
+  }
+}
+#endif
+
+// A length field is a claim, not a fact: a corrupt one must run into the
+// end of the input before anything near its size is allocated.
+TEST(SerializeTest, CorruptLengthsDoNotAllocateAheadOfTheInput) {
+#ifdef VCFR_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer runtimes reserve address space up front";
+#else
+  // Code length 2^28, then the stream ends 4 bytes into the section.
+  const Image sjeng = workloads::make("sjeng", 0);
+  std::string code = saved(sjeng);
+  put_u32(code, code_size_at(sjeng), 1u << 28);
+  code.resize(code_size_at(sjeng) + 8);
+  EXPECT_EXIT(load_with_capped_address_space(code),
+              testing::ExitedWithCode(0), "");
+
+  // A derand count of 2^24 entries, then the stream ends.
+  rewriter::RandomizeOptions opts;
+  opts.seed = 7;
+  const Image vcfr = rewriter::randomize(sjeng, opts).vcfr;
+  std::string derand = saved(vcfr);
+  const size_t at = derand_count_at(vcfr, derand.size());
+  put_u32(derand, at, 1u << 24);
+  derand.resize(at + 4);
+  EXPECT_EXIT(load_with_capped_address_space(derand),
+              testing::ExitedWithCode(0), "");
+#endif
 }
 
 TEST(SerializeTest, FileRoundTrip) {

@@ -27,6 +27,18 @@ if(found EQUAL -1)
   message(FATAL_ERROR "expected output 36, got: ${out}")
 endif()
 
+# A truncated image (the magic and nothing else) is refused with one
+# typed VXE error and exit status 1, not a crash.
+file(WRITE "${WORK_DIR}/truncated.vxe" "VXE1")
+execute_process(COMMAND ${VCFR_BIN} stats ${WORK_DIR}/truncated.vxe
+                OUTPUT_VARIABLE trunc_out ERROR_VARIABLE trunc_err
+                RESULT_VARIABLE rc_trunc)
+string(FIND "${trunc_err}" "vxe:" found_vxe)
+if(NOT rc_trunc EQUAL 1 OR found_vxe EQUAL -1)
+  message(FATAL_ERROR "stats on a truncated image: exit ${rc_trunc}, "
+                      "stderr: ${trunc_err}")
+endif()
+
 # Fleet smoke: four workloads time-sliced on two cores, architectural
 # results verified against isolated runs (the command exits non-zero on
 # any mismatch or fault).
