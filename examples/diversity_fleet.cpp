@@ -50,7 +50,7 @@ int main() {
   double total_pairs = 0, same_placement = 0;
   for (int a = 0; a < kVariants; ++a) {
     for (int b = a + 1; b < kVariants; ++b) {
-      for (const auto& [orig, addr] : fleet[a]->tables.rand) {
+      for (const auto& [orig, addr] : fleet[a]->tables.rand.entries()) {
         if (const uint32_t* other = fleet[b]->tables.rand.lookup(orig)) {
           ++total_pairs;
           if (*other == addr) ++same_placement;
@@ -76,10 +76,10 @@ int main() {
   // re-randomizes: how many of those addresses still hit an instruction?
   uint64_t still_instr = 0, probes = 0;
   std::unordered_set<uint32_t> v1_starts;
-  for (const auto& [orig, addr] : fleet[1]->tables.rand) {
+  for (const auto& [orig, addr] : fleet[1]->tables.rand.entries()) {
     v1_starts.insert(addr);
   }
-  for (const auto& [orig, addr] : fleet[0]->tables.rand) {
+  for (const auto& [orig, addr] : fleet[0]->tables.rand.entries()) {
     ++probes;
     if (v1_starts.contains(addr)) ++still_instr;
   }

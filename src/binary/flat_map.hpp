@@ -7,14 +7,9 @@
 // with linear probing: a lookup is one multiply-shift hash, one array
 // index, and (almost always) zero or one extra probe.
 //
-// Iteration order is slot order, which is a pure function of the inserted
-// keys — deterministic across platforms and standard libraries, unlike
-// unordered_map. The VXE and checkpoint serializers rely on this.
-//
 // Both share one slot-array core (detail::FlatTable: probe, growth and
-// backward-shift erase with no tombstones): the incremental re-randomizer
-// retires individual derand entries in place, and the emulator's §IV-C
-// return bitmap clears a slot's mark on every store, pop and return.
+// backward-shift erase with no tombstones): the emulator's §IV-C return
+// bitmap clears a slot's mark on every store, pop and return.
 #pragma once
 
 #include <cstddef>
@@ -53,10 +48,8 @@ class FlatTable {
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
   /// Backward-shift deletion: no tombstones, so probe chains stay exactly
-  /// as a fresh insert-only build would lay them out — iteration order
-  /// after an erase is still a pure function of the surviving keys'
-  /// insertion history, keeping serialized table renderings deterministic.
-  /// Returns true when the key was present.
+  /// as a fresh insert-only build would lay them out. Returns true when the
+  /// key was present.
   bool erase(uint32_t key) {
     size_t hole = find_slot(key);
     if (hole == kAbsent) return false;
@@ -147,6 +140,12 @@ class FlatMap32 : public detail::FlatTable<std::pair<uint32_t, uint32_t>> {
 
   class const_iterator {
    public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = FlatMap32::value_type;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const value_type*;
+    using reference = const value_type&;
+
     const_iterator() = default;
 
     const value_type& operator*() const { return map_->slots_[idx_]; }
@@ -184,20 +183,10 @@ class FlatMap32 : public detail::FlatTable<std::pair<uint32_t, uint32_t>> {
     return lookup(key) != nullptr;
   }
 
-  [[nodiscard]] const_iterator find(uint32_t key) const {
-    const size_t idx = find_slot(key);
-    return idx == kAbsent ? end() : const_iterator{this, idx};
-  }
-
   /// Inserts when absent (like unordered_map::emplace — never overwrites).
   /// Returns true when a new entry was created.
   bool emplace(uint32_t key, uint32_t value) {
     return claim(key, {key, value}).second;
-  }
-  bool insert(const value_type& e) { return emplace(e.first, e.second); }
-
-  uint32_t& operator[](uint32_t key) {
-    return slots_[claim(key, {key, 0}).first].second;
   }
 
   /// Set equality (iteration order does not matter).

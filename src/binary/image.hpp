@@ -7,7 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "binary/flat_map.hpp"
+#include "binary/tables.hpp"
 
 namespace vcfr::binary {
 
@@ -38,48 +38,6 @@ struct Relocation {
 struct FunctionSymbol {
   std::string name;
   uint32_t addr = 0;
-};
-
-/// Randomization / de-randomization tables emitted by the rewriter for
-/// kVcfr images. The paper stores these in kernel-protected pages; here
-/// these maps are the only copy. table_base/table_bytes describe where the
-/// region would sit, which gives a DRC miss the line address it reads
-/// (table_entry_addr in loader.hpp); the region is never written.
-///
-/// The maps are open-addressing flat tables (binary/flat_map.hpp): they
-/// are probed on the emulator's per-instruction hot path, and their
-/// deterministic iteration order pins the VXE and checkpoint bytes that
-/// serialize them.
-struct TranslationTables {
-  /// randomized address -> original address (the paper's "derand" entries).
-  FlatMap32 derand;
-  /// original address -> randomized address ("rand" entries; used when a
-  /// call must push the randomized return address).
-  FlatMap32 rand;
-  /// Original addresses left un-randomized as the failover set for
-  /// unresolved indirect transfers. Their entries have the randomized tag
-  /// cleared; they are the only residual ROP surface (§IV-A, §V-B).
-  FlatSet32 unrandomized;
-  /// Simulated physical placement of the tables (walked through L2 on DRC
-  /// misses).
-  uint32_t table_base = 0;
-  uint32_t table_bytes = 0;
-
-  /// De-randomizes an address: identity for un-randomized addresses.
-  [[nodiscard]] uint32_t to_original(uint32_t addr) const {
-    const uint32_t* v = derand.lookup(addr);
-    return v == nullptr ? addr : *v;
-  }
-
-  /// Randomizes an original address: identity when no mapping exists.
-  [[nodiscard]] uint32_t to_randomized(uint32_t addr) const {
-    const uint32_t* v = rand.lookup(addr);
-    return v == nullptr ? addr : *v;
-  }
-
-  [[nodiscard]] bool is_randomized_addr(uint32_t addr) const {
-    return derand.contains(addr);
-  }
 };
 
 /// A complete program image.

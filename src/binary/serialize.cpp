@@ -1,5 +1,6 @@
 #include "binary/serialize.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -12,7 +13,7 @@
 namespace vcfr::binary {
 namespace {
 
-constexpr char kMagic[4] = {'V', 'X', 'E', '1'};
+constexpr char kMagic[4] = {'V', 'X', 'E', '3'};
 
 /// Hard bounds: a section (or one naive-ILR instruction's bytes) and every
 /// count field (relocs, functions, table entries, ...). Far above anything
@@ -24,31 +25,34 @@ constexpr uint32_t kMaxEntries = 1u << 24;
 using Pair = std::pair<uint32_t, uint32_t>;
 using SparseEntry = std::pair<uint32_t, std::vector<uint8_t>>;
 
-/// A hash container as a count and its entries in iteration order.
-/// Loading reads every entry before it touches the container, so a
-/// corrupt count reserves nothing, then reserves the count and inserts in
-/// stream order. Slot order (FlatMap32, FlatSet32) and bucket order
-/// (unordered_map) depend on capacity and insertion order, so this rebuild
-/// fixes how a loaded image iterates and re-saves (pinned by
-/// ImageBytesTest.SaveLoadSaveIsPinned).
-template <typename Entry, typename Map, typename Field>
-void table(StateIo& io, Map& map, Field field) {
-  std::vector<Entry> entries;
-  if (!io.loading()) {
-    for (const auto& e : map) entries.emplace_back(e);
-  }
-  io.vec(entries, kMaxEntries, field);
-  if (!io.loading()) return;
-  map.clear();
-  map.reserve(entries.size());
-  for (Entry& e : entries) map.insert(std::move(e));
+uint32_t key_of(uint32_t key) { return key; }
+template <typename Value>
+uint32_t key_of(const std::pair<uint32_t, Value>& e) {
+  return e.first;
 }
 
-void pairs(StateIo& io, FlatMap32& map) {
-  table<Pair>(io, map, [&](Pair& e) {
-    io.u32(e.first);
-    io.u32(e.second);
+/// A table as a count and its entries in ascending key order, so that the
+/// bytes depend only on its contents. Saving takes `saved` (any order);
+/// loading reads every entry before it touches the table, so a corrupt
+/// count allocates nothing, then hands each entry to `insert`, which
+/// returns false for a repeated key.
+template <typename Entry, typename Field, typename Insert>
+void keyed(StateIo& io, std::vector<Entry> saved, Field field, Insert insert) {
+  std::sort(saved.begin(), saved.end(), [](const Entry& a, const Entry& b) {
+    return key_of(a) < key_of(b);
   });
+  io.vec(saved, kMaxEntries, field);
+  if (!io.loading()) return;
+  for (Entry& e : saved) {
+    const uint32_t key = key_of(e);
+    StateIo::require(insert(std::move(e)),
+                     "repeated table key " + std::to_string(key));
+  }
+}
+
+void pair_field(StateIo& io, Pair& e) {
+  io.u32(e.first);
+  io.u32(e.second);
 }
 
 /// A section's bytes, which must end by kMaxSectionEnd.
@@ -73,7 +77,11 @@ std::string_view format_fault_name(FormatFault fault) {
 }
 
 void Image::state(StateIo& io) {
+  if (io.loading()) *this = Image();
   io.enum8(layout);
+  if (layout > Layout::kVcfr) {
+    throw FormatError(FormatFault::kBadLayout, "unknown layout");
+  }
   io.u64(seed);
   io.str(name);
   io.u32(code_base);
@@ -88,14 +96,52 @@ void Image::state(StateIo& io) {
   });
   io.u32(rand_base);
   io.u32(rand_size);
-  table<SparseEntry>(io, sparse_code, [&](SparseEntry& e) {
-    io.u32(e.first);
-    section(io, e.first, e.second, "sparse-code entry");
-  });
-  pairs(io, fallthrough);
-  pairs(io, tables.derand);
-  pairs(io, tables.rand);
-  table<uint32_t>(io, tables.unrandomized, [&](uint32_t& a) { io.u32(a); });
+  keyed<SparseEntry>(
+      io, {sparse_code.begin(), sparse_code.end()},
+      [&](SparseEntry& e) {
+        io.u32(e.first);
+        section(io, e.first, e.second, "sparse-code entry");
+      },
+      [&](SparseEntry&& e) { return sparse_code.insert(std::move(e)).second; });
+  keyed<Pair>(io, {fallthrough.begin(), fallthrough.end()},
+              [&](Pair& e) { pair_field(io, e); },
+              [&](Pair&& e) { return fallthrough.emplace(e.first, e.second); });
+
+  // The dense tables span the randomized region (derand, in slots of the
+  // saved granule) and the original code (rand), which a naive-ILR image
+  // keeps only as its sparse instructions. At most 16 slots per code byte
+  // (far above any placement) bounds what a loaded region allocates.
+  uint32_t granule = tables.derand.granule();
+  io.u32(granule);
+  if (io.loading()) {
+    uint64_t code_bytes = code.size();
+    for (const auto& [addr, bytes] : sparse_code) code_bytes += bytes.size();
+    StateIo::require(granule != 0 && rand_base + uint64_t{rand_size} <=
+                                         kMaxSectionEnd,
+                     "randomized region runs past the 32-bit address space");
+    StateIo::require(rand_size / granule <= 16 * code_bytes + 8192,
+                     "randomized region has more slots than its code can fill");
+    tables.derand.reset(rand_base, rand_size, granule);
+    tables.rand.reset(code_base, static_cast<uint32_t>(code_bytes));
+  }
+  keyed<Pair>(io, tables.derand.entries(),
+              [&](Pair& e) { pair_field(io, e); },
+              [&](Pair&& e) {
+                StateIo::require(tables.derand.in_region(e.first),
+                                 "derand key outside the randomized region");
+                return tables.derand.emplace(e.first, e.second);
+              });
+  keyed<Pair>(io, tables.rand.entries(),
+              [&](Pair& e) { pair_field(io, e); },
+              [&](Pair&& e) {
+                StateIo::require(
+                    e.first - code_base < tables.rand.span() && e.second != ~0u,
+                    "rand entry outside the original code");
+                return tables.rand.set(e.first, e.second);
+              });
+  keyed<uint32_t>(io, {tables.unrandomized.begin(), tables.unrandomized.end()},
+                  [&](uint32_t& a) { io.u32(a); },
+                  [&](uint32_t a) { return tables.unrandomized.insert(a); });
   io.u32(tables.table_base);
   io.u32(tables.table_bytes);
 }
@@ -113,10 +159,6 @@ Image load_file(std::istream& in) {
   in.read(magic, 4);
   if (in.gcount() != 4 || std::memcmp(magic, kMagic, 4) != 0) {
     throw FormatError(FormatFault::kBadMagic, "vxe: bad magic (not a VXE image)");
-  }
-  const int layout = in.peek();
-  if (layout != EOF && layout > static_cast<int>(Layout::kVcfr)) {
-    throw FormatError(FormatFault::kBadLayout, "vxe: unknown layout");
   }
   Image image;
   StateIo io(in);

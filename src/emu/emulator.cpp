@@ -62,8 +62,8 @@ uint32_t Emulator::sequential_next(uint32_t rpc, uint32_t upc,
     case Layout::kOriginal:
       return rpc + len;
     case Layout::kNaiveIlr: {
-      auto it = image_.fallthrough.find(rpc);
-      return it == image_.fallthrough.end() ? 0 : it->second;
+      const uint32_t* next = image_.fallthrough.lookup(rpc);
+      return next == nullptr ? 0 : *next;
     }
     case Layout::kVcfr:
       // Architectural successor is the randomized image of upc+len; the
@@ -368,8 +368,7 @@ bool Emulator::step(StepInfo* info) {
       if (!tables.is_randomized_addr(target_rand)) {
         // Target expressed in original space. Legal only for the failover
         // (un-randomized) set; anything else would trip the randomized tag.
-        auto it = tables.rand.find(target_rand);
-        if (it != tables.rand.end() && it->second != target_rand &&
+        if (tables.to_randomized(target_rand) != target_rand &&
             !tables.unrandomized.contains(target_rand)) {
           ++stats_.tag_violations;
         }

@@ -5,7 +5,6 @@
 #include <random>
 #include <stdexcept>
 
-#include "binary/flat_map.hpp"
 #include "isa/encoding.hpp"
 
 namespace vcfr::emu {
@@ -24,6 +23,23 @@ std::vector<uint32_t> surviving_aliases(const binary::TranslationTables& tables,
   }
   return aliases;
 }
+
+/// One moved instruction of an incremental firing.
+struct Assign {
+  uint32_t idx = 0;  // cfg.instrs index
+  uint32_t old_ra = 0;
+  uint32_t new_ra = 0;
+};
+
+/// An incremental firing's buffers, kept per thread so that a warm firing
+/// allocates nothing: the selected pages, slot occupancy (one byte per
+/// slot), the old slot -> move map and the moves.
+struct FiringScratch {
+  std::vector<uint32_t> selected;
+  std::vector<uint8_t> taken;
+  std::vector<uint32_t> moved_from;
+  std::vector<Assign> assign;
+};
 
 }  // namespace
 
@@ -102,36 +118,43 @@ bool rerandomize_incremental(const rewriter::Program& program,
     throw std::invalid_argument(
         "rerandomize_incremental: requires a VCFR image");
   }
+  binary::TranslationTables& tables = img.tables;
+  binary::DerandTable& derand = tables.derand;
   const uint32_t slot_bytes = options.placement.slot_bytes;
   const uint32_t rand_base = options.placement.rand_base;
   if (slot_bytes == 0 || img.rand_size == 0 ||
-      img.rand_size % slot_bytes != 0) {
+      img.rand_size % slot_bytes != 0 || img.rand_base != rand_base ||
+      derand.granule() != slot_bytes) {
     throw std::invalid_argument(
         "rerandomize_incremental: requires kFullSpread slot geometry");
   }
+  if (!std::is_sorted(options.pinned.begin(), options.pinned.end())) {
+    throw std::invalid_argument("rerandomize_incremental: pins not sorted");
+  }
+  auto pinned = [&](uint32_t ra) {
+    return std::binary_search(options.pinned.begin(), options.pinned.end(), ra);
+  };
   const rewriter::Cfg& cfg = program.cfg;
   const rewriter::RerandIndex& ix = program.rerand;
-  const uint32_t slot_count = img.rand_size / slot_bytes;
-  auto slot_of = [&](uint32_t ra) {
-    if (ra < rand_base || (ra - rand_base) / slot_bytes >= slot_count) {
-      throw std::invalid_argument(
-          "rerandomize_incremental: placement outside the slot pool "
-          "(kPageConfined image?)");
-    }
-    return (ra - rand_base) / slot_bytes;
-  };
+  const auto slot_count = static_cast<uint32_t>(derand.slot_count());
 
   RerandStats local;
   RerandStats& st = stats ? *stats : local;
   st = RerandStats{};
   if (ix.movable.empty()) return true;  // nothing randomized: trivial success
 
+  thread_local FiringScratch scratch;
+  std::vector<uint32_t>& selected = scratch.selected;
+  std::vector<uint8_t>& taken = scratch.taken;
+  std::vector<uint32_t>& moved_from = scratch.moved_from;
+  std::vector<Assign>& assign = scratch.assign;
+
   // --- page selection: original 4 KiB pages holding movable instrs --------
   // Shuffling page indices permutes exactly as shuffling the (ascending)
   // page numbers would, so the draw sequence is the page-number one.
   std::mt19937_64 rng(options.placement.seed);
   const size_t pages = ix.page_begin.size() - 1;
-  std::vector<uint32_t> selected(pages);
+  selected.resize(pages);
   std::iota(selected.begin(), selected.end(), 0u);
   if (!options.all_regions && options.region_percent < 100) {
     std::shuffle(selected.begin(), selected.end(), rng);
@@ -142,59 +165,55 @@ bool rerandomize_incremental(const rewriter::Program& program,
   }
   st.regions = static_cast<uint32_t>(selected.size());
 
-  binary::FlatSet32 pinned;
-  pinned.reserve(options.pinned.size());
-  for (const uint32_t v : options.pinned) pinned.insert(v);
-
   // --- phase 1: draw fresh slots (any failure leaves img untouched) -------
-  struct Assign {
-    uint32_t idx = 0;  // cfg.instrs index
-    uint32_t old_ra = 0;
-    uint32_t new_ra = 0;
-  };
-  std::vector<Assign> assign;
-  assign.reserve(ix.movable.size());
+  assign.clear();
   for (const uint32_t k : selected) {
     for (uint32_t j = ix.page_begin[k]; j < ix.page_begin[k + 1]; ++j) {
       const uint32_t idx = ix.movable[j];
-      const uint32_t* old_ra = img.tables.rand.lookup(cfg.instrs[idx].addr);
+      const uint32_t* old_ra = tables.rand.lookup(cfg.instrs[idx].addr);
       if (old_ra == nullptr) {
         throw std::logic_error(
             "rerandomize_incremental: movable instruction has no placement");
+      }
+      if (!derand.in_region(*old_ra)) {
+        throw std::invalid_argument(
+            "rerandomize_incremental: placement outside the slot pool");
       }
       assign.push_back({idx, *old_ra, 0});
     }
   }
 
-  // Slot occupancy, one bit per slot: placements staying put, plus pinned
-  // (alias) keys. A moved instruction frees its old slot unless an alias
+  // Slot occupancy, one byte per slot: every live derand key (placements
+  // and aliases). A moved instruction frees its old slot unless an alias
   // pins it. No two placements share a slot, so clearing a moved
   // instruction's slot frees no one else's.
-  std::vector<bool> occupied(slot_count);
-  for (const auto& [orig, ra] : img.tables.rand) occupied[slot_of(ra)] = true;
+  taken.resize(slot_count);
+  for (uint32_t s = 0; s < slot_count; ++s) taken[s] = derand.slot_taken(s);
   for (const Assign& a : assign) {
-    if (!pinned.contains(a.old_ra)) occupied[slot_of(a.old_ra)] = false;
+    if (!pinned(a.old_ra)) taken[derand.slot_of(a.old_ra)] = 0;
   }
   for (const uint32_t v : options.pinned) {
-    if (img.tables.derand.contains(v)) occupied[slot_of(v)] = true;
+    if (derand.contains(v)) taken[derand.slot_of(v)] = 1;
   }
 
+  const binary::Divisor slots(slot_count);
+  const auto jitter_span = rewriter::jitter_divisors(slot_bytes);
   for (Assign& a : assign) {
     uint32_t slot = 0;
     bool found = false;
     for (int attempt = 0; attempt < 64 && !found; ++attempt) {
-      const auto s = static_cast<uint32_t>(rng() % slot_count);
-      if (!occupied[s]) {
+      const auto s = static_cast<uint32_t>(slots.mod(rng()));
+      if (taken[s] == 0) {
         slot = s;
         found = true;
       }
     }
     if (!found) {
       // Dense pool: fall back to a deterministic linear probe.
-      const auto s0 = static_cast<uint32_t>(rng() % slot_count);
+      const auto s0 = static_cast<uint32_t>(slots.mod(rng()));
       for (uint32_t d = 0; d < slot_count; ++d) {
         const uint32_t s = (s0 + d) % slot_count;
-        if (!occupied[s]) {
+        if (taken[s] == 0) {
           slot = s;
           found = true;
           break;
@@ -202,9 +221,9 @@ bool rerandomize_incremental(const rewriter::Program& program,
       }
     }
     if (!found) return false;  // pool exhausted: the caller defers
-    occupied[slot] = true;
+    taken[slot] = 1;
     const auto jitter = static_cast<uint32_t>(
-        rng() % (slot_bytes - cfg.instrs[a.idx].instr.length + 1));
+        jitter_span[cfg.instrs[a.idx].instr.length].mod(rng()));
     a.new_ra = rand_base + slot * slot_bytes + jitter;
   }
 
@@ -212,18 +231,17 @@ bool rerandomize_incremental(const rewriter::Program& program,
   // Bump before the first table/code write so no decode-cache entry from
   // the old generation can be mistaken for current state.
   mem.bump_code_version();
-  binary::TranslationTables& tables = img.tables;
   // Old placement -> new, through the old slot: moved_from[slot] is one
   // past the index in `assign` of the instruction that left it.
-  std::vector<uint32_t> moved_from(slot_count, 0);
+  moved_from.assign(slot_count, 0);
   for (size_t k = 0; k < assign.size(); ++k) {
-    moved_from[slot_of(assign[k].old_ra)] = static_cast<uint32_t>(k + 1);
+    moved_from[derand.slot_of(assign[k].old_ra)] = static_cast<uint32_t>(k + 1);
   }
   auto moved_to = [&](uint32_t ra) -> const uint32_t* {
-    if (ra < rand_base) return nullptr;
-    const uint32_t slot = (ra - rand_base) / slot_bytes;
-    if (slot >= slot_count || moved_from[slot] == 0) return nullptr;
-    const Assign& a = assign[moved_from[slot] - 1];
+    if (!derand.in_region(ra)) return nullptr;
+    const uint32_t k = moved_from[derand.slot_of(ra)];
+    if (k == 0) return nullptr;
+    const Assign& a = assign[k - 1];
     return a.old_ra == ra ? &a.new_ra : nullptr;
   };
 
@@ -231,12 +249,12 @@ bool rerandomize_incremental(const rewriter::Program& program,
   // on another moved instruction's freed slot (and jitter may reproduce
   // its old address), so inserts must only see surviving keys.
   for (const Assign& a : assign) {
-    if (!pinned.contains(a.old_ra)) tables.derand.erase(a.old_ra);
+    if (!pinned(a.old_ra)) derand.erase(a.old_ra);
   }
   for (const Assign& a : assign) {
     const uint32_t orig = cfg.instrs[a.idx].addr;
-    tables.rand[orig] = a.new_ra;
-    tables.derand.emplace(a.new_ra, orig);
+    tables.rand.set(orig, a.new_ra);
+    derand.emplace(a.new_ra, orig);
     ++st.instrs_moved;
   }
 

@@ -108,7 +108,9 @@ struct RerandStats {
 /// sites refer to them. Placements must occupy distinct slots of the pool
 /// (rewriter::check_placement holds). Returns false — with `img`, `mem`,
 /// and `running` untouched — when the slot pool cannot host the
-/// re-placement (caller defers); true on success.
+/// re-placement (caller defers); true on success. Throws
+/// std::invalid_argument unless `img` is a VCFR image with the slot
+/// geometry of options.placement and options.pinned is sorted.
 [[nodiscard]] bool rerandomize_incremental(const rewriter::Program& program,
                                            binary::Image& img,
                                            binary::Memory& mem,

@@ -121,14 +121,12 @@ bool FaultInjector::apply(binary::Image& image, binary::Memory& mem,
                        ")";
         return false;
       }
-      std::vector<uint32_t> keys;
-      keys.reserve(image.tables.derand.size());
-      for (const auto& [k, v] : image.tables.derand) keys.push_back(k);
-      std::sort(keys.begin(), keys.end());
-      const uint32_t key = keys[rng.below(keys.size())];
+      // entries() lists the keys in ascending order.
+      const auto entries = image.tables.derand.entries();
+      const uint32_t key = entries[rng.below(entries.size())].first;
       const uint32_t bit = static_cast<uint32_t>(rng.below(32));
-      image.tables.derand[key] ^= (1u << bit);
-      // The maps are the only copy of the tables; bump the code
+      *image.tables.derand.lookup(key) ^= (1u << bit);
+      // The tables are the only copy; bump the code
       // generation, since cached decodes of the old mapping are stale.
       mem.bump_code_version();
       record_.applied = true;

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <sstream>
 
-#include "binary/serialize.hpp"
 #include "binary/state_io.hpp"
 #include "emu/rerandomize.hpp"
 
@@ -219,14 +217,7 @@ void Process::state(binary::StateIo& io) {
   // injection may have rewritten either — the checkpoint must carry the
   // corruption, not the pristine re-derivation, so the serialized image
   // is the ground truth on load.
-  std::ostringstream out;
-  if (!io.loading()) binary::save(image_, out);
-  std::string image = out.str();
-  io.blob(image, 1u << 28);
-  if (io.loading()) {
-    std::istringstream in(image);
-    image_ = binary::load_file(in);
-  }
+  image_.state(io);
   mem_.state(io);
   emu_->state(io);
   bool has_injector = injector_ != nullptr;

@@ -1,10 +1,8 @@
 #include "rewriter/randomizer.hpp"
 
 #include <algorithm>
-#include <map>
 #include <bit>
 #include <cstdio>
-#include <memory_resource>
 #include <random>
 #include <stdexcept>
 #include <unordered_map>
@@ -17,6 +15,14 @@ namespace vcfr::rewriter {
 using isa::Op;
 
 namespace {
+
+/// kPageConfined geometry: each original 4 KiB code page gets one
+/// randomized region of kPageStride bytes, one cache line more than the
+/// page, since an instruction *starting* in a page's last bytes straddles
+/// into the next page and a page's instructions can total slightly more
+/// than 4096 bytes.
+constexpr uint32_t kPage = 4096;
+constexpr uint32_t kPageStride = kPage + 64;
 
 /// True when the instruction's immediate is a code address the placement
 /// must rewrite. PushI immediates are return addresses produced by the
@@ -42,7 +48,6 @@ isa::Instr remap_targets(const isa::DisasmEntry& entry,
 
 RerandIndex index_rerand(const binary::Image& image, const Cfg& cfg,
                          const AnalysisResult& analysis) {
-  constexpr uint32_t kPage = 4096;
   const auto n = static_cast<uint32_t>(cfg.instrs.size());
   RerandIndex ix;
   ix.movable.reserve(n);
@@ -105,6 +110,17 @@ uint32_t full_spread_slots(size_t movable, double spread) {
                        static_cast<double>(movable) * spread));
 }
 
+/// The page-confined randomized region: one stride per page up to the last
+/// page holding a movable instruction.
+uint32_t page_confined_region(const Program& program) {
+  const std::vector<uint32_t>& movable = program.rerand.movable;
+  const uint32_t last_page =
+      movable.empty() ? 0
+                      : (program.cfg.instrs[movable.back()].addr -
+                         program.image.code_base) / kPage;
+  return (last_page + 1) * kPageStride;
+}
+
 /// Open-addressed table over (derand + rand) entries, 8 bytes each, at
 /// ~full occupancy (the walker models a single-probe perfect hash; the
 /// size only determines the table's cache footprint).
@@ -113,6 +129,14 @@ uint32_t table_bytes_for(size_t placed) {
 }
 
 }  // namespace
+
+JitterDivisors jitter_divisors(uint32_t slot_bytes) {
+  JitterDivisors d;
+  for (uint32_t len = 1; len <= isa::kMaxInstrLength; ++len) {
+    d[len] = binary::Divisor(slot_bytes - len + 1);
+  }
+  return d;
+}
 
 binary::Image rewrite_calls_software(const binary::Image& image,
                                      SoftwareRewriteStats* stats) {
@@ -230,84 +254,69 @@ binary::Image place(const Program& program, const RandomizeOptions& options) {
 
   const binary::Image& image = program.image;
   const Cfg& cfg = program.cfg;
-  const auto& unrandomized = program.analysis.unrandomized;
-  // original -> randomized, drawn below. It only feeds the tables: its
-  // iteration order is their insertion order, which fixes FlatMap32's slot
-  // layout and with it the VXE and checkpoint bytes. Its nodes live in one
-  // arena released in bulk on return (the allocator does not change the
-  // iteration order).
-  std::pmr::monotonic_buffer_resource arena;
-  std::pmr::unordered_map<uint32_t, uint32_t> placement(&arena);
+  const std::vector<uint32_t>& movable = program.rerand.movable;
+  // The draw loops below write the placement straight into the tables.
+  binary::TranslationTables tables;
+  tables.rand.reset(image.code_base, static_cast<uint32_t>(image.code.size()));
+  auto place_at = [&](uint32_t orig, uint32_t rand_addr) {
+    tables.rand.set(orig, rand_addr);
+    tables.derand.emplace(rand_addr, orig);
+  };
 
   // --- assign randomized addresses ----------------------------------------
   std::mt19937_64 rng(options.seed);
-  const std::vector<uint32_t>& movable = program.rerand.movable;
-
   uint32_t region_size = 0;
   if (options.placement == PlacementPolicy::kFullSpread) {
     const uint32_t slot_count =
         full_spread_slots(movable.size(), options.spread);
+    region_size = slot_count * options.slot_bytes;
+    tables.derand.reset(options.rand_base, region_size, options.slot_bytes);
     std::vector<uint32_t> slots(slot_count);
     for (uint32_t i = 0; i < slot_count; ++i) slots[i] = i;
     std::shuffle(slots.begin(), slots.end(), rng);
 
+    const auto jitter_span = jitter_divisors(options.slot_bytes);
     for (size_t k = 0; k < movable.size(); ++k) {
       const auto& e = cfg.instrs[movable[k]];
-      const uint32_t jitter = static_cast<uint32_t>(
-          rng() % (options.slot_bytes - e.instr.length + 1));
-      const uint32_t addr =
-          options.rand_base + slots[k] * options.slot_bytes + jitter;
-      placement.emplace(e.addr, addr);
+      const auto jitter =
+          static_cast<uint32_t>(jitter_span[e.instr.length].mod(rng()));
+      place_at(e.addr,
+               options.rand_base + slots[k] * options.slot_bytes + jitter);
     }
-    region_size = slot_count * options.slot_bytes;
   } else {
     // kPageConfined: per original 4 KiB page, shuffle its instructions and
     // re-pack them (with random gaps from the page's slack) into one
-    // dedicated randomized region. The region stride carries one cache
-    // line of slop beyond the page size: an instruction *starting* in a
-    // page's last bytes straddles into the next page, so a group's total
-    // can slightly exceed 4096 bytes.
-    constexpr uint32_t kPage = 4096;
-    constexpr uint32_t kStride = kPage + 64;
-    std::map<uint32_t, std::vector<size_t>> by_page;  // ordered for determinism
-    for (size_t idx : movable) {
-      by_page[(cfg.instrs[idx].addr - image.code_base) / kPage].push_back(idx);
-    }
-    uint32_t max_page = 0;
-    for (auto& [page, list] : by_page) {
-      max_page = std::max(max_page, page);
+    // dedicated randomized region of kPageStride bytes.
+    region_size = page_confined_region(program);
+    tables.derand.reset(options.rand_base, region_size, 1);
+    const std::vector<uint32_t>& page_begin = program.rerand.page_begin;
+    for (size_t k = 0; k + 1 < page_begin.size(); ++k) {
+      std::vector<uint32_t> list(movable.begin() + page_begin[k],
+                                 movable.begin() + page_begin[k + 1]);
+      const uint32_t page =
+          (cfg.instrs[list.front()].addr - image.code_base) / kPage;
       std::shuffle(list.begin(), list.end(), rng);
       uint32_t total = 0;
-      for (size_t idx : list) total += cfg.instrs[idx].instr.length;
-      uint32_t slack = kStride > total ? kStride - total : 0;
-      uint32_t pos = options.rand_base + page * kStride;
+      for (const uint32_t idx : list) total += cfg.instrs[idx].instr.length;
+      uint32_t slack = kPageStride > total ? kPageStride - total : 0;
+      uint32_t pos = options.rand_base + page * kPageStride;
       size_t remaining = list.size();
-      for (size_t idx : list) {
+      for (const uint32_t idx : list) {
         const uint32_t gap_cap =
             remaining > 0 ? static_cast<uint32_t>(2 * slack / remaining + 1)
                           : 1;
         const uint32_t gap = std::min<uint32_t>(slack, rng() % gap_cap);
         pos += gap;
         slack -= gap;
-        placement.emplace(cfg.instrs[idx].addr, pos);
+        place_at(cfg.instrs[idx].addr, pos);
         pos += cfg.instrs[idx].instr.length;
         --remaining;
       }
     }
-    region_size = (max_page + 1) * kStride;
   }
-
-  // --- translation tables ----------------------------------------------------
-  binary::TranslationTables tables;
-  tables.derand.reserve(placement.size());
-  tables.rand.reserve(placement.size());
-  for (const auto& [orig, rand_addr] : placement) {
-    tables.derand.emplace(rand_addr, orig);
-    tables.rand.emplace(orig, rand_addr);
-  }
-  tables.unrandomized = unrandomized;
+  tables.unrandomized = program.analysis.unrandomized;
   tables.table_base = options.table_base;
-  tables.table_bytes = table_bytes_for(placement.size());
+  tables.table_bytes = table_bytes_for(movable.size());
 
   // --- VCFR image ------------------------------------------------------------
   binary::Image vcfr = image;
@@ -330,12 +339,12 @@ binary::Image place(const Program& program, const RandomizeOptions& options) {
 std::string check_placement(const Program& program, const binary::Image& image,
                             const RandomizeOptions& options,
                             std::optional<uint32_t> exempt) {
-  if (options.placement != PlacementPolicy::kFullSpread ||
-      options.slot_bytes == 0) {
-    throw std::invalid_argument(
-        "check_placement: requires kFullSpread slot geometry");
+  const bool full = options.placement == PlacementPolicy::kFullSpread;
+  if (full && options.slot_bytes == 0) {
+    throw std::invalid_argument("check_placement: slot_bytes must be non-zero");
   }
   const binary::Image& orig = program.image;
+  const Cfg& cfg = program.cfg;
   const std::vector<uint32_t>& movable = program.rerand.movable;
   const binary::TranslationTables& tables = image.tables;
   if (image.layout != binary::Layout::kVcfr) return "not a VCFR image";
@@ -357,35 +366,60 @@ std::string check_placement(const Program& program, const binary::Image& image,
     return "failover set differs from the program's";
   }
   const uint32_t slots = full_spread_slots(movable.size(), options.spread);
-  if (image.rand_base != options.rand_base ||
-      image.rand_size != slots * options.slot_bytes ||
+  const uint32_t region =
+      full ? slots * options.slot_bytes : page_confined_region(program);
+  if (image.rand_base != options.rand_base || image.rand_size != region ||
+      tables.derand.granule() != (full ? options.slot_bytes : 1) ||
       tables.table_base != options.table_base ||
       tables.table_bytes != table_bytes_for(movable.size())) {
     return "randomized or table region differs from the placement's";
   }
   if (tables.rand.size() != movable.size() ||
       !std::all_of(movable.begin(), movable.end(), [&](uint32_t idx) {
-        return tables.rand.contains(program.cfg.instrs[idx].addr);
+        return tables.rand.contains(cfg.instrs[idx].addr);
       })) {
     return "rand keys are not the program's movable instructions";
   }
-  auto in_pool = [&](uint32_t ra) {
-    return ra >= options.rand_base &&
-           (ra - options.rand_base) / options.slot_bytes < slots;
-  };
-  std::vector<bool> taken(slots);
-  for (const auto& [o, r] : tables.rand) {
-    if (!in_pool(r)) return "placement " + hex(r) + " outside the slot pool";
-    const uint32_t slot = (r - options.rand_base) / options.slot_bytes;
-    if (taken[slot]) return "two placements share slot " + std::to_string(slot);
-    taken[slot] = true;
+  auto in_region = [&](uint32_t ra) { return ra - options.rand_base < region; };
+  std::vector<bool> taken(full ? slots : 0);
+  std::vector<std::pair<uint32_t, uint32_t>> spans;  // [ra, ra + length)
+  spans.reserve(movable.size());
+  for (const uint32_t idx : movable) {
+    const uint32_t o = cfg.instrs[idx].addr;
+    const uint32_t r = *tables.rand.lookup(o);
+    const uint32_t length = cfg.instrs[idx].instr.length;
+    if (full) {
+      if (!in_region(r)) {
+        return "placement " + hex(r) + " outside the slot pool";
+      }
+      const uint32_t slot = (r - options.rand_base) / options.slot_bytes;
+      if (taken[slot]) {
+        return "two placements share slot " + std::to_string(slot);
+      }
+      taken[slot] = true;
+    } else {
+      const uint32_t page_base =
+          options.rand_base + (o - orig.code_base) / kPage * kPageStride;
+      if (r - page_base >= kPageStride ||
+          r - page_base + length > kPageStride) {
+        return "placement " + hex(r) + " of " + hex(o) +
+               " outside its page's region";
+      }
+    }
+    spans.emplace_back(r, r + length);
     const uint32_t* back = tables.derand.lookup(r);
     if (r != exempt && (back == nullptr || *back != o)) {
       return "derand does not invert rand at " + hex(r);
     }
   }
-  for (const auto& [r, o] : tables.derand) {
-    if (r != exempt && (!in_pool(r) || !tables.rand.contains(o))) {
+  std::sort(spans.begin(), spans.end());
+  for (size_t i = 1; i < spans.size(); ++i) {
+    if (spans[i].first < spans[i - 1].second) {
+      return "placements overlap at " + hex(spans[i].first);
+    }
+  }
+  for (const auto& [r, o] : tables.derand.entries()) {
+    if (r != exempt && (!in_region(r) || !tables.rand.contains(o))) {
       return "derand entry " + hex(r) + " is neither a placement nor an alias";
     }
   }

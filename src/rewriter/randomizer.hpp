@@ -26,12 +26,14 @@
 // any placement, only for the callers that run the §III baseline.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "binary/image.hpp"
+#include "isa/isa.hpp"
 #include "rewriter/analysis.hpp"
 #include "rewriter/cfg.hpp"
 
@@ -143,6 +145,12 @@ struct RandomizeResult {
   SoftwareRewriteStats sw_stats;
 };
 
+/// Per-length jitter divisors of a slot size: jitter_divisors(b)[len].mod(r)
+/// is r % (b - len + 1), drawing the offset at which a len-byte instruction
+/// sits in its b-byte slot. place() and an incremental firing draw with it.
+using JitterDivisors = std::array<binary::Divisor, isa::kMaxInstrLength + 1>;
+[[nodiscard]] JitterDivisors jitter_divisors(uint32_t slot_bytes);
+
 /// Applies the §IV-A option-1 rewrite standalone: every safely
 /// randomizable direct call becomes `push <return>; jmp target` (the push
 /// immediate still holds the *original* return address; randomize() remaps
@@ -169,20 +177,24 @@ struct RandomizeResult {
 [[nodiscard]] binary::Image place(const Program& program,
                                   const RandomizeOptions& options = {});
 
-/// Checks that `image` is a kFullSpread placement of `program` under
-/// `options` that an incremental re-randomization firing can patch — the
+/// Checks that `image` is a placement of `program` under `options` — for
+/// kFullSpread, one an incremental re-randomization firing can patch; the
 /// invariants a restored checkpoint must hold before it runs again:
 ///  * the code, data, relocations and failover set are the program's, and
-///    the randomized region and table region are the ones place() sizes;
+///    the randomized region, derand granule and table region are the ones
+///    place() sizes;
 ///  * the rand keys are exactly the program's movable instructions;
-///  * every rand value lies in the slot pool and no two share a slot;
+///  * kFullSpread: every rand value lies in the slot pool and no two share
+///    a slot; kPageConfined: every instruction lies inside its own page's
+///    region (rand_base + page * 4160, 4160 bytes);
+///  * no two placed instructions overlap;
 ///  * derand inverts rand (derand[rand[o]] == o), and every other derand
-///    key (a forced-quiescence alias) lies in the pool and names a placed
+///    key (a forced-quiescence alias) lies in the region and names a placed
 ///    instruction.
 /// The derand entry at `exempt` (a fault injector's flipped table value)
-/// is exempt from the last check. Returns the first violation, or an empty
-/// string. Throws std::invalid_argument unless options.placement is
-/// kFullSpread.
+/// is exempt from the inversion checks. Returns the first violation, or an
+/// empty string. Throws std::invalid_argument for kFullSpread with
+/// slot_bytes 0.
 [[nodiscard]] std::string check_placement(
     const Program& program, const binary::Image& image,
     const RandomizeOptions& options,

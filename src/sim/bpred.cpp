@@ -26,8 +26,13 @@ void Gshare::update(uint32_t pc, bool taken) {
 
 void Gshare::state(binary::StateIo& io) {
   io.u32(history_);
+  io.require((history_ & ~history_mask_) == 0,
+             "gshare history wider than its mask");
   io.fixed(counters_.size(), 1u << 24, "checkpoint gshare geometry mismatch");
-  for (uint8_t& c : counters_) io.u8(c);
+  for (uint8_t& c : counters_) {
+    io.u8(c);
+    io.require(c <= 3, "gshare counter above 3");
+  }
 }
 
 Btb::Btb(const BpredConfig& config)
@@ -87,6 +92,8 @@ void Ras::state(binary::StateIo& io) {
     io.u32(p.rand);
     io.u32(p.orig);
   });
+  io.require(stack_.size() <= capacity_,
+             "return stack deeper than its capacity");
 }
 
 void Ras::push(AddrPair pair) {

@@ -312,7 +312,7 @@ TEST(FleetContainmentTest, InjectedFaultRestartsVictimOthersBitIdentical) {
     kernel.spawn(pc);
   }
   // Snapshot the victim's first-life placement before running.
-  const binary::FlatMap32 first_life_derand =
+  const binary::DerandTable first_life_derand =
       kernel.randomization(1).tables.derand;
 
   const os::FleetReport report = kernel.run();

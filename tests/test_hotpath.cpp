@@ -448,8 +448,9 @@ TEST(FlatMapTest, BasicOpsGrowthAndIteration) {
   // emplace does not overwrite (unordered_map semantics).
   EXPECT_FALSE(m.emplace(0, 999));
   EXPECT_EQ(*m.lookup(0), 0u);
-  // operator[] does.
-  m[7919] = 555;
+  // erase + emplace replaces a value.
+  EXPECT_TRUE(m.erase(7919));
+  EXPECT_TRUE(m.emplace(7919, 555));
   EXPECT_EQ(*m.lookup(7919), 555u);
 
   // Iteration visits every live entry exactly once.
@@ -464,12 +465,13 @@ TEST(FlatMapTest, BasicOpsGrowthAndIteration) {
   for (uint32_t i = 0; i < 1000; ++i) expect_sum += i * 7919;
   EXPECT_EQ(key_sum, expect_sum);
 
-  // find/end and equality.
-  EXPECT_NE(m.find(7919), m.end());
-  EXPECT_EQ(m.find(123456789), m.end());
+  // contains and equality.
+  EXPECT_TRUE(m.contains(7919));
+  EXPECT_FALSE(m.contains(123456789));
   binary::FlatMap32 m2 = m;
   EXPECT_EQ(m, m2);
-  m2[7919] = 556;
+  EXPECT_TRUE(m2.erase(7919));
+  EXPECT_TRUE(m2.emplace(7919, 556));
   EXPECT_FALSE(m == m2);
 }
 

@@ -259,8 +259,10 @@ TEST(ImageTest, DataAccessorsBoundsChecked) {
 
 TEST(ImageTest, TranslationTableHelpers) {
   TranslationTables t;
-  t.derand[0x40000000] = 0x1000;
-  t.rand[0x1000] = 0x40000000;
+  t.derand.reset(0x40000000, 0x1000, 64);
+  t.derand.emplace(0x40000000, 0x1000);
+  t.rand.reset(0x1000, 0x100);
+  t.rand.set(0x1000, 0x40000000);
   t.unrandomized.insert(0x2000);
   EXPECT_EQ(t.to_original(0x40000000), 0x1000u);
   EXPECT_EQ(t.to_original(0x2000), 0x2000u);  // identity fallback

@@ -272,8 +272,10 @@ TEST(DrcTest, RejectsBadGeometry) {
 
 TEST(TranslationWalkerTest, WalksThroughL2AndMarksPagesInvisible) {
   binary::TranslationTables tables;
-  tables.derand[0x40000040] = 0x1010;
-  tables.rand[0x1010] = 0x40000040;
+  tables.derand.reset(0x40000000, 0x1000, 64);
+  tables.derand.emplace(0x40000040, 0x1010);
+  tables.rand.reset(0x1000, 0x100);
+  tables.rand.set(0x1010, 0x40000040);
   tables.table_base = 0x60000000;
   tables.table_bytes = 1024;
 

@@ -1,13 +1,14 @@
 // Reference differential for the incremental re-randomization firing.
 //
 // rerandomize_incremental walks per-program indices (rewriter::RerandIndex)
-// and a slot-occupancy bitmap instead of rescanning the whole program and
+// and a slot-occupancy array instead of rescanning the whole program and
 // hashing every placement on each firing. Its output is a byte contract:
-// table slot layout (VXE and checkpoint bytes depend on it), code and data
-// bytes, memory, the code generation and every stat. The reference below
-// is the firing as it was before that rewrite, kept verbatim except for
-// its final store of the serialized tables, which the emulator no longer
-// materializes in memory. Every test here runs both on identical state,
+// table contents in key order (the VXE and checkpoint bytes), code and
+// data bytes, memory, the code generation and every stat. The reference
+// below is the firing as it was before that rewrite, kept verbatim except
+// for its final store of the serialized tables, which the emulator no
+// longer materializes in memory, and the dense tables' iteration and
+// store calls. Every test here runs both on identical state,
 // firing after firing, and compares everything either produces. Every
 // firing must also leave a placement rewriter::check_placement accepts and
 // code whose referring sites rewriter::check_referring_sites accepts.
@@ -150,7 +151,7 @@ bool reference_rerandomize_incremental(
   // moved instruction frees its old slot unless an alias pins it.
   binary::FlatSet32 occupied;
   occupied.reserve(img.tables.rand.size() + options.pinned.size());
-  for (const auto& [orig, ra] : img.tables.rand) {
+  for (const auto& [orig, ra] : img.tables.rand.entries()) {
     if (moved_orig.contains(orig) && !pinned.contains(ra)) continue;
     occupied.insert(slot_of(ra));
   }
@@ -219,7 +220,7 @@ bool reference_rerandomize_incremental(
   }
   for (const Assign& a : assign) {
     const uint32_t orig = cfg.instrs[a.idx].addr;
-    tables.rand[orig] = a.new_ra;
+    tables.rand.set(orig, a.new_ra);
     tables.derand.emplace(a.new_ra, orig);
     ++st.instrs_moved;
   }
@@ -286,14 +287,11 @@ bool reference_rerandomize_incremental(
 
 // ---- the differential ---------------------------------------------------
 
-/// Table contents in slot iteration order: FlatMap32::operator== is set
-/// equality and would miss a layout change that moves VXE or checkpoint
-/// bytes.
-std::vector<std::pair<uint32_t, uint32_t>> slot_order(
-    const binary::FlatMap32& map) {
-  std::vector<std::pair<uint32_t, uint32_t>> out;
-  for (const auto& entry : map) out.push_back(entry);
-  return out;
+/// Table contents in key order, the order VXE and checkpoint bytes
+/// serialize them in.
+template <typename Table>
+std::vector<std::pair<uint32_t, uint32_t>> key_order(const Table& table) {
+  return table.entries();
 }
 
 /// One VCFR process: a placement of `program`, its memory and emulator.
@@ -317,9 +315,9 @@ struct LiveImage {
 
 void expect_same_state(const LiveImage& a, const LiveImage& b,
                        const std::string& what) {
-  EXPECT_EQ(slot_order(a.img.tables.derand), slot_order(b.img.tables.derand))
+  EXPECT_EQ(key_order(a.img.tables.derand), key_order(b.img.tables.derand))
       << what;
-  EXPECT_EQ(slot_order(a.img.tables.rand), slot_order(b.img.tables.rand))
+  EXPECT_EQ(key_order(a.img.tables.rand), key_order(b.img.tables.rand))
       << what;
   EXPECT_EQ(a.img.code, b.img.code) << what;
   EXPECT_EQ(a.img.data, b.img.data) << what;
@@ -365,7 +363,7 @@ std::vector<uint32_t> pins(const LiveImage& s, const Drive& drive) {
   }
   if (drive.pin_every != 0) {
     uint32_t k = 0;
-    for (const auto& [orig, ra] : s.img.tables.rand) {
+    for (const auto& [orig, ra] : s.img.tables.rand.entries()) {
       if (k++ % drive.pin_every == 0) pinned.push_back(ra);
     }
   }

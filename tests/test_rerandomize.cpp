@@ -140,7 +140,7 @@ TEST(LiveRerandomizeTest, PinnedCollisionDefersUntouched) {
   RerandOptions opt;
   opt.placement.seed = 4;
   const binary::Image next = rewriter::place(s.program, opt.placement);
-  for (const auto& [orig, ra] : next.tables.rand) {
+  for (const auto& [orig, ra] : next.tables.rand.entries()) {
     if (s.img.tables.to_original(ra) != orig) {
       opt.pinned = {ra};
       break;
@@ -156,6 +156,46 @@ TEST(LiveRerandomizeTest, PinnedCollisionDefersUntouched) {
   EXPECT_TRUE(s.img.tables.derand == before.tables.derand);
   EXPECT_EQ(s.mem.checksum(), mem_before);
   EXPECT_EQ(s.emu->state().pc, pc_before);
+}
+
+// After a full rebuild a pinned key may share its slot with a fresh
+// placement at another offset (only an alias at the placement's exact
+// address is refused): the alias and the placement must both stay mapped.
+TEST(LiveRerandomizeTest, AliasSharesSlotWithFreshPlacement) {
+  Session s(3);
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(s.emu->step());
+  const uint32_t slot_bytes = rewriter::RandomizeOptions{}.slot_bytes;
+  const auto slot_of = [&](uint32_t ra) {
+    return (ra - s.img.rand_base) / slot_bytes;
+  };
+  RerandOptions opt;
+  uint32_t alias = 0, alias_orig = 0, placed = 0, placed_orig = 0;
+  for (uint64_t seed = 4; seed < 64 && placed == 0; ++seed) {
+    opt.placement.seed = seed;
+    const binary::Image next = rewriter::place(s.program, opt.placement);
+    for (const auto& [orig, ra] : s.img.tables.rand.entries()) {
+      for (const auto& [o2, r2] : next.tables.rand.entries()) {
+        if (o2 != orig && r2 != ra && slot_of(r2) == slot_of(ra)) {
+          alias = ra;
+          alias_orig = orig;
+          placed = r2;
+          placed_orig = o2;
+        }
+      }
+      if (placed != 0) break;
+    }
+  }
+  ASSERT_NE(placed, 0u) << "no seed shared a slot";
+  opt.pinned = {alias};
+  RerandStats st;
+  ASSERT_TRUE(rerandomize_full(s.program, s.img, s.mem, *s.emu, opt, &st));
+  EXPECT_EQ(st.alias_keys, std::vector<uint32_t>{alias});
+  EXPECT_TRUE(s.img.tables.is_randomized_addr(alias));
+  EXPECT_EQ(s.img.tables.to_original(alias), alias_orig);
+  EXPECT_TRUE(s.img.tables.is_randomized_addr(placed));
+  EXPECT_EQ(s.img.tables.to_original(placed), placed_orig);
+  EXPECT_EQ(s.img.tables.to_randomized(placed_orig), placed);
+  EXPECT_EQ(rewriter::check_placement(s.program, s.img, opt.placement), "");
 }
 
 // The referring-site verifier reads the bytes the guest executes. A

@@ -2,6 +2,7 @@
 // ILR/VCFR randomization preserves program semantics for arbitrary seeds.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 #include <string>
 
@@ -311,7 +312,7 @@ TEST(RandomizerTest, PlacementIsDisjointAndInRegion) {
   opts.seed = 5;
   const RandomizeResult rr = randomize(original, opts);
   std::unordered_set<uint32_t> seen;
-  for (const auto& [orig, rand_addr] : rr.vcfr.tables.rand) {
+  for (const auto& [orig, rand_addr] : rr.vcfr.tables.rand.entries()) {
     EXPECT_GE(rand_addr, opts.rand_base);
     EXPECT_LT(rand_addr, opts.rand_base + rr.vcfr.rand_size);
     // One instruction per slot: distinct slot indices.
@@ -330,7 +331,7 @@ TEST(RandomizerTest, DifferentSeedsGiveDifferentPlacements) {
   const auto ra = randomize(original, a);
   const auto rb = randomize(original, b);
   size_t same = 0;
-  for (const auto& [orig, rand_addr] : ra.vcfr.tables.rand) {
+  for (const auto& [orig, rand_addr] : ra.vcfr.tables.rand.entries()) {
     const uint32_t* other = rb.vcfr.tables.rand.lookup(orig);
     if (other != nullptr && *other == rand_addr) ++same;
   }
@@ -358,10 +359,10 @@ TEST(RandomizerTest, TranslationTablesAreConsistent) {
   const RandomizeResult rr = randomize(original, {});
   const auto& t = rr.vcfr.tables;
   EXPECT_EQ(t.derand.size(), t.rand.size());
-  for (const auto& [rand_addr, orig] : t.derand) {
-    auto it = t.rand.find(orig);
-    ASSERT_NE(it, t.rand.end());
-    EXPECT_EQ(it->second, rand_addr);
+  for (const auto& [rand_addr, orig] : t.derand.entries()) {
+    const uint32_t* placed = t.rand.lookup(orig);
+    ASSERT_NE(placed, nullptr);
+    EXPECT_EQ(*placed, rand_addr);
   }
   EXPECT_GT(t.table_bytes, 0u);
   EXPECT_EQ(t.table_bytes & (t.table_bytes - 1), 0u) << "power-of-two size";
@@ -376,7 +377,7 @@ TEST(RandomizerTest, PageConfinedPlacementStaysInPage) {
   // One randomized region (page + a line of straddle slop) per original
   // page.
   constexpr uint32_t kStride = 4096 + 64;
-  for (const auto& [orig, rand_addr] : rr.vcfr.tables.rand) {
+  for (const auto& [orig, rand_addr] : rr.vcfr.tables.rand.entries()) {
     const uint32_t orig_page = (orig - original.code_base) / 4096;
     const uint32_t rand_region = (rand_addr - opts.rand_base) / kStride;
     EXPECT_EQ(orig_page, rand_region)
@@ -384,12 +385,79 @@ TEST(RandomizerTest, PageConfinedPlacementStaysInPage) {
   }
   // Instructions still get shuffled within the page.
   size_t moved_order = 0;
-  for (const auto& [orig, rand_addr] : rr.vcfr.tables.rand) {
+  for (const auto& [orig, rand_addr] : rr.vcfr.tables.rand.entries()) {
     if ((rand_addr - opts.rand_base) != (orig - original.code_base)) {
       ++moved_order;
     }
   }
   EXPECT_GT(moved_order, rr.vcfr.tables.rand.size() / 2);
+}
+
+// check_placement knows the kPageConfined geometry: the page-confined
+// placement of every suite app under BENCH_paper's ablation options
+// (scale 1, seed 2015) passes it.
+TEST(RandomizerTest, PageConfinedPlacementsPassTheVerifier) {
+  RandomizeOptions opts;
+  opts.seed = 2015;
+  opts.placement = PlacementPolicy::kPageConfined;
+  for (const std::string& app : workloads::spec_names()) {
+    const RandomizeResult rr = randomize(workloads::make(app, 1), opts);
+    EXPECT_EQ(check_placement(rr.program, rr.vcfr, opts), "") << app;
+  }
+}
+
+// Hand-made page-confined mutants, each moved consistently in both
+// tables: an instruction of page 0 moved into page 1's region, and an
+// instruction moved onto the byte after another one's start.
+TEST(RandomizerTest, PageConfinedVerifierNamesEachViolation) {
+  RandomizeOptions opts;
+  opts.seed = 2015;
+  opts.placement = PlacementPolicy::kPageConfined;
+  const RandomizeResult rr = randomize(workloads::make("gcc", 1), opts);
+  ASSERT_EQ(check_placement(rr.program, rr.vcfr, opts), "");
+  const auto rand = rr.vcfr.tables.rand.entries();
+  const auto page_of = [&](uint32_t orig) {
+    return (orig - rr.vcfr.code_base) / 4096;
+  };
+  const auto length_of = [&](uint32_t orig) {
+    return rr.program.cfg.instrs[rr.program.cfg.instr_at.at(orig)].instr.length;
+  };
+  ASSERT_GT(rr.vcfr.rand_size, 2u * (4096 + 64)) << "gcc@1 spans pages";
+  ASSERT_EQ(page_of(rand[0].first), 0u);
+  ASSERT_EQ(page_of(rand[1].first), 0u);
+  const auto move = [&](uint32_t orig, uint32_t to) {
+    Image mutant = rr.vcfr;
+    auto& t = mutant.tables;
+    EXPECT_TRUE(t.derand.erase(*t.rand.lookup(orig)));
+    t.rand.set(orig, to);
+    EXPECT_TRUE(t.derand.emplace(to, orig));
+    return check_placement(rr.program, mutant, opts);
+  };
+  // The last free byte of page 1's region.
+  uint32_t away = opts.rand_base + 2 * (4096 + 64) - 1;
+  while (rr.vcfr.tables.derand.contains(away)) --away;
+  char name[16];
+  std::snprintf(name, sizeof name, "0x%08x", away);
+  const std::string outside = move(rand[0].first, away);
+  EXPECT_NE(outside.find("outside its page's region"), std::string::npos)
+      << outside;
+  EXPECT_NE(outside.find(name), std::string::npos) << outside;
+
+  // rand[1] moves one byte past the start of another page-0 instruction
+  // of two or more bytes, staying inside page 0's region.
+  for (size_t i = 2; i < rand.size(); ++i) {
+    const uint32_t onto = rand[i].second + 1;
+    if (page_of(rand[i].first) != 0 || length_of(rand[i].first) < 2 ||
+        rr.vcfr.tables.derand.contains(onto) ||
+        onto - opts.rand_base + length_of(rand[1].first) > 4096 + 64) {
+      continue;
+    }
+    const std::string overlap = move(rand[1].first, onto);
+    EXPECT_NE(overlap.find("placements overlap"), std::string::npos)
+        << overlap;
+    return;
+  }
+  FAIL() << "no page-0 instruction to overlap";
 }
 
 TEST(RandomizerTest, PageConfinedPreservesSemantics) {

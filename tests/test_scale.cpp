@@ -294,13 +294,13 @@ uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
-// The checkpoint layout is a format (version 2): these digests pin its
+// The checkpoint layout is a format (version 3): these digests pin its
 // bytes for the plain mix and for the continuous re-rand fleet with taint
 // and re-rand-on-leak armed, which puts the emulator's taint shadow state
 // and the per-process request/leak fields in the stream. Any change to a
 // class's field list that moves a byte fails here. A process's memory
 // section holds no translation-table pages: the tables travel only inside
-// its serialized image.
+// its image's fields, written in key order.
 TEST(CheckpointRestoreTest, BytesPinned) {
   const std::string plain =
       checkpoint_bytes(testing::TempDir() + "vcfr_ckpt_pin_plain.bin");
@@ -309,8 +309,8 @@ TEST(CheckpointRestoreTest, BytesPinned) {
   const std::string rerand =
       checkpoint_bytes(testing::TempDir() + "vcfr_ckpt_pin_rerand.bin",
                        /*inject_pid1=*/true, &rp, /*taint=*/true);
-  EXPECT_EQ(fnv1a(plain), 1136257524267740732ull) << plain.size();
-  EXPECT_EQ(fnv1a(rerand), 11475182736660379485ull) << rerand.size();
+  EXPECT_EQ(fnv1a(plain), 7098092727669453641ull) << plain.size();
+  EXPECT_EQ(fnv1a(rerand), 10937345298606196738ull) << rerand.size();
 }
 
 // Truncated streams fail loudly with a typed fault, never a partial load.
@@ -325,20 +325,21 @@ TEST(CheckpointRestoreTest, RestoreRejectsTruncatedStream) {
 }
 
 // A checkpoint of another format version (bytes 4-7, after the magic) is
-// refused with a typed fault instead of being misread field by field.
+// refused with a typed fault instead of being misread field by field:
+// version 2 embedded each process image as a length-prefixed VXE1 blob.
 TEST(CheckpointRestoreTest, RestoreRejectsOtherVersion) {
   std::string bytes =
       checkpoint_bytes(testing::TempDir() + "vcfr_ckpt_version.bin");
   ASSERT_GT(bytes.size(), 64u);
-  bytes.replace(4, 4, std::string("\x01\x00\x00\x00", 4));
+  bytes.replace(4, 4, std::string("\x02\x00\x00\x00", 4));
   std::istringstream old(bytes);
   os::Kernel kernel(fleet_config(4));
   spawn_mix(kernel, 8, 7);
   try {
     kernel.restore(old);
-    FAIL() << "a version-1 checkpoint was accepted";
+    FAIL() << "a version-2 checkpoint was accepted";
   } catch (const binary::FormatError& e) {
-    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("version 2"), std::string::npos)
         << e.what();
   }
 }
@@ -502,7 +503,7 @@ void expect_placement_rejected(const std::string& bytes,
 }
 
 // A placement the next incremental firing could not patch is refused at
-// restore. Pid 0's image blob is the first process state in the stream, so
+// restore. Pid 0's image is the first process state in the stream, so
 // the first serialized (rand, orig) and (orig, rand) pairs of one of its
 // instructions are its derand and rand entries. Moved just past the slot
 // pool, the firing used to throw std::invalid_argument out of Kernel::run
@@ -521,9 +522,9 @@ TEST(CheckpointRestoreTest, RestoreRejectsUnpatchablePlacement) {
     kernel.restore(in);
     image = kernel.randomization(0);
   }
-  auto it = image.tables.rand.begin();
-  const auto [orig, ra] = *it;
-  const uint32_t other = (++it)->second;
+  const auto rand = image.tables.rand.entries();
+  const auto [orig, ra] = rand[0];
+  const uint32_t other = rand[1].second;
 
   std::string outside = bytes;
   rewrite_pair(outside, {orig, ra},

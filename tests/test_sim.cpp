@@ -3,6 +3,10 @@
 // execution modes.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "binary/state_io.hpp"
 #include "emu/emulator.hpp"
 #include "isa/assembler.hpp"
 #include "rewriter/randomizer.hpp"
@@ -62,6 +66,63 @@ TEST(RasTest, LifoOrderAndOverflow) {
   EXPECT_EQ(ras.pop()->rand, 3u);
   EXPECT_EQ(ras.pop()->rand, 2u);
   EXPECT_FALSE(ras.pop().has_value());
+}
+
+/// A predictor structure's checkpoint bytes, and a restore from them.
+template <typename T>
+std::string save_state(T& t) {
+  std::ostringstream out;
+  binary::StateIo io(out);
+  t.state(io);
+  return out.str();
+}
+
+template <typename T>
+void load_state(T& t, const std::string& bytes) {
+  std::istringstream in(bytes);
+  binary::StateIo io(in);
+  t.state(io);
+}
+
+std::string le32(uint32_t v) {
+  std::string s(4, '\0');
+  for (int i = 0; i < 4; ++i) s[i] = static_cast<char>(v >> (8 * i));
+  return s;
+}
+
+// update() keeps every counter in 0..3 and the history inside its mask: a
+// checkpoint holding anything else is refused, not resumed into a run no
+// stream produces.
+TEST(GshareTest, RestoreRejectsStatesNoStreamProduces) {
+  const BpredConfig cfg{.gshare_history_bits = 4, .gshare_table_bits = 3};
+  const auto bytes = [](uint32_t history, const std::string& counters) {
+    return le32(history) + le32(8) + counters;
+  };
+  const std::string good = bytes(0xa, std::string("\0\1\2\3\3\2\1\0", 8));
+  Gshare g(cfg);
+  load_state(g, good);
+  EXPECT_EQ(save_state(g), good);
+  EXPECT_THROW(load_state(g, bytes(0x1a, std::string(8, '\2'))),
+               binary::FormatError);
+  EXPECT_THROW(load_state(g, bytes(0xa, std::string("\0\1\2\4\3\2\1\0", 8))),
+               binary::FormatError);
+}
+
+// push() drops the oldest frame at capacity, so no stream leaves a return
+// stack deeper than ras_entries.
+TEST(RasTest, RestoreRejectsStatesNoStreamProduces) {
+  BpredConfig cfg;
+  cfg.ras_entries = 4;
+  Ras ras(cfg);
+  for (uint32_t i = 1; i <= 6; ++i) ras.push({i, i * 10});
+  const std::string full = save_state(ras);
+  EXPECT_EQ(full.size(), 4u + 4 * 8);
+  Ras restored(cfg);
+  load_state(restored, full);
+  EXPECT_EQ(restored.pop()->rand, 6u);
+  std::string deep = le32(5);
+  for (uint32_t i = 1; i <= 5; ++i) deep += le32(i) + le32(i * 10);
+  EXPECT_THROW(load_state(restored, deep), binary::FormatError);
 }
 
 // ---- whole-pipeline tests ---------------------------------------------------

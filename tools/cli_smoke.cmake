@@ -29,7 +29,7 @@ endif()
 
 # A truncated image (the magic and nothing else) is refused with one
 # typed VXE error and exit status 1, not a crash.
-file(WRITE "${WORK_DIR}/truncated.vxe" "VXE1")
+file(WRITE "${WORK_DIR}/truncated.vxe" "VXE3")
 execute_process(COMMAND ${VCFR_BIN} stats ${WORK_DIR}/truncated.vxe
                 OUTPUT_VARIABLE trunc_out ERROR_VARIABLE trunc_err
                 RESULT_VARIABLE rc_trunc)
