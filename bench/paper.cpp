@@ -92,7 +92,7 @@ App make_app(const std::string& name) {
   a.name = name;
   a.image = workloads::make(name, kScale);
   a.rr = randomized(a.image);
-  a.naive_image = rewriter::naive_ilr(a.rr.program, a.rr.vcfr);
+  a.naive_image = rewriter::naive_ilr(a.rr.vcfr);
   a.base = run(a.image, machine(128));
   return a;
 }
@@ -437,7 +437,7 @@ void ablation_page_confined(JsonWriter& w, const Apps& suite) {
              pc_options.placement = rewriter::PlacementPolicy::kPageConfined;
              const auto rr_pc = randomized(a.image, pc_options);
              const auto r_pc =
-                 run(rewriter::naive_ilr(rr_pc.program, rr_pc.vcfr),
+                 run(rewriter::naive_ilr(rr_pc.vcfr),
                      machine(128));
              // Full spread draws a location from the whole randomized
              // region.

@@ -105,7 +105,7 @@ int main() {
   rewriter::RandomizeOptions opts;
   opts.seed = 0xfeedface;
   const auto rr = rewriter::randomize(server, opts);
-  const auto naive = rewriter::naive_ilr(rr.program, rr.vcfr);
+  const auto naive = rewriter::naive_ilr(rr.vcfr);
 
   std::printf("== benign request\n");
   report("original", serve(server, benign, false));

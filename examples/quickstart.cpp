@@ -91,7 +91,7 @@ int main() {
   rewriter::RandomizeOptions opts;
   opts.seed = 42;
   const rewriter::RandomizeResult rr = rewriter::randomize(original, opts);
-  const binary::Image naive = rewriter::naive_ilr(rr.program, rr.vcfr);
+  const binary::Image naive = rewriter::naive_ilr(rr.vcfr);
   std::printf("relocated %zu instructions into [0x%x, 0x%x); "
               "%zu derand + %zu rand table entries\n\n",
               rr.vcfr.tables.rand.size(), rr.vcfr.rand_base,

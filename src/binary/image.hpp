@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "binary/tables.hpp"
@@ -17,10 +16,12 @@ class StateIo;
 enum class Layout {
   /// Compiler output: instructions sequential from `code_base`.
   kOriginal,
-  /// Fully relocated ILR image: each instruction lives at its randomized
-  /// address inside [rand_base, rand_base + rand_size); successor addresses
-  /// come from `fallthrough`. Models the paper's "straightforward hardware
-  /// support for ILR" (§III).
+  /// Fully relocated ILR image: the VCFR image of the same placement (the
+  /// same `code` and `tables`), but each instruction is loaded and runs at
+  /// its randomized address inside [rand_base, rand_base + rand_size), and
+  /// its successor is the randomized address of the next original
+  /// instruction, read from the tables. Models the paper's "straightforward
+  /// hardware support for ILR" (§III).
   kNaiveIlr,
   /// VCFR image: instruction bytes keep the original layout, but direct
   /// control-transfer targets are rewritten into the randomized space and
@@ -40,35 +41,35 @@ struct FunctionSymbol {
   uint32_t addr = 0;
 };
 
+/// One instruction of a randomized image: its original address and length
+/// (its bytes are the `code` slice there) and the address it runs at in a
+/// naive-ILR image, tables.to_randomized(addr).
+struct PlacedInstr {
+  uint32_t addr = 0;
+  uint32_t length = 0;
+  uint32_t at = 0;
+};
+
 /// A complete program image.
 struct Image {
   std::string name;
   Layout layout = Layout::kOriginal;
 
   uint32_t code_base = 0;
-  std::vector<uint8_t> code;  // dense bytes for kOriginal / kVcfr
+  std::vector<uint8_t> code;  // in original layout
 
   uint32_t data_base = 0;
   std::vector<uint8_t> data;
 
-  uint32_t entry = 0;
+  uint32_t entry = 0;  // original-space, in every layout
 
   std::vector<Relocation> relocs;
   std::vector<FunctionSymbol> functions;
 
-  // --- kNaiveIlr only: sparse relocated code -------------------------------
-  /// Region holding relocated instructions.
+  // --- randomized images (kNaiveIlr, kVcfr) -------------------------------
+  /// The randomized instruction space every rand value lies in.
   uint32_t rand_base = 0;
   uint32_t rand_size = 0;
-  /// Instruction bytes keyed by randomized address.
-  std::unordered_map<uint32_t, std::vector<uint8_t>> sparse_code;
-  /// randomized address -> randomized address of the sequential successor.
-  /// The paper's straightforward hardware ILR resolves this mapping at zero
-  /// cost; only the fetch-locality penalty is modelled. Flat table: probed
-  /// on every naive-ILR instruction.
-  FlatMap32 fallthrough;
-
-  // --- kVcfr only ----------------------------------------------------------
   TranslationTables tables;
 
   /// Seed the randomizer used (0 for un-randomized images).
@@ -88,6 +89,15 @@ struct Image {
   [[nodiscard]] uint32_t read_data32(uint32_t addr) const;
   /// Writes a 32-bit little-endian value into the data section.
   void write_data32(uint32_t addr, uint32_t value);
+
+  /// Every instruction of a randomized image, in ascending `at` order. The
+  /// instruction starts are the rand keys and the un-randomized addresses.
+  [[nodiscard]] std::vector<PlacedInstr> placed_instrs() const;
+  /// The fall-through successor of the instruction a naive-ILR image runs
+  /// at `rpc`: where the next original instruction runs, from the tables
+  /// alone. 0 past the last instruction and off any placed instruction
+  /// start.
+  [[nodiscard]] uint32_t naive_successor(uint32_t rpc) const;
 
   /// The VXE field list (binary/serialize.cpp). Loading rejects a section
   /// that would end past kMaxSectionEnd.

@@ -180,15 +180,16 @@ uint32_t table_entry_addr(const TranslationTables& tables, uint32_t addr) {
 }
 
 void load(const Image& image, Memory& mem) {
-  mem.write_block(image.code_base, image.code.data(),
-                  static_cast<uint32_t>(image.code.size()));
+  if (image.layout == Layout::kNaiveIlr) {
+    for (const PlacedInstr& p : image.placed_instrs()) {
+      mem.write_block(p.at, &image.code[p.addr - image.code_base], p.length);
+    }
+  } else {
+    mem.write_block(image.code_base, image.code.data(),
+                    static_cast<uint32_t>(image.code.size()));
+  }
   mem.write_block(image.data_base, image.data.data(),
                   static_cast<uint32_t>(image.data.size()));
-  if (image.layout == Layout::kNaiveIlr) {
-    for (const auto& [addr, bytes] : image.sparse_code) {
-      mem.write_block(addr, bytes.data(), static_cast<uint32_t>(bytes.size()));
-    }
-  }
 }
 
 }  // namespace vcfr::binary

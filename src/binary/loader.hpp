@@ -121,7 +121,8 @@ class Memory {
 
 /// Loads an image's code and data sections into memory:
 ///  * kOriginal / kVcfr: dense code at code_base;
-///  * kNaiveIlr: sparse_code at randomized addresses;
+///  * kNaiveIlr: each instruction's code slice at the address it runs at
+///    (nothing at the original address of a moved instruction);
 ///  * always: the data section.
 /// A kVcfr image's translation tables stay in the image: nothing is
 /// written at tables.table_base.

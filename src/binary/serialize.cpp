@@ -13,23 +13,19 @@
 namespace vcfr::binary {
 namespace {
 
-constexpr char kMagic[4] = {'V', 'X', 'E', '3'};
+constexpr char kMagic[4] = {'V', 'X', 'E', '4'};
 
-/// Hard bounds: a section (or one naive-ILR instruction's bytes) and every
-/// count field (relocs, functions, table entries, ...). Far above anything
-/// the toolchain emits; a corrupt length still fails as truncation first,
-/// since StateIo never allocates ahead of the input.
+/// Hard bounds: a section and every count field (relocs, functions, table
+/// entries, ...). Far above anything the toolchain emits; a corrupt length
+/// still fails as truncation first, since StateIo never allocates ahead of
+/// the input.
 constexpr uint32_t kMaxSection = 1u << 28;
 constexpr uint32_t kMaxEntries = 1u << 24;
 
 using Pair = std::pair<uint32_t, uint32_t>;
-using SparseEntry = std::pair<uint32_t, std::vector<uint8_t>>;
 
 uint32_t key_of(uint32_t key) { return key; }
-template <typename Value>
-uint32_t key_of(const std::pair<uint32_t, Value>& e) {
-  return e.first;
-}
+uint32_t key_of(const Pair& e) { return e.first; }
 
 /// A table as a count and its entries in ascending key order, so that the
 /// bytes depend only on its contents. Saving takes `saved` (any order);
@@ -96,33 +92,21 @@ void Image::state(StateIo& io) {
   });
   io.u32(rand_base);
   io.u32(rand_size);
-  keyed<SparseEntry>(
-      io, {sparse_code.begin(), sparse_code.end()},
-      [&](SparseEntry& e) {
-        io.u32(e.first);
-        section(io, e.first, e.second, "sparse-code entry");
-      },
-      [&](SparseEntry&& e) { return sparse_code.insert(std::move(e)).second; });
-  keyed<Pair>(io, {fallthrough.begin(), fallthrough.end()},
-              [&](Pair& e) { pair_field(io, e); },
-              [&](Pair&& e) { return fallthrough.emplace(e.first, e.second); });
 
   // The dense tables span the randomized region (derand, in slots of the
-  // saved granule) and the original code (rand), which a naive-ILR image
-  // keeps only as its sparse instructions. At most 16 slots per code byte
-  // (far above any placement) bounds what a loaded region allocates.
+  // saved granule) and the original code (rand), in every layout. At most
+  // 16 slots per code byte (far above any placement) bounds what a loaded
+  // region allocates.
   uint32_t granule = tables.derand.granule();
   io.u32(granule);
   if (io.loading()) {
-    uint64_t code_bytes = code.size();
-    for (const auto& [addr, bytes] : sparse_code) code_bytes += bytes.size();
     StateIo::require(granule != 0 && rand_base + uint64_t{rand_size} <=
                                          kMaxSectionEnd,
                      "randomized region runs past the 32-bit address space");
-    StateIo::require(rand_size / granule <= 16 * code_bytes + 8192,
+    StateIo::require(rand_size / granule <= 16 * uint64_t{code.size()} + 8192,
                      "randomized region has more slots than its code can fill");
     tables.derand.reset(rand_base, rand_size, granule);
-    tables.rand.reset(code_base, static_cast<uint32_t>(code_bytes));
+    tables.rand.reset(code_base, static_cast<uint32_t>(code.size()));
   }
   keyed<Pair>(io, tables.derand.entries(),
               [&](Pair& e) { pair_field(io, e); },
@@ -134,9 +118,10 @@ void Image::state(StateIo& io) {
   keyed<Pair>(io, tables.rand.entries(),
               [&](Pair& e) { pair_field(io, e); },
               [&](Pair&& e) {
-                StateIo::require(
-                    e.first - code_base < tables.rand.span() && e.second != ~0u,
-                    "rand entry outside the original code");
+                StateIo::require(e.first - code_base < tables.rand.span(),
+                                 "rand entry outside the original code");
+                StateIo::require(e.second - rand_base < rand_size,
+                                 "rand value outside the randomized region");
                 return tables.rand.set(e.first, e.second);
               });
   keyed<uint32_t>(io, {tables.unrandomized.begin(), tables.unrandomized.end()},

@@ -18,13 +18,28 @@ void DerandTable::reset(uint32_t base, uint32_t span, uint32_t granule) {
   shared_.clear();
 }
 
+std::vector<DerandTable::Entry>::const_iterator DerandTable::side_find(
+    uint32_t key) const {
+  return std::lower_bound(shared_.begin(), shared_.end(), Entry{key, 0});
+}
+
+const uint32_t* DerandTable::side_lookup(uint32_t key) const {
+  const auto it = side_find(key);
+  return it != shared_.end() && it->first == key ? &it->second : nullptr;
+}
+
 bool DerandTable::emplace(uint32_t key, uint32_t original) {
   if (!in_region(key)) {
     throw std::out_of_range("derand key outside the randomized region");
   }
   Entry& e = slots_[slot_of(key)];
   if (e.first == key) return false;
-  if (e.first != kFree) return shared_.emplace(key, original);
+  if (e.first != kFree) {
+    const auto it = side_find(key);
+    if (it != shared_.end() && it->first == key) return false;
+    shared_.insert(it, {key, original});
+    return true;
+  }
   e = {key, original};
   ++dense_;
   return true;
@@ -33,7 +48,12 @@ bool DerandTable::emplace(uint32_t key, uint32_t original) {
 bool DerandTable::erase(uint32_t key) {
   if (!in_region(key)) return false;
   const size_t s = slot_of(key);
-  if (slots_[s].first != key) return shared_.erase(key);
+  if (slots_[s].first != key) {
+    const auto it = side_find(key);
+    if (it == shared_.end() || it->first != key) return false;
+    shared_.erase(it);
+    return true;
+  }
   slots_[s] = {kFree, 0};
   --dense_;
   // A side key of the slot moves in, so a live key's slot stays taken.
@@ -41,9 +61,8 @@ bool DerandTable::erase(uint32_t key) {
       std::find_if(shared_.begin(), shared_.end(),
                    [&](const Entry& x) { return slot_of(x.first) == s; });
   if (it != shared_.end()) {
-    const Entry moved = *it;
-    shared_.erase(moved.first);
-    slots_[s] = moved;
+    slots_[s] = *it;
+    shared_.erase(it);
     ++dense_;
   }
   return true;
@@ -56,8 +75,8 @@ std::vector<DerandTable::Entry> DerandTable::entries() const {
     if (e.first != kFree) out.push_back(e);
   }
   if (shared_.empty()) return out;
-  out.insert(out.end(), shared_.begin(), shared_.end());
-  std::sort(out.begin(), out.end());
+  const auto middle = out.insert(out.end(), shared_.begin(), shared_.end());
+  std::inplace_merge(out.begin(), middle, out.end());
   return out;
 }
 

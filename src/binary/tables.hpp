@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "binary/flat_map.hpp"
+#include "binary/flat_set.hpp"
 
 namespace vcfr::binary {
 
@@ -45,8 +45,9 @@ class Divisor {
 /// [base, base + span), one entry per `granule`-byte slot: key k lives in
 /// slot (k - base) / granule. A kFullSpread image's granule is its slot
 /// size, a kPageConfined image's is 1. A key whose slot holds another key
-/// goes to a side map: only a full rebuild makes one, when a forced-
-/// quiescence alias shares its slot with a placement at another offset.
+/// goes to a sorted side list: only a full rebuild makes one, when a
+/// forced-quiescence alias shares its slot with a placement at another
+/// offset.
 class DerandTable {
  public:
   using Entry = std::pair<uint32_t, uint32_t>;  // (randomized, original)
@@ -76,7 +77,7 @@ class DerandTable {
     if (!in_region(key)) return nullptr;
     const Entry& e = slots_[slot_of(key)];
     if (e.first == key) return &e.second;
-    return shared_.empty() ? nullptr : shared_.lookup(key);
+    return shared_.empty() ? nullptr : side_lookup(key);
   }
   [[nodiscard]] uint32_t* lookup(uint32_t key) {
     return const_cast<uint32_t*>(std::as_const(*this).lookup(key));
@@ -98,12 +99,18 @@ class DerandTable {
  private:
   static constexpr uint32_t kFree = ~uint32_t{0};  // never in the region
 
+  /// The first side entry whose key is not below `key` (binary search).
+  [[nodiscard]] std::vector<Entry>::const_iterator side_find(
+      uint32_t key) const;
+  /// The side entry of `key`, or nullptr.
+  [[nodiscard]] const uint32_t* side_lookup(uint32_t key) const;
+
   uint32_t base_ = 0;
   uint32_t span_ = 0;
   Divisor granule_;
   std::vector<Entry> slots_;
   size_t dense_ = 0;  // live entries in slots_
-  FlatMap32 shared_;
+  std::vector<Entry> shared_;  // ascending key order
 };
 
 /// original address -> randomized address, one entry per byte of the

@@ -114,6 +114,26 @@ void Cache::state(binary::StateIo& io) {
     io.u32(line.tag);
     io.u64(line.lru);
   }
+  if (io.loading()) {
+    // What access() and install() maintain: every tick was handed out by
+    // the cache's own clock, and a set holds a tag at most once.
+    bool ticks_ok = true;
+    bool tags_ok = true;
+    for (size_t set = 0; set < num_sets_; ++set) {
+      const Line* ways = &lines_[set * config_.assoc];
+      for (uint32_t w = 0; w < config_.assoc; ++w) {
+        ticks_ok = ticks_ok && ways[w].lru <= tick_;
+        for (uint32_t v = 0; v < w; ++v) {
+          tags_ok = tags_ok && !(ways[w].valid && ways[v].valid &&
+                                 ways[w].tag == ways[v].tag);
+        }
+      }
+    }
+    binary::StateIo::require(ticks_ok,
+                             config_.name + ": line LRU tick ahead of the clock");
+    binary::StateIo::require(tags_ok,
+                             config_.name + ": a tag is valid twice in one set");
+  }
   io.u64(stats_.accesses);
   io.u64(stats_.hits);
   io.u64(stats_.misses);

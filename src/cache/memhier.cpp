@@ -10,11 +10,14 @@ MemHier::MemHier(const MemHierConfig& config, SharedL2Port* shared_port)
       shared_(shared_port),
       il1_(config.il1),
       dl1_(config.dl1),
-      l2_(config.l2),
       iprefetch_(config.iprefetch),
       itlb_(config.itlb),
-      dtlb_(config.dtlb),
-      dram_(config.dram) {}
+      dtlb_(config.dtlb) {
+  if (shared_ == nullptr) {
+    l2_.emplace(config.l2);
+    dram_.emplace(config.dram);
+  }
+}
 
 AccessResult MemHier::l2_read(uint32_t addr, uint64_t now, L2Source source) {
   switch (source) {
@@ -27,14 +30,14 @@ AccessResult MemHier::l2_read(uint32_t addr, uint64_t now, L2Source source) {
     const uint32_t line = addr & ~(config_.l2.line_bytes - 1);
     return shared_->read(line, asid_, now, source);
   }
-  const CacheOutcome outcome = l2_.access(addr, /*write=*/false);
+  const CacheOutcome outcome = l2_->access(addr, /*write=*/false);
   AccessResult result;
   result.latency = config_.l2.hit_latency;
   result.l2_hit = outcome.hit;
   if (!outcome.hit) {
-    result.latency += dram_.read(addr, now + config_.l2.hit_latency);
+    result.latency += dram_->read(addr, now + config_.l2.hit_latency);
     if (outcome.evicted_dirty) {
-      dram_.write(outcome.evicted_line_addr, now + result.latency);
+      dram_->write(outcome.evicted_line_addr, now + result.latency);
     }
   }
   return result;
@@ -46,12 +49,12 @@ void MemHier::l2_writeback(uint32_t addr, uint64_t now) {
     shared_->writeback(addr & ~(config_.l2.line_bytes - 1), asid_, now);
     return;
   }
-  const CacheOutcome outcome = l2_.access(addr, /*write=*/true);
+  const CacheOutcome outcome = l2_->access(addr, /*write=*/true);
   if (!outcome.hit) {
-    (void)dram_.read(addr, now);  // line fill before merging the victim
+    (void)dram_->read(addr, now);  // line fill before merging the victim
     ++pressure_.reads_from_dl1;
   }
-  if (outcome.evicted_dirty) dram_.write(outcome.evicted_line_addr, now);
+  if (outcome.evicted_dirty) dram_->write(outcome.evicted_line_addr, now);
 }
 
 AccessResult MemHier::ifetch(uint32_t addr, uint64_t now) {
@@ -127,11 +130,11 @@ void MemHier::state(binary::StateIo& io) {
   io.u32(asid_);
   il1_.state(io);
   dl1_.state(io);
-  l2_.state(io);
+  if (l2_) l2_->state(io);
   iprefetch_.state(io);
   itlb_.state(io);
   dtlb_.state(io);
-  dram_.state(io);
+  if (dram_) dram_->state(io);
   io.u64(pressure_.reads_from_il1);
   io.u64(pressure_.reads_from_dl1);
   io.u64(pressure_.reads_from_il1_prefetch);
@@ -143,9 +146,9 @@ void MemHier::register_stats(const telemetry::Scope& scope) const {
   dl1_.register_stats(scope.scope("dl1"));
   itlb_.register_stats(scope.scope("itlb"));
   dtlb_.register_stats(scope.scope("dtlb"));
-  if (shared_ == nullptr) {
-    l2_.register_stats(scope.scope("l2"));
-    dram_.register_stats(scope.scope("dram"));
+  if (l2_) {
+    l2_->register_stats(scope.scope("l2"));
+    dram_->register_stats(scope.scope("dram"));
   }
   const telemetry::Scope pressure = scope.scope("l2_pressure");
   pressure.counter("il1", &pressure_.reads_from_il1);

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "cache/cache.hpp"
 #include "cache/prefetcher.hpp"
@@ -69,8 +70,8 @@ class MemHier {
  public:
   /// With a null `shared_port` the hierarchy owns a private L2 + DRAM (the
   /// single-process simulator). With a port, L2-level traffic is routed to
-  /// the fleet's shared L2 (cache/shared_l2.hpp) and the private L2/DRAM
-  /// stay unused.
+  /// the fleet's shared L2 (cache/shared_l2.hpp) and the hierarchy has no
+  /// L2 or DRAM of its own.
   explicit MemHier(const MemHierConfig& config,
                    SharedL2Port* shared_port = nullptr);
 
@@ -93,12 +94,14 @@ class MemHier {
 
   [[nodiscard]] const Cache& il1() const { return il1_; }
   [[nodiscard]] const Cache& dl1() const { return dl1_; }
-  [[nodiscard]] const Cache& l2() const { return l2_; }
+  /// The private L2 and DRAM: private-L2 mode only
+  /// (std::bad_optional_access with a shared port).
+  [[nodiscard]] const Cache& l2() const { return l2_.value(); }
   [[nodiscard]] Tlb& itlb() { return itlb_; }
   [[nodiscard]] Tlb& dtlb() { return dtlb_; }
   [[nodiscard]] const Tlb& itlb() const { return itlb_; }
   [[nodiscard]] const Tlb& dtlb() const { return dtlb_; }
-  [[nodiscard]] const dram::Dram& dram() const { return dram_; }
+  [[nodiscard]] const dram::Dram& dram() const { return dram_.value(); }
   [[nodiscard]] const L2PressureStats& l2_pressure() const { return pressure_; }
   [[nodiscard]] const PrefetcherStats& prefetch_stats() const {
     return iprefetch_.stats();
@@ -111,9 +114,9 @@ class MemHier {
   /// breakdown and the prefetcher counter.
   void register_stats(const telemetry::Scope& scope) const;
 
-  /// Checkpoint support: every cache/TLB/DRAM component plus the asid —
-  /// the asid matters because a restored kernel skips the re-install that
-  /// would otherwise call set_asid().
+  /// Checkpoint support: every cache/TLB/DRAM component it owns plus the
+  /// asid — the asid matters because a restored kernel skips the
+  /// re-install that would otherwise call set_asid().
   void state(binary::StateIo& io);
 
  private:
@@ -126,11 +129,11 @@ class MemHier {
   uint32_t asid_ = 0;
   Cache il1_;
   Cache dl1_;
-  Cache l2_;
+  std::optional<Cache> l2_;  // private-L2 mode only, as is dram_
   NextLinePrefetcher iprefetch_;
   Tlb itlb_;
   Tlb dtlb_;
-  dram::Dram dram_;
+  std::optional<dram::Dram> dram_;
   L2PressureStats pressure_;
 };
 

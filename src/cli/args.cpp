@@ -237,7 +237,8 @@ const char* usage_text() {
       "  asm <src.vx> [-o out.vxe]\n"
       "      assemble VX source\n"
       "  disasm <img.vxe>\n"
-      "      list instructions (handles naive-ILR sparse images)\n"
+      "      list instructions (a naive-ILR image's at their randomized\n"
+      "      addresses, in ascending order)\n"
       "  stats <img.vxe>\n"
       "      static control-flow analysis\n"
       "  randomize <img.vxe> [-o out.vxe] [--seed N] [--naive]\n"

@@ -148,7 +148,29 @@ void Drc::state(binary::StateIo& io) {
   // The reval tables pointer is process-owned; the kernel re-points it
   // through rebind_reval() once the owning process is restored.
   io.b(reval_armed_);
-  if (io.loading()) reval_ = nullptr;
+  if (!io.loading()) return;
+  reval_ = nullptr;
+  // What lookup() and insert() maintain: ticks and epochs from the DRC's
+  // own clocks, each entry in its key's set, a (key, type) at most once.
+  bool clocks_ok = true;
+  bool sets_ok = true;
+  bool unique_ok = true;
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    const Entry& e = entries_[i];
+    clocks_ok = clocks_ok && e.lru <= tick_ && e.epoch <= epoch_;
+    if (!e.valid) continue;
+    const size_t set = i / config_.assoc;
+    sets_ok = sets_ok && set_of(e.key) == set;
+    for (size_t j = set * config_.assoc; j < i; ++j) {
+      const Entry& o = entries_[j];
+      unique_ok = unique_ok && !(o.valid && o.key == e.key &&
+                                 o.is_derand == e.is_derand);
+    }
+  }
+  binary::StateIo::require(clocks_ok,
+                           "DRC entry LRU tick or epoch ahead of the DRC's");
+  binary::StateIo::require(sets_ok, "DRC entry outside its key's set");
+  binary::StateIo::require(unique_ok, "DRC entry valid twice in one set");
 }
 
 void Drc::register_stats(const telemetry::Scope& scope) const {

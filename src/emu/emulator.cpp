@@ -23,16 +23,8 @@ Emulator::Emulator(const binary::Image& image, binary::Memory& mem,
   }
   dcache_.resize(decode_cache_entries);
   dcache_shift_ = 32 - std::countr_zero(decode_cache_entries);
-  state_.pc = image.entry;
-  if (image.layout == Layout::kNaiveIlr || image.layout == Layout::kVcfr) {
-    // Entry point expressed in the randomized space when it was randomized.
-    state_.pc = image.tables.to_randomized(image.entry);
-    if (image.layout == Layout::kNaiveIlr) {
-      // Naive images carry their mapping implicitly in the relocated code;
-      // the randomizer stores the randomized entry in image.entry already.
-      state_.pc = image.entry;
-    }
-  }
+  // Entry point expressed in the randomized space when it was randomized.
+  state_.pc = image.tables.to_randomized(image.entry);
   state_.regs[isa::kSp] = binary::kDefaultStackTop;
   // Any write into the fetched-from region must invalidate cached decodes.
   if (image.layout == Layout::kNaiveIlr) {
@@ -61,10 +53,10 @@ uint32_t Emulator::sequential_next(uint32_t rpc, uint32_t upc,
   switch (image_.layout) {
     case Layout::kOriginal:
       return rpc + len;
-    case Layout::kNaiveIlr: {
-      const uint32_t* next = image_.fallthrough.lookup(rpc);
-      return next == nullptr ? 0 : *next;
-    }
+    case Layout::kNaiveIlr:
+      // The straightforward hardware resolves the fall-through at zero
+      // cost, from the tables, never from the fetched bytes.
+      return image_.naive_successor(rpc);
     case Layout::kVcfr:
       // Architectural successor is the randomized image of upc+len; the
       // hardware streams along UPC and never materializes this unless

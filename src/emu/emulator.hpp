@@ -23,7 +23,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "binary/flat_map.hpp"
+#include "binary/flat_set.hpp"
 #include "binary/image.hpp"
 #include "binary/loader.hpp"
 #include "emu/taint.hpp"

@@ -105,7 +105,7 @@ CampaignReport run_campaign(const CampaignConfig& config,
         options.seed = mix(config.seed, wi);
         rewriter::RandomizeResult rr = rewriter::randomize(base, options);
         image = layout == binary::Layout::kNaiveIlr
-                    ? rewriter::naive_ilr(rr.program, rr.vcfr)
+                    ? rewriter::naive_ilr(rr.vcfr)
                     : std::move(rr.vcfr);
       }
       const bool enforce = layout == binary::Layout::kVcfr;

@@ -76,29 +76,20 @@ bool FaultInjector::apply(binary::Image& image, binary::Memory& mem,
   switch (plan_.site) {
     case FaultSite::kCodeByte: {
       // Flip one bit of one instruction byte in the loaded memory.
-      uint32_t addr = 0;
-      if (!image.code.empty()) {
-        addr = image.code_base +
-               static_cast<uint32_t>(rng.below(image.code.size()));
-      } else if (!image.sparse_code.empty()) {
-        // kNaiveIlr: relocated instructions live at their randomized
-        // addresses. unordered_map order is not portable — sort the keys.
-        std::vector<uint32_t> keys;
-        keys.reserve(image.sparse_code.size());
-        for (const auto& [k, bytes] : image.sparse_code) {
-          if (!bytes.empty()) keys.push_back(k);
-        }
-        if (keys.empty()) {
-          record_.note = "no code bytes to corrupt";
-          return false;
-        }
-        std::sort(keys.begin(), keys.end());
-        const uint32_t key = keys[rng.below(keys.size())];
-        addr = key + static_cast<uint32_t>(
-                         rng.below(image.sparse_code.at(key).size()));
-      } else {
+      if (image.code.empty()) {
         record_.note = "no code bytes to corrupt";
         return false;
+      }
+      uint32_t addr = 0;
+      if (image.layout == binary::Layout::kNaiveIlr) {
+        // Instructions run at their randomized addresses: pick one in
+        // ascending address order, then one of its bytes.
+        const auto placed = image.placed_instrs();
+        const binary::PlacedInstr& p = placed[rng.below(placed.size())];
+        addr = p.at + static_cast<uint32_t>(rng.below(p.length));
+      } else {
+        addr = image.code_base +
+               static_cast<uint32_t>(rng.below(image.code.size()));
       }
       const uint32_t bit = static_cast<uint32_t>(rng.below(8));
       // Writes overlapping the loader's watched code range bump the

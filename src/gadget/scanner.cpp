@@ -84,7 +84,7 @@ GadgetKind classify_head(const Instr& head) {
 
 ScanResult scan(const binary::Image& image, const ScanOptions& options) {
   if (image.layout == binary::Layout::kNaiveIlr) {
-    throw std::invalid_argument("gadget::scan: requires dense code bytes");
+    throw std::invalid_argument("gadget::scan: naive-ILR code does not run at its code addresses");
   }
   ScanResult result;
   const auto& code = image.code;

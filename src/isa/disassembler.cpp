@@ -96,7 +96,7 @@ std::vector<DisasmEntry> disassemble(std::span<const uint8_t> bytes,
 std::vector<DisasmEntry> disassemble(const binary::Image& image) {
   if (image.layout == binary::Layout::kNaiveIlr) {
     throw std::invalid_argument(
-        "disassemble: naive-ILR images have sparse code");
+        "disassemble: naive-ILR code does not run at its code addresses");
   }
   return disassemble(image.code, image.code_base);
 }

@@ -26,8 +26,8 @@ struct DisasmEntry {
     std::span<const uint8_t> bytes, uint32_t base);
 
 /// Disassembles the code section of an original-layout or VCFR image.
-/// Throws std::invalid_argument for naive-ILR images (their code is sparse;
-/// iterate Image::sparse_code instead).
+/// Throws std::invalid_argument for naive-ILR images, whose instructions
+/// run elsewhere (iterate Image::placed_instrs() instead).
 [[nodiscard]] std::vector<DisasmEntry> disassemble(const binary::Image& image);
 
 /// Full listing ("1000: jmp 0x1010") for debugging and examples.

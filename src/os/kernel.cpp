@@ -52,7 +52,7 @@ struct Fnv {
 };
 
 constexpr char kCheckpointMagic[4] = {'V', 'C', 'K', 'P'};
-constexpr uint32_t kCheckpointVersion = 3;
+constexpr uint32_t kCheckpointVersion = 4;
 
 }  // namespace
 

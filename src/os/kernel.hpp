@@ -44,7 +44,10 @@ namespace vcfr::os {
 struct KernelConfig {
   uint32_t cores = 1;
   SchedulerConfig sched{};
-  sim::CpuConfig cpu{};  // per-core config (private L2 fields unused)
+  /// Per-core config. Cores build no L2 or DRAM of their own (their L2
+  /// traffic goes to shared_l2), so cpu.mem.l2 is unused: the isolated
+  /// baseline takes its L2 geometry from shared_l2 too.
+  sim::CpuConfig cpu{};
   cache::SharedL2Config shared_l2{};
   /// Pipeline cycles charged for a context switch (kernel entry, table
   /// install, state save/restore) on top of the flush cold-misses.

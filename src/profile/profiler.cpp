@@ -55,9 +55,15 @@ Profiler::Profiler(const binary::Image& image) : image_(image) {
   }
   std::sort(extents_.begin(), extents_.end(),
             [](const Extent& a, const Extent& b) { return a.addr < b.addr; });
+  // A naive-ILR image's pcs are randomized addresses outside every extent,
+  // except its un-randomized instructions'. Its last extent is empty, so
+  // those in the last function fold to unknown like the randomized ones.
+  const uint32_t last_end = image.layout == binary::Layout::kNaiveIlr
+                                ? image.code_base
+                                : image.code_end();
   for (size_t i = 0; i < extents_.size(); ++i) {
-    extents_[i].end = i + 1 < extents_.size() ? extents_[i + 1].addr
-                                              : image.code_end();
+    extents_[i].end =
+        i + 1 < extents_.size() ? extents_[i + 1].addr : last_end;
   }
   unknown_slot_ = extents_.size();
   external_slot_ = extents_.size() + 1;

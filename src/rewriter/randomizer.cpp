@@ -474,33 +474,12 @@ RandomizeResult randomize(const binary::Image& image,
   return result;
 }
 
-binary::Image naive_ilr(const Program& program, const binary::Image& vcfr) {
+binary::Image naive_ilr(const binary::Image& vcfr) {
   if (vcfr.layout != binary::Layout::kVcfr) {
     throw std::invalid_argument("naive_ilr: requires a VCFR image");
   }
-  const Cfg& cfg = program.cfg;
-  const binary::TranslationTables& tables = vcfr.tables;
-  binary::Image naive = program.image;
+  binary::Image naive = vcfr;
   naive.layout = binary::Layout::kNaiveIlr;
-  naive.seed = vcfr.seed;
-  naive.code.clear();  // all instructions live in sparse_code
-  naive.rand_base = vcfr.rand_base;
-  naive.rand_size = vcfr.rand_size;
-  naive.sparse_code.reserve(cfg.instrs.size());
-  for (size_t i = 0; i < cfg.instrs.size(); ++i) {
-    const auto& e = cfg.instrs[i];
-    naive.sparse_code.emplace(
-        tables.to_randomized(e.addr),
-        isa::encode(
-            remap_targets(e, tables, program.analysis.code_imm_sites)));
-    if (i + 1 < cfg.instrs.size()) {
-      naive.fallthrough.emplace(tables.to_randomized(e.addr),
-                                tables.to_randomized(cfg.instrs[i + 1].addr));
-    }
-  }
-  patch_data(naive, tables);
-  naive.tables = tables;  // the mapping exists on the naive hardware too
-  naive.entry = tables.to_randomized(program.image.entry);
   return naive;
 }
 

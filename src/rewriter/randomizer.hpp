@@ -7,10 +7,11 @@
 //     direct targets, patched immediates, and jump-table slots rewritten
 //     into the randomized space, plus the randomization/de-randomization
 //     tables the DRC caches at run time — the paper's proposal;
-//   * on request, a *naive-ILR* image of the same placement: instructions
-//     physically relocated to their randomized addresses (plus the
-//     fall-through successor map the straightforward hardware resolves at
-//     zero cost) — the §III baseline.
+//   * on request, a *naive-ILR* image of the same placement: the VCFR
+//     image under another layout tag, whose instructions the loader puts
+//     at their randomized addresses and whose fall-through successors the
+//     straightforward hardware reads from the same tables at zero cost —
+//     the §III baseline.
 //
 // Both images are semantically equivalent to the original program; the
 // equivalence property tests exercise this across seeds.
@@ -139,7 +140,8 @@ struct RandomizeResult {
   /// What a VCFR process executes; vcfr.tables.rand is the placement.
   binary::Image vcfr;
   /// The prepared program vcfr places (after the software call rewrite,
-  /// when one was applied): naive_ilr(program, vcfr) is its naive image.
+  /// when one was applied); naive_ilr(vcfr) is the naive image of the
+  /// same placement.
   Program program;
   /// Populated when return_option == kSoftwareRewrite.
   SoftwareRewriteStats sw_stats;
@@ -217,12 +219,10 @@ using JitterDivisors = std::array<binary::Divisor, isa::kMaxInstrLength + 1>;
 [[nodiscard]] RandomizeResult randomize(const binary::Image& image,
                                         const RandomizeOptions& options = {});
 
-/// The naive-ILR image of a placement: every instruction of `program`
-/// relocated to its place in `vcfr` (a place() result for `program`), with
-/// its control-flow immediates remapped as in vcfr and the fall-through
-/// map the naive hardware follows. Throws std::invalid_argument unless
-/// `vcfr` is a VCFR image.
-[[nodiscard]] binary::Image naive_ilr(const Program& program,
-                                      const binary::Image& vcfr);
+/// The naive-ILR image of a placement: `vcfr` (its code, remapped
+/// immediates, data and tables) with layout kNaiveIlr, so that every
+/// instruction is loaded and runs at its randomized address. Throws
+/// std::invalid_argument unless `vcfr` is a VCFR image.
+[[nodiscard]] binary::Image naive_ilr(const binary::Image& vcfr);
 
 }  // namespace vcfr::rewriter

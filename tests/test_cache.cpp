@@ -305,6 +305,75 @@ TEST(TlbTest, RestoreRejectsStatesNoStreamProduces) {
   rejects(tlb_bytes(4, {{true, 9, 5}, {true, 3, 2}, none, none}));
 }
 
+struct RefLine {
+  bool valid = false;
+  bool dirty = false;
+  bool prefetched = false;
+  uint32_t tag = 0;
+  uint64_t lru = 0;
+};
+
+/// A cache checkpoint in Cache::state's layout, with zero statistics.
+std::string cache_bytes(uint64_t tick, std::vector<RefLine> lines) {
+  std::ostringstream out;
+  binary::StateIo io(out);
+  io.u64(tick);
+  io.fixed(lines.size(), 1u << 28, "");
+  for (RefLine& l : lines) {
+    io.b(l.valid);
+    io.b(l.dirty);
+    io.b(l.prefetched);
+    io.u32(l.tag);
+    io.u64(l.lru);
+  }
+  for (uint64_t stat = 0; stat < 7; ++stat) {
+    uint64_t zero = 0;
+    io.u64(zero);
+  }
+  return out.str();
+}
+
+std::string save(Cache& cache) {
+  std::ostringstream out;
+  binary::StateIo io(out);
+  cache.state(io);
+  return out.str();
+}
+
+void load(Cache& cache, const std::string& bytes) {
+  std::istringstream in(bytes);
+  binary::StateIo io(in);
+  cache.state(io);
+}
+
+// access() and install() stamp every line from the cache's own clock and
+// never hold a tag twice in one set.
+TEST(CacheTest, RestoreRejectsStatesNoStreamProduces) {
+  const CacheConfig cfg = small_cache();  // 2 sets x 2 ways
+  const auto rejects = [&](const std::string& bytes) {
+    Cache cache(cfg);
+    EXPECT_THROW(load(cache, bytes), binary::FormatError);
+  };
+  const RefLine none{};
+  // Set 0 holds tags 5 and 7, set 1 a dirty tag 5: what a stream leaves.
+  const std::string good = cache_bytes(
+      3, {{true, false, false, 5, 1}, {true, false, false, 7, 3},
+          {true, true, false, 5, 2}, none});
+  Cache cache(cfg);
+  load(cache, good);
+  EXPECT_EQ(save(cache), good);
+  EXPECT_TRUE(cache.contains(5u << 7));              // set 0, tag 5
+  EXPECT_TRUE(cache.contains((5u << 7) | 64));       // set 1, tag 5
+  EXPECT_EQ(cache.access(9u << 7, false).evicted_line_addr, 5u << 7);
+
+  rejects(cache_bytes(3, {{true, false, false, 5, 1},
+                          {true, false, false, 7, 4},
+                          {true, true, false, 5, 2}, none}));
+  rejects(cache_bytes(3, {{true, false, false, 5, 1},
+                          {true, false, false, 5, 3},
+                          {true, true, false, 5, 2}, none}));
+}
+
 TEST(TlbTest, RejectsEmptyGeometry) {
   EXPECT_THROW(Tlb({.entries = 0}), std::invalid_argument);
 }

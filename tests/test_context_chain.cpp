@@ -139,7 +139,7 @@ TEST(ChainExecutionTest, ChainBlockedOnNaiveImage) {
   const auto image = isa::assemble(kVictim);
   const auto chain = marker_chain(image);
   const auto rr = rewriter::randomize(image, {});
-  const auto r = execute_chain(rewriter::naive_ilr(rr.program, rr.vcfr), chain);
+  const auto r = execute_chain(rewriter::naive_ilr(rr.vcfr), chain);
   EXPECT_TRUE(r.faulted);
   EXPECT_TRUE(r.output.empty());
 }

@@ -8,7 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "binary/flat_map.hpp"
+#include "binary/flat_set.hpp"
 #include "binary/loader.hpp"
 #include "emu/emulator.hpp"
 #include "fault/campaign.hpp"

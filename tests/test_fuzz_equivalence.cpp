@@ -43,7 +43,7 @@ TEST_P(FuzzEquivalence, AllLayoutsAgreeAcrossSeeds) {
         << "seed " << seed << "\n" << src;
 
     const auto naive =
-        emu::run_image(rewriter::naive_ilr(rr.program, rr.vcfr), limits);
+        emu::run_image(rewriter::naive_ilr(rr.vcfr), limits);
     ASSERT_TRUE(naive.halted) << naive.error;
     EXPECT_EQ(naive.output, base.output) << "naive seed " << seed;
     EXPECT_EQ(naive.stats.instructions, base.stats.instructions);
@@ -90,7 +90,7 @@ TEST_P(FuzzEquivalence, PageConfinedAlsoAgrees) {
   opts.placement = rewriter::PlacementPolicy::kPageConfined;
   const auto rr = rewriter::randomize(original, opts);
   const auto naive =
-      emu::run_image(rewriter::naive_ilr(rr.program, rr.vcfr), limits);
+      emu::run_image(rewriter::naive_ilr(rr.vcfr), limits);
   ASSERT_TRUE(naive.halted) << naive.error;
   EXPECT_EQ(naive.output, base.output);
 }

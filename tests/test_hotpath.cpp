@@ -14,7 +14,7 @@
 #include <thread>
 #include <utility>
 
-#include "binary/flat_map.hpp"
+#include "binary/flat_set.hpp"
 #include "emu/emulator.hpp"
 #include "emu/rerandomize.hpp"
 #include "fault/injector.hpp"
@@ -124,7 +124,7 @@ TEST(DecodeCacheTest, DifferentialAcrossSuiteAndLayouts) {
     rewriter::RandomizeOptions opts;
     opts.seed = 0x9000 + original.code.size();
     const rewriter::RandomizeResult rr = rewriter::randomize(original, opts);
-    const binary::Image naive = rewriter::naive_ilr(rr.program, rr.vcfr);
+    const binary::Image naive = rewriter::naive_ilr(rr.vcfr);
 
     for (const binary::Image* image : {&original, &naive, &rr.vcfr}) {
       binary::Memory mem_on, mem_off;
@@ -428,63 +428,6 @@ TEST(MemoryTest, PageMemoSurvivesInterleavedStreams) {
     EXPECT_EQ(mem.read8(a + i), i);
     EXPECT_EQ(mem.read8(b + i), 0x80 + i);
   }
-}
-
-TEST(FlatMapTest, BasicOpsGrowthAndIteration) {
-  binary::FlatMap32 m;
-  EXPECT_TRUE(m.empty());
-  EXPECT_EQ(m.lookup(42), nullptr);
-
-  // Push well past the initial capacity to force several rehashes.
-  for (uint32_t i = 0; i < 1000; ++i) {
-    EXPECT_TRUE(m.emplace(i * 7919, i));
-  }
-  EXPECT_EQ(m.size(), 1000u);
-  for (uint32_t i = 0; i < 1000; ++i) {
-    const uint32_t* v = m.lookup(i * 7919);
-    ASSERT_NE(v, nullptr) << i;
-    EXPECT_EQ(*v, i);
-  }
-  // emplace does not overwrite (unordered_map semantics).
-  EXPECT_FALSE(m.emplace(0, 999));
-  EXPECT_EQ(*m.lookup(0), 0u);
-  // erase + emplace replaces a value.
-  EXPECT_TRUE(m.erase(7919));
-  EXPECT_TRUE(m.emplace(7919, 555));
-  EXPECT_EQ(*m.lookup(7919), 555u);
-
-  // Iteration visits every live entry exactly once.
-  size_t seen = 0;
-  uint64_t key_sum = 0;
-  for (const auto& [k, v] : m) {
-    ++seen;
-    key_sum += k;
-  }
-  EXPECT_EQ(seen, m.size());
-  uint64_t expect_sum = 0;
-  for (uint32_t i = 0; i < 1000; ++i) expect_sum += i * 7919;
-  EXPECT_EQ(key_sum, expect_sum);
-
-  // contains and equality.
-  EXPECT_TRUE(m.contains(7919));
-  EXPECT_FALSE(m.contains(123456789));
-  binary::FlatMap32 m2 = m;
-  EXPECT_EQ(m, m2);
-  EXPECT_TRUE(m2.erase(7919));
-  EXPECT_TRUE(m2.emplace(7919, 556));
-  EXPECT_FALSE(m == m2);
-}
-
-TEST(FlatMapTest, CollidingKeysProbeCorrectly) {
-  // Saturate a small table with keys, then verify misses terminate and
-  // hits resolve even under heavy probing.
-  binary::FlatMap32 m;
-  for (uint32_t i = 0; i < 24; ++i) m.emplace(i, i + 100);
-  for (uint32_t i = 0; i < 24; ++i) {
-    ASSERT_NE(m.lookup(i), nullptr);
-    EXPECT_EQ(*m.lookup(i), i + 100);
-  }
-  for (uint32_t i = 24; i < 200; ++i) EXPECT_EQ(m.lookup(i), nullptr);
 }
 
 TEST(FlatSetTest, InsertContains) {

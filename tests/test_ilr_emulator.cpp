@@ -19,7 +19,7 @@ binary::Image loop_program(int body_adds) {
 TEST(IlrEmulatorTest, SlowdownIsHundredsOfTimes) {
   const auto rr = rewriter::randomize(loop_program(8), {});
   const auto r =
-      emulate_ilr(rewriter::naive_ilr(rr.program, rr.vcfr), /*native_cpi=*/1.0);
+      emulate_ilr(rewriter::naive_ilr(rr.vcfr), /*native_cpi=*/1.0);
   EXPECT_GT(r.guest_instructions, 1000u);
   EXPECT_GT(r.slowdown_vs_native, 50.0);
   EXPECT_LT(r.slowdown_vs_native, 2000.0);
@@ -31,7 +31,7 @@ TEST(IlrEmulatorTest, CostScalesWithGuestInstructionCount) {
   half.max_instructions = 2000;
   RunLimits full;
   full.max_instructions = 4000;
-  const auto naive = rewriter::naive_ilr(rr.program, rr.vcfr);
+  const auto naive = rewriter::naive_ilr(rr.vcfr);
   const auto a = emulate_ilr(naive, 1.0, half);
   const auto b = emulate_ilr(naive, 1.0, full);
   EXPECT_EQ(a.guest_instructions, 2000u);
@@ -61,9 +61,9 @@ TEST(IlrEmulatorTest, ControlHeavyGuestCostsMorePerInstruction) {
   RunLimits limits;
   limits.max_instructions = 5000;
   const auto r_straight = emulate_ilr(
-      rewriter::naive_ilr(straight.program, straight.vcfr), 1.0, limits);
+      rewriter::naive_ilr(straight.vcfr), 1.0, limits);
   const auto r_branchy = emulate_ilr(
-      rewriter::naive_ilr(branchy.program, branchy.vcfr), 1.0, limits);
+      rewriter::naive_ilr(branchy.vcfr), 1.0, limits);
   EXPECT_GT(r_branchy.host_cycles_per_instr,
             1.2 * r_straight.host_cycles_per_instr);
 }
@@ -76,16 +76,16 @@ TEST(IlrEmulatorTest, PredictableOpcodeStreamMispredictsLess) {
   RunLimits limits;
   limits.max_instructions = 20000;
   const auto r_uniform = emulate_ilr(
-      rewriter::naive_ilr(uniform.program, uniform.vcfr), 1.0, limits);
+      rewriter::naive_ilr(uniform.vcfr), 1.0, limits);
   const auto r_python = emulate_ilr(
-      rewriter::naive_ilr(python.program, python.vcfr), 1.0, limits);
+      rewriter::naive_ilr(python.vcfr), 1.0, limits);
   EXPECT_LT(r_uniform.dispatch_mispredict_rate,
             r_python.dispatch_mispredict_rate);
 }
 
 TEST(IlrEmulatorTest, HigherNativeCpiLowersTheRatio) {
   const auto rr = rewriter::randomize(loop_program(8), {});
-  const auto naive = rewriter::naive_ilr(rr.program, rr.vcfr);
+  const auto naive = rewriter::naive_ilr(rr.vcfr);
   const auto fast_native = emulate_ilr(naive, 1.0);
   const auto slow_native = emulate_ilr(naive, 2.0);
   EXPECT_NEAR(fast_native.slowdown_vs_native,
@@ -106,7 +106,7 @@ TEST(IlrEmulatorTest, CustomCostsAreHonored) {
   cheap.target_change = 0;
   cheap.host_cpi = 1.0;
   const auto r =
-      emulate_ilr(rewriter::naive_ilr(rr.program, rr.vcfr), 1.0, {}, cheap);
+      emulate_ilr(rewriter::naive_ilr(rr.vcfr), 1.0, {}, cheap);
   EXPECT_NEAR(r.host_cycles_per_instr, 2.0, 1e-9);
 }
 

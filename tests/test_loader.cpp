@@ -131,19 +131,21 @@ TEST(LoaderTest, BlockLoadMatchesByteLoadAcrossSuite) {
   for (const std::string& name : workloads::spec_names()) {
     const Image original = workloads::make(name, 0);
     const rewriter::RandomizeResult rr = rewriter::randomize(original, {});
-    const Image naive = rewriter::naive_ilr(rr.program, rr.vcfr);
+    const Image naive = rewriter::naive_ilr(rr.vcfr);
     for (const Image* image : {&original, &naive, &rr.vcfr}) {
       Memory block, bytewise;
       load(*image, block);
-      write_bytes(bytewise, image->code_base, image->code.data(),
-                  image->code.size());
+      if (image->layout == Layout::kNaiveIlr) {
+        for (const PlacedInstr& p : image->placed_instrs()) {
+          write_bytes(bytewise, p.at, &image->code[p.addr - image->code_base],
+                      p.length);
+        }
+      } else {
+        write_bytes(bytewise, image->code_base, image->code.data(),
+                    image->code.size());
+      }
       write_bytes(bytewise, image->data_base, image->data.data(),
                   image->data.size());
-      if (image->layout == Layout::kNaiveIlr) {
-        for (const auto& [addr, bytes] : image->sparse_code) {
-          write_bytes(bytewise, addr, bytes.data(), bytes.size());
-        }
-      }
       const std::string what =
           name + " layout " + std::to_string(static_cast<int>(image->layout));
       EXPECT_EQ(block.pages_allocated(), bytewise.pages_allocated()) << what;
@@ -198,16 +200,18 @@ TEST(LoaderTest, LoadsAllThreeLayouts) {
   EXPECT_EQ(m0.read32(0x10000000), 0xcafeu);
 
   const auto rr = rewriter::randomize(original, {});
-  const Image naive = rewriter::naive_ilr(rr.program, rr.vcfr);
+  const Image naive = rewriter::naive_ilr(rr.vcfr);
   Memory m1;
   load(naive, m1);
   // The original code location is vacated; instructions live at their
   // randomized addresses.
-  bool found = false;
-  for (const auto& [addr, bytes] : naive.sparse_code) {
-    if (!bytes.empty() && m1.read8(addr) == bytes[0]) found = true;
+  const std::vector<PlacedInstr> placed = naive.placed_instrs();
+  ASSERT_EQ(placed.size(), 2u);
+  for (const PlacedInstr& p : placed) {
+    EXPECT_NE(p.at, p.addr);
+    EXPECT_EQ(m1.read8(p.at), naive.code[p.addr - naive.code_base]);
+    EXPECT_EQ(m1.read8(p.addr), 0u);
   }
-  EXPECT_TRUE(found);
 
   // The translation tables live only in the image: a VCFR load allocates
   // exactly the original's pages, none in the table region, and neither

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "binary/state_io.hpp"
 #include "cache/memhier.hpp"
 #include "cache/shared_l2.hpp"
 #include "core/drc.hpp"
@@ -261,6 +264,79 @@ TEST(DrcTest, ConflictEvictionInDirectMappedMode) {
   drc.insert(b, true, {});
   EXPECT_FALSE(drc.contains(a, true));
   EXPECT_TRUE(drc.contains(b, true));
+}
+
+struct RefDrcEntry {
+  bool valid = false;
+  bool is_derand = false;
+  uint32_t key = 0;
+  uint64_t lru = 0;
+  uint64_t epoch = 0;
+};
+
+/// A DRC checkpoint in Drc::state's layout: translation key + 0x100 and a
+/// randomized tag on every entry, zero statistics, revalidation disarmed.
+std::string drc_bytes(uint64_t tick, uint64_t epoch,
+                      std::vector<RefDrcEntry> entries) {
+  std::ostringstream out;
+  binary::StateIo io(out);
+  io.u64(tick);
+  io.fixed(entries.size(), 1u << 24, "");
+  for (RefDrcEntry& e : entries) {
+    bool tag = true;
+    uint32_t translation = e.key + 0x100;
+    io.b(e.valid);
+    io.b(e.is_derand);
+    io.b(tag);
+    io.u32(e.key);
+    io.u32(translation);
+    io.u64(e.lru);
+    io.u64(e.epoch);
+  }
+  for (uint64_t stat = 0; stat < 7; ++stat) {
+    uint64_t zero = 0;
+    io.u64(zero);
+  }
+  io.u64(epoch);
+  bool armed = false;
+  io.b(armed);
+  return out.str();
+}
+
+void load(Drc& drc, const std::string& bytes) {
+  std::istringstream in(bytes);
+  binary::StateIo io(in);
+  drc.state(io);
+}
+
+// lookup() and insert() stamp entries from the DRC's own tick and epoch,
+// file each key in set_of(key), and hold a (key, type) once per set. Keys
+// below 0x2000 fall in set key & 1 of a two-set DRC.
+TEST(DrcTest, RestoreRejectsStatesNoStreamProduces) {
+  const DrcConfig cfg{.entries = 4, .assoc = 2, .hit_latency = 1};
+  const auto rejects = [&](const std::string& bytes) {
+    Drc drc(cfg);
+    EXPECT_THROW(load(drc, bytes), binary::FormatError);
+  };
+  const RefDrcEntry none{};
+  const std::string good =
+      drc_bytes(4, 1, {{true, true, 0x10, 2, 1}, {true, false, 0x10, 3, 0},
+                       {true, true, 0x11, 4, 1}, none});
+  Drc drc(cfg);
+  load(drc, good);
+  const auto hit = drc.lookup(0x11, true);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->translation, 0x111u);
+  EXPECT_FALSE(drc.lookup(0x11, false).has_value());
+
+  rejects(drc_bytes(4, 1, {{true, true, 0x10, 5, 1}, {true, false, 0x10, 3, 0},
+                           {true, true, 0x11, 4, 1}, none}));
+  rejects(drc_bytes(4, 1, {{true, true, 0x10, 2, 2}, {true, false, 0x10, 3, 0},
+                           {true, true, 0x11, 4, 1}, none}));
+  rejects(drc_bytes(4, 1, {{true, true, 0x10, 2, 1}, {true, true, 0x10, 3, 0},
+                           {true, true, 0x11, 4, 1}, none}));
+  rejects(drc_bytes(4, 1, {{true, true, 0x10, 2, 1}, {true, true, 0x11, 3, 0},
+                           {true, true, 0x11, 4, 1}, none}));
 }
 
 TEST(DrcTest, RejectsBadGeometry) {

@@ -182,7 +182,7 @@ TEST(OooTest, NaiveIlrStillSlowerThanVcfrOnOoo) {
   opts.seed = 8;
   const auto rr = rewriter::randomize(img, opts);
   const auto base = simulate_ooo(img, 2'000'000, quiet());
-  const auto naive = simulate_ooo(rewriter::naive_ilr(rr.program, rr.vcfr),
+  const auto naive = simulate_ooo(rewriter::naive_ilr(rr.vcfr),
                                   2'000'000, quiet());
   const auto vcfr = simulate_ooo(rr.vcfr, 2'000'000, quiet());
   ASSERT_TRUE(base.halted);

@@ -19,6 +19,7 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -208,8 +209,12 @@ bool reference_rerandomize_incremental(
   // the old generation can be mistaken for current state.
   mem.bump_code_version();
   binary::TranslationTables& tables = img.tables;
-  binary::FlatMap32 old2new;
+  std::unordered_map<uint32_t, uint32_t> old2new;
   old2new.reserve(assign.size());
+  const auto moved_to = [&](uint32_t old_ra) -> const uint32_t* {
+    const auto it = old2new.find(old_ra);
+    return it == old2new.end() ? nullptr : &it->second;
+  };
 
   // Erase every retiring derand key first: a fresh draw may land exactly
   // on another moved instruction's freed slot (and jitter may reproduce
@@ -251,18 +256,18 @@ bool reference_rerandomize_incremental(
   // Jump-table / stored-code-pointer slots: live memory and the image
   // copy (rearm() re-images data from the latter).
   for (const auto& r : img.relocs) {
-    const uint32_t* nv = old2new.lookup(mem.read32(r.data_addr));
+    const uint32_t* nv = moved_to(mem.read32(r.data_addr));
     if (nv != nullptr) {
       mem.write32(r.data_addr, *nv);
       ++st.reloc_slots_patched;
     }
-    const uint32_t* iv = old2new.lookup(img.read_data32(r.data_addr));
+    const uint32_t* iv = moved_to(img.read_data32(r.data_addr));
     if (iv != nullptr) img.write_data32(r.data_addr, *iv);
   }
 
   // Bitmap-marked stack slots holding a moved return address.
   for (const uint32_t slot : running.ret_bitmap()) {
-    const uint32_t* nv = old2new.lookup(mem.read32(slot));
+    const uint32_t* nv = moved_to(mem.read32(slot));
     if (nv != nullptr) {
       mem.write32(slot, *nv);
       ++st.stack_slots_translated;
@@ -270,7 +275,7 @@ bool reference_rerandomize_incremental(
   }
 
   // Architectural PC.
-  if (const uint32_t* nv = old2new.lookup(running.state().pc)) {
+  if (const uint32_t* nv = moved_to(running.state().pc)) {
     running.state().pc = *nv;
     st.pc_translated = true;
   }

@@ -274,7 +274,7 @@ TEST_P(RandomizeEquivalence, RichProgramAllLayoutsAgree) {
   opts.seed = GetParam();
   const RandomizeResult rr = randomize(original, opts);
 
-  const auto naive = run_image(rewriter::naive_ilr(rr.program, rr.vcfr));
+  const auto naive = run_image(rewriter::naive_ilr(rr.vcfr));
   EXPECT_TRUE(naive.halted) << naive.error;
   EXPECT_EQ(naive.output, expected);
 
@@ -467,7 +467,7 @@ TEST(RandomizerTest, PageConfinedPreservesSemantics) {
     opts.seed = seed;
     opts.placement = PlacementPolicy::kPageConfined;
     const RandomizeResult rr = randomize(original, opts);
-    const auto naive = run_image(rewriter::naive_ilr(rr.program, rr.vcfr));
+    const auto naive = run_image(rewriter::naive_ilr(rr.vcfr));
     EXPECT_TRUE(naive.halted) << naive.error;
     EXPECT_EQ(naive.output, expected_rich_output());
     const auto vcfr = run_image(rr.vcfr);
@@ -521,10 +521,10 @@ TEST(RandomizerTest, PlaceOfPreparedProgramMatchesRandomize) {
 TEST(RandomizerTest, NaiveIlrRequiresAVcfrImage) {
   const Image original = isa::assemble(kRichProgram);
   const Program program = prepare(original);
-  EXPECT_THROW((void)naive_ilr(program, original), std::invalid_argument);
-  const Image naive = naive_ilr(program, place(program, {}));
+  EXPECT_THROW((void)naive_ilr(original), std::invalid_argument);
+  const Image naive = naive_ilr(place(program, {}));
   EXPECT_EQ(naive.layout, binary::Layout::kNaiveIlr);
-  EXPECT_THROW((void)naive_ilr(program, naive), std::invalid_argument);
+  EXPECT_THROW((void)naive_ilr(naive), std::invalid_argument);
 }
 
 TEST(RandomizerTest, PlaceRejectsOptionsItsProgramWasNotPreparedFor) {

@@ -294,13 +294,14 @@ uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
-// The checkpoint layout is a format (version 3): these digests pin its
+// The checkpoint layout is a format (version 4): these digests pin its
 // bytes for the plain mix and for the continuous re-rand fleet with taint
 // and re-rand-on-leak armed, which puts the emulator's taint shadow state
 // and the per-process request/leak fields in the stream. Any change to a
 // class's field list that moves a byte fails here. A process's memory
 // section holds no translation-table pages: the tables travel only inside
-// its image's fields, written in key order.
+// its image's fields, written in key order. A fleet core writes no L2 or
+// DRAM of its own: it has none.
 TEST(CheckpointRestoreTest, BytesPinned) {
   const std::string plain =
       checkpoint_bytes(testing::TempDir() + "vcfr_ckpt_pin_plain.bin");
@@ -309,8 +310,8 @@ TEST(CheckpointRestoreTest, BytesPinned) {
   const std::string rerand =
       checkpoint_bytes(testing::TempDir() + "vcfr_ckpt_pin_rerand.bin",
                        /*inject_pid1=*/true, &rp, /*taint=*/true);
-  EXPECT_EQ(fnv1a(plain), 7098092727669453641ull) << plain.size();
-  EXPECT_EQ(fnv1a(rerand), 10937345298606196738ull) << rerand.size();
+  EXPECT_EQ(fnv1a(plain), 8632083792290510698ull) << plain.size();
+  EXPECT_EQ(fnv1a(rerand), 11346912370916297191ull) << rerand.size();
 }
 
 // Truncated streams fail loudly with a typed fault, never a partial load.
@@ -326,20 +327,21 @@ TEST(CheckpointRestoreTest, RestoreRejectsTruncatedStream) {
 
 // A checkpoint of another format version (bytes 4-7, after the magic) is
 // refused with a typed fault instead of being misread field by field:
-// version 2 embedded each process image as a length-prefixed VXE1 blob.
+// version 3 wrote every fleet core's unused private L2 and DRAM, and its
+// images carried the VXE3 naive-ILR fields.
 TEST(CheckpointRestoreTest, RestoreRejectsOtherVersion) {
   std::string bytes =
       checkpoint_bytes(testing::TempDir() + "vcfr_ckpt_version.bin");
   ASSERT_GT(bytes.size(), 64u);
-  bytes.replace(4, 4, std::string("\x02\x00\x00\x00", 4));
+  bytes.replace(4, 4, std::string("\x03\x00\x00\x00", 4));
   std::istringstream old(bytes);
   os::Kernel kernel(fleet_config(4));
   spawn_mix(kernel, 8, 7);
   try {
     kernel.restore(old);
-    FAIL() << "a version-2 checkpoint was accepted";
+    FAIL() << "a version-3 checkpoint was accepted";
   } catch (const binary::FormatError& e) {
-    EXPECT_NE(std::string(e.what()).find("version 2"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("version 3"), std::string::npos)
         << e.what();
   }
 }
@@ -507,9 +509,11 @@ void expect_placement_rejected(const std::string& bytes,
 // the first serialized (rand, orig) and (orig, rand) pairs of one of its
 // instructions are its derand and rand entries. Moved just past the slot
 // pool, the firing used to throw std::invalid_argument out of Kernel::run
-// (its slot bitmap would now be indexed out of bounds); moved into another
-// instruction's slot, with derand still inverting rand, a firing that
-// moves either would free a slot the other still holds.
+// (its slot bitmap would now be indexed out of bounds); the image's own
+// field list refuses that rand value, since the pool is the randomized
+// region. Moved into another instruction's slot, with derand still
+// inverting rand, a firing that moves either would free a slot the other
+// still holds.
 TEST(CheckpointRestoreTest, RestoreRejectsUnpatchablePlacement) {
   const os::RerandomizePolicy rp = continuous_rerand();
   const std::string bytes = checkpoint_bytes(
@@ -529,7 +533,8 @@ TEST(CheckpointRestoreTest, RestoreRejectsUnpatchablePlacement) {
   std::string outside = bytes;
   rewrite_pair(outside, {orig, ra},
                {orig, image.rand_base + image.rand_size});
-  expect_placement_rejected(outside, "outside the slot pool");
+  expect_placement_rejected(outside,
+                            "rand value outside the randomized region");
 
   const uint32_t slot_bytes = rewriter::RandomizeOptions{}.slot_bytes;
   const uint32_t slot_base = other - (other - image.rand_base) % slot_bytes;

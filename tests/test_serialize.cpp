@@ -52,8 +52,6 @@ void expect_equal(const Image& a, const Image& b) {
   EXPECT_EQ(a.functions.size(), b.functions.size());
   EXPECT_EQ(a.rand_base, b.rand_base);
   EXPECT_EQ(a.rand_size, b.rand_size);
-  EXPECT_EQ(a.sparse_code, b.sparse_code);
-  EXPECT_EQ(a.fallthrough, b.fallthrough);
   EXPECT_EQ(a.tables.derand, b.tables.derand);
   EXPECT_EQ(a.tables.rand, b.tables.rand);
   EXPECT_EQ(a.tables.unrandomized, b.tables.unrandomized);
@@ -74,7 +72,7 @@ TEST(SerializeTest, RandomizedLayoutsRoundTripAndStillRun) {
   rewriter::RandomizeOptions opts;
   opts.seed = 31337;
   const auto rr = rewriter::randomize(image, opts);
-  const Image naive = rewriter::naive_ilr(rr.program, rr.vcfr);
+  const Image naive = rewriter::naive_ilr(rr.vcfr);
   const auto golden = emu::run_image(rr.vcfr);
 
   for (const Image* img : {&naive, &rr.vcfr}) {
@@ -133,7 +131,7 @@ TEST(SerializeTest, MutationFuzzOnlyEverThrowsFormatError) {
   rewriter::RandomizeOptions opts;
   opts.seed = 4242;
   const auto rr = rewriter::randomize(base, opts);
-  const Image naive = rewriter::naive_ilr(rr.program, rr.vcfr);
+  const Image naive = rewriter::naive_ilr(rr.vcfr);
 
   SplitMix64 rng(0x5eed);
   size_t loaded = 0, rejected = 0;
@@ -174,12 +172,6 @@ size_t code_size_at(const Image& image) { return 21 + image.name.size(); }
 size_t data_base_at(const Image& image) {
   return code_size_at(image) + 4 + image.code.size();
 }
-size_t sparse_count_at(const Image& image) {
-  size_t at = data_base_at(image) + 8 + image.data.size() + 4;
-  at += 4 + 4 * image.relocs.size() + 4;
-  for (const auto& f : image.functions) at += 4 + f.name.size() + 4;
-  return at + 8;
-}
 
 void expect_fault(const std::string& bytes, FormatFault fault,
                   const std::string& reason) {
@@ -210,17 +202,6 @@ TEST(SerializeTest, RejectsSectionsPastTheAddressSpace) {
   put_u32(bytes, code_size_at(image) - 4, 0xffffffff - 2);
   expect_fault(bytes, FormatFault::kImplausible,
                "code section runs past the 32-bit address space");
-
-  // A naive-ILR instruction's bytes are a section of their own.
-  rewriter::RandomizeOptions opts;
-  opts.seed = 4242;
-  const auto rr = rewriter::randomize(image, opts);
-  const Image naive = rewriter::naive_ilr(rr.program, rr.vcfr);
-  ASSERT_FALSE(naive.sparse_code.empty());
-  bytes = saved(naive);
-  put_u32(bytes, sparse_count_at(naive) + 4, 0xffffffff);
-  expect_fault(bytes, FormatFault::kImplausible,
-               "sparse-code entry runs past the 32-bit address space");
 
   // Ending exactly at 0xffffffff is fine.
   Image top = image;

@@ -240,7 +240,7 @@ ModeResults run_modes(const Image& img, uint32_t drc_entries = 128) {
   CpuConfig cfg = quiet();
   cfg.drc.entries = drc_entries;
   return {simulate(img, 2'000'000, cfg),
-          simulate(rewriter::naive_ilr(rr.program, rr.vcfr), 2'000'000, cfg),
+          simulate(rewriter::naive_ilr(rr.vcfr), 2'000'000, cfg),
           simulate(rr.vcfr, 2'000'000, cfg)};
 }
 

@@ -223,9 +223,9 @@ TEST(VcfrTimingTest, PageConfinedNaiveSparesTheITlb) {
   pc.placement = rewriter::PlacementPolicy::kPageConfined;
   const auto rr_pc = rewriter::randomize(img, pc);
 
-  const auto r_fs = simulate(rewriter::naive_ilr(rr_fs.program, rr_fs.vcfr),
+  const auto r_fs = simulate(rewriter::naive_ilr(rr_fs.vcfr),
                              2'000'000, quiet());
-  const auto r_pc = simulate(rewriter::naive_ilr(rr_pc.program, rr_pc.vcfr),
+  const auto r_pc = simulate(rewriter::naive_ilr(rr_pc.vcfr),
                              2'000'000, quiet());
   ASSERT_TRUE(r_fs.halted);
   ASSERT_TRUE(r_pc.halted);

@@ -81,7 +81,7 @@ TEST(SoftwareRewriteTest, RandomizedImagesStayEquivalent) {
     const auto rr = randomize(original, opts);
     EXPECT_EQ(rr.sw_stats.calls_rewritten, 2u);
 
-    const auto naive = run_image(rewriter::naive_ilr(rr.program, rr.vcfr));
+    const auto naive = run_image(rewriter::naive_ilr(rr.vcfr));
     EXPECT_TRUE(naive.halted) << naive.error;
     EXPECT_EQ(naive.output, base.output);
 

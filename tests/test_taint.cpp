@@ -71,7 +71,7 @@ TEST(TaintTest, ObserverNeutralAcrossSuiteAndLayouts) {
     rewriter::RandomizeOptions opts;
     opts.seed = 11;
     const rewriter::RandomizeResult rr = rewriter::randomize(original, opts);
-    const binary::Image naive = rewriter::naive_ilr(rr.program, rr.vcfr);
+    const binary::Image naive = rewriter::naive_ilr(rr.vcfr);
     for (const binary::Image* image : {&original, &naive, &rr.vcfr}) {
       const ArmResult off = run_image_taint(*image, false);
       const ArmResult on = run_image_taint(*image, true);

@@ -27,13 +27,41 @@ if(found EQUAL -1)
   message(FATAL_ERROR "expected output 36, got: ${out}")
 endif()
 
+# A naive-ILR image round-trips through a file: randomize --naive saves
+# it, disasm lists its six instructions in ascending randomized address,
+# and running the saved image prints what the original image prints.
+execute_process(COMMAND ${VCFR_BIN} randomize ${WORK_DIR}/smoke.vxe --seed 7
+                --naive -o ${WORK_DIR}/smoke.naive.vxe RESULT_VARIABLE rc_nv)
+execute_process(COMMAND ${VCFR_BIN} disasm ${WORK_DIR}/smoke.naive.vxe
+                OUTPUT_VARIABLE naive_listing RESULT_VARIABLE rc_nd)
+execute_process(COMMAND ${VCFR_BIN} run ${WORK_DIR}/smoke.naive.vxe
+                OUTPUT_VARIABLE naive_out RESULT_VARIABLE rc_nr)
+execute_process(COMMAND ${VCFR_BIN} run ${WORK_DIR}/smoke.vxe
+                OUTPUT_VARIABLE original_out RESULT_VARIABLE rc_or)
+if(NOT rc_nv EQUAL 0 OR NOT rc_nd EQUAL 0 OR NOT rc_nr EQUAL 0 OR
+   NOT rc_or EQUAL 0)
+  message(FATAL_ERROR "naive pipeline failed: ${rc_nv} ${rc_nd} ${rc_nr} "
+                      "${rc_or}")
+endif()
+string(REGEX MATCHALL "\n[0-9a-f]+:" naive_addrs "${naive_listing}")
+list(LENGTH naive_addrs naive_count)
+set(sorted_addrs ${naive_addrs})
+list(SORT sorted_addrs)
+if(NOT naive_count EQUAL 6 OR NOT naive_addrs STREQUAL sorted_addrs)
+  message(FATAL_ERROR "naive disasm not 6 ascending lines: ${naive_listing}")
+endif()
+if(NOT naive_out STREQUAL original_out)
+  message(FATAL_ERROR "naive image ran to '${naive_out}', the original to "
+                      "'${original_out}'")
+endif()
+
 # A truncated image (the magic and nothing else) is refused with one
 # typed VXE error and exit status 1, not a crash.
-file(WRITE "${WORK_DIR}/truncated.vxe" "VXE3")
+file(WRITE "${WORK_DIR}/truncated.vxe" "VXE4")
 execute_process(COMMAND ${VCFR_BIN} stats ${WORK_DIR}/truncated.vxe
                 OUTPUT_VARIABLE trunc_out ERROR_VARIABLE trunc_err
                 RESULT_VARIABLE rc_trunc)
-string(FIND "${trunc_err}" "vxe:" found_vxe)
+string(FIND "${trunc_err}" "vxe: truncated" found_vxe)
 if(NOT rc_trunc EQUAL 1 OR found_vxe EQUAL -1)
   message(FATAL_ERROR "stats on a truncated image: exit ${rc_trunc}, "
                       "stderr: ${trunc_err}")

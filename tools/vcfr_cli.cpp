@@ -16,6 +16,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -207,11 +208,12 @@ int cmd_asm(const Args& args) {
 int cmd_disasm(const Args& args) {
   const auto image = binary::load_file(require_input(args));
   if (image.layout == binary::Layout::kNaiveIlr) {
-    rprintf("; naive-ILR image: %zu relocated instructions\n",
-                image.sparse_code.size());
-    for (const auto& [addr, bytes] : image.sparse_code) {
-      const auto d = isa::decode(bytes);
-      if (d) rprintf("%08x: %s\n", addr, isa::format_instr(*d).c_str());
+    const auto placed = image.placed_instrs();
+    rprintf("; naive-ILR image: %zu relocated instructions\n", placed.size());
+    for (const binary::PlacedInstr& p : placed) {
+      const auto d = isa::decode(std::span<const uint8_t>(
+          &image.code[p.addr - image.code_base], p.length));
+      if (d) rprintf("%08x: %s\n", p.at, isa::format_instr(*d).c_str());
     }
     return 0;
   }
@@ -255,8 +257,7 @@ int cmd_randomize(const Args& args) {
   const std::string out =
       args.output.empty() ? image.name + (args.naive ? ".naive.vxe" : ".vcfr.vxe")
                           : args.output;
-  binary::save(args.naive ? rewriter::naive_ilr(rr.program, rr.vcfr) : rr.vcfr,
-               out);
+  binary::save(args.naive ? rewriter::naive_ilr(rr.vcfr) : rr.vcfr, out);
   rprintf("relocated %zu instructions (seed %llu); failover set: %zu; "
               "-> %s\n",
               rr.vcfr.tables.rand.size(),
