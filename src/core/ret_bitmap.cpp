@@ -54,6 +54,21 @@ void RetBitmapCache::state(binary::StateIo& io) {
     io.u32(e.region);
     io.u64(e.lru);
   }
+  if (io.loading()) {
+    // What access() maintains: every tick was handed out by the cache's
+    // own clock, and a region is valid in at most one line.
+    bool ticks_ok = true;
+    bool regions_ok = true;
+    for (size_t i = 0; i < entries_.size(); ++i) {
+      ticks_ok = ticks_ok && entries_[i].lru <= tick_;
+      for (size_t j = 0; j < i; ++j) {
+        regions_ok = regions_ok && !(entries_[i].valid && entries_[j].valid &&
+                                     entries_[i].region == entries_[j].region);
+      }
+    }
+    io.require(ticks_ok, "bitmap-cache line LRU tick ahead of the clock");
+    io.require(regions_ok, "bitmap-cache region valid twice");
+  }
   io.u64(stats_.accesses);
   io.u64(stats_.misses);
   io.u64(stats_.rerand_retained);

@@ -27,12 +27,12 @@ Emulator::Emulator(const binary::Image& image, binary::Memory& mem,
   state_.pc = image.tables.to_randomized(image.entry);
   state_.regs[isa::kSp] = binary::kDefaultStackTop;
   // Any write into the fetched-from region must invalidate cached decodes.
+  // A naive-ILR image fetches its moved instructions from the randomized
+  // region and its un-randomized ones from the code section.
   if (image.layout == Layout::kNaiveIlr) {
     mem_.watch_code(image.rand_base, image.rand_size);
-  } else {
-    mem_.watch_code(image.code_base,
-                    static_cast<uint32_t>(image.code.size()));
   }
+  mem_.watch_code(image.code_base, static_cast<uint32_t>(image.code.size()));
 }
 
 void Emulator::raise(fault::FaultKind kind, uint32_t detail) {

@@ -85,6 +85,27 @@ void Btb::state(binary::StateIo& io) {
     io.u32(e.target.orig);
     io.u64(e.lru);
   }
+  if (io.loading()) {
+    // What update() maintains: every tick was handed out by the BTB's own
+    // clock, and a pc is valid at most once, in the set it indexes.
+    bool ticks_ok = true;
+    bool tags_ok = true;
+    bool sets_ok = true;
+    for (uint32_t set = 0; set < sets_; ++set) {
+      const Entry* ways = &entries_[static_cast<size_t>(set) * assoc_];
+      for (uint32_t w = 0; w < assoc_; ++w) {
+        ticks_ok = ticks_ok && ways[w].lru <= tick_;
+        if (!ways[w].valid) continue;
+        sets_ok = sets_ok && ((ways[w].tag >> 1) & (sets_ - 1)) == set;
+        for (uint32_t v = 0; v < w; ++v) {
+          tags_ok = tags_ok && !(ways[v].valid && ways[v].tag == ways[w].tag);
+        }
+      }
+    }
+    io.require(ticks_ok, "BTB entry LRU tick ahead of the clock");
+    io.require(tags_ok, "BTB tag valid twice in one set");
+    io.require(sets_ok, "BTB tag valid outside the set it indexes");
+  }
 }
 
 void Ras::state(binary::StateIo& io) {

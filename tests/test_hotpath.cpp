@@ -8,11 +8,13 @@
 #include <array>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <memory>
 #include <random>
 #include <set>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "binary/flat_set.hpp"
 #include "emu/emulator.hpp"
@@ -555,6 +557,64 @@ TEST(WorkerPoolTest, MoreTasksThanParticipants) {
   }
   EXPECT_EQ(runs.load(), 17u * 20u);
   for (uint32_t t = 0; t < 17; ++t) EXPECT_EQ(per_task[t].load(), 20u);
+}
+
+// Rounds spaced wider than the spin budget find the workers parked and
+// must wake them; back-to-back rounds find them spinning. Either way each
+// task runs exactly once per dispatch. The counts are plain memory: only
+// run()'s barrier orders a task's write before the caller's read (and the
+// caller's reset before the next round's write), which TSan checks.
+TEST(WorkerPoolTest, SpacedAndBackToBackDispatchesRunEveryTaskOnce) {
+  os::WorkerPool pool(2);
+  if (std::thread::hardware_concurrency() >= 3) {
+    EXPECT_TRUE(pool.spins());
+  }
+  std::array<uint32_t, 5> per_task{};
+  for (const auto gap :
+       {std::chrono::microseconds{0}, 4 * os::WorkerPool::kSpinBudget}) {
+    for (int round = 0; round < (gap.count() == 0 ? 500 : 50); ++round) {
+      per_task.fill(0);
+      pool.run(5, [&](uint32_t task) { ++per_task[task]; });
+      for (uint32_t t = 0; t < 5; ++t) {
+        ASSERT_EQ(per_task[t], 1u)
+            << "task " << t << " round " << round << " gap " << gap.count();
+      }
+      if (gap.count() != 0) std::this_thread::sleep_for(gap);
+    }
+  }
+}
+
+// Stopping must reach workers whether they are still spinning after a
+// dispatch, parked long after one, or parked without ever having run.
+TEST(WorkerPoolTest, DestructorReturnsPromptlyParkedOrSpinning) {
+  using Clock = std::chrono::steady_clock;
+  for (const int phase : {0, 1, 2}) {
+    auto pool = std::make_unique<os::WorkerPool>(2);
+    if (phase != 2) pool->run(3, [](uint32_t) {});
+    if (phase != 0) {
+      std::this_thread::sleep_for(20 * os::WorkerPool::kSpinBudget);
+    }
+    const auto t0 = Clock::now();
+    pool.reset();
+    EXPECT_LT(Clock::now() - t0, std::chrono::seconds(2)) << "phase " << phase;
+  }
+}
+
+// More participants than host CPUs: spinning would only take the CPU from
+// the thread being waited for, so the pool parks at once, and still
+// drains every dispatch.
+TEST(WorkerPoolTest, OversubscribedPoolParksAndDrains) {
+  const uint32_t cpus = std::max(1u, std::thread::hardware_concurrency());
+  os::WorkerPool pool(cpus + 1);
+  EXPECT_FALSE(pool.spins());
+  const uint32_t tasks = 2 * (cpus + 2);
+  std::vector<std::atomic<uint32_t>> per_task(tasks);
+  for (int round = 0; round < 20; ++round) {
+    pool.run(tasks, [&](uint32_t task) {
+      per_task[task].fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  for (uint32_t t = 0; t < tasks; ++t) EXPECT_EQ(per_task[t].load(), 20u);
 }
 
 TEST(WorkerPoolTest, KernelUsesPoolOnlyWhenMultiCore) {

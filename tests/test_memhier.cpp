@@ -394,5 +394,63 @@ TEST(RetBitmapTest, CachesRecentStackRegions) {
   EXPECT_EQ(bm.stats().misses, 4u);
 }
 
+struct RefBitmapLine {
+  bool valid = false;
+  uint32_t region = 0;
+  uint64_t lru = 0;
+};
+
+/// A bitmap-cache checkpoint in RetBitmapCache::state's layout, with zero
+/// statistics.
+std::string bitmap_bytes(uint64_t tick, std::vector<RefBitmapLine> lines) {
+  std::ostringstream out;
+  binary::StateIo io(out);
+  io.u64(tick);
+  io.fixed(lines.size(), 1u << 20, "");
+  for (RefBitmapLine& l : lines) {
+    io.b(l.valid);
+    io.u32(l.region);
+    io.u64(l.lru);
+  }
+  for (uint64_t stat = 0; stat < 3; ++stat) {
+    uint64_t zero = 0;
+    io.u64(zero);
+  }
+  return out.str();
+}
+
+// access() stamps every line from the cache's own clock and never fills a
+// region that is already valid.
+TEST(RetBitmapTest, RestoreRejectsStatesNoStreamProduces) {
+  cache::MemHierConfig mc;
+  mc.dram.t_refi = 0;
+  cache::MemHier mem(mc);
+  const RetBitmapConfig cfg{.entries = 3, .line_cover = 2048,
+                            .store_base = 0x68000000, .store_bytes = 65536};
+  const auto load = [&](RetBitmapCache& bm, const std::string& bytes) {
+    std::istringstream in(bytes);
+    binary::StateIo io(in);
+    bm.state(io);
+  };
+  const auto rejects = [&](const std::string& bytes) {
+    RetBitmapCache bm(cfg, mem);
+    EXPECT_THROW(load(bm, bytes), binary::FormatError);
+  };
+  // Regions 7 and 9 cached, one line never filled: what a stream leaves.
+  const std::string good =
+      bitmap_bytes(2, {{true, 7, 1}, {true, 9, 2}, RefBitmapLine{}});
+  RetBitmapCache bm(cfg, mem);
+  load(bm, good);
+  std::ostringstream out;
+  binary::StateIo io(out);
+  bm.state(io);
+  EXPECT_EQ(out.str(), good);
+  EXPECT_EQ(bm.access(7 * 2048, 0), 0u);
+  EXPECT_EQ(bm.access(9 * 2048 + 4, 0), 0u);
+
+  rejects(bitmap_bytes(2, {{true, 7, 1}, {true, 9, 3}, RefBitmapLine{}}));
+  rejects(bitmap_bytes(2, {{true, 7, 1}, {true, 7, 2}, RefBitmapLine{}}));
+}
+
 }  // namespace
 }  // namespace vcfr::core

@@ -145,6 +145,62 @@ TEST(NaiveImageTest, SuccessorIsTheNextInstructionsPlaceWhateverTheBytes) {
   }
 }
 
+// An un-randomized instruction runs at its original address, in the code
+// section. Overwriting one the emulator has already decoded must move
+// code_version, so the next step decodes the new bytes exactly as an
+// emulator without a decode cache does.
+TEST(NaiveImageTest, WriteToUnrandomizedInstructionInvalidatesDecodeCache) {
+  using isa::Op;
+  const auto plain = [](Op op) {
+    return op == Op::kMovRR || op == Op::kMovRI || op == Op::kAddRR ||
+           op == Op::kAddRI || op == Op::kSubRI || op == Op::kXorRR ||
+           op == Op::kCmpRR || op == Op::kCmpRI;
+  };
+  const Placed* placed = nullptr;
+  uint32_t addr = 0;
+  for (const Placed& p : placements()) {
+    for (const auto& e : p.rr.program.cfg.instrs) {
+      if (p.at(e.addr) == e.addr && plain(e.instr.op)) {
+        placed = &p;
+        addr = e.addr;
+        break;
+      }
+    }
+    if (placed != nullptr) break;
+  }
+  ASSERT_NE(placed, nullptr) << "no app keeps a plain instruction in place";
+  const Image& naive = placed->naive;
+
+  binary::Memory mem;
+  binary::load(naive, mem);
+  emu::Emulator emu(naive, mem);
+  emu.state().pc = addr;
+  ASSERT_TRUE(emu.step()) << placed->what;
+  ASSERT_EQ(emu.decode_cache_stats().misses, 1u);
+
+  const uint8_t nop = static_cast<uint8_t>(Op::kNop);
+  const uint64_t version = mem.code_version();
+  mem.write8(addr, nop);
+  EXPECT_GT(mem.code_version(), version) << placed->what;
+
+  binary::Memory ref_mem;
+  binary::load(naive, ref_mem);
+  ref_mem.write8(addr, nop);
+  emu::Emulator ref(naive, ref_mem);
+  ref.set_decode_cache(false);
+  emu.state().pc = addr;
+  ref.state() = emu.state();
+  emu::StepInfo got;
+  emu::StepInfo want;
+  ASSERT_TRUE(emu.step(&got));
+  ASSERT_TRUE(ref.step(&want));
+  EXPECT_EQ(want.instr.op, Op::kNop);
+  EXPECT_EQ(got.instr.op, want.instr.op) << placed->what;
+  EXPECT_EQ(got.next_rpc, want.next_rpc);
+  EXPECT_EQ(emu.state().regs, ref.state().regs);
+  EXPECT_EQ(emu.state().pc, ref.state().pc);
+}
+
 // Every rand value lies in the randomized region; loading refuses one
 // outside it, on either side.
 TEST(NaiveImageTest, RandValueOutsideTheRegionFailsToLoad) {

@@ -241,6 +241,40 @@ TEST(RerandForcedTest, DeferralCapForcesQuiescence) {
   EXPECT_GT(live_aliases, 0u);
 }
 
+// serve-rerand's tenant mix and policy on a plain kernel (serving adds
+// request queues, not placements): after the run, every tenant's final
+// placement and every site referring to it pass the structural checks.
+TEST(RerandStructuralTest, ServeRerandMixPassesChecksAfterKernelRun) {
+  KernelConfig kc;
+  kc.cores = 4;
+  kc.sched.slice_instructions = 500;
+  kc.measure_isolated = false;
+  kc.pool_workers = 1;
+  kc.rerand_cost_per_entry = 2;
+  Kernel kernel(kc);
+  RerandomizePolicy rp =
+      periodic(8, RerandomizePolicy::Rebuild::kIncremental, true);
+  const char* mix[] = {"server", "bzip2", "server", "mcf",
+                       "server", "hmmer", "server", "libquantum"};
+  for (uint32_t i = 0; i < 8; ++i) {
+    ProcessConfig pc = tenant(mix[i], 7 ^ (kSeedMix * (i + 1)), rp);
+    pc.max_instructions = 200'000;
+    pc.taint = true;
+    kernel.spawn(pc);
+  }
+  const FleetReport report = kernel.run();
+  EXPECT_GT(report.rerandomizations, 0u);
+  EXPECT_GT(kernel.pool_rounds(), 0u);
+  for (uint32_t pid = 0; pid < kernel.process_count(); ++pid) {
+    const Process& p = kernel.process(pid);
+    EXPECT_EQ(rewriter::check_placement(p.program(), p.randomization(),
+                                        rewriter::RandomizeOptions{}),
+              "")
+        << "pid " << pid;
+    EXPECT_EQ(check_sites(p), "") << "pid " << pid;
+  }
+}
+
 // ------------------------------------------------- one emulator per life --
 
 // A full firing patches the running process in place, so the emulator —

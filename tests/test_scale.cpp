@@ -84,7 +84,8 @@ TEST(PoolInvarianceTest, PoolWorkerCountDoesNotChangeReport) {
 }
 
 // The serve path drives the same kernel; its report must be equally
-// indifferent to pool sizing.
+// indifferent to pool sizing, also under serve-rerand's policy, whose
+// firings and taint run between the pool's rounds.
 TEST(PoolInvarianceTest, ServeReportDoesNotDependOnPoolSize) {
   serve::ServeConfig sc;
   sc.tenants = 8;
@@ -92,10 +93,26 @@ TEST(PoolInvarianceTest, ServeReportDoesNotDependOnPoolSize) {
   sc.duration = 100'000;
   sc.mean_interarrival = 10'000;
   sc.seed = 7;
-  sc.pool_workers = 1;
-  const std::string one = serve::run_serve(sc).to_json();
-  sc.pool_workers = 3;
-  EXPECT_EQ(one, serve::run_serve(sc).to_json());
+  std::string plain;
+  for (const bool rerand : {false, true}) {
+    if (rerand) {
+      sc.rerandomize.every_slices = 8;
+      sc.rerandomize.rebuild = os::RerandomizePolicy::Rebuild::kIncremental;
+      sc.rerandomize.epoch_tags = true;
+      sc.rerandomize.max_defer = 4;
+      sc.rerand_cost_per_entry = 2;
+      sc.taint = true;
+    }
+    sc.pool_workers = 1;
+    const std::string one = serve::run_serve(sc).to_json();
+    sc.pool_workers = 3;
+    EXPECT_EQ(one, serve::run_serve(sc).to_json())
+        << (rerand ? "rerand" : "plain");
+    if (rerand) {
+      EXPECT_NE(one, plain) << "the re-randomizing run changed nothing";
+    }
+    plain = one;
+  }
 }
 
 // ------------------------------------------------- checkpoint / restore --

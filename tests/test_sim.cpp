@@ -5,6 +5,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "binary/state_io.hpp"
 #include "emu/emulator.hpp"
@@ -123,6 +124,58 @@ TEST(RasTest, RestoreRejectsStatesNoStreamProduces) {
   std::string deep = le32(5);
   for (uint32_t i = 1; i <= 5; ++i) deep += le32(i) + le32(i * 10);
   EXPECT_THROW(load_state(restored, deep), binary::FormatError);
+}
+
+struct RefBtbEntry {
+  bool valid = false;
+  uint32_t pc = 0;
+  uint64_t lru = 0;
+};
+
+/// A BTB checkpoint in Btb::state's layout; each entry's target is
+/// {pc + 1, pc}.
+std::string btb_bytes(uint64_t tick, std::vector<RefBtbEntry> entries) {
+  std::ostringstream out;
+  binary::StateIo io(out);
+  io.u64(tick);
+  io.fixed(entries.size(), 1u << 24, "");
+  for (RefBtbEntry& e : entries) {
+    uint32_t rand = e.pc + 1;
+    io.b(e.valid);
+    io.u32(e.pc);
+    io.u32(rand);
+    io.u32(e.pc);
+    io.u64(e.lru);
+  }
+  return out.str();
+}
+
+// update() stamps every entry from the BTB's own clock and holds a pc at
+// most once, in set (pc >> 1) & (sets - 1): 0x10 and 0x18 in set 0, 0x12
+// in set 1 of a two-set BTB.
+TEST(BtbTest, RestoreRejectsStatesNoStreamProduces) {
+  const BpredConfig cfg{.btb_sets = 2, .btb_assoc = 2};
+  const auto rejects = [&](const std::string& bytes) {
+    Btb btb(cfg);
+    EXPECT_THROW(load_state(btb, bytes), binary::FormatError);
+  };
+  const RefBtbEntry none{};
+  const std::string good =
+      btb_bytes(3, {{true, 0x10, 1}, {true, 0x18, 3}, {true, 0x12, 2}, none});
+  Btb btb(cfg);
+  load_state(btb, good);
+  EXPECT_EQ(save_state(btb), good);
+  const auto hit = btb.lookup(0x12);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->rand, 0x13u);
+  EXPECT_EQ(hit->orig, 0x12u);
+
+  rejects(btb_bytes(3, {{true, 0x10, 1}, {true, 0x18, 4}, {true, 0x12, 2},
+                        none}));
+  rejects(btb_bytes(3, {{true, 0x10, 1}, {true, 0x10, 3}, {true, 0x12, 2},
+                        none}));
+  rejects(btb_bytes(3, {{true, 0x10, 1}, {true, 0x18, 3}, {true, 0x14, 2},
+                        none}));
 }
 
 // ---- whole-pipeline tests ---------------------------------------------------
