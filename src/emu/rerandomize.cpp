@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <numeric>
-#include <random>
 #include <stdexcept>
 
-#include "isa/encoding.hpp"
+#include "rewriter/rng.hpp"
 
 namespace vcfr::emu {
 
@@ -33,12 +32,13 @@ struct Assign {
 
 /// An incremental firing's buffers, kept per thread so that a warm firing
 /// allocates nothing: the selected pages, slot occupancy (one byte per
-/// slot), the old slot -> move map and the moves.
+/// slot), the old slot -> move map, the moves and one site's encoding.
 struct FiringScratch {
   std::vector<uint32_t> selected;
   std::vector<uint8_t> taken;
   std::vector<uint32_t> moved_from;
   std::vector<Assign> assign;
+  std::vector<uint8_t> bytes;
 };
 
 }  // namespace
@@ -148,11 +148,12 @@ bool rerandomize_incremental(const rewriter::Program& program,
   std::vector<uint8_t>& taken = scratch.taken;
   std::vector<uint32_t>& moved_from = scratch.moved_from;
   std::vector<Assign>& assign = scratch.assign;
+  std::vector<uint8_t>& bytes = scratch.bytes;
 
   // --- page selection: original 4 KiB pages holding movable instrs --------
   // Shuffling page indices permutes exactly as shuffling the (ascending)
   // page numbers would, so the draw sequence is the page-number one.
-  std::mt19937_64 rng(options.placement.seed);
+  rewriter::Mt19937_64 rng(options.placement.seed);
   const size_t pages = ix.page_begin.size() - 1;
   selected.resize(pages);
   std::iota(selected.begin(), selected.end(), 0u);
@@ -260,22 +261,11 @@ bool rerandomize_incremental(const rewriter::Program& program,
 
   // Referring sites of the moved instructions: direct transfers,
   // software-rewrite return pushes, and proven code-pointer movs.
-  std::vector<uint8_t> bytes;
-  bytes.reserve(isa::kMaxInstrLength);
   for (const Assign& a : assign) {
     for (uint32_t r = ix.ref_begin[a.idx]; r < ix.ref_begin[a.idx + 1]; ++r) {
       const isa::DisasmEntry& e = cfg.instrs[ix.referrers[r]];
-      isa::Instr patched = e.instr;
-      patched.imm = a.new_ra;
-      bytes.clear();
-      isa::encode(patched, bytes);
-      if (bytes.size() != e.instr.length) {
-        throw std::logic_error(
-            "rerandomize_incremental: re-encoded length changed");
-      }
-      const size_t off = e.addr - img.code_base;
+      rewriter::patch_site(img, e, a.new_ra, bytes);
       for (size_t i = 0; i < bytes.size(); ++i) {
-        img.code[off + i] = bytes[i];
         mem.write8(e.addr + static_cast<uint32_t>(i), bytes[i]);
       }
       ++st.sites_patched;

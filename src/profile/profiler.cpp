@@ -48,22 +48,17 @@ Profiler::Profiler(const binary::Image& image) : image_(image) {
   // Function extents: symbols sorted by address, each one half-open to the
   // next symbol (the assembler emits functions contiguously), the last one
   // to the end of the code section. Symbol addresses are original-space
-  // for every layout, including kVcfr.
+  // for every layout, and on_retire folds every pc back to original space
+  // before the lookup.
   extents_.reserve(image.functions.size());
   for (uint32_t i = 0; i < image.functions.size(); ++i) {
     extents_.push_back({image.functions[i].addr, 0, i});
   }
   std::sort(extents_.begin(), extents_.end(),
             [](const Extent& a, const Extent& b) { return a.addr < b.addr; });
-  // A naive-ILR image's pcs are randomized addresses outside every extent,
-  // except its un-randomized instructions'. Its last extent is empty, so
-  // those in the last function fold to unknown like the randomized ones.
-  const uint32_t last_end = image.layout == binary::Layout::kNaiveIlr
-                                ? image.code_base
-                                : image.code_end();
   for (size_t i = 0; i < extents_.size(); ++i) {
     extents_[i].end =
-        i + 1 < extents_.size() ? extents_[i + 1].addr : last_end;
+        i + 1 < extents_.size() ? extents_[i + 1].addr : image.code_end();
   }
   unknown_slot_ = extents_.size();
   external_slot_ = extents_.size() + 1;
@@ -79,6 +74,15 @@ int32_t Profiler::func_of(uint32_t upc) const {
   --it;
   if (upc >= it->end) return -1;
   return static_cast<int32_t>(it - extents_.begin());
+}
+
+uint32_t Profiler::original_pc(uint32_t upc) const {
+  // A naive-ILR image runs at its randomized addresses and its emulator's
+  // upc is the pc itself; un-randomized instructions have no derand entry
+  // and stay where they are.
+  return image_.layout == binary::Layout::kNaiveIlr
+             ? image_.tables.to_original(upc)
+             : upc;
 }
 
 int32_t Profiler::intern_node(int32_t parent, int32_t func) {
@@ -105,7 +109,8 @@ std::string Profiler::func_name(int32_t func) const {
 }
 
 void Profiler::on_retire(const emu::StepInfo& si, const RetireCosts& costs) {
-  const int32_t f = func_of(si.upc);
+  const uint32_t upc = original_pc(si.upc);
+  const int32_t f = func_of(upc);
 
   // --- shadow stack / flame tree -----------------------------------------
   if (stack_.empty()) {
@@ -152,7 +157,7 @@ void Profiler::on_retire(const emu::StepInfo& si, const RetireCosts& costs) {
   if (next_is_leader_) {
     cur_block_ = &blocks_[si.rpc];
     cur_block_->count += 1;
-    cur_block_->upc = si.upc;
+    cur_block_->upc = upc;
   }
   cur_block_->cycles += costs.delta;
   next_is_leader_ = si.instr.is_control();
@@ -162,7 +167,7 @@ void Profiler::on_retire(const emu::StepInfo& si, const RetireCosts& costs) {
     if (stack_.size() >= kMaxDepth) {
       ++depth_overflow_;
     } else {
-      stack_.push_back(intern_node(leaf, func_of(si.next_upc)));
+      stack_.push_back(intern_node(leaf, func_of(original_pc(si.next_upc))));
     }
   } else if (si.instr.op == isa::Op::kRet && si.is_taken_transfer) {
     if (depth_overflow_ > 0) {
@@ -325,7 +330,6 @@ std::string Profiler::to_hot_blocks(const ProfileMeta& meta,
   std::string out;
   out += "hot blocks: " + meta.app + " (" + meta.layout + ", seed " +
          std::to_string(meta.seed) + ")\n";
-  const bool can_disasm = image_.layout != binary::Layout::kNaiveIlr;
   size_t rank = 1;
   for (const auto& [rpc, blk] : hot) {
     out += '#';
@@ -334,7 +338,7 @@ std::string Profiler::to_hot_blocks(const ProfileMeta& meta,
            func_name(func_of(blk->upc)) + " count=" +
            std::to_string(blk->count) + " cycles=" +
            std::to_string(blk->cycles) + "\n";
-    if (!can_disasm || !image_.in_code(blk->upc)) continue;
+    if (!image_.in_code(blk->upc)) continue;
     // Annotate with the block body: decode from the leader until the first
     // control transfer (bounded, blocks are short).
     constexpr size_t kMaxInstrs = 32;

@@ -171,6 +171,8 @@ class Profiler {
   };
   static constexpr size_t kMaxDepth = 4096;
 
+  /// The original-space address of a retired instruction's upc.
+  [[nodiscard]] uint32_t original_pc(uint32_t upc) const;
   [[nodiscard]] int32_t func_of(uint32_t upc) const;
   [[nodiscard]] int32_t intern_node(int32_t parent, int32_t func);
   [[nodiscard]] FuncAgg& agg_of(int32_t func) {

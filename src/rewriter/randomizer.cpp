@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
-#include <random>
 #include <stdexcept>
 #include <unordered_map>
 
 #include "binary/loader.hpp"
 #include "isa/encoding.hpp"
+#include "rewriter/rng.hpp"
 
 namespace vcfr::rewriter {
 
@@ -32,18 +32,6 @@ bool refers_to_code(const isa::DisasmEntry& entry,
   const isa::Instr& instr = entry.instr;
   return instr.is_direct_transfer() || instr.op == Op::kPushI ||
          (instr.op == Op::kMovRI && code_imm_sites.contains(entry.addr));
-}
-
-/// One instruction with its control-flow-relevant immediate mapped through
-/// `tables` (identity for everything else).
-isa::Instr remap_targets(const isa::DisasmEntry& entry,
-                         const binary::TranslationTables& tables,
-                         const std::unordered_set<uint32_t>& code_imm_sites) {
-  isa::Instr instr = entry.instr;
-  if (refers_to_code(entry, code_imm_sites)) {
-    instr.imm = tables.to_randomized(instr.imm);
-  }
-  return instr;
 }
 
 RerandIndex index_rerand(const binary::Image& image, const Cfg& cfg,
@@ -136,6 +124,19 @@ JitterDivisors jitter_divisors(uint32_t slot_bytes) {
     d[len] = binary::Divisor(slot_bytes - len + 1);
   }
   return d;
+}
+
+void patch_site(binary::Image& image, const isa::DisasmEntry& site,
+                uint32_t imm, std::vector<uint8_t>& buf) {
+  isa::Instr patched = site.instr;
+  patched.imm = imm;
+  buf.clear();
+  isa::encode(patched, buf);
+  if (buf.size() != site.instr.length) {
+    throw std::logic_error("patch_site: re-encoded length changed");
+  }
+  std::copy(buf.begin(), buf.end(),
+            image.code.begin() + (site.addr - image.code_base));
 }
 
 binary::Image rewrite_calls_software(const binary::Image& image,
@@ -231,6 +232,10 @@ Program prepare(binary::Image image, ReturnPolicy return_policy) {
   program.cfg = build_cfg(image);
   program.analysis = analyze(image, program.cfg, return_policy);
   program.rerand = index_rerand(image, program.cfg, program.analysis);
+  program.reencoded.reserve(image.code.size());
+  for (const auto& e : program.cfg.instrs) {
+    isa::encode(e.instr, program.reencoded);
+  }
   program.image = std::move(image);
   program.return_policy = return_policy;
   return program;
@@ -254,17 +259,29 @@ binary::Image place(const Program& program, const RandomizeOptions& options) {
 
   const binary::Image& image = program.image;
   const Cfg& cfg = program.cfg;
-  const std::vector<uint32_t>& movable = program.rerand.movable;
-  // The draw loops below write the placement straight into the tables.
+  const RerandIndex& ix = program.rerand;
+  const std::vector<uint32_t>& movable = ix.movable;
+  // The VCFR image keeps the original layout: its code is the re-encoded
+  // original, in which only the sites referring to a placed instruction
+  // change. The draw loops below write the placement straight into the
+  // tables and patch those sites.
+  binary::Image vcfr = image;
+  vcfr.code = program.reencoded;
   binary::TranslationTables tables;
   tables.rand.reset(image.code_base, static_cast<uint32_t>(image.code.size()));
-  auto place_at = [&](uint32_t orig, uint32_t rand_addr) {
+  std::vector<uint8_t> buf;
+  buf.reserve(isa::kMaxInstrLength);
+  auto place_at = [&](uint32_t idx, uint32_t rand_addr) {
+    const uint32_t orig = cfg.instrs[idx].addr;
     tables.rand.set(orig, rand_addr);
     tables.derand.emplace(rand_addr, orig);
+    for (uint32_t r = ix.ref_begin[idx]; r < ix.ref_begin[idx + 1]; ++r) {
+      patch_site(vcfr, cfg.instrs[ix.referrers[r]], rand_addr, buf);
+    }
   };
 
   // --- assign randomized addresses ----------------------------------------
-  std::mt19937_64 rng(options.seed);
+  Mt19937_64 rng(options.seed);
   uint32_t region_size = 0;
   if (options.placement == PlacementPolicy::kFullSpread) {
     const uint32_t slot_count =
@@ -277,10 +294,10 @@ binary::Image place(const Program& program, const RandomizeOptions& options) {
 
     const auto jitter_span = jitter_divisors(options.slot_bytes);
     for (size_t k = 0; k < movable.size(); ++k) {
-      const auto& e = cfg.instrs[movable[k]];
+      const uint32_t length = cfg.instrs[movable[k]].instr.length;
       const auto jitter =
-          static_cast<uint32_t>(jitter_span[e.instr.length].mod(rng()));
-      place_at(e.addr,
+          static_cast<uint32_t>(jitter_span[length].mod(rng()));
+      place_at(movable[k],
                options.rand_base + slots[k] * options.slot_bytes + jitter);
     }
   } else {
@@ -289,7 +306,7 @@ binary::Image place(const Program& program, const RandomizeOptions& options) {
     // dedicated randomized region of kPageStride bytes.
     region_size = page_confined_region(program);
     tables.derand.reset(options.rand_base, region_size, 1);
-    const std::vector<uint32_t>& page_begin = program.rerand.page_begin;
+    const std::vector<uint32_t>& page_begin = ix.page_begin;
     for (size_t k = 0; k + 1 < page_begin.size(); ++k) {
       std::vector<uint32_t> list(movable.begin() + page_begin[k],
                                  movable.begin() + page_begin[k + 1]);
@@ -308,7 +325,7 @@ binary::Image place(const Program& program, const RandomizeOptions& options) {
         const uint32_t gap = std::min<uint32_t>(slack, rng() % gap_cap);
         pos += gap;
         slack -= gap;
-        place_at(cfg.instrs[idx].addr, pos);
+        place_at(idx, pos);
         pos += cfg.instrs[idx].instr.length;
         --remaining;
       }
@@ -318,18 +335,9 @@ binary::Image place(const Program& program, const RandomizeOptions& options) {
   tables.table_base = options.table_base;
   tables.table_bytes = table_bytes_for(movable.size());
 
-  // --- VCFR image ------------------------------------------------------------
-  binary::Image vcfr = image;
   vcfr.layout = binary::Layout::kVcfr;
   vcfr.seed = options.seed;
   vcfr.tables = std::move(tables);
-  vcfr.code.clear();
-  vcfr.code.reserve(image.code.size());
-  for (const auto& e : cfg.instrs) {
-    isa::encode(
-        remap_targets(e, vcfr.tables, program.analysis.code_imm_sites),
-        vcfr.code);
-  }
   patch_data(vcfr, vcfr.tables);
   vcfr.rand_base = options.rand_base;
   vcfr.rand_size = region_size;

@@ -134,6 +134,11 @@ struct Program {
   AnalysisResult analysis;
   ReturnPolicy return_policy = ReturnPolicy::kArchitectural;
   RerandIndex rerand;
+  /// The code place() starts from: every instruction of cfg re-encoded in
+  /// order with its own immediate. It equals image.code for an assembled
+  /// binary; it ends early where the disassembly stopped at an undecodable
+  /// byte. A placement re-encodes only the referring sites in rerand.
+  std::vector<uint8_t> reencoded;
 };
 
 struct RandomizeResult {
@@ -152,6 +157,14 @@ struct RandomizeResult {
 /// sits in its b-byte slot. place() and an incremental firing draw with it.
 using JitterDivisors = std::array<binary::Divisor, isa::kMaxInstrLength + 1>;
 [[nodiscard]] JitterDivisors jitter_divisors(uint32_t slot_bytes);
+
+/// Re-encodes the referring site `site` of `image`'s code with immediate
+/// `imm` into `buf` and writes it over the site's bytes in image.code;
+/// `buf` keeps the new bytes. place() and an incremental firing patch every
+/// site with it. Throws std::logic_error when the encoding's length is not
+/// the site's.
+void patch_site(binary::Image& image, const isa::DisasmEntry& site,
+                uint32_t imm, std::vector<uint8_t>& buf);
 
 /// Applies the §IV-A option-1 rewrite standalone: every safely
 /// randomizable direct call becomes `push <return>; jmp target` (the push

@@ -86,6 +86,34 @@ TEST(ProfilerResolutionTest, GccScale2ResolvesAtLeast95Percent) {
   EXPECT_EQ(prof.attributed_cycles(), r.cycles);
 }
 
+// A naive-ILR image runs at its randomized addresses; the profiler folds
+// every pc (and every call's target) back through the derand table, so
+// each function retires exactly the instructions it retires under the
+// VCFR image of the same placement.
+TEST(ProfilerResolutionTest, NaiveImageFoldsBackLikeItsVcfrPlacement) {
+  for (const std::string name : {"gcc", "xalan", "sjeng"}) {
+    rewriter::RandomizeOptions opts;
+    opts.seed = 7;
+    const auto rr = rewriter::randomize(workloads::make(name, 0), opts);
+    const binary::Image naive = rewriter::naive_ilr(rr.vcfr);
+    Profiler vcfr_prof(rr.vcfr);
+    Profiler naive_prof(naive);
+    const auto vr =
+        sim::simulate(rr.vcfr, 5'000'000, quiet(), nullptr, &vcfr_prof);
+    const auto nr =
+        sim::simulate(naive, 5'000'000, quiet(), nullptr, &naive_prof);
+    ASSERT_TRUE(vr.halted) << name;
+    ASSERT_TRUE(nr.halted) << name;
+    EXPECT_GE(naive_prof.resolved_fraction(), 0.95) << name;
+    const auto instrs = [](const Profiler& prof) {
+      std::map<std::string, uint64_t> by_name;
+      for (const auto& f : prof.functions()) by_name[f.name] = f.instructions;
+      return by_name;
+    };
+    EXPECT_EQ(instrs(naive_prof), instrs(vcfr_prof)) << name;
+  }
+}
+
 // Attaching a profiler must not perturb the simulation (pure observation).
 TEST(ProfilerObserverTest, ProfiledRunMatchesUnprofiledRun) {
   const binary::Image orig = workloads::make("sjeng", 0);

@@ -991,11 +991,6 @@ int cmd_trace_report(const Args& args) {
 
 int cmd_prof(const Args& args) {
   const auto image = binary::load_file(require_input(args));
-  if (image.layout == binary::Layout::kNaiveIlr) {
-    throw std::runtime_error(
-        "prof: naive-ILR images have no original-space mapping to fold "
-        "samples onto (profile the original or VCFR image instead)");
-  }
   sim::CpuConfig config;
   config.drc.entries = args.drc;
 
@@ -1013,8 +1008,8 @@ int cmd_prof(const Args& args) {
     }
   };
 
-  if (image.layout == binary::Layout::kVcfr) {
-    // Already-randomized input: one attributed profile.
+  if (image.layout != binary::Layout::kOriginal) {
+    // Already-randomized input (VCFR or naive-ILR): one attributed profile.
     profile::Profiler prof(image);
     const auto res =
         sim::simulate(image, args.max_instr, config, nullptr, &prof);
